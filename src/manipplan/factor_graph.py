@@ -40,22 +40,18 @@ __all__ = [
     "Factor",
     "StartPriorFactor",
     "GpPriorFactor",
-    "SingularityFactor",
-    "InterpolatedSingularityFactor",
-    "CollisionFactor",
-    "InterpolatedCollisionFactor",
-    "GoalPositionFactor",
+    "ConfigurationFactor",
+    "gp_blend",
     "FactorGraph",
     "SolverMethod",
     "SolverSettings",
     "OptimizeReport",
-    "residual",
     "total_cost",
     "linearize",
     "optimize",
     "build_graph",
     "ChainSingularityCost",
-    "chain_cost_fn",
+    "goal_position_cost",
     "segment_taus",
 ]
 
@@ -63,8 +59,8 @@ __all__ = [
 # a sparse LU factorization instead of a dense Cholesky.
 DENSE_SOLVE_LIMIT = 500
 
-# q -> (h, dh_dq, ...); production costs return the SingularityCost tuple.
-CostFn = Callable[[np.ndarray], tuple]
+# (q, with_jacobian) -> (r, dr_dq); see ConfigurationFactor.
+ConfigCost = Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray | None]]
 
 
 class FactorKind(Enum):
@@ -103,15 +99,6 @@ def _weight(sigma: float) -> float:
     return 1.0 / math.sqrt(sigma)
 
 
-def _cost_value(cost_fn: CostFn, q: np.ndarray) -> float:
-    """Scalar cost of a cost handle, using its cheap ``value`` shortcut when
-    it offers one (plain callables are evaluated in full)."""
-    value = getattr(cost_fn, "value", None)
-    if value is not None:
-        return value(q)
-    return cost_fn(q)[0]
-
-
 def _position_row_block(jac_q: np.ndarray) -> np.ndarray:
     """Embed a d x n joint-space Jacobian into the d x 2n state layout
     (zeros against the velocity half)."""
@@ -135,10 +122,6 @@ class StartPriorFactor(Factor):
         self.prior = np.asarray(self.prior, dtype=float)
         self.dim = self.prior.shape[0]
         self._w = _weight(self.sigma)
-
-    @property
-    def noise_sqrt_info(self) -> np.ndarray:
-        return self._w * np.eye(self.dim)
 
     def evaluate(self, trajectory, with_jacobians=True):
         x = trajectory.states[self.state].as_vector()
@@ -167,10 +150,6 @@ class GpPriorFactor(Factor):
         self._jac_i = self._info_sqrt @ self._phi
         self._jac_j = -self._info_sqrt
 
-    @property
-    def noise_sqrt_info(self) -> np.ndarray:
-        return self._info_sqrt
-
     def evaluate(self, trajectory, with_jacobians=True):
         x_i = trajectory.states[self.i].as_vector()
         x_j = trajectory.states[self.j].as_vector()
@@ -179,168 +158,51 @@ class GpPriorFactor(Factor):
 
 
 @dataclass
-class SingularityFactor(Factor):
-    """Log-manipulability cost on one support state."""
+class ConfigurationFactor(Factor):
+    """A cost of one joint configuration: the position of knot ``i``, or,
+    with ``blend = (j, Lambda, Psi)``, the position of the GP-interpolated
+    state ``Lambda x_i + Psi x_j``.
 
-    state: int
-    cost_fn: CostFn
-    sigma: float
-
-    def __post_init__(self) -> None:
-        self.kind = FactorKind.SINGULARITY
-        self.states = (self.state,)
-        self.dim = 1
-        self._w = _weight(self.sigma)
-
-    @property
-    def noise_sqrt_info(self) -> np.ndarray:
-        return np.array([[self._w]])
-
-    def evaluate(self, trajectory, with_jacobians=True):
-        q = trajectory.states[self.state].position
-        if not with_jacobians:
-            return np.array([self._w * _cost_value(self.cost_fn, q)]), None
-        out = self.cost_fn(q)
-        h, grad = out[0], np.asarray(out[1], dtype=float)
-        jac = self._w * _position_row_block(grad[None, :])
-        return np.array([self._w * h]), (jac,)
-
-
-@dataclass
-class InterpolatedSingularityFactor(Factor):
-    """Log-manipulability cost at a GP-interpolated state inside a segment.
-
-    The residual Jacobian is chained through the interpolation matrices so
-    the gradient lands on both bracketing support states.
+    ``cost(q, with_jacobian)`` returns the unwhitened residual ``r`` and
+    its ``dim x n`` joint-space Jacobian (ignored when ``with_jacobian`` is
+    false).  The Jacobian is chained through the blend matrices, so the
+    gradient of an interpolated cost lands on both bracketing knots.
     """
 
+    kind: FactorKind
     i: int
-    j: int
-    tau: float
-    cost_fn: CostFn
+    cost: ConfigCost
+    dim: int
     sigma: float
-    gp_params: gp.GpPriorParams
-    t_i: float
-    t_j: float
+    blend: tuple[int, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        self.kind = FactorKind.INTERP_SINGULARITY
-        self.states = (self.i, self.j)
-        self.dim = 1
-        if not self.t_i < self.tau < self.t_j:
-            raise ValueError(f"interpolated factor needs t_i < tau < t_j, got {self.t_i}, {self.tau}, {self.t_j}")
+        self.states = (self.i,) if self.blend is None else (self.i, self.blend[0])
         self._w = _weight(self.sigma)
-        self._lam, self._psi = gp.interpolation_matrices(self.t_i, self.t_j, self.tau, self.gp_params)
-
-    @property
-    def noise_sqrt_info(self) -> np.ndarray:
-        return np.array([[self._w]])
 
     def evaluate(self, trajectory, with_jacobians=True):
-        n = self.gp_params.n
-        x_i = trajectory.states[self.i].as_vector()
-        x_j = trajectory.states[self.j].as_vector()
-        x_tau = self._lam @ x_i + self._psi @ x_j
-        if not with_jacobians:
-            return np.array([self._w * _cost_value(self.cost_fn, x_tau[:n])]), None
-        out = self.cost_fn(x_tau[:n])
-        h, grad = out[0], np.asarray(out[1], dtype=float)
-        row = _position_row_block(grad[None, :])
-        return np.array([self._w * h]), (self._w * (row @ self._lam), self._w * (row @ self._psi))
-
-
-@dataclass
-class CollisionFactor(Factor):
-    """Hinge obstacle cost over the body spheres of one support state."""
-
-    state: int
-    chain: KinematicChain
-    grid: SdfGrid
-    params: CollisionParams
-
-    def __post_init__(self) -> None:
-        self.kind = FactorKind.COLLISION
-        self.states = (self.state,)
-        self.dim = len(self.chain.body_spheres)
-        self._w = _weight(self.params.sigma_obs)
-
-    @property
-    def noise_sqrt_info(self) -> np.ndarray:
-        return self._w * np.eye(self.dim)
-
-    def evaluate(self, trajectory, with_jacobians=True):
-        state = trajectory.states[self.state]
-        r, jac_q = collision_residual(self.chain, state.position, self.grid, self.params, with_jacobians)
-        if not with_jacobians:
-            return self._w * r, None
-        return self._w * r, (self._w * _position_row_block(jac_q),)
-
-
-@dataclass
-class InterpolatedCollisionFactor(Factor):
-    """Hinge obstacle cost at a GP-interpolated state."""
-
-    i: int
-    j: int
-    tau: float
-    chain: KinematicChain
-    grid: SdfGrid
-    params: CollisionParams
-    gp_params: gp.GpPriorParams
-    t_i: float
-    t_j: float
-
-    def __post_init__(self) -> None:
-        self.kind = FactorKind.INTERP_COLLISION
-        self.states = (self.i, self.j)
-        self.dim = len(self.chain.body_spheres)
-        if not self.t_i < self.tau < self.t_j:
-            raise ValueError(f"interpolated factor needs t_i < tau < t_j, got {self.t_i}, {self.tau}, {self.t_j}")
-        self._w = _weight(self.params.sigma_obs)
-        self._lam, self._psi = gp.interpolation_matrices(self.t_i, self.t_j, self.tau, self.gp_params)
-
-    @property
-    def noise_sqrt_info(self) -> np.ndarray:
-        return self._w * np.eye(self.dim)
-
-    def evaluate(self, trajectory, with_jacobians=True):
-        n = self.gp_params.n
-        x_i = trajectory.states[self.i].as_vector()
-        x_j = trajectory.states[self.j].as_vector()
-        x_tau = self._lam @ x_i + self._psi @ x_j
-        r, jac_q = collision_residual(self.chain, x_tau[:n], self.grid, self.params, with_jacobians)
+        x_i = trajectory.states[self.i]
+        if self.blend is None:
+            q = x_i.position
+        else:
+            j, lam, psi = self.blend
+            q = (lam @ x_i.as_vector() + psi @ trajectory.states[j].as_vector())[: x_i.n]
+        r, jac_q = self.cost(q, with_jacobians)
         if not with_jacobians:
             return self._w * r, None
         block = _position_row_block(jac_q)
-        return self._w * r, (self._w * (block @ self._lam), self._w * (block @ self._psi))
+        if self.blend is None:
+            return self._w * r, (self._w * block,)
+        return self._w * r, (self._w * (block @ lam), self._w * (block @ psi))
 
 
-@dataclass
-class GoalPositionFactor(Factor):
-    """Pulls the end-effector position of one state to a workspace point."""
-
-    state: int
-    chain: KinematicChain
-    goal: np.ndarray
-    sigma: float
-
-    def __post_init__(self) -> None:
-        self.kind = FactorKind.GOAL_POSITION
-        self.states = (self.state,)
-        self.dim = 3
-        self.goal = np.asarray(self.goal, dtype=float).reshape(3)
-        self._w = _weight(self.sigma)
-        self._tool = np.zeros(3)
-
-    @property
-    def noise_sqrt_info(self) -> np.ndarray:
-        return self._w * np.eye(3)
-
-    def evaluate(self, trajectory, with_jacobians=True):
-        q = trajectory.states[self.state].position
-        p, jac_q = point_jacobian(self.chain, q, self.chain.n - 1, self._tool)
-        r = self._w * (p - self.goal)
-        return r, ((self._w * _position_row_block(jac_q),) if with_jacobians else None)
+def gp_blend(j: int, t_i: float, t_j: float, tau: float, gp_params: gp.GpPriorParams):
+    """The ``blend`` of a :class:`ConfigurationFactor` at time ``tau``
+    strictly inside the segment ``[t_i, t_j]`` that ends at knot ``j``."""
+    if not t_i < tau < t_j:
+        raise ValueError(f"interpolated factor needs t_i < tau < t_j, got {t_i}, {tau}, {t_j}")
+    lam, psi = gp.interpolation_matrices(t_i, t_j, tau, gp_params)
+    return j, lam, psi
 
 
 @dataclass(frozen=True)
@@ -357,15 +219,13 @@ class FactorGraph:
             for s in factor.states:
                 if not 0 <= s < self.num_states:
                     raise ValueError(f"factor {factor.kind} references state {s} of {self.num_states}")
+            # The banded normal equations rely on this layout.
+            if len(factor.states) not in (1, 2) or factor.states[1:] not in ((), (factor.states[0] + 1,)):
+                raise ValueError(f"factor {factor.kind} must touch one state or two consecutive ones, got {factor.states}")
 
     @property
     def residual_dim(self) -> int:
         return sum(f.dim for f in self.factors)
-
-
-def residual(factor: Factor, trajectory: gp.SupportTrajectory):
-    """Whitened residual and per-state Jacobians of one factor."""
-    return factor.evaluate(trajectory)
 
 
 def total_cost(graph: FactorGraph, trajectory: gp.SupportTrajectory) -> float:
@@ -608,10 +468,10 @@ def optimize(
 
 
 class ChainSingularityCost:
-    """Production singularity cost handle: the chain's log-manipulability cost.
+    """The chain's log-manipulability cost as a one-entry configuration cost.
 
-    Calling it returns the full ``(h, gradient, degenerate)`` tuple;
-    ``value`` computes just ``h`` without the Jacobian derivative work.
+    Without the Jacobian only ``h`` is computed, skipping the Jacobian
+    derivative work.
     """
 
     def __init__(self, chain: KinematicChain, params: SingularityCostParams, task_dim: int):
@@ -619,16 +479,23 @@ class ChainSingularityCost:
         self.params = params
         self.task_dim = task_dim
 
-    def __call__(self, q: np.ndarray):
-        return singularity_cost(self.chain, q, self.params, self.task_dim)
+    def __call__(self, q: np.ndarray, with_jacobian: bool = True):
+        if not with_jacobian:
+            return np.array([singularity_cost_value(self.chain, q, self.params, self.task_dim)]), None
+        out = singularity_cost(self.chain, q, self.params, self.task_dim)
+        return np.array([out[0]]), np.asarray(out[1], dtype=float)[None, :]
 
-    def value(self, q: np.ndarray) -> float:
-        return singularity_cost_value(self.chain, q, self.params, self.task_dim)
 
+def goal_position_cost(chain: KinematicChain, goal) -> ConfigCost:
+    """End-effector position minus ``goal``, a three-entry configuration cost."""
+    goal = np.asarray(goal, dtype=float).reshape(3)
+    tool = np.zeros(3)
 
-def chain_cost_fn(chain: KinematicChain, params: SingularityCostParams, task_dim: int) -> CostFn:
-    """Singularity cost handle bound to a chain (see :class:`ChainSingularityCost`)."""
-    return ChainSingularityCost(chain, params, task_dim)
+    def cost(q: np.ndarray, with_jacobian: bool = True):
+        p, jac_q = point_jacobian(chain, q, chain.n - 1, tool)
+        return p - goal, jac_q
+
+    return cost
 
 
 def segment_taus(t_i: float, t_j: float, n_interp: int) -> list[float]:
@@ -656,52 +523,46 @@ def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> Facto
     ]
     for i in range(num - 1):
         factors.append(GpPriorFactor(i=i, j=i + 1, dt=float(times[i + 1] - times[i]), params=gp_params))
+    blends = [
+        (i, gp_blend(i + 1, float(times[i]), float(times[i + 1]), tau, gp_params))
+        for i in range(num - 1)
+        for tau in segment_taus(times[i], times[i + 1], scenario.n_interp)
+    ]
+
+    def add_cost(kinds, cost, dim, sigma):
+        knot_kind, interp_kind = kinds
+        factors.extend(ConfigurationFactor(knot_kind, s, cost, dim, sigma) for s in range(num))
+        factors.extend(ConfigurationFactor(interp_kind, i, cost, dim, sigma, blend) for i, blend in blends)
 
     if scenario.enable_singularity_factors:
         cost_params = SingularityCostParams(
             lambda_max=scenario.resolve_lambda_max(chain),
             sigma_sbar=scenario.sigma_sbar,
         )
-        cost_fn = chain_cost_fn(chain, cost_params, scenario.task_dim)
-        for s in range(num):
-            factors.append(SingularityFactor(state=s, cost_fn=cost_fn, sigma=scenario.sigma_sbar))
-        for i in range(num - 1):
-            for tau in segment_taus(times[i], times[i + 1], scenario.n_interp):
-                factors.append(
-                    InterpolatedSingularityFactor(
-                        i=i,
-                        j=i + 1,
-                        tau=tau,
-                        cost_fn=cost_fn,
-                        sigma=scenario.sigma_sbar,
-                        gp_params=gp_params,
-                        t_i=float(times[i]),
-                        t_j=float(times[i + 1]),
-                    )
-                )
+        add_cost(
+            (FactorKind.SINGULARITY, FactorKind.INTERP_SINGULARITY),
+            ChainSingularityCost(chain, cost_params, scenario.task_dim),
+            1,
+            scenario.sigma_sbar,
+        )
 
     if scenario.obstacles:
         grid = scenario.build_sdf()
         col_params = CollisionParams(epsilon=scenario.epsilon, sigma_obs=scenario.sigma_obs)
-        for s in range(num):
-            factors.append(CollisionFactor(state=s, chain=chain, grid=grid, params=col_params))
-        for i in range(num - 1):
-            for tau in segment_taus(times[i], times[i + 1], scenario.n_interp):
-                factors.append(
-                    InterpolatedCollisionFactor(
-                        i=i,
-                        j=i + 1,
-                        tau=tau,
-                        chain=chain,
-                        grid=grid,
-                        params=col_params,
-                        gp_params=gp_params,
-                        t_i=float(times[i]),
-                        t_j=float(times[i + 1]),
-                    )
-                )
+
+        def collision(q, with_jacobian):
+            return collision_residual(chain, q, grid, col_params, with_jacobian)
+
+        add_cost(
+            (FactorKind.COLLISION, FactorKind.INTERP_COLLISION),
+            collision,
+            len(chain.body_spheres),
+            col_params.sigma_obs,
+        )
 
     factors.append(
-        GoalPositionFactor(state=num - 1, chain=chain, goal=scenario.goal_position, sigma=scenario.sigma_goal)
+        ConfigurationFactor(
+            FactorKind.GOAL_POSITION, num - 1, goal_position_cost(chain, scenario.goal_position), 3, scenario.sigma_goal
+        )
     )
     return FactorGraph(factors=tuple(factors), num_states=num, state_dim=2 * n)

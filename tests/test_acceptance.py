@@ -98,20 +98,20 @@ def test_criterion_3_planar_analytic_oracle():
         lam = manipulability(geometric_jacobian(chain, [0.7, q2], task_dim=2))
         worst = max(worst, abs(lam - abs(math.sin(q2))))
 
-    def sine_cost(q):
+    def sine_cost(q, with_jacobian=True):
         theta = float(q[0])
         lam = abs(math.sin(theta))
         h = math.log(1.0 / max(lam, 1e-9))
         grad = np.array([-math.cos(theta) / math.sin(theta)]) if lam > 1e-9 else np.zeros(1)
-        return h, grad
+        return np.array([h]), grad[None, :]
 
     trajectory = gp.SupportTrajectory(
         states=(gp.TrajectoryState([0.3], [0.0], 0.0), gp.TrajectoryState([0.3], [0.0], 1.0))
     )
     graph = fg.FactorGraph(
         factors=(
-            fg.SingularityFactor(state=0, cost_fn=sine_cost, sigma=1e-2),
-            fg.SingularityFactor(state=1, cost_fn=sine_cost, sigma=1e-2),
+            fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, 0, sine_cost, 1, 1e-2),
+            fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, 1, sine_cost, 1, 1e-2),
         ),
         num_states=2,
         state_dim=2,

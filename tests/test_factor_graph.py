@@ -12,7 +12,7 @@ from manipplan.scenario import BoxObstacle, Scenario
 LAMBDA_FLOOR = 1e-9
 
 
-def sine_cost(q):
+def sine_cost(q, with_jacobian=True):
     """Toy 1-joint log cost with lambda(theta) = |sin theta|, lambda_max = 1."""
     theta = float(q[0])
     lam = abs(math.sin(theta))
@@ -21,7 +21,15 @@ def sine_cost(q):
         grad = np.array([-math.cos(theta) / math.sin(theta)])
     else:
         grad = np.zeros(1)
-    return h, grad
+    return np.array([h]), grad[None, :]
+
+
+def singularity_factor(state, cost, sigma):
+    return fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, state, cost, 1, sigma)
+
+
+def goal_factor(state, chain, goal, sigma):
+    return fg.ConfigurationFactor(fg.FactorKind.GOAL_POSITION, state, fg.goal_position_cost(chain, goal), 3, sigma)
 
 
 def single_state_graph(factors, n):
@@ -45,8 +53,8 @@ def one_state_trajectory(q, extra_time=1.0):
 class TestFactorResiduals:
     def test_singularity_residual_zero_at_lambda_max(self, planar2r):
         params = SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4)
-        cost_fn = fg.chain_cost_fn(planar2r, params, task_dim=2)
-        factor = fg.SingularityFactor(state=0, cost_fn=cost_fn, sigma=1e-4)
+        cost_fn = fg.ChainSingularityCost(planar2r, params, task_dim=2)
+        factor = singularity_factor(0, cost_fn, 1e-4)
         traj = one_state_trajectory([0.4, np.pi / 2])
         r, jacs = factor.evaluate(traj)
         assert abs(r[0]) < 1e-10
@@ -55,7 +63,7 @@ class TestFactorResiduals:
     def test_goal_residual_zero_at_goal(self, ur10, rng):
         q = rng.uniform(-np.pi, np.pi, 6)
         goal = forward_kinematics(ur10, q)[-1].position
-        factor = fg.GoalPositionFactor(state=0, chain=ur10, goal=goal, sigma=1e-8)
+        factor = goal_factor(0, ur10, goal, 1e-8)
         r, _ = factor.evaluate(one_state_trajectory(q))
         np.testing.assert_allclose(r, np.zeros(3), atol=1e-9)
 
@@ -64,15 +72,15 @@ class TestFactorResiduals:
         # plain per-state cost, and each state receives exactly half of the
         # position-block Jacobian (midpoint blend weights are 1/2).
         params = SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4)
-        cost_fn = fg.chain_cost_fn(planar2r, params, task_dim=2)
+        cost_fn = fg.ChainSingularityCost(planar2r, params, task_dim=2)
         gpp = gp.GpPriorParams.isotropic(2, 100.0)
         q = np.array([0.3, 0.9])
         traj = gp.SupportTrajectory(
             states=(gp.TrajectoryState(q, np.zeros(2), 0.0), gp.TrajectoryState(q, np.zeros(2), 2.0))
         )
-        plain = fg.SingularityFactor(state=0, cost_fn=cost_fn, sigma=1e-4)
-        interp = fg.InterpolatedSingularityFactor(
-            i=0, j=1, tau=1.0, cost_fn=cost_fn, sigma=1e-4, gp_params=gpp, t_i=0.0, t_j=2.0
+        plain = singularity_factor(0, cost_fn, 1e-4)
+        interp = fg.ConfigurationFactor(
+            fg.FactorKind.INTERP_SINGULARITY, 0, cost_fn, 1, 1e-4, fg.gp_blend(1, 0.0, 2.0, 1.0, gpp)
         )
         r_plain, jac_plain = plain.evaluate(traj)
         r_interp, (jac_i, jac_j) = interp.evaluate(traj)
@@ -83,16 +91,14 @@ class TestFactorResiduals:
     def test_residual_function_returns_whitened_values(self, planar2r):
         factor = fg.StartPriorFactor(state=0, prior=np.zeros(4), sigma=1e-4)
         traj = one_state_trajectory([0.2, -0.1])
-        r, jacs = fg.residual(factor, traj)
+        r, jacs = factor.evaluate(traj)
         np.testing.assert_allclose(r, 100.0 * traj.states[0].as_vector(), rtol=1e-12)
         np.testing.assert_allclose(jacs[0], 100.0 * np.eye(4), rtol=1e-12)
 
     def test_interpolated_factor_requires_interior_tau(self):
         gpp = gp.GpPriorParams.isotropic(1, 1.0)
         with pytest.raises(ValueError):
-            fg.InterpolatedSingularityFactor(
-                i=0, j=1, tau=0.0, cost_fn=sine_cost, sigma=1.0, gp_params=gpp, t_i=0.0, t_j=1.0
-            )
+            fg.gp_blend(1, 0.0, 1.0, 0.0, gpp)
 
 
 class TestTotalCost:
@@ -105,7 +111,7 @@ class TestTotalCost:
 
     def test_adding_factors_never_decreases_cost(self, planar2r):
         traj = one_state_trajectory([0.5, 0.5])
-        goal = fg.GoalPositionFactor(state=0, chain=planar2r, goal=[1.0, 1.0, 0.0], sigma=1e-2)
+        goal = goal_factor(0, planar2r, [1.0, 1.0, 0.0], 1e-2)
         prior = fg.StartPriorFactor(state=0, prior=np.ones(4), sigma=1e-2)
         g1 = single_state_graph([goal], 2)
         g2 = single_state_graph([goal, prior], 2)
@@ -116,7 +122,7 @@ class TestTotalCost:
         sigma = 1e-2
         prior_theta = 0.4
         prior_sigma = 0.5
-        factor = fg.SingularityFactor(state=0, cost_fn=sine_cost, sigma=sigma)
+        factor = singularity_factor(0, sine_cost, sigma)
         prior = fg.StartPriorFactor(
             state=0, prior=np.array([prior_theta, 0.0]), sigma=prior_sigma
         )
@@ -150,8 +156,8 @@ class TestOptimize:
         assert len(report.cost_trace) == 2
 
     def test_one_joint_sine_map_converges_to_right_angle(self):
-        factor = fg.SingularityFactor(state=0, cost_fn=sine_cost, sigma=1e-2)
-        factor2 = fg.SingularityFactor(state=1, cost_fn=sine_cost, sigma=1e-2)
+        factor = singularity_factor(0, sine_cost, 1e-2)
+        factor2 = singularity_factor(1, sine_cost, 1e-2)
         graph = fg.FactorGraph(factors=(factor, factor2), num_states=2, state_dim=2)
         traj = one_state_trajectory([0.3])
         settings = fg.SolverSettings(max_iterations=200, rel_cost_tol=1e-30, abs_grad_tol=1e-30)
@@ -161,10 +167,10 @@ class TestOptimize:
 
     def test_two_joint_toy_matches_grid_search(self, planar2r):
         params = SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-2)
-        cost_fn = fg.chain_cost_fn(planar2r, params, task_dim=2)
+        cost_fn = fg.ChainSingularityCost(planar2r, params, task_dim=2)
         factors = (
-            fg.SingularityFactor(state=0, cost_fn=cost_fn, sigma=1e-2),
-            fg.GoalPositionFactor(state=0, chain=planar2r, goal=[1.2, 0.8, 0.0], sigma=1e-2),
+            singularity_factor(0, cost_fn, 1e-2),
+            goal_factor(0, planar2r, [1.2, 0.8, 0.0], 1e-2),
         )
         graph = single_state_graph(factors, 2)
         init = one_state_trajectory([0.4, 0.7])
@@ -192,11 +198,11 @@ class TestOptimize:
         assert grid_min - solver_cost <= neighbor_span
 
     def test_non_finite_initial_cost_rejected(self):
-        def exploding(q):
-            return np.inf, np.zeros(1)
+        def exploding(q, with_jacobian=True):
+            return np.array([np.inf]), np.zeros((1, 1))
 
         graph = fg.FactorGraph(
-            factors=(fg.SingularityFactor(state=0, cost_fn=exploding, sigma=1.0),),
+            factors=(singularity_factor(0, exploding, 1.0),),
             num_states=2,
             state_dim=2,
         )
@@ -205,10 +211,10 @@ class TestOptimize:
 
     def test_max_iterations_reported_as_not_converged(self, planar2r):
         params = SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4)
-        cost_fn = fg.chain_cost_fn(planar2r, params, task_dim=2)
+        cost_fn = fg.ChainSingularityCost(planar2r, params, task_dim=2)
         factors = (
-            fg.SingularityFactor(state=0, cost_fn=cost_fn, sigma=1e-4),
-            fg.GoalPositionFactor(state=0, chain=planar2r, goal=[1.0, 1.0, 0.0], sigma=1e-8),
+            singularity_factor(0, cost_fn, 1e-4),
+            goal_factor(0, planar2r, [1.0, 1.0, 0.0], 1e-8),
         )
         graph = single_state_graph(factors, 2)
         solution, report = fg.optimize(
@@ -221,10 +227,10 @@ class TestOptimize:
 
     def test_lm_trace_monotone_and_deterministic(self, planar2r):
         params = SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4)
-        cost_fn = fg.chain_cost_fn(planar2r, params, task_dim=2)
+        cost_fn = fg.ChainSingularityCost(planar2r, params, task_dim=2)
         factors = (
-            fg.SingularityFactor(state=0, cost_fn=cost_fn, sigma=1e-4),
-            fg.GoalPositionFactor(state=0, chain=planar2r, goal=[1.0, 1.0, 0.0], sigma=1e-8),
+            singularity_factor(0, cost_fn, 1e-4),
+            goal_factor(0, planar2r, [1.0, 1.0, 0.0], 1e-8),
             fg.StartPriorFactor(state=1, prior=np.array([0.0, 0.9, 0.0, 0.0]), sigma=1e2),
         )
         graph = fg.FactorGraph(factors=factors, num_states=2, state_dim=4)
@@ -350,6 +356,12 @@ class TestBuildGraph:
         factor = fg.StartPriorFactor(state=5, prior=np.zeros(2), sigma=1.0)
         with pytest.raises(ValueError):
             fg.FactorGraph(factors=(factor,), num_states=2, state_dim=2)
+
+    def test_factor_over_non_consecutive_states_rejected(self):
+        params = gp.GpPriorParams.isotropic(1, 1.0)
+        factor = fg.GpPriorFactor(i=0, j=2, dt=1.0, params=params)
+        with pytest.raises(ValueError, match="consecutive"):
+            fg.FactorGraph(factors=(factor,), num_states=3, state_dim=2)
 
     def test_solver_settings_validation(self):
         with pytest.raises(ValueError):
