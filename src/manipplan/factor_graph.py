@@ -2,16 +2,19 @@
 
 Every factor produces a whitened residual (premultiplied by the square
 root of its inverse covariance) plus Jacobians with respect to the one or
-two support states it touches, so the MAP problem is the standard sum of
-squared residuals.  Interpolated factors evaluate their cost at a GP-
-conditioned state between two knots and chain the Jacobian through the
-interpolation blend matrices, which is how gradient information from
-extra states reaches the decision variables.
+two consecutive support states it touches, so the MAP problem is the
+standard sum of squared residuals.  Besides the start and GP priors there
+is one cost factor type, :class:`ConfigurationFactor`: a residual of a
+joint configuration taken at a knot or at a GP-interpolated state between
+two knots, whose Jacobian is chained through the interpolation blend
+matrices so gradient information from extra states reaches the decision
+variables.
 
-The solver linearizes into a block-sparse normal system (block
-tridiagonal from the GP chain plus sparse unary blocks) and runs either
-Gauss-Newton or Levenberg-Marquardt on it; small systems drop to a dense
-Cholesky factorization.
+Because no factor spans more than two consecutive states, ``J^T J`` is
+block tridiagonal (the exactly sparse GP structure).  The solver
+accumulates it straight into banded storage and runs Gauss-Newton or
+Levenberg-Marquardt on the banded Cholesky factorization, at a cost
+linear in the number of states.
 """
 
 from __future__ import annotations
@@ -20,12 +23,11 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import splu
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import gp_prior as gp
 from .collision import CollisionParams, SdfGrid, collision_residual
@@ -54,10 +56,6 @@ __all__ = [
     "goal_position_cost",
     "segment_taus",
 ]
-
-# Above this state-vector size the damped normal equations are solved with
-# a sparse LU factorization instead of a dense Cholesky.
-DENSE_SOLVE_LIMIT = 500
 
 # (q, with_jacobian) -> (r, dr_dq); see ConfigurationFactor.
 ConfigCost = Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray | None]]
@@ -220,7 +218,7 @@ class FactorGraph:
                 if not 0 <= s < self.num_states:
                     raise ValueError(f"factor {factor.kind} references state {s} of {self.num_states}")
             # The banded normal equations rely on this layout.
-            if len(factor.states) not in (1, 2) or factor.states[1:] not in ((), (factor.states[0] + 1,)):
+            if factor.states[1:] not in ((), (factor.states[0] + 1,)):
                 raise ValueError(f"factor {factor.kind} must touch one state or two consecutive ones, got {factor.states}")
 
     @property
@@ -237,34 +235,36 @@ def total_cost(graph: FactorGraph, trajectory: gp.SupportTrajectory) -> float:
     return cost
 
 
-def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
-    """Assemble the sparse whitened Jacobian and residual stack.
+@lru_cache(maxsize=None)
+def _lower_triangle(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Band rows ``a - b`` and columns ``b`` of the lower triangle of a
+    ``size x size`` block."""
+    rows, cols = np.tril_indices(size)
+    return rows - cols, cols
 
-    Returns ``(jac, res, cost)`` where ``jac`` is CSR with one column
-    block per support state.
+
+def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
+    """Accumulate the Gauss-Newton normal equations factor by factor.
+
+    Returns ``(band, gradient, cost)``: ``J^T J`` in LAPACK lower banded
+    storage (``band[a - b, b] = (J^T J)[a, b]``), ``J^T r`` and half the
+    squared residual norm.  Every factor touches one state or two
+    consecutive ones, so ``J^T J`` is block tridiagonal and its lower
+    half-bandwidth is ``2 * state_dim - 1``.
     """
     dim = graph.state_dim
-    rows, cols, vals = [], [], []
-    res = np.empty(graph.residual_dim)
-    offset = 0
+    band = np.zeros((2 * dim, graph.num_states * dim))
+    gradient = np.zeros(graph.num_states * dim)
+    cost = 0.0
     for factor in graph.factors:
         r, jacs = factor.evaluate(trajectory)
-        res[offset : offset + factor.dim] = r
-        for s, jac in zip(factor.states, jacs):
-            rr, cc = np.meshgrid(
-                np.arange(offset, offset + factor.dim),
-                np.arange(s * dim, (s + 1) * dim),
-                indexing="ij",
-            )
-            rows.append(rr.ravel())
-            cols.append(cc.ravel())
-            vals.append(np.asarray(jac, dtype=float).ravel())
-        offset += factor.dim
-    jac = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(graph.residual_dim, graph.num_states * dim),
-    )
-    return jac, res, 0.5 * float(res @ res)
+        jac = jacs[0] if len(jacs) == 1 else np.hstack(jacs)
+        start = factor.states[0] * dim
+        offsets, cols = _lower_triangle(jac.shape[1])
+        band[offsets, start + cols] += (jac.T @ jac)[offsets + cols, cols]
+        gradient[start : start + jac.shape[1]] += jac.T @ r
+        cost += 0.5 * float(r @ r)
+    return band, gradient, cost
 
 
 class SolverMethod(Enum):
@@ -322,19 +322,18 @@ class OptimizeReport:
         }
 
 
-def _solve_normal(a_sparse: sp.spmatrix, damping: np.ndarray | None, g: np.ndarray) -> np.ndarray:
-    """Solve ``(A + diag(damping)) x = -g``; dense Cholesky for small
-    systems, sparse LU otherwise, least-squares fallback if singular."""
-    dim = g.shape[0]
+def _solve_normal(band: np.ndarray, damping: np.ndarray | None, g: np.ndarray) -> np.ndarray | None:
+    """Solve ``(A + diag(damping)) x = -g`` for ``A`` in lower banded
+    storage by banded Cholesky; ``None`` when the matrix is not positive
+    definite."""
     if damping is not None:
-        a_sparse = a_sparse + sp.diags(damping)
-    if dim <= DENSE_SOLVE_LIMIT:
-        dense = a_sparse.toarray()
-        try:
-            return cho_solve(cho_factor(dense), -g)
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(dense, -g, rcond=None)[0]
-    return splu(a_sparse.tocsc()).solve(-g)
+        band = band.copy()
+        band[0] += damping
+    try:
+        chol = cholesky_banded(band, lower=True)
+    except np.linalg.LinAlgError:
+        return None
+    return cho_solve_banded((chol, True), -g)
 
 
 def _damping_scale(diag: np.ndarray) -> np.ndarray:
@@ -380,11 +379,9 @@ def optimize(
             f"graph expects {graph.num_states} states of dim {graph.state_dim}, "
             f"trajectory has {init.num_states} states of dim {2 * init.n}"
         )
-    jac, res, cost = linearize(graph, trajectory)
+    band, gradient, cost = linearize(graph, trajectory)
     if not math.isfinite(cost):
         raise ValueError("initial trajectory has non-finite cost")
-    gradient = jac.T @ res
-    normal = (jac.T @ jac).tocsr()
     trace = [cost]
     converged = False
     message = "max iterations reached"
@@ -398,20 +395,19 @@ def optimize(
                 converged = True
                 message = "gradient tolerance"
                 break
-            delta = _solve_normal(normal, None, gradient)
+            delta = _solve_normal(band, None, gradient)
+            if delta is None:
+                message = "normal equations not positive definite"
+                break
             trajectory = trajectory.with_vector(trajectory.as_vector() + delta)
-            jac, res, new_cost = linearize(graph, trajectory)
-            gradient = jac.T @ res
-            normal = (jac.T @ jac).tocsr()
-            trace.append(new_cost)
-            cost = new_cost
+            band, gradient, cost = linearize(graph, trajectory)
+            trace.append(cost)
             if _converged(trace, float(np.abs(gradient).max()), settings):
                 converged = True
                 message = "cost decrease below tolerance"
                 break
     else:
         # Marquardt (relative) damping: mu is dimensionless against diag(A).
-        diag = np.asarray(normal.diagonal())
         mu = settings.lm_init_damping
         nu = 2.0
         while iterations < settings.max_iterations:
@@ -421,27 +417,29 @@ def optimize(
                 converged = True
                 message = "gradient tolerance"
                 break
-            scale = _damping_scale(diag)
-            delta = _solve_normal(normal, mu * scale, gradient)
-            candidate = trajectory.with_vector(trajectory.as_vector() + delta)
-            new_cost = total_cost(graph, candidate)
-            predicted = 0.5 * float(delta @ (mu * scale * delta - gradient))
-            if math.isfinite(new_cost) and new_cost < cost and predicted > 0.0:
-                rho = (cost - new_cost) / predicted
+            scale = _damping_scale(band[0])
+            delta = _solve_normal(band, mu * scale, gradient)
+            rho = 0.0
+            if delta is not None:
+                candidate = trajectory.with_vector(trajectory.as_vector() + delta)
+                new_cost = total_cost(graph, candidate)
+                predicted = 0.5 * float(delta @ (mu * scale * delta - gradient))
+                if math.isfinite(new_cost) and new_cost < cost and predicted > 0.0:
+                    rho = (cost - new_cost) / predicted
+            if rho > 0.0:
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
                 trajectory = candidate
                 cost = new_cost
                 trace.append(cost)
-                jac, res, _ = linearize(graph, trajectory)
-                gradient = jac.T @ res
-                normal = (jac.T @ jac).tocsr()
-                diag = np.asarray(normal.diagonal())
+                band, gradient, _ = linearize(graph, trajectory)
                 if _converged(trace, float(np.abs(gradient).max()), settings):
                     converged = True
                     message = "cost decrease below tolerance"
                     break
             else:
+                # A failed factorization is a rejected step: more damping
+                # makes the system positive definite.
                 mu *= nu
                 nu *= 2.0
                 if mu > 1e20:

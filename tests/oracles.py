@@ -163,3 +163,20 @@ def dense_gp_conditional_mean(times, values, tau, qc, initial_cov):
     k_ss = np.block([[cov(ta, tb) for tb in times] for ta in times])
     k_ts = np.hstack([cov(tau, t) for t in times])
     return k_ts @ np.linalg.solve(k_ss, values.reshape(-1))
+
+
+def dense_linearization(graph, trajectory):
+    """Dense whitened Jacobian and residual of a factor graph, stacked one
+    factor after another from ``Factor.evaluate`` (never the solver's own
+    banded assembly)."""
+    dim = graph.state_dim
+    jac = np.zeros((graph.residual_dim, graph.num_states * dim))
+    res = np.zeros(graph.residual_dim)
+    row = 0
+    for factor in graph.factors:
+        r, blocks = factor.evaluate(trajectory)
+        res[row : row + factor.dim] = r
+        for state, block in zip(factor.states, blocks):
+            jac[row : row + factor.dim, state * dim : (state + 1) * dim] = block
+        row += factor.dim
+    return jac, res

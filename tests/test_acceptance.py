@@ -18,7 +18,7 @@ from manipplan.kinematics import geometric_jacobian, load_chain, planar_chain
 from manipplan.manipulability import manipulability, manipulability_gradient, singularity_cost
 from manipplan.scenario import load_scenario, run_comparison, run_interp_sweep, run_scenario
 
-from .oracles import dense_gp_conditional_mean, manipulability_fd
+from .oracles import dense_gp_conditional_mean, dense_linearization, manipulability_fd
 
 SWEEP_COUNTS = (0, 2, 4, 8)
 
@@ -161,8 +161,8 @@ def test_criterion_5_solver_sanity(unconstrained_comparison, table_comparison):
     factors += [fg.GpPriorFactor(i=i, j=i + 1, dt=1.0, params=params) for i in range(3)]
     factors.append(fg.StartPriorFactor(state=3, prior=goal_state, sigma=1e-6))
     graph = fg.FactorGraph(factors=tuple(factors), num_states=4, state_dim=4)
-    jac, res, _ = fg.linearize(graph, trajectory)
-    closed_form = trajectory.as_vector() + np.linalg.solve((jac.T @ jac).toarray(), -(jac.T @ res))
+    jac, res = dense_linearization(graph, trajectory)
+    closed_form = trajectory.as_vector() + np.linalg.solve(jac.T @ jac, -(jac.T @ res))
     solution, _ = fg.optimize(
         graph, trajectory, fg.SolverSettings(method=fg.SolverMethod.GAUSS_NEWTON, max_iterations=1)
     )

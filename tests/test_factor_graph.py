@@ -9,6 +9,8 @@ from manipplan.kinematics import forward_kinematics, planar_chain
 from manipplan.manipulability import SingularityCostParams
 from manipplan.scenario import BoxObstacle, Scenario
 
+from .oracles import dense_linearization
+
 LAMBDA_FLOOR = 1e-9
 
 
@@ -146,10 +148,8 @@ class TestOptimize:
 
     def test_gauss_newton_solves_linear_graph_in_one_step(self):
         graph, traj = self.linear_graph()
-        jac, res, _ = fg.linearize(graph, traj)
-        closed_form = traj.as_vector() + np.linalg.solve(
-            (jac.T @ jac).toarray(), -(jac.T @ res)
-        )
+        jac, res = dense_linearization(graph, traj)
+        closed_form = traj.as_vector() + np.linalg.solve(jac.T @ jac, -(jac.T @ res))
         settings = fg.SolverSettings(method=fg.SolverMethod.GAUSS_NEWTON, max_iterations=1)
         solution, report = fg.optimize(graph, traj, settings)
         assert np.abs(solution.as_vector() - closed_form).max() < 1e-10
@@ -249,8 +249,19 @@ class TestOptimize:
         assert report.converged
         assert report.grad_inf_norm < 10.0 * settings.abs_grad_tol
 
-    def test_sparse_solver_path_matches_dense(self):
-        # 150 states of dim 4 = 600 variables, above the dense cutoff.
+    def test_gauss_newton_on_rank_deficient_graph_reports_not_converged(self):
+        # Nothing references state 1, so J^T J is singular and the
+        # undamped banded Cholesky fails: the solve ends without raising.
+        factor = fg.StartPriorFactor(state=0, prior=np.ones(2), sigma=1.0)
+        graph = single_state_graph([factor], 1)
+        settings = fg.SolverSettings(method=fg.SolverMethod.GAUSS_NEWTON, max_iterations=5)
+        solution, report = fg.optimize(graph, one_state_trajectory([0.2]), settings)
+        assert not report.converged
+        assert report.iterations == 1
+        assert report.cost_trace == [fg.total_cost(graph, solution)]
+
+    def test_large_banded_solve_matches_dense_oracle(self):
+        # 150 states of dim 4 = 600 variables, solved in one GN step.
         num = 150
         params = gp.GpPriorParams.isotropic(2, 2.0)
         traj = gp.init_trajectory(np.zeros(2), float(num - 1), num)
@@ -259,13 +270,40 @@ class TestOptimize:
         factors += [fg.GpPriorFactor(i=i, j=i + 1, dt=1.0, params=params) for i in range(num - 1)]
         factors.append(fg.StartPriorFactor(state=num - 1, prior=goal_state, sigma=1e-6))
         graph = fg.FactorGraph(factors=tuple(factors), num_states=num, state_dim=4)
-        assert graph.num_states * graph.state_dim > fg.DENSE_SOLVE_LIMIT
-        jac, res, _ = fg.linearize(graph, traj)
-        closed_form = traj.as_vector() + np.linalg.solve((jac.T @ jac).toarray(), -(jac.T @ res))
+        jac, res = dense_linearization(graph, traj)
+        closed_form = traj.as_vector() + np.linalg.solve(jac.T @ jac, -(jac.T @ res))
         solution, _ = fg.optimize(
             graph, traj, fg.SolverSettings(method=fg.SolverMethod.GAUSS_NEWTON, max_iterations=1)
         )
         assert np.abs(solution.as_vector() - closed_form).max() < 1e-8
+
+    def test_linearize_band_matches_dense_oracle(self):
+        scenario = Scenario(
+            robot="ur10",
+            start_config=np.array([0.3, -1.2, 1.1, 0.4, 0.2, 0.1]),
+            goal_position=np.array([0.5, 0.5, 0.5]),
+            num_support=4,
+            n_interp=1,
+            # The box swallows the lower arm, so collision rows are active.
+            obstacles=(BoxObstacle(center=[-0.1, 0.0, 0.3], half_extents=[0.2, 0.2, 0.2]),),
+            sdf_cell_size=0.1,
+        )
+        traj = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, n_interp=1)
+        traj = traj.with_vector(traj.as_vector() + 0.05 * np.sin(np.arange(traj.as_vector().size)))
+        graph = fg.build_graph(scenario, traj)
+        band, gradient, cost = fg.linearize(graph, traj)
+        jac, res = dense_linearization(graph, traj)
+        collision = [f for f in graph.factors if f.kind is fg.FactorKind.INTERP_COLLISION]
+        assert all(np.count_nonzero(f.evaluate(traj)[0]) for f in collision)
+        normal = jac.T @ jac
+        size = normal.shape[0]
+        assert band.shape == (2 * graph.state_dim, size)
+        for offset in range(band.shape[0]):
+            np.testing.assert_allclose(band[offset, : size - offset], np.diag(normal, -offset), rtol=1e-12, atol=1e-6)
+        assert np.all(np.tril(normal, -band.shape[0]) == 0.0)
+        np.testing.assert_allclose(gradient, jac.T @ res, rtol=1e-12, atol=1e-6)
+        assert cost == pytest.approx(0.5 * res @ res, rel=1e-12)
+        assert cost == fg.total_cost(graph, traj)
 
     def test_report_dict_has_interface_keys(self):
         graph, traj = self.linear_graph()
