@@ -81,57 +81,51 @@ class SdfQuery(NamedTuple):
     clamped: bool  # True when the query point was outside the grid
 
 
-def _interpolate_many(grid: SdfGrid, points: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation at points already clamped into the grid; (k,3) -> (k,)."""
+def _trilinear(grid: SdfGrid, points: np.ndarray, with_gradient: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Trilinear distances (k,) and their gradients (k, 3) at points
+    already clamped into the grid (``None`` without ``with_gradient``).
+
+    The gradient is the exact derivative of the interpolant inside the
+    enclosing cell, so it agrees with finite differences of the distance
+    to rounding (a one-cell smoothed stencil would disagree by O(cell)
+    near box edges and break the cost Jacobian contract).
+    """
     rel = (points - grid.origin) / grid.cell_size
-    dims = np.array(grid.dims)
-    idx = np.clip(np.floor(rel).astype(int), 0, dims - 2)
-    f = rel - idx
-    i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
-    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-    d = grid.data
-    c00 = d[i, j, k] * (1 - fx) + d[i + 1, j, k] * fx
-    c10 = d[i, j + 1, k] * (1 - fx) + d[i + 1, j + 1, k] * fx
-    c01 = d[i, j, k + 1] * (1 - fx) + d[i + 1, j, k + 1] * fx
-    c11 = d[i, j + 1, k + 1] * (1 - fx) + d[i + 1, j + 1, k + 1] * fx
-    c0 = c00 * (1 - fy) + c10 * fy
-    c1 = c01 * (1 - fy) + c11 * fy
-    return c0 * (1 - fz) + c1 * fz
+    _, ny, nz = grid.dims
+    idx = np.clip(np.floor(rel).astype(int), 0, np.array(grid.dims) - 2)
+    fx, fy, fz = (rel - idx).T
+    ex, ey, ez = 1 - fx, 1 - fy, 1 - fz
+    # Corner values gathered from the flat C-order data: stride ny * nz
+    # along x, nz along y and 1 along z.
+    d = grid.data.reshape(-1)
+    sx, sy = ny * nz, nz
+    at = idx @ np.array([sx, sy, 1])
+    c000, c100, c010, c110 = d[at], d[at + sx], d[at + sy], d[at + sx + sy]
+    at = at + 1
+    c001, c101, c011, c111 = d[at], d[at + sx], d[at + sy], d[at + sx + sy]
+    c00 = c000 * ex + c100 * fx
+    c10 = c010 * ex + c110 * fx
+    c01 = c001 * ex + c101 * fx
+    c11 = c011 * ex + c111 * fx
+    c0 = c00 * ey + c10 * fy
+    c1 = c01 * ey + c11 * fy
+    if not with_gradient:
+        return c0 * ez + c1 * fz, None
+    dx0 = (c100 - c000) * ey + (c110 - c010) * fy
+    dx1 = (c101 - c001) * ey + (c111 - c011) * fy
+    gradient = np.stack([dx0 * ez + dx1 * fz, (c10 - c00) * ez + (c11 - c01) * fz, c1 - c0], axis=1)
+    return c0 * ez + c1 * fz, gradient / grid.cell_size
 
 
 def sdf_query(grid: SdfGrid, point) -> SdfQuery:
     """Interpolated distance and gradient at a workspace point.
 
-    Out-of-bounds queries are clamped to the border and flagged.  The
-    gradient is the exact derivative of the trilinear interpolant inside
-    the enclosing cell, so it agrees with finite differences of the
-    distance to rounding (a one-cell smoothed stencil would disagree by
-    O(cell) near box edges and break the cost Jacobian contract).
+    Out-of-bounds queries are clamped to the border and flagged.
     """
     point = np.asarray(point, dtype=float).reshape(3)
-    lo = grid.origin
-    hi = grid.upper
-    clamped = bool(np.any(point < lo) or np.any(point > hi))
-    p = np.clip(point, lo, hi)
-    rel = (p - grid.origin) / grid.cell_size
-    dims = np.array(grid.dims)
-    idx = np.clip(np.floor(rel).astype(int), 0, dims - 2)
-    fx, fy, fz = rel - idx
-    i, j, k = idx
-    c = grid.data[i : i + 2, j : j + 2, k : k + 2]
-    wx = np.array([1.0 - fx, fx])
-    wy = np.array([1.0 - fy, fy])
-    wz = np.array([1.0 - fz, fz])
-    dist = np.einsum("ijk,i,j,k->", c, wx, wy, wz)
-    diff = np.array([-1.0, 1.0])
-    gradient = np.array(
-        [
-            np.einsum("ijk,i,j,k->", c, diff, wy, wz),
-            np.einsum("ijk,i,j,k->", c, wx, diff, wz),
-            np.einsum("ijk,i,j,k->", c, wx, wy, diff),
-        ]
-    ) / grid.cell_size
-    return SdfQuery(distance=float(dist), gradient=gradient, clamped=clamped)
+    clamped = bool(np.any(point < grid.origin) or np.any(point > grid.upper))
+    dist, gradient = _trilinear(grid, np.clip(point, grid.origin, grid.upper)[None, :])
+    return SdfQuery(distance=float(dist[0]), gradient=gradient[0], clamped=clamped)
 
 
 def hinge_cost(distance: float, epsilon: float) -> tuple[float, float]:
@@ -156,23 +150,20 @@ def collision_residual(
 
     Each sphere contributes ``hinge(sdf(center) - radius, epsilon)``; the
     Jacobian row chains the hinge slope, the field gradient, and the
-    linear Jacobian of the sphere center.  Gradient stencils are only
-    evaluated for spheres inside the margin.
+    linear Jacobian of the sphere center.
     """
     spheres = chain.body_spheres
     centers, center_jacs = body_sphere_states(chain, q)
     residual = np.zeros(len(spheres))
     if len(spheres) == 0:
         return residual, (np.zeros((0, chain.n)) if with_jacobian else None)
-    clamped = np.clip(centers, grid.origin, grid.upper)
-    distances = _interpolate_many(grid, clamped)
+    distances, gradients = _trilinear(grid, np.clip(centers, grid.origin, grid.upper), with_jacobian)
     jac = np.zeros((len(spheres), chain.n)) if with_jacobian else None
     for row, sphere in enumerate(spheres):
         cost, slope = hinge_cost(float(distances[row]) - sphere.radius, params.epsilon)
         residual[row] = cost
         if with_jacobian and slope != 0.0:
-            gradient = sdf_query(grid, centers[row]).gradient
-            jac[row] = slope * (gradient @ center_jacs[row])
+            jac[row] = slope * (gradients[row] @ center_jacs[row])
     return residual, jac
 
 
@@ -180,8 +171,7 @@ def sphere_clearances(chain: KinematicChain, q, grid: SdfGrid) -> np.ndarray:
     """Signed clearance ``sdf(center) - radius`` of every body sphere."""
     centers, _ = body_sphere_states(chain, q)
     radii = np.array([s.radius for s in chain.body_spheres])
-    clamped = np.clip(centers, grid.origin, grid.upper)
-    return _interpolate_many(grid, clamped) - radii
+    return _trilinear(grid, np.clip(centers, grid.origin, grid.upper), with_gradient=False)[0] - radii
 
 
 def box_distance(points, center, half_extents) -> np.ndarray:

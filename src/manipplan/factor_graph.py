@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import gp_prior as gp
-from .collision import CollisionParams, SdfGrid, collision_residual
+from .collision import CollisionParams, collision_residual
 from .kinematics import KinematicChain, point_jacobian
 from .manipulability import SingularityCostParams, singularity_cost, singularity_cost_value
 
@@ -288,14 +288,15 @@ class SolverSettings:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "SolverSettings":
-        method = spec.get("method", "levenberg_marquardt")
-        return cls(
-            method=SolverMethod(method),
-            max_iterations=int(spec.get("max_iterations", 100)),
-            rel_cost_tol=float(spec.get("rel_cost_tol", 1e-6)),
-            abs_grad_tol=float(spec.get("abs_grad_tol", 1e-8)),
-            lm_init_damping=float(spec.get("lm_init_damping", 1e-4)),
-        )
+        """Settings from a scenario's "solver" object; absent keys keep the defaults."""
+        casts = {
+            "method": SolverMethod,
+            "max_iterations": int,
+            "rel_cost_tol": float,
+            "abs_grad_tol": float,
+            "lm_init_damping": float,
+        }
+        return cls(**{key: cast(spec[key]) for key, cast in casts.items() if key in spec})
 
 
 @dataclass
@@ -527,8 +528,7 @@ def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> Facto
         for tau in segment_taus(times[i], times[i + 1], scenario.n_interp)
     ]
 
-    def add_cost(kinds, cost, dim, sigma):
-        knot_kind, interp_kind = kinds
+    def add_cost(knot_kind, interp_kind, cost, dim, sigma):
         factors.extend(ConfigurationFactor(knot_kind, s, cost, dim, sigma) for s in range(num))
         factors.extend(ConfigurationFactor(interp_kind, i, cost, dim, sigma, blend) for i, blend in blends)
 
@@ -538,7 +538,8 @@ def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> Facto
             sigma_sbar=scenario.sigma_sbar,
         )
         add_cost(
-            (FactorKind.SINGULARITY, FactorKind.INTERP_SINGULARITY),
+            FactorKind.SINGULARITY,
+            FactorKind.INTERP_SINGULARITY,
             ChainSingularityCost(chain, cost_params, scenario.task_dim),
             1,
             scenario.sigma_sbar,
@@ -552,7 +553,8 @@ def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> Facto
             return collision_residual(chain, q, grid, col_params, with_jacobian)
 
         add_cost(
-            (FactorKind.COLLISION, FactorKind.INTERP_COLLISION),
+            FactorKind.COLLISION,
+            FactorKind.INTERP_COLLISION,
             collision,
             len(chain.body_spheres),
             col_params.sigma_obs,

@@ -156,6 +156,27 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+# Scenario file key -> cast, for the keys that map one to one onto a
+# Scenario field.  A key the file leaves out keeps the dataclass default.
+_SCENARIO_CASTS = {
+    "name": str,
+    "horizon": float,
+    "num_support": int,
+    "n_interp": int,
+    "sigma_sbar": float,
+    "sigma_obs": float,
+    "qc_scale": float,
+    "sigma_goal": float,
+    "sigma_start": float,
+    "epsilon": float,
+    "lambda_max": lambda value: value,
+    "enable_singularity_factors": bool,
+    "task_dim": int,
+}
+# Key of the file's "sdf" object -> Scenario field.
+_SDF_FIELDS = {"cell_size": "sdf_cell_size", "extent": "sdf_extent"}
+
+
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
     """Build a validated scenario from parsed JSON.
 
@@ -170,33 +191,20 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
             candidate = base_dir / robot_path
             if candidate.is_file():
                 robot = str(candidate)
-    obstacles = tuple(
-        BoxObstacle(center=box["center"], half_extents=box["half_extents"])
-        for box in data.get("obstacles", ())
-    )
+    fields = {key: cast(data[key]) for key, cast in _SCENARIO_CASTS.items() if key in data}
     sdf_spec = data.get("sdf", {})
-    solver = fg.SolverSettings.from_dict(data.get("solver", {}))
+    fields |= {name: float(sdf_spec[key]) for key, name in _SDF_FIELDS.items() if key in sdf_spec}
+    if "obstacles" in data:
+        fields["obstacles"] = tuple(
+            BoxObstacle(center=box["center"], half_extents=box["half_extents"]) for box in data["obstacles"]
+        )
+    if "solver" in data:
+        fields["solver"] = fg.SolverSettings.from_dict(data["solver"])
     return Scenario(
         robot=robot,
         start_config=np.array(data["start_config"], dtype=float),
         goal_position=np.array(data["goal_position"], dtype=float),
-        name=str(data.get("name", "scenario")),
-        horizon=float(data.get("horizon", 5.0)),
-        num_support=int(data.get("num_support", 10)),
-        n_interp=int(data.get("n_interp", 0)),
-        sigma_sbar=float(data.get("sigma_sbar", 1e-4)),
-        sigma_obs=float(data.get("sigma_obs", 1e-3)),
-        qc_scale=float(data.get("qc_scale", 1e3)),
-        sigma_goal=float(data.get("sigma_goal", 1e-8)),
-        sigma_start=float(data.get("sigma_start", 1e-8)),
-        epsilon=float(data.get("epsilon", 0.1)),
-        obstacles=obstacles,
-        lambda_max=data.get("lambda_max"),
-        solver=solver,
-        enable_singularity_factors=bool(data.get("enable_singularity_factors", True)),
-        task_dim=int(data.get("task_dim", 6)),
-        sdf_cell_size=float(sdf_spec.get("cell_size", 0.02)),
-        sdf_extent=float(sdf_spec.get("extent", 2.4)),
+        **fields,
     )
 
 

@@ -8,6 +8,7 @@ import pytest
 from jsonschema import ValidationError
 
 from manipplan import cli
+from manipplan import factor_graph as fg
 from manipplan.kinematics import forward_kinematics, geometric_jacobian, load_chain
 from manipplan.manipulability import manipulability
 from manipplan.scenario import (
@@ -94,6 +95,31 @@ class TestScenarioLoading:
         scenario = planar_scenario(lambda_max=None)
         assert scenario.resolve_lambda_max() == 1.0  # model-file cache
         assert planar_scenario(lambda_max=0.5).resolve_lambda_max() == 0.5
+
+    def test_schema_defaults_match_dataclass_defaults(self):
+        # A scenario file that leaves a key out gets the dataclass default,
+        # so every "default" the schema documents must equal it.
+        schema_path = builtin_scenario_path("planar2r_analytic").parent.parent / "scenario.schema.json"
+        properties = json.loads(schema_path.read_text())["properties"]
+        scenario_defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
+        solver_defaults = {f.name: f.default for f in dataclasses.fields(fg.SolverSettings)}
+        pinned = {}
+        for key, spec in properties.items():
+            if key in ("sdf", "solver"):
+                assert spec["default"] == {}
+            elif "default" in spec:
+                pinned[key] = (spec["default"], scenario_defaults[key])
+        for key, spec in properties["sdf"]["properties"].items():
+            pinned[f"sdf.{key}"] = (spec["default"], scenario_defaults[f"sdf_{key}"])
+        for key, spec in properties["solver"]["properties"].items():
+            pinned[f"solver.{key}"] = (spec["default"], solver_defaults[key])
+        assert len(pinned) == 21
+        for key, (documented, default) in pinned.items():
+            if isinstance(default, fg.SolverMethod):
+                default = default.value
+            elif isinstance(default, tuple):
+                default = list(default)
+            assert documented == default, key
 
 
 class TestRunScenario:
