@@ -46,6 +46,8 @@ class SdfGrid:
             raise ValueError("cell_size must be positive")
         if data.ndim != 3:
             raise ValueError(f"SDF data must be a 3-d array, got shape {data.shape}")
+        if min(data.shape) < 2:
+            raise ValueError(f"SDF grid needs at least two nodes along every axis, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
             raise ValueError("SDF data contains non-finite values")
         object.__setattr__(self, "origin", origin)
@@ -128,15 +130,15 @@ def sdf_query(grid: SdfGrid, point) -> SdfQuery:
     return SdfQuery(distance=float(dist[0]), gradient=gradient[0], clamped=clamped)
 
 
-def hinge_cost(distance: float, epsilon: float) -> tuple[float, float]:
+def hinge_cost(distance: float | np.ndarray, epsilon: float):
     """Hinge penalty on clearance: ``epsilon - d`` inside the margin, else 0.
 
-    Returns ``(cost, d cost / d distance)``; the slope is -1 on the
-    penalized side (including exactly at the margin) and 0 outside.
+    Elementwise over ``distance``.  Returns ``(cost, d cost / d distance)``;
+    the slope is -1 on the penalized side (including exactly at the
+    margin) and 0 outside.
     """
-    if distance <= epsilon:
-        return epsilon - distance, -1.0
-    return 0.0, 0.0
+    inside = distance <= epsilon
+    return np.where(inside, epsilon - distance, 0.0)[()], np.where(inside, -1.0, 0.0)[()]
 
 
 def collision_residual(
@@ -152,26 +154,21 @@ def collision_residual(
     Jacobian row chains the hinge slope, the field gradient, and the
     linear Jacobian of the sphere center.
     """
-    spheres = chain.body_spheres
     centers, center_jacs = body_sphere_states(chain, q)
-    residual = np.zeros(len(spheres))
-    if len(spheres) == 0:
-        return residual, (np.zeros((0, chain.n)) if with_jacobian else None)
     distances, gradients = _trilinear(grid, np.clip(centers, grid.origin, grid.upper), with_jacobian)
-    jac = np.zeros((len(spheres), chain.n)) if with_jacobian else None
-    for row, sphere in enumerate(spheres):
-        cost, slope = hinge_cost(float(distances[row]) - sphere.radius, params.epsilon)
-        residual[row] = cost
-        if with_jacobian and slope != 0.0:
-            jac[row] = slope * (gradients[row] @ center_jacs[row])
+    residual, slopes = hinge_cost(distances - chain._sphere_radii, params.epsilon)
+    if not with_jacobian:
+        return residual, None
+    active = slopes != 0.0
+    jac = np.zeros((len(residual), chain.n))
+    jac[active] = slopes[active, None] * (gradients[active, None, :] @ center_jacs[active])[:, 0]
     return residual, jac
 
 
 def sphere_clearances(chain: KinematicChain, q, grid: SdfGrid) -> np.ndarray:
     """Signed clearance ``sdf(center) - radius`` of every body sphere."""
     centers, _ = body_sphere_states(chain, q)
-    radii = np.array([s.radius for s in chain.body_spheres])
-    return _trilinear(grid, np.clip(centers, grid.origin, grid.upper), with_gradient=False)[0] - radii
+    return _trilinear(grid, np.clip(centers, grid.origin, grid.upper), with_gradient=False)[0] - chain._sphere_radii
 
 
 def box_distance(points, center, half_extents) -> np.ndarray:

@@ -156,6 +156,10 @@ class KinematicChain:
     body_spheres: tuple[BodySphere, ...] = ()
     name: str = ""
     lambda_max: float | None = None
+    # Body spheres as arrays for batched evaluation: link indices, offsets (K, 3), radii.
+    _sphere_links: np.ndarray = field(init=False, repr=False, compare=False)
+    _sphere_offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    _sphere_radii: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "links", tuple(self.links))
@@ -165,6 +169,9 @@ class KinematicChain:
         for sphere in self.body_spheres:
             if not 0 <= sphere.link_index < self.n:
                 raise ModelError(f"sphere link index {sphere.link_index} out of range for {self.n} links")
+        object.__setattr__(self, "_sphere_links", np.array([s.link_index for s in self.body_spheres], dtype=int))
+        object.__setattr__(self, "_sphere_offsets", np.array([s.offset for s in self.body_spheres]).reshape(-1, 3))
+        object.__setattr__(self, "_sphere_radii", np.array([s.radius for s in self.body_spheres], dtype=float))
 
     @property
     def n(self) -> int:
@@ -176,12 +183,12 @@ class KinematicChain:
 class JacobianSet:
     """Geometric Jacobian together with its joint-angle derivatives.
 
-    ``partials[k]`` is the elementwise derivative of ``jacobian`` with
-    respect to joint ``k``; every entry has the same m x n shape.
+    ``partials`` is an (n, m, n) array: ``partials[k]`` is the elementwise
+    derivative of the m x n ``jacobian`` with respect to joint ``k``.
     """
 
     jacobian: np.ndarray
-    partials: tuple[np.ndarray, ...]
+    partials: np.ndarray
 
 
 def _as_config(chain: KinematicChain, q) -> np.ndarray:
@@ -218,17 +225,32 @@ def forward_kinematics(chain: KinematicChain, q) -> list[Pose]:
     return [Pose(T[:3, :3], T[:3, 3]) for T in frames]
 
 
-def _jacobian_from_frames(frames: np.ndarray, target: np.ndarray, last_joint: int) -> np.ndarray:
-    """6 x n geometric Jacobian of ``target`` (a point on the frame after
-    ``last_joint``); columns for joints beyond ``last_joint`` are zero."""
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of broadcast 3-vectors along the last axis: NumPy's
+    per-component ``cross`` formula without its argument handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _point_jacobians(frames: np.ndarray, points: np.ndarray, links: np.ndarray) -> np.ndarray:
+    """(K, 3, n) linear Jacobians of K points, point i fixed on the frame
+    after link ``links[i]``.
+
+    Column j is ``z_j x (p - o_j)``; columns of joints past a point's link
+    cannot move it and are zero.
+    """
     n = frames.shape[0] - 1
-    axes = frames[:-1, :3, 2]
-    origins = frames[:-1, :3, 3]
-    jac = np.zeros((6, n))
-    m = last_joint + 1
-    jac[:3, :m] = np.cross(axes[:m], target - origins[:m]).T
-    jac[3:, :m] = axes[:m].T
-    return jac
+    cols = _cross(frames[:-1, :3, 2], points[:, None, :] - frames[:-1, :3, 3])
+    cols[np.arange(n) > links[:, None]] = 0.0
+    return np.ascontiguousarray(cols.transpose(0, 2, 1))
+
+
+def _end_effector_jacobian(frames: np.ndarray) -> np.ndarray:
+    """6 x n geometric Jacobian of the end-effector point."""
+    n = frames.shape[0] - 1
+    linear = _point_jacobians(frames, frames[-1:, :3, 3], np.array([n - 1]))[0]
+    return np.vstack([linear, frames[:-1, :3, 2].T])
 
 
 def geometric_jacobian(chain: KinematicChain, q, task_dim: int = 6) -> np.ndarray:
@@ -240,9 +262,7 @@ def geometric_jacobian(chain: KinematicChain, q, task_dim: int = 6) -> np.ndarra
     """
     q = _as_config(chain, q)
     _check_task_dim(task_dim)
-    frames = _fk_matrices(chain, q)
-    full = _jacobian_from_frames(frames, frames[-1, :3, 3], chain.n - 1)
-    return full[:task_dim] if task_dim != 6 else full
+    return _end_effector_jacobian(_fk_matrices(chain, q))[:task_dim]
 
 
 def jacobian_partials(chain: KinematicChain, q, task_dim: int = 6) -> JacobianSet:
@@ -257,32 +277,21 @@ def jacobian_partials(chain: KinematicChain, q, task_dim: int = 6) -> JacobianSe
     _check_task_dim(task_dim)
     n = chain.n
     frames = _fk_matrices(chain, q)
+    jac = _end_effector_jacobian(frames)
     axes = frames[:-1, :3, 2]
-    origins = frames[:-1, :3, 3]
-    p_e = frames[-1, :3, 3]
-    rel = p_e - origins
-    dpe = np.cross(axes, rel)  # row k = d p_e / d theta_k
+    rel = frames[-1, :3, 3] - frames[:-1, :3, 3]
+    dpe = jac[:3].T  # row k = d p_e / d theta_k
 
-    jac = np.zeros((6, n))
-    jac[:3] = dpe.T
-    jac[3:] = axes.T
-
-    rows = slice(0, task_dim)
-    partials = []
-    for k in range(n):
-        a_k = axes[k]
-        d_jac = np.zeros((6, n))
-        # Joints j <= k sit upstream of joint k: their axis and origin do
-        # not move, only the end-effector point does.
-        d_jac[:3, : k + 1] = np.cross(axes[: k + 1], dpe[k]).T
-        if k + 1 < n:
-            d_axes = np.cross(a_k, axes[k + 1 :])
-            d_jac[3:, k + 1 :] = d_axes.T
-            d_jac[:3, k + 1 :] = (
-                np.cross(d_axes, rel[k + 1 :]) + np.cross(axes[k + 1 :], np.cross(a_k, rel[k + 1 :]))
-            ).T
-        partials.append(d_jac[rows].copy())
-    return JacobianSet(jacobian=jac[rows].copy(), partials=tuple(partials))
+    # Entry [k, j] of each array below is the derivative of column j with
+    # respect to joint k.  Joints j <= k sit upstream of joint k: their
+    # axis and origin do not move, only the end-effector point does.
+    upstream = (np.arange(n) <= np.arange(n)[:, None])[..., None]
+    d_axes = _cross(axes[:, None], axes)
+    d_linear = _cross(d_axes, rel) + _cross(axes, _cross(axes[:, None], rel))
+    partials = np.empty((n, 6, n))
+    partials[:, :3] = np.where(upstream, _cross(axes, dpe[:, None]), d_linear).transpose(0, 2, 1)
+    partials[:, 3:] = np.where(upstream, 0.0, d_axes).transpose(0, 2, 1)
+    return JacobianSet(jacobian=jac[:task_dim], partials=partials[:, :task_dim])
 
 
 def point_jacobian(chain: KinematicChain, q, link_index: int, offset) -> tuple[np.ndarray, np.ndarray]:
@@ -297,8 +306,7 @@ def point_jacobian(chain: KinematicChain, q, link_index: int, offset) -> tuple[n
     frames = _fk_matrices(chain, q)
     frame = frames[link_index + 1]
     point = frame[:3, :3] @ np.asarray(offset, dtype=float) + frame[:3, 3]
-    jac = _jacobian_from_frames(frames, point, link_index)
-    return point, jac[:3]
+    return point, _point_jacobians(frames, point[None], np.array([link_index]))[0]
 
 
 def body_sphere_states(chain: KinematicChain, q) -> tuple[np.ndarray, np.ndarray]:
@@ -308,18 +316,10 @@ def body_sphere_states(chain: KinematicChain, q) -> tuple[np.ndarray, np.ndarray
     """
     q = _as_config(chain, q)
     frames = _fk_matrices(chain, q)
-    k = len(chain.body_spheres)
-    centers = np.empty((k, 3))
-    jacs = np.zeros((k, 3, chain.n))
-    for row, sphere in enumerate(chain.body_spheres):
-        frame = frames[sphere.link_index + 1]
-        center = frame[:3, :3] @ sphere.offset + frame[:3, 3]
-        centers[row] = center
-        m = sphere.link_index + 1
-        axes = frames[:m, :3, 2]
-        origins = frames[:m, :3, 3]
-        jacs[row, :, :m] = np.cross(axes, center - origins).T
-    return centers, jacs
+    links = chain._sphere_links
+    sphere_frames = frames[links + 1]
+    centers = (sphere_frames[:, :3, :3] @ chain._sphere_offsets[:, :, None])[:, :, 0] + sphere_frames[:, :3, 3]
+    return centers, _point_jacobians(frames, centers, links)
 
 
 def planar_chain(lengths, name: str = "planar") -> KinematicChain:

@@ -139,11 +139,9 @@ def _gram_terms(chain: KinematicChain, q, task_dim: int):
     lam = float(np.prod(s))
     degenerate = bool(s[-1] < SIGMA_MIN)
     inv_gram = (u / np.maximum(s, SIGMA_MIN) ** 2) @ u.T
-    traces = np.empty(chain.n)
-    for j, dJ in enumerate(jset.partials):
-        sym = dJ @ J.T
-        sym = sym + sym.T
-        traces[j] = float(np.sum(inv_gram * sym))  # Tr of symmetric product
+    sym = jset.partials @ J.T
+    sym = sym + sym.transpose(0, 2, 1)
+    traces = (inv_gram * sym).reshape(chain.n, -1).sum(axis=1)  # Tr of symmetric products
     return lam, traces, degenerate
 
 

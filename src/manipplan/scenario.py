@@ -98,6 +98,8 @@ class Scenario:
             (self.qc_scale, "qc_scale"),
             (self.sigma_goal, "sigma_goal"),
             (self.sigma_start, "sigma_start"),
+            (self.sdf_cell_size, "sdf_cell_size"),
+            (self.sdf_extent, "sdf_extent"),
         ):
             if value <= 0.0:
                 raise ValueError(f"{label} must be positive")
@@ -111,6 +113,8 @@ class Scenario:
             raise ValueError("task_dim must be 2, 3, or 6")
         if self.epsilon < 0.0:
             raise ValueError("epsilon cannot be negative")
+        if round(self.sdf_extent / self.sdf_cell_size) < 1:
+            raise ValueError("sdf extent over cell size gives fewer than two grid nodes per axis")
 
     def load_chain(self) -> KinematicChain:
         if self._chain is None:

@@ -7,6 +7,7 @@ calls back into the code paths it checks.
 
 import numpy as np
 
+from manipplan.collision import sdf_query
 from manipplan.kinematics import forward_kinematics, geometric_jacobian
 from manipplan.manipulability import manipulability
 
@@ -69,6 +70,56 @@ def jacobian_partials_fd(chain, q, task_dim, step=1e-6):
         jm = geometric_jacobian(chain, qm, task_dim)
         out.append((jp - jm) / (2.0 * step))
     return out
+
+
+def point_jacobian_loop(chain, q, link_index, offset):
+    """Point position and 3 x n linear Jacobian, one ``np.cross`` per joint.
+
+    Loop reference for the batched point Jacobians: same arithmetic, so
+    results must agree bit for bit.
+    """
+    poses = forward_kinematics(chain, q)
+    frame = poses[link_index + 1]
+    point = frame.rotation @ np.asarray(offset, dtype=float) + frame.position
+    jac = np.zeros((3, chain.n))
+    for j in range(link_index + 1):
+        jac[:, j] = np.cross(poses[j].rotation[:, 2], point - poses[j].position)
+    return point, jac
+
+
+def jacobian_partials_loop(chain, q, task_dim):
+    """(n, task_dim, n) Jacobian derivatives, one joint pair (k, j) at a
+    time: the loop reference for the batched analytic derivatives."""
+    n = chain.n
+    poses = forward_kinematics(chain, q)
+    axes = [pose.rotation[:, 2] for pose in poses[:-1]]
+    rel = [poses[-1].position - pose.position for pose in poses[:-1]]
+    out = np.zeros((n, 6, n))
+    for k in range(n):
+        dpe_k = np.cross(axes[k], rel[k])
+        for j in range(n):
+            if j <= k:
+                out[k, :3, j] = np.cross(axes[j], dpe_k)
+            else:
+                d_axis = np.cross(axes[k], axes[j])
+                out[k, 3:, j] = d_axis
+                out[k, :3, j] = np.cross(d_axis, rel[j]) + np.cross(axes[j], np.cross(axes[k], rel[j]))
+    return out[:, :task_dim]
+
+
+def collision_residual_loop(chain, q, grid, params):
+    """Hinge residual and Jacobian one body sphere at a time, from
+    :func:`point_jacobian_loop` and single-point ``sdf_query`` lookups."""
+    count = len(chain.body_spheres)
+    residual, jac = np.zeros(count), np.zeros((count, chain.n))
+    for row, sphere in enumerate(chain.body_spheres):
+        center, center_jac = point_jacobian_loop(chain, q, sphere.link_index, sphere.offset)
+        query = sdf_query(grid, center)
+        clearance = query.distance - sphere.radius
+        if clearance <= params.epsilon:
+            residual[row] = params.epsilon - clearance
+            jac[row] = -(query.gradient @ center_jac)
+    return residual, jac
 
 
 def manipulability_fd(chain, q, task_dim, step=1e-6):

@@ -17,7 +17,7 @@ from manipplan.collision import (
     sphere_clearances,
 )
 
-from .oracles import box_sdf_reference
+from .oracles import box_sdf_reference, collision_residual_loop
 
 TABLE_CENTER = np.array([0.15, 0.65, -0.45])
 TABLE_HALF = np.array([0.5, 0.25, 0.05])
@@ -201,6 +201,26 @@ class TestCollisionResidual:
         np.testing.assert_array_equal(full_r, lean_r)
         assert lean_jac is None
 
+    def test_equals_per_sphere_loop_bit_for_bit(self, ur10, table_grid, rng):
+        active = 0
+        for _ in range(40):
+            q = rng.uniform(-np.pi, np.pi, 6)
+            r, jac = collision_residual(ur10, q, table_grid, self.params())
+            ref_r, ref_jac = collision_residual_loop(ur10, q, table_grid, self.params())
+            np.testing.assert_array_equal(r, ref_r)
+            np.testing.assert_array_equal(jac, ref_jac)
+            active += int(np.count_nonzero(r))
+        assert active > 0  # the batch must have been exercised on active spheres
+
+    def test_chain_without_spheres_gives_empty_rows(self, planar2r, table_grid):
+        q = [0.3, -0.4]
+        r, jac = collision_residual(planar2r, q, table_grid, self.params())
+        assert r.shape == (0,)
+        assert jac.shape == (0, planar2r.n)
+        r, jac = collision_residual(planar2r, q, table_grid, self.params(), with_jacobian=False)
+        assert r.shape == (0,)
+        assert jac is None
+
     def test_zero_residual_implies_margin_clearance(self, ur10, table_grid, rng):
         params = self.params()
         for _ in range(50):
@@ -215,6 +235,25 @@ class TestCollisionResidual:
             CollisionParams(epsilon=-0.1, sigma_obs=1e-3)
         with pytest.raises(ValueError):
             CollisionParams(epsilon=0.1, sigma_obs=0.0)
+
+
+class TestSdfGridShape:
+    @pytest.mark.parametrize("dims", [(2, 2, 1), (1, 2, 2), (2, 1, 2), (1, 1, 1)])
+    def test_fewer_than_two_nodes_on_an_axis_rejected(self, dims):
+        # One node on an axis leaves no cell to interpolate in; such a grid
+        # used to read wrapped data (a z-gradient of -30 from data constant
+        # in z on a (2, 2, 1) grid).
+        data = np.arange(np.prod(dims), dtype=float).reshape(dims)
+        with pytest.raises(ValueError, match="two nodes"):
+            SdfGrid(origin=(0, 0, 0), cell_size=0.1, data=data)
+
+    def test_two_nodes_per_axis_is_one_valid_cell(self):
+        data = np.zeros((2, 2, 2))
+        data[:, :, 1] = 0.1
+        grid = SdfGrid(origin=(0, 0, 0), cell_size=0.1, data=data)
+        query = sdf_query(grid, (0.05, 0.05, 0.05))
+        assert query.distance == pytest.approx(0.05, abs=1e-15)
+        np.testing.assert_allclose(query.gradient, [0.0, 0.0, 1.0], atol=1e-12)
 
 
 class TestSdfSerialization:

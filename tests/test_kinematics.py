@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manipplan.kinematics import (
     BodySphere,
@@ -19,8 +21,9 @@ from manipplan.kinematics import (
     planar_chain,
     point_jacobian,
 )
+from manipplan.kinematics import _cross
 
-from .oracles import dh_product, jacobian_fd, jacobian_partials_fd
+from .oracles import dh_product, jacobian_fd, jacobian_partials_fd, jacobian_partials_loop, point_jacobian_loop
 
 # DH rows (a, alpha, d, theta_offset) of the shipped UR-10 model, used to
 # drive the independent product oracle.
@@ -155,6 +158,14 @@ class TestJacobianPartials:
                 worst = max(worst, np.abs(analytic - numeric).max())
         assert worst < 1e-4
 
+    def test_equals_loop_reference_bit_for_bit(self, ur10, planar2r, rng):
+        for chain, task_dims in ((ur10, (6, 3, 2)), (planar2r, (3, 2))):
+            for _ in range(20):
+                q = rng.uniform(-np.pi, np.pi, chain.n)
+                for task_dim in task_dims:
+                    partials = jacobian_partials(chain, q, task_dim).partials
+                    np.testing.assert_array_equal(partials, jacobian_partials_loop(chain, q, task_dim))
+
     def test_jacobian_field_matches_geometric_jacobian(self, ur10, rng):
         q = rng.uniform(-np.pi, np.pi, 6)
         jset = jacobian_partials(ur10, q, task_dim=3)
@@ -181,6 +192,26 @@ class TestPointJacobian:
         _, jac = point_jacobian(ur10, q, 2, np.zeros(3))
         np.testing.assert_array_equal(jac[:, 3:], np.zeros((3, 3)))
 
+    def test_equals_loop_reference_bit_for_bit(self, ur10, rng):
+        for _ in range(20):
+            q = rng.uniform(-np.pi, np.pi, 6)
+            link = int(rng.integers(0, 6))
+            offset = rng.uniform(-0.2, 0.2, 3)
+            point, jac = point_jacobian(ur10, q, link, offset)
+            ref_point, ref_jac = point_jacobian_loop(ur10, q, link, offset)
+            np.testing.assert_array_equal(point, ref_point)
+            np.testing.assert_array_equal(jac, ref_jac)
+            centers, jacs = body_sphere_states(ur10, q)
+            for row, sphere in enumerate(ur10.body_spheres):
+                ref_point, ref_jac = point_jacobian_loop(ur10, q, sphere.link_index, sphere.offset)
+                np.testing.assert_array_equal(centers[row], ref_point)
+                np.testing.assert_array_equal(jacs[row], ref_jac)
+
+    def test_chain_without_spheres_gives_empty_batch(self, planar2r):
+        centers, jacs = body_sphere_states(planar2r, [0.3, -0.4])
+        assert centers.shape == (0, 3)
+        assert jacs.shape == (0, 3, planar2r.n)
+
     def test_sphere_batch_matches_single_queries(self, ur10, rng):
         q = rng.uniform(-np.pi, np.pi, 6)
         centers, jacs = body_sphere_states(ur10, q)
@@ -188,6 +219,85 @@ class TestPointJacobian:
             point, jac = point_jacobian(ur10, q, sphere.link_index, sphere.offset)
             np.testing.assert_array_equal(centers[row], point)
             np.testing.assert_array_equal(jacs[row], jac)
+
+
+class TestCross:
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [((3,), (3,)), ((5, 3), (3,)), ((3,), (4, 3)), ((4, 1, 3), (6, 3)), ((2, 7, 3), (2, 1, 3))],
+    )
+    def test_equals_np_cross_bit_for_bit(self, rng, shape_a, shape_b):
+        a = rng.standard_normal(shape_a) * 10.0 ** rng.integers(-8, 8, shape_a)
+        b = rng.standard_normal(shape_b) * 10.0 ** rng.integers(-8, 8, shape_b)
+        ours = _cross(a, b)
+        assert ours.shape == np.cross(a, b).shape
+        np.testing.assert_array_equal(ours, np.cross(a, b))
+
+
+# Near-singular UR-10 configurations: shoulder joints anywhere, the other
+# four joints in the [0, 2e-3] rad band the benchmark's start states use.
+near_singular_ur10 = st.tuples(
+    st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi), *[st.floats(0.0, 2e-3)] * 4
+).map(np.array)
+
+
+@st.composite
+def degenerate_chains(draw):
+    """A random chain of 1-6 links in which at least one link has a = d = 0."""
+    n = draw(st.integers(1, 6))
+    angles = st.floats(-np.pi, np.pi)
+    lengths = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+    links = [DhLink(a=draw(lengths), alpha=draw(angles), d=draw(lengths), theta_offset=draw(angles)) for _ in range(n)]
+    links[draw(st.integers(0, n - 1))] = DhLink(a=0.0, alpha=draw(angles), d=0.0)
+    q = np.array([draw(angles) for _ in range(n)])
+    return KinematicChain(links=tuple(links)), q
+
+
+def assert_partials_match_fd(chain, q):
+    jset = jacobian_partials(chain, q, task_dim=6)
+    fd = jacobian_partials_fd(chain, q, 6, step=1e-6)
+    assert jset.partials.shape == (chain.n, 6, chain.n)
+    for analytic, numeric in zip(jset.partials, fd):
+        assert np.abs(analytic - numeric).max() < 1e-4
+
+
+def assert_point_jacobian_matches_fd(chain, q, link, offset):
+    _, jac = point_jacobian(chain, q, link, offset)
+    step = 1e-7
+    for j in range(chain.n):
+        qp, qm = q.copy(), q.copy()
+        qp[j] += step
+        qm[j] -= step
+        pp, _ = point_jacobian(chain, qp, link, offset)
+        pm, _ = point_jacobian(chain, qm, link, offset)
+        np.testing.assert_allclose(jac[:, j], (pp - pm) / (2 * step), atol=1e-6)
+
+
+offsets = st.tuples(*[st.floats(-0.2, 0.2)] * 3).map(np.array)
+
+
+class TestDerivativeProperties:
+    @given(q=near_singular_ur10)
+    @settings(max_examples=60, deadline=None)
+    def test_partials_near_ur10_singularity(self, ur10, q):
+        assert_partials_match_fd(ur10, q)
+
+    @given(chain_q=degenerate_chains())
+    @settings(max_examples=60, deadline=None)
+    def test_partials_with_degenerate_links(self, chain_q):
+        assert_partials_match_fd(*chain_q)
+
+    @given(q=near_singular_ur10, link=st.integers(0, 5), offset=offsets)
+    @settings(max_examples=60, deadline=None)
+    def test_point_jacobian_near_ur10_singularity(self, ur10, q, link, offset):
+        assert_point_jacobian_matches_fd(ur10, q, link, offset)
+
+    @given(chain_q=degenerate_chains(), data=st.data(), offset=offsets)
+    @settings(max_examples=60, deadline=None)
+    def test_point_jacobian_with_degenerate_links(self, chain_q, data, offset):
+        chain, q = chain_q
+        link = data.draw(st.integers(0, chain.n - 1))
+        assert_point_jacobian_matches_fd(chain, q, link, offset)
 
 
 class TestModelValidation:

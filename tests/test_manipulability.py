@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from manipplan.kinematics import geometric_jacobian, planar_chain
+from manipplan.kinematics import geometric_jacobian, jacobian_partials, planar_chain
 from manipplan.manipulability import (
+    SIGMA_MIN,
     Classification,
     SingularityCostParams,
     classify_configuration,
@@ -167,6 +168,22 @@ class TestSingularityCost:
             expected = -grad / lam
             worst = max(worst, np.abs(cost.gradient - expected).max() / np.abs(expected).max())
         assert worst < 1e-10
+
+    def test_gradient_equals_per_joint_trace_loop(self, ur10, rng):
+        # Loop reference for the stacked traces: one product per joint.
+        params = SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4)
+        for _ in range(20):
+            q = rng.uniform(-np.pi, np.pi, 6)
+            q[2:] = rng.uniform(0.0, 2e-3, 4)
+            jset = jacobian_partials(ur10, q, task_dim=6)
+            J = jset.jacobian
+            u, s, _ = np.linalg.svd(J, full_matrices=False)
+            inv_gram = (u / np.maximum(s, SIGMA_MIN) ** 2) @ u.T
+            expected = np.empty(6)
+            for j, dJ in enumerate(jset.partials):
+                sym = dJ @ J.T
+                expected[j] = -0.5 * float(np.sum(inv_gram * (sym + sym.T)))
+            np.testing.assert_array_equal(singularity_cost(ur10, q, params, task_dim=6).gradient, expected)
 
     def test_clamped_at_singularity(self, planar2r):
         params = self.params()

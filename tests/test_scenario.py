@@ -71,6 +71,13 @@ class TestScenarioLoading:
         with pytest.raises(ValueError):
             planar_scenario(sigma_sbar=-1.0)
 
+    def test_sdf_with_fewer_than_two_nodes_rejected(self):
+        with pytest.raises(ValueError, match="two grid nodes"):
+            planar_scenario(sdf_extent=0.01)
+        with pytest.raises(ValueError, match="two grid nodes"):
+            planar_scenario(sdf_extent=1.0, sdf_cell_size=3.0)
+        planar_scenario(sdf_extent=0.02, sdf_cell_size=0.02)  # two nodes: one cell
+
     def test_goal_sanity_ball(self):
         scenario = planar_scenario(goal_position=np.array([5.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
@@ -254,6 +261,14 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"robot": "planar2r"}))
         assert cli.main(["validate", str(bad)]) == 2
+
+    def test_validate_rejects_sdf_without_a_cell(self, tmp_path, capsys):
+        data = json.loads(builtin_scenario_path("ur10_table").read_text())
+        data["sdf"] = {"extent": 0.01}
+        bad = tmp_path / "tiny_sdf.json"
+        bad.write_text(json.dumps(data))
+        assert cli.main(["validate", str(bad)]) == 2
+        assert "two grid nodes" in capsys.readouterr().err
 
     def test_plan_writes_artifacts_and_exits_zero(self, tmp_path):
         out = tmp_path / "plan_out"
