@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .scenario import (
@@ -14,10 +15,6 @@ from .scenario import (
     run_interp_sweep,
     run_scenario,
 )
-
-
-def _default_out(scenario: Scenario, verb: str) -> Path:
-    return Path("runs") / scenario.name / verb
 
 
 def _print_run(label: str, run) -> None:
@@ -32,18 +29,14 @@ def _print_run(label: str, run) -> None:
     print(line)
 
 
-def _cmd_plan(args) -> int:
-    scenario = load_scenario(args.scenario)
-    out = Path(args.out) if args.out else _default_out(scenario, "plan")
+def _cmd_plan(scenario: Scenario, out: Path, counts) -> int:
     result = run_scenario(scenario, out)
     print(f"scenario {scenario.name}: artifacts in {out}")
     _print_run("plan", result)
     return 0 if result.success else 1
 
 
-def _cmd_compare(args) -> int:
-    scenario = load_scenario(args.scenario)
-    out = Path(args.out) if args.out else _default_out(scenario, "compare")
+def _cmd_compare(scenario: Scenario, out: Path, counts) -> int:
     result = run_comparison(scenario, out)
     print(f"scenario {scenario.name}: artifacts in {out}")
     _print_run("prior", result.prior)
@@ -53,10 +46,7 @@ def _cmd_compare(args) -> int:
     return 0 if (result.baseline.converged and result.aware.converged) else 1
 
 
-def _cmd_sweep(args) -> int:
-    scenario = load_scenario(args.scenario)
-    counts = [int(v) for v in args.interp.split(",") if v.strip() != ""]
-    out = Path(args.out) if args.out else _default_out(scenario, "sweep")
+def _cmd_sweep(scenario: Scenario, out: Path, counts) -> int:
     result = run_interp_sweep(scenario, counts, out)
     print(f"scenario {scenario.name}: artifacts in {out}")
     _print_run("prior", result.prior)
@@ -65,13 +55,8 @@ def _cmd_sweep(args) -> int:
     return 0 if all(run.converged for run in result.runs) else 1
 
 
-def _cmd_validate(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        chain = scenario.load_chain()
-    except Exception as exc:  # jsonschema/model/value errors all end up here
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return 2
+def _cmd_validate(scenario: Scenario, out: Path, counts) -> int:
+    chain = scenario.load_chain()
     print(
         f"OK: scenario {scenario.name!r}, robot {chain.name!r} ({chain.n} joints), "
         f"{scenario.num_support} support states, n_interp {scenario.n_interp}, "
@@ -80,38 +65,49 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _load(args) -> tuple[Scenario, Path, list[int]]:
+    """The scenario, artifact directory and sweep counts of a command line,
+    all checked before any solve starts."""
+    scenario = load_scenario(args.scenario)
+    scenario.load_chain()
+    counts = [int(v) for v in getattr(args, "interp", "").split(",") if v.strip() != ""]
+    if args.command == "sweep" and not counts:
+        raise ValueError("--interp lists no counts")
+    for count in counts:
+        replace(scenario, n_interp=count)  # raises on an invalid count
+    return scenario, Path(getattr(args, "out", None) or Path("runs") / scenario.name / args.command), counts
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="manipplan",
         description="Singularity-avoiding trajectory optimization for serial manipulators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    plan = sub.add_parser("plan", help="optimize one scenario and export artifacts")
-    plan.add_argument("scenario", help="scenario JSON path or built-in name")
-    plan.add_argument("--out", help="artifact directory (default runs/<name>/plan)")
-    plan.set_defaults(func=_cmd_plan)
-
-    compare = sub.add_parser("compare", help="run prior / baseline / singularity-aware and align profiles")
-    compare.add_argument("scenario", help="scenario JSON path or built-in name")
-    compare.add_argument("--out", help="artifact directory (default runs/<name>/compare)")
-    compare.set_defaults(func=_cmd_compare)
-
-    sweep = sub.add_parser("sweep", help="re-plan over several interpolated-state counts")
-    sweep.add_argument("scenario", help="scenario JSON path or built-in name")
-    sweep.add_argument("--interp", default="0,2,4,8", help="comma-separated counts (default 0,2,4,8)")
-    sweep.add_argument("--out", help="artifact directory (default runs/<name>/sweep)")
-    sweep.set_defaults(func=_cmd_sweep)
-
-    validate = sub.add_parser("validate", help="check a scenario file against the schema and model")
-    validate.add_argument("scenario", help="scenario JSON path or built-in name")
-    validate.set_defaults(func=_cmd_validate)
+    for name, help_text, func in (
+        ("plan", "optimize one scenario and export artifacts", _cmd_plan),
+        ("compare", "run prior / baseline / singularity-aware and align profiles", _cmd_compare),
+        ("sweep", "re-plan over several interpolated-state counts", _cmd_sweep),
+        ("validate", "check a scenario file against the schema and model", _cmd_validate),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("scenario", help="scenario JSON path or built-in name")
+        if name == "sweep":
+            command.add_argument("--interp", default="0,2,4,8", help="comma-separated counts (default 0,2,4,8)")
+        if name != "validate":
+            command.add_argument("--out", help=f"artifact directory (default runs/<name>/{name})")
+        command.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        loaded = _load(args)
+    except Exception as exc:  # jsonschema/model/value errors all end up here
+        print(f"INVALID: {exc}", file=sys.stderr)
+        return 2
+    return args.func(*loaded)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import KinematicChain, body_sphere_states
+from .kinematics import KinematicChain, _body_sphere_centers, body_sphere_states
 
 __all__ = [
     "SdfGrid",
@@ -152,13 +152,17 @@ def collision_residual(
 
     Each sphere contributes ``hinge(sdf(center) - radius, epsilon)``; the
     Jacobian row chains the hinge slope, the field gradient, and the
-    linear Jacobian of the sphere center.
+    linear Jacobian of the sphere center.  A center outside the grid is
+    clamped onto its border, which the field does not change along a
+    clamped axis, so that gradient component is zero.
     """
     centers, center_jacs = body_sphere_states(chain, q)
-    distances, gradients = _trilinear(grid, np.clip(centers, grid.origin, grid.upper), with_jacobian)
+    clamped = np.clip(centers, grid.origin, grid.upper)
+    distances, gradients = _trilinear(grid, clamped, with_jacobian)
     residual, slopes = hinge_cost(distances - chain._sphere_radii, params.epsilon)
     if not with_jacobian:
         return residual, None
+    gradients[clamped != centers] = 0.0
     active = slopes != 0.0
     jac = np.zeros((len(residual), chain.n))
     jac[active] = slopes[active, None] * (gradients[active, None, :] @ center_jacs[active])[:, 0]
@@ -166,9 +170,11 @@ def collision_residual(
 
 
 def sphere_clearances(chain: KinematicChain, q, grid: SdfGrid) -> np.ndarray:
-    """Signed clearance ``sdf(center) - radius`` of every body sphere."""
-    centers, _ = body_sphere_states(chain, q)
-    return _trilinear(grid, np.clip(centers, grid.origin, grid.upper), with_gradient=False)[0] - chain._sphere_radii
+    """Signed clearance ``sdf(center) - radius`` of every body sphere:
+    shape (S,) for one configuration, (K, S) for a (K, n) stack."""
+    centers = _body_sphere_centers(chain, q)[1]
+    distances = _trilinear(grid, np.clip(centers, grid.origin, grid.upper).reshape(-1, 3), with_gradient=False)[0]
+    return distances.reshape(centers.shape[:-1]) - chain._sphere_radii
 
 
 def box_distance(points, center, half_extents) -> np.ndarray:

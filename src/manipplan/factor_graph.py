@@ -44,6 +44,7 @@ __all__ = [
     "GpPriorFactor",
     "ConfigurationFactor",
     "gp_blend",
+    "interpolated_blends",
     "FactorGraph",
     "SolverMethod",
     "SolverSettings",
@@ -54,7 +55,6 @@ __all__ = [
     "build_graph",
     "ChainSingularityCost",
     "goal_position_cost",
-    "segment_taus",
 ]
 
 # (q, with_jacobian) -> (r, dr_dq); see ConfigurationFactor.
@@ -140,11 +140,7 @@ class GpPriorFactor(Factor):
         self.kind = FactorKind.GP_PRIOR
         self.states = (self.i, self.j)
         self.dim = self.params.state_dim
-        if self.dt <= 0.0:
-            raise ValueError("states out of order")
-        self._phi = gp.transition(self.dt, self.params.n)
-        chol = np.linalg.cholesky(gp.process_noise(self.dt, self.params))
-        self._info_sqrt = np.linalg.solve(chol, np.eye(self.dim))
+        self._phi, self._info_sqrt = gp.whitened_transition(self.dt, self.params)
         self._jac_i = self._info_sqrt @ self._phi
         self._jac_j = -self._info_sqrt
 
@@ -201,6 +197,17 @@ def gp_blend(j: int, t_i: float, t_j: float, tau: float, gp_params: gp.GpPriorPa
         raise ValueError(f"interpolated factor needs t_i < tau < t_j, got {t_i}, {tau}, {t_j}")
     lam, psi = gp.interpolation_matrices(t_i, t_j, tau, gp_params)
     return j, lam, psi
+
+
+def interpolated_blends(times: np.ndarray, n_interp: int, gp_params: gp.GpPriorParams):
+    """``(i, tau, blend)`` of ``n_interp`` GP-interpolated states spaced
+    uniformly strictly inside each segment ``[times[i], times[i+1]]``, in
+    time order."""
+    return [
+        (i, tau, gp_blend(i + 1, float(times[i]), float(times[i + 1]), tau, gp_params))
+        for i in range(len(times) - 1)
+        for tau in (times[i] + (times[i + 1] - times[i]) * k / (n_interp + 1) for k in range(1, n_interp + 1))
+    ]
 
 
 @dataclass(frozen=True)
@@ -497,12 +504,6 @@ def goal_position_cost(chain: KinematicChain, goal) -> ConfigCost:
     return cost
 
 
-def segment_taus(t_i: float, t_j: float, n_interp: int) -> list[float]:
-    """Uniformly spaced interpolation times strictly inside a segment."""
-    dt = t_j - t_i
-    return [t_i + dt * k / (n_interp + 1) for k in range(1, n_interp + 1)]
-
-
 def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> FactorGraph:
     """Wire a scenario into factors over the given support trajectory.
 
@@ -522,15 +523,11 @@ def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> Facto
     ]
     for i in range(num - 1):
         factors.append(GpPriorFactor(i=i, j=i + 1, dt=float(times[i + 1] - times[i]), params=gp_params))
-    blends = [
-        (i, gp_blend(i + 1, float(times[i]), float(times[i + 1]), tau, gp_params))
-        for i in range(num - 1)
-        for tau in segment_taus(times[i], times[i + 1], scenario.n_interp)
-    ]
+    blends = interpolated_blends(times, scenario.n_interp, gp_params)
 
     def add_cost(knot_kind, interp_kind, cost, dim, sigma):
         factors.extend(ConfigurationFactor(knot_kind, s, cost, dim, sigma) for s in range(num))
-        factors.extend(ConfigurationFactor(interp_kind, i, cost, dim, sigma, blend) for i, blend in blends)
+        factors.extend(ConfigurationFactor(interp_kind, i, cost, dim, sigma, blend) for i, _, blend in blends)
 
     if scenario.enable_singularity_factors:
         cost_params = SingularityCostParams(

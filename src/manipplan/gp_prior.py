@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "TrajectoryState",
@@ -29,6 +28,7 @@ __all__ = [
     "transition",
     "process_noise",
     "process_noise_inv",
+    "whitened_transition",
     "gp_prior_error",
     "interpolation_matrices",
     "interpolate",
@@ -137,6 +137,15 @@ def process_noise_inv(dt: float, params: GpPriorParams) -> np.ndarray:
     return out
 
 
+def whitened_transition(dt: float, params: GpPriorParams) -> tuple[np.ndarray, np.ndarray]:
+    """``Phi(dt)`` and the whitening ``W = L^-1`` of ``Q(dt) = L L^T``, so
+    that ``W^T W = Q(dt)^-1``."""
+    if dt <= 0.0:
+        raise ValueError(f"states out of order: dt = {dt}")
+    chol = np.linalg.cholesky(process_noise(dt, params))
+    return transition(dt, params.n), np.linalg.solve(chol, np.eye(params.state_dim))
+
+
 def gp_prior_error(x_i: TrajectoryState, x_j: TrajectoryState, params: GpPriorParams) -> GpPriorError:
     """Prior residual between consecutive support states.
 
@@ -144,15 +153,9 @@ def gp_prior_error(x_i: TrajectoryState, x_j: TrajectoryState, params: GpPriorPa
     velocity motion; ``info_sqrt`` whitens it by the square root of
     ``Q(dt)^-1`` so the squared norm is the Mahalanobis distance.
     """
-    dt = x_j.time - x_i.time
-    if dt <= 0.0:
-        raise ValueError(f"states out of order: dt = {dt}")
-    n = x_i.n
-    phi = transition(dt, n)
+    phi, info_sqrt = whitened_transition(x_j.time - x_i.time, params)
     residual = phi @ x_i.as_vector() - x_j.as_vector()
-    chol = np.linalg.cholesky(process_noise(dt, params))
-    info_sqrt = solve_triangular(chol, np.eye(2 * n), lower=True)
-    return GpPriorError(residual=residual, jac_i=phi, jac_j=-np.eye(2 * n), info_sqrt=info_sqrt)
+    return GpPriorError(residual=residual, jac_i=phi, jac_j=-np.eye(params.state_dim), info_sqrt=info_sqrt)
 
 
 def interpolation_matrices(

@@ -138,9 +138,6 @@ class Pose:
         out[:3, 3] = self.position
         return out
 
-    def transform_point(self, point) -> np.ndarray:
-        return self.rotation @ np.asarray(point, dtype=float) + self.position
-
 
 @dataclass(frozen=True)
 class KinematicChain:
@@ -156,7 +153,12 @@ class KinematicChain:
     body_spheres: tuple[BodySphere, ...] = ()
     name: str = ""
     lambda_max: float | None = None
-    # Body spheres as arrays for batched evaluation: link indices, offsets (K, 3), radii.
+    # Links as arrays for _fk_matrices: the base matrix, theta offsets (n,)
+    # and the factors of every link transform's entries (n, 4, 4).
+    _base_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _dh_offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    _dh_factors: np.ndarray = field(init=False, repr=False, compare=False)
+    # Body spheres as arrays for batched evaluation: link indices, offsets (S, 3), radii.
     _sphere_links: np.ndarray = field(init=False, repr=False, compare=False)
     _sphere_offsets: np.ndarray = field(init=False, repr=False, compare=False)
     _sphere_radii: np.ndarray = field(init=False, repr=False, compare=False)
@@ -169,6 +171,14 @@ class KinematicChain:
         for sphere in self.body_spheres:
             if not 0 <= sphere.link_index < self.n:
                 raise ModelError(f"sphere link index {sphere.link_index} out of range for {self.n} links")
+        dh = [(link.a, link.d, math.cos(link.alpha), math.sin(link.alpha)) for link in self.links]
+        a, d, ca, sa = np.array(dh).T
+        zero, one = np.zeros(self.n), np.ones(self.n)
+        # Negating one factor negates a product exactly: st * (-ca) is DhLink.transform's -st * ca.
+        factors = [[one, -ca, sa, a], [one, ca, -sa, a], [zero, sa, ca, d], [zero, zero, zero, one]]
+        object.__setattr__(self, "_base_matrix", self.base_pose.as_matrix())
+        object.__setattr__(self, "_dh_offsets", np.array([link.theta_offset for link in self.links]))
+        object.__setattr__(self, "_dh_factors", np.array(factors).transpose(2, 0, 1))
         object.__setattr__(self, "_sphere_links", np.array([s.link_index for s in self.body_spheres], dtype=int))
         object.__setattr__(self, "_sphere_offsets", np.array([s.offset for s in self.body_spheres]).reshape(-1, 3))
         object.__setattr__(self, "_sphere_radii", np.array([s.radius for s in self.body_spheres], dtype=float))
@@ -191,10 +201,13 @@ class JacobianSet:
     partials: np.ndarray
 
 
-def _as_config(chain: KinematicChain, q) -> np.ndarray:
+def _as_config(chain: KinematicChain, q, stack: bool = False) -> np.ndarray:
+    """``q`` as a float configuration (n,), or with ``stack`` also a (K, n)
+    stack of configurations; rejects any other shape and non-finite values."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (chain.n,):
-        raise ModelError(f"configuration has shape {q.shape}, expected ({chain.n},)")
+    if q.ndim not in ((1, 2) if stack else (1,)) or q.shape[-1] != chain.n:
+        expected = f"({chain.n},) or (K, {chain.n})" if stack else f"({chain.n},)"
+        raise ModelError(f"configuration has shape {q.shape}, expected {expected}")
     if not np.all(np.isfinite(q)):
         raise ModelError("configuration contains non-finite values")
     return q
@@ -205,12 +218,24 @@ def _check_task_dim(task_dim: int) -> None:
         raise ModelError(f"task_dim must be one of {TASK_DIMS}, got {task_dim}")
 
 
+# Which of (cos th, sin th, 1) multiplies each entry of a link transform,
+# th = q + theta_offset; KinematicChain._dh_factors holds the other factor.
+_TRIG_PATTERN = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [2, 2, 2, 2], [2, 2, 2, 2]])
+
+
 def _fk_matrices(chain: KinematicChain, q: np.ndarray) -> np.ndarray:
-    """Stacked 4x4 frames: index 0 is the base, index n the end-effector."""
-    out = np.empty((chain.n + 1, 4, 4))
-    out[0] = chain.base_pose.as_matrix()
-    for k, link in enumerate(chain.links):
-        out[k + 1] = out[k] @ link.transform(q[k])
+    """Frames of configurations ``q`` (..., n) as (..., n+1, 4, 4) arrays:
+    index 0 is the base, index n the end-effector."""
+    theta = q + chain._dh_offsets
+    trig = np.ones(q.shape + (3,))
+    trig[..., 0], trig[..., 1] = np.cos(theta), np.sin(theta)
+    links = (trig[..., _TRIG_PATTERN] * chain._dh_factors).reshape(-1, chain.n, 4, 4)
+    out = np.empty(q.shape[:-1] + (chain.n + 1, 4, 4))
+    out[..., 0, :, :] = chain._base_matrix
+    # Compose one link at a time over the whole batch, on a flat view.
+    frames = out.reshape(-1, chain.n + 1, 4, 4)
+    for k in range(chain.n):
+        np.matmul(frames[:, k], links[:, k], out=frames[:, k + 1])
     return out
 
 
@@ -234,23 +259,24 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _point_jacobians(frames: np.ndarray, points: np.ndarray, links: np.ndarray) -> np.ndarray:
-    """(K, 3, n) linear Jacobians of K points, point i fixed on the frame
-    after link ``links[i]``.
+    """(..., P, 3, n) linear Jacobians of P points (..., P, 3), point i
+    fixed on the frame after link ``links[i]``, from frames (..., n+1, 4, 4).
 
     Column j is ``z_j x (p - o_j)``; columns of joints past a point's link
     cannot move it and are zero.
     """
-    n = frames.shape[0] - 1
-    cols = _cross(frames[:-1, :3, 2], points[:, None, :] - frames[:-1, :3, 3])
-    cols[np.arange(n) > links[:, None]] = 0.0
-    return np.ascontiguousarray(cols.transpose(0, 2, 1))
+    n = frames.shape[-3] - 1
+    axes, origins = frames[..., None, :-1, :3, 2], frames[..., None, :-1, :3, 3]
+    cols = _cross(axes, points[..., :, None, :] - origins)
+    cols[..., np.arange(n) > links[:, None], :] = 0.0
+    return np.ascontiguousarray(np.swapaxes(cols, -1, -2))
 
 
 def _end_effector_jacobian(frames: np.ndarray) -> np.ndarray:
-    """6 x n geometric Jacobian of the end-effector point."""
-    n = frames.shape[0] - 1
-    linear = _point_jacobians(frames, frames[-1:, :3, 3], np.array([n - 1]))[0]
-    return np.vstack([linear, frames[:-1, :3, 2].T])
+    """(..., 6, n) geometric Jacobians of the end-effector point."""
+    n = frames.shape[-3] - 1
+    linear = _point_jacobians(frames, frames[..., -1:, :3, 3], np.array([n - 1]))[..., 0, :, :]
+    return np.concatenate([linear, np.swapaxes(frames[..., :-1, :3, 2], -1, -2)], axis=-2)
 
 
 def geometric_jacobian(chain: KinematicChain, q, task_dim: int = 6) -> np.ndarray:
@@ -258,11 +284,11 @@ def geometric_jacobian(chain: KinematicChain, q, task_dim: int = 6) -> np.ndarra
 
     Column j is ``[z_j x (p_e - o_j); z_j]`` for revolute joints, rows
     restricted by ``task_dim`` (6 full twist, 3 linear velocity, 2 planar
-    x-y velocity).
+    x-y velocity).  A (K, n) stack of configurations gives (K, task_dim, n).
     """
-    q = _as_config(chain, q)
+    q = _as_config(chain, q, stack=True)
     _check_task_dim(task_dim)
-    return _end_effector_jacobian(_fk_matrices(chain, q))[:task_dim]
+    return _end_effector_jacobian(_fk_matrices(chain, q))[..., :task_dim, :]
 
 
 def jacobian_partials(chain: KinematicChain, q, task_dim: int = 6) -> JacobianSet:
@@ -309,17 +335,23 @@ def point_jacobian(chain: KinematicChain, q, link_index: int, offset) -> tuple[n
     return point, _point_jacobians(frames, point[None], np.array([link_index]))[0]
 
 
-def body_sphere_states(chain: KinematicChain, q) -> tuple[np.ndarray, np.ndarray]:
-    """Centers and linear Jacobians of all body spheres from one FK pass.
+def _body_sphere_centers(chain: KinematicChain, q) -> tuple[np.ndarray, np.ndarray]:
+    """Frames (..., n+1, 4, 4) and body-sphere centres (..., S, 3) of a
+    configuration (n,) or a stack of them (K, n)."""
+    frames = _fk_matrices(chain, _as_config(chain, q, stack=True))
+    sphere_frames = frames[..., chain._sphere_links + 1, :, :]
+    centers = (sphere_frames[..., :3, :3] @ chain._sphere_offsets[:, :, None])[..., 0] + sphere_frames[..., :3, 3]
+    return frames, centers
 
-    Returns ``(centers, jacobians)`` with shapes (K, 3) and (K, 3, n).
+
+def body_sphere_states(chain: KinematicChain, q) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and linear Jacobians of all S body spheres from one FK pass.
+
+    Returns ``(centers, jacobians)`` with shapes (S, 3) and (S, 3, n), or
+    (K, S, 3) and (K, S, 3, n) for a (K, n) stack of configurations.
     """
-    q = _as_config(chain, q)
-    frames = _fk_matrices(chain, q)
-    links = chain._sphere_links
-    sphere_frames = frames[links + 1]
-    centers = (sphere_frames[:, :3, :3] @ chain._sphere_offsets[:, :, None])[:, :, 0] + sphere_frames[:, :3, 3]
-    return centers, _point_jacobians(frames, centers, links)
+    frames, centers = _body_sphere_centers(chain, q)
+    return centers, _point_jacobians(frames, centers, chain._sphere_links)
 
 
 def planar_chain(lengths, name: str = "planar") -> KinematicChain:

@@ -96,10 +96,11 @@ class SingularityCost(NamedTuple):
 
 
 def _checked(J) -> np.ndarray:
+    """``J`` as an m x n Jacobian, or a (..., m, n) stack of them, with m <= n and finite entries."""
     J = np.asarray(J, dtype=float)
-    if J.ndim != 2:
+    if J.ndim < 2:
         raise ValueError(f"Jacobian must be a matrix, got shape {J.shape}")
-    m, n = J.shape
+    m, n = J.shape[-2:]
     if m > n:
         raise ValueError(f"task dimension {m} exceeds joint count {n}; JJ^T would be rank deficient by construction")
     if not np.all(np.isfinite(J)):
@@ -107,16 +108,17 @@ def _checked(J) -> np.ndarray:
     return J
 
 
-def manipulability(J) -> float:
-    """Yoshikawa measure ``sqrt(det(J J^T))`` of an m x n Jacobian, m <= n.
+def manipulability(J):
+    """Yoshikawa measure ``sqrt(det(J J^T))`` of an m x n Jacobian, m <= n;
+    an array of measures for a (..., m, n) stack.
 
     Computed as the product of singular values (never through the
     determinant of the Gram matrix, which underflows near singularities).
     Returns 0 for rank-deficient ``J``.
     """
     J = _checked(J)
-    s = np.linalg.svd(J, compute_uv=False)
-    return float(np.prod(s))
+    lam = np.prod(np.linalg.svd(J, compute_uv=False), axis=-1)
+    return float(lam) if J.ndim == 2 else lam
 
 
 def ellipsoid(J) -> ManipulabilityEllipsoid:
@@ -203,6 +205,10 @@ def likelihood(h: float, sigma_sbar: float) -> float:
     return math.exp(-0.5 * h * h / sigma_sbar)
 
 
+# Configurations per batched Jacobian in estimate_lambda_max.
+LAMBDA_MAX_CHUNK = 10_000
+
+
 def estimate_lambda_max(
     chain: KinematicChain,
     task_dim: int = 6,
@@ -216,10 +222,10 @@ def estimate_lambda_max(
     returns the largest measure seen.  Model files cache the result so
     planning runs never pay for it.
     """
-    rng = np.random.default_rng(seed)
     lo, hi = joint_range
+    samples = np.random.default_rng(seed).uniform(lo, hi, (num_samples, chain.n))
     best = 0.0
-    for _ in range(num_samples):
-        q = rng.uniform(lo, hi, chain.n)
-        best = max(best, manipulability(geometric_jacobian(chain, q, task_dim)))
+    for start in range(0, num_samples, LAMBDA_MAX_CHUNK):
+        chunk = samples[start : start + LAMBDA_MAX_CHUNK]
+        best = max(best, float(manipulability(geometric_jacobian(chain, chunk, task_dim)).max()))
     return best

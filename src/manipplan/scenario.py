@@ -22,8 +22,8 @@ from jsonschema import validate as _validate_schema
 from . import factor_graph as fg
 from . import gp_prior as gp
 from .collision import SdfGrid, build_workspace_sdf, sphere_clearances
-from .kinematics import KinematicChain, forward_kinematics, geometric_jacobian, load_chain
-from .manipulability import ellipsoid, estimate_lambda_max
+from .kinematics import KinematicChain, _fk_matrices, geometric_jacobian, load_chain
+from .manipulability import _checked, estimate_lambda_max
 
 __all__ = [
     "GOAL_TOLERANCE",
@@ -126,6 +126,8 @@ class Scenario:
             base = chain.base_pose.position
             if float(np.linalg.norm(self.goal_position - base)) > 2.0:
                 raise ValueError("goal_position lies more than 2 m from the robot base")
+            if self.obstacles and not chain.body_spheres:
+                raise ValueError(f"obstacles need body spheres, and robot {chain.name!r} has none")
             self._chain = chain
         return self._chain
 
@@ -246,18 +248,26 @@ def _sampled_states(
     trajectory: gp.SupportTrajectory,
     gp_params: gp.GpPriorParams,
     per_segment: int,
-) -> list[gp.TrajectoryState]:
-    """Support states plus ``per_segment`` interpolated states per segment,
-    in time order."""
-    out: list[gp.TrajectoryState] = []
-    states = trajectory.states
-    for i in range(len(states) - 1):
-        out.append(states[i])
-        for tau in fg.segment_taus(states[i].time, states[i + 1].time, per_segment):
-            state, _, _ = gp.interpolate(states[i], states[i + 1], tau, gp_params)
-            out.append(state)
-    out.append(states[-1])
-    return out
+) -> tuple[np.ndarray, np.ndarray]:
+    """Times (S,) and stacked ``[q; q_dot]`` states (S, 2n) of the support
+    states plus ``per_segment`` GP-interpolated states per segment, in time
+    order.  The interpolated states are the factor graph's blends."""
+    knots = trajectory.as_vector().reshape(trajectory.num_states, -1)
+    stride = per_segment + 1
+    inner = np.arange(stride * (trajectory.num_states - 1) + 1) % stride != 0
+    times = np.empty(inner.shape)
+    states = np.empty(inner.shape + knots.shape[1:])
+    times[~inner], states[~inner] = trajectory.times, knots
+    blends = fg.interpolated_blends(trajectory.times, per_segment, gp_params)
+    if blends:
+        seg = np.array([i for i, _, _ in blends])
+        lam = np.array([lam for _, _, (_, lam, _) in blends])
+        psi = np.array([psi for _, _, (_, _, psi) in blends])
+        times[inner] = [tau for _, tau, _ in blends]
+        states[inner] = (lam @ knots[seg, :, None] + psi @ knots[seg + 1, :, None])[..., 0]
+    if not np.all(np.isfinite(states)):
+        raise ValueError("trajectory state contains non-finite values")
+    return times, states
 
 
 @dataclass
@@ -290,73 +300,31 @@ class EvaluatedProfile:
 def _evaluate_states(
     chain: KinematicChain,
     task_dim: int,
-    states: list[gp.TrajectoryState],
+    times: np.ndarray,
+    states: np.ndarray,
     grid: SdfGrid | None,
 ) -> EvaluatedProfile:
-    rows = len(states)
-    n = chain.n
-    times = np.empty(rows)
-    positions = np.empty((rows, n))
-    velocities = np.empty((rows, n))
-    lambdas = np.empty(rows)
-    sigma_mins = np.empty(rows)
-    ee = np.empty((rows, 3))
-    clearances = np.empty((rows, len(chain.body_spheres))) if grid is not None else None
-    for k, state in enumerate(states):
-        times[k] = state.time
-        positions[k] = state.position
-        velocities[k] = state.velocity
-        ell = ellipsoid(geometric_jacobian(chain, state.position, task_dim))
-        lambdas[k] = ell.volume_measure
-        sigma_mins[k] = ell.singular_values[-1]
-        ee[k] = forward_kinematics(chain, state.position)[-1].position
-        if clearances is not None:
-            clearances[k] = sphere_clearances(chain, state.position, grid)
+    positions = states[:, : chain.n]
+    # The SVD flavour of manipulability.ellipsoid, whose singular values it matches bit for bit.
+    singular_values = np.linalg.svd(_checked(geometric_jacobian(chain, positions, task_dim)), full_matrices=False)[1]
     return EvaluatedProfile(
         times=times,
         positions=positions,
-        velocities=velocities,
-        lambdas=lambdas,
-        sigma_mins=sigma_mins,
-        ee_positions=ee,
-        clearances=clearances,
+        velocities=states[:, chain.n :],
+        lambdas=np.prod(singular_values, axis=-1),
+        sigma_mins=singular_values[:, -1],
+        ee_positions=_fk_matrices(chain, positions)[:, -1, :3, 3],
+        clearances=None if grid is None else sphere_clearances(chain, positions, grid),
     )
 
 
-def _fmt(value: float) -> str:
-    """Full round-trip precision so consumers can recompute exactly."""
-    return repr(float(value))
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write (rows,) and (rows, c) arrays side by side, one line per row,
+    at full round-trip precision so consumers can recompute exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _write_trajectory_csv(path: Path, profile: EvaluatedProfile) -> None:
-    n = profile.positions.shape[1]
-    header = ["time"] + [f"q{i + 1}" for i in range(n)] + [f"v{i + 1}" for i in range(n)] + ["lambda"]
-    rows = (
-        [profile.times[k], *profile.positions[k], *profile.velocities[k], profile.lambdas[k]]
-        for k in range(profile.times.shape[0])
-    )
-    _write_csv(path, header, rows)
-
-
-def _write_profile_csv(path: Path, profile: EvaluatedProfile) -> None:
-    header = ["time", "lambda", "sigma_min", "ee_x", "ee_y", "ee_z"]
-    if profile.clearances is not None:
-        header += [f"clearance_{i}" for i in range(profile.clearances.shape[1])]
-    def rows():
-        for k in range(profile.times.shape[0]):
-            row = [profile.times[k], profile.lambdas[k], profile.sigma_mins[k], *profile.ee_positions[k]]
-            if profile.clearances is not None:
-                row += list(profile.clearances[k])
-            yield row
-    _write_csv(path, header, rows())
+        writer.writerows([repr(value) for value in row] for row in np.column_stack(columns).tolist())
 
 
 @dataclass
@@ -386,7 +354,7 @@ class RunResult:
         return ok
 
     def report_dict(self) -> dict:
-        out = {
+        return {
             "scenario": self.scenario_name,
             "convergence": None if self.report is None else self.report.as_dict(),
             "goal_error_m": self.goal_error,
@@ -396,7 +364,6 @@ class RunResult:
             "lambda": self.stats.as_dict(),
             "success": self.success,
         }
-        return out
 
 
 def _finalize_run(
@@ -408,10 +375,10 @@ def _finalize_run(
     out_dir: Path | None,
 ) -> RunResult:
     gp_params = gp.GpPriorParams.isotropic(chain.n, scenario.qc_scale)
-    factor_states = _sampled_states(trajectory, gp_params, scenario.n_interp)
-    dense_states = _sampled_states(trajectory, gp_params, PROFILE_POINTS_PER_SEGMENT)
-    factor_profile = _evaluate_states(chain, scenario.task_dim, factor_states, grid)
-    dense_profile = _evaluate_states(chain, scenario.task_dim, dense_states, grid)
+    factor_profile, dense_profile = (
+        _evaluate_states(chain, scenario.task_dim, *_sampled_states(trajectory, gp_params, per_segment), grid)
+        for per_segment in (scenario.n_interp, PROFILE_POINTS_PER_SEGMENT)
+    )
     goal_error = float(np.linalg.norm(dense_profile.ee_positions[-1] - scenario.goal_position))
     collision_free = None
     if grid is not None:
@@ -428,8 +395,16 @@ def _finalize_run(
     )
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_trajectory_csv(out_dir / "trajectory.csv", factor_profile)
-        _write_profile_csv(out_dir / "lambda_profile.csv", dense_profile)
+        n = chain.n
+        header = ["time"] + [f"q{i + 1}" for i in range(n)] + [f"v{i + 1}" for i in range(n)] + ["lambda"]
+        columns = [factor_profile.times, factor_profile.positions, factor_profile.velocities, factor_profile.lambdas]
+        _write_csv(out_dir / "trajectory.csv", header, columns)
+        header = ["time", "lambda", "sigma_min", "ee_x", "ee_y", "ee_z"]
+        columns = [dense_profile.times, dense_profile.lambdas, dense_profile.sigma_mins, dense_profile.ee_positions]
+        if grid is not None:
+            header += [f"clearance_{i}" for i in range(len(chain.body_spheres))]
+            columns.append(dense_profile.clearances)
+        _write_csv(out_dir / "lambda_profile.csv", header, columns)
         (out_dir / "report.json").write_text(json.dumps(result.report_dict(), indent=2, sort_keys=True) + "\n")
     return result
 
@@ -491,23 +466,11 @@ def run_comparison(scenario: Scenario, out_dir: str | Path | None = None) -> Com
     result = ComparisonResult(prior=prior, baseline=baseline, aware=aware, normalization=normalization, out_dir=out)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        header = [
-            "time",
-            "lambda_prior",
-            "lambda_baseline",
-            "lambda_aware",
-            "norm_lambda_prior",
-            "norm_lambda_baseline",
-            "norm_lambda_aware",
-        ]
-        times = prior.dense_profile.times
-        def rows():
-            for k in range(times.shape[0]):
-                lp = prior.dense_profile.lambdas[k]
-                lb = baseline.dense_profile.lambdas[k]
-                la = aware.dense_profile.lambdas[k]
-                yield [times[k], lp, lb, la, lp / normalization, lb / normalization, la / normalization]
-        _write_csv(out / "comparison.csv", header, rows())
+        kinds = ("prior", "baseline", "aware")
+        header = ["time"] + [f"lambda_{kind}" for kind in kinds] + [f"norm_lambda_{kind}" for kind in kinds]
+        lambdas = [run.dense_profile.lambdas for run in (prior, baseline, aware)]
+        columns = [prior.dense_profile.times, *lambdas, *(lam / normalization for lam in lambdas)]
+        _write_csv(out / "comparison.csv", header, columns)
         (out / "comparison_report.json").write_text(json.dumps(result.report_dict(), indent=2, sort_keys=True) + "\n")
     return result
 
@@ -547,16 +510,10 @@ def run_interp_sweep(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         header = ["n_interp", "lambda_mean", "lambda_min", "final_cost", "converged", "iterations"]
-        def rows():
-            for count, run in zip(counts, runs):
-                yield [
-                    count,
-                    run.stats.mean,
-                    run.stats.minimum,
-                    run.report.final_cost,
-                    int(run.report.converged),
-                    run.report.iterations,
-                ]
-        _write_csv(out / "sweep.csv", header, rows())
+        rows = [
+            [count, run.stats.mean, run.stats.minimum, run.report.final_cost, run.report.converged, run.report.iterations]
+            for count, run in zip(counts, runs)
+        ]
+        _write_csv(out / "sweep.csv", header, [np.array(rows, dtype=float)])
         (out / "sweep_report.json").write_text(json.dumps(result.report_dict(), indent=2, sort_keys=True) + "\n")
     return result

@@ -7,9 +7,10 @@ calls back into the code paths it checks.
 
 import numpy as np
 
-from manipplan.collision import sdf_query
+from manipplan import gp_prior as gp
+from manipplan.collision import sdf_query, sphere_clearances
 from manipplan.kinematics import forward_kinematics, geometric_jacobian
-from manipplan.manipulability import manipulability
+from manipplan.manipulability import ellipsoid, manipulability
 
 
 def dh_matrix(theta, d, a, alpha):
@@ -35,6 +36,16 @@ def dh_product(dh_rows, q, base=None):
     for (a, alpha, d, off), qi in zip(dh_rows, q):
         T = T @ dh_matrix(qi + off, d, a, alpha)
     return T
+
+
+def fk_matrices_loop(chain, q):
+    """(n+1, 4, 4) frames of one configuration, composed one
+    ``DhLink.transform`` at a time: the loop reference for batched forward
+    kinematics, with the same arithmetic, so results agree bit for bit."""
+    out = [chain.base_pose.as_matrix()]
+    for link, qk in zip(chain.links, q):
+        out.append(out[-1] @ link.transform(qk))
+    return np.array(out)
 
 
 def skew_to_vector(w):
@@ -117,9 +128,50 @@ def collision_residual_loop(chain, q, grid, params):
         query = sdf_query(grid, center)
         clearance = query.distance - sphere.radius
         if clearance <= params.epsilon:
+            # The clamped lookup does not change along an axis clamped to the border.
+            gradient = np.where((center < grid.origin) | (center > grid.upper), 0.0, query.gradient)
             residual[row] = params.epsilon - clearance
-            jac[row] = -(query.gradient @ center_jac)
+            jac[row] = -(gradient @ center_jac)
     return residual, jac
+
+
+def lambda_max_loop(chain, task_dim, num_samples, seed, joint_range):
+    """Largest manipulability over configurations drawn and evaluated one
+    at a time: the loop reference for the batched estimate."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(num_samples):
+        q = rng.uniform(joint_range[0], joint_range[1], chain.n)
+        best = max(best, manipulability(geometric_jacobian(chain, q, task_dim)))
+    return best
+
+
+def evaluate_profile_loop(chain, task_dim, trajectory, gp_params, per_segment, grid):
+    """Trajectory samples and their diagnostics one sample at a time: each
+    interpolated state from ``gp.interpolate``, then one Jacobian, ellipsoid,
+    forward-kinematics pass and clearance lookup per sample.
+
+    Returns ``(times, positions, velocities, lambdas, sigma_mins,
+    ee_positions, clearances)``, the last ``None`` without a grid.
+    """
+    states = []
+    knots = trajectory.states
+    for i in range(len(knots) - 1):
+        states.append(knots[i])
+        for k in range(1, per_segment + 1):
+            tau = knots[i].time + (knots[i + 1].time - knots[i].time) * k / (per_segment + 1)
+            states.append(gp.interpolate(knots[i], knots[i + 1], tau, gp_params)[0])
+    states.append(knots[-1])
+    rows = []
+    for state in states:
+        ell = ellipsoid(geometric_jacobian(chain, state.position, task_dim))
+        ee = forward_kinematics(chain, state.position)[-1].position
+        clearance = None if grid is None else sphere_clearances(chain, state.position, grid)
+        rows.append((state.time, state.position, state.velocity, ell.volume_measure, ell.singular_values[-1], ee, clearance))
+    columns = [np.array(column) for column in zip(*rows)]
+    if grid is None:
+        columns[-1] = None
+    return tuple(columns)
 
 
 def manipulability_fd(chain, q, task_dim, step=1e-6):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from manipplan.collision import (
@@ -16,6 +16,7 @@ from manipplan.collision import (
     sdf_query,
     sphere_clearances,
 )
+from manipplan.kinematics import body_sphere_states
 
 from .oracles import box_sdf_reference, collision_residual_loop
 
@@ -230,11 +231,69 @@ class TestCollisionResidual:
                 clear = sphere_clearances(ur10, q, table_grid)
                 assert clear.min() >= params.epsilon - table_grid.cell_size
 
+    def test_clearances_of_a_stack_equal_per_configuration_calls(self, ur10, planar2r, table_grid, rng):
+        configs = rng.uniform(-np.pi, np.pi, (150, 6))
+        stacked = sphere_clearances(ur10, configs, table_grid)
+        assert stacked.shape == (150, len(ur10.body_spheres))
+        np.testing.assert_array_equal(stacked, [sphere_clearances(ur10, q, table_grid) for q in configs])
+        assert sphere_clearances(planar2r, np.zeros((4, 2)), table_grid).shape == (4, 0)
+
     def test_params_validated(self):
         with pytest.raises(ValueError):
             CollisionParams(epsilon=-0.1, sigma_obs=1e-3)
         with pytest.raises(ValueError):
             CollisionParams(epsilon=0.1, sigma_obs=0.0)
+
+
+def residual_fd(chain, q, grid, params, step=1e-6):
+    """Collision residual Jacobian from central differences."""
+    cols = []
+    for j in range(chain.n):
+        qp, qm = q.copy(), q.copy()
+        qp[j] += step
+        qm[j] -= step
+        rp, _ = collision_residual(chain, qp, grid, params, with_jacobian=False)
+        rm, _ = collision_residual(chain, qm, grid, params, with_jacobian=False)
+        cols.append((rp - rm) / (2 * step))
+    return np.stack(cols, axis=1)
+
+
+def outside_grid(centers, grid, margin=0.0):
+    """Per sphere: is the centre more than ``margin`` outside the grid on some axis?"""
+    return ((centers < grid.origin - margin) | (centers > grid.upper + margin)).any(axis=-1)
+
+
+class TestOutsideTheGrid:
+    def test_box_grid_rows_match_central_differences(self, ur10):
+        q = np.array([0.3, -1.0, 0.8, 0.2, 0.4, 0.1])
+        grid = build_box_sdf(np.zeros(3), np.full(3, 0.3), origin=np.full(3, -0.4), cell_size=0.02, dims=(41, 41, 41))
+        params = CollisionParams(epsilon=2.0, sigma_obs=1e-3)
+        r, jac = collision_residual(ur10, q, grid, params)
+        centers, _ = body_sphere_states(ur10, q)
+        outside = outside_grid(centers, grid, margin=1e-3)
+        assert outside.any() and (~outside).any() and np.all(r > 0.0)
+        np.testing.assert_allclose(jac, residual_fd(ur10, q, grid, params), rtol=0.0, atol=1e-6)
+
+    @given(
+        q=st.tuples(*[st.floats(-np.pi, np.pi)] * 6).map(np.array),
+        slope=st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array),
+        corner=st.tuples(*[st.floats(-0.8, 0.4)] * 3).map(np.array),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_centres_strictly_outside_match_central_differences(self, ur10, q, slope, corner):
+        # An affine field, which trilinear interpolation reproduces exactly:
+        # the residual is smooth except where a centre crosses the border.
+        cell, dims = 0.08, (6, 6, 6)
+        nodes = np.stack(np.meshgrid(*[corner[i] + cell * np.arange(dims[i]) for i in range(3)], indexing="ij"), -1)
+        grid = SdfGrid(origin=corner, cell_size=cell, data=nodes @ slope)
+        params = CollisionParams(epsilon=1e3, sigma_obs=1e-3)
+        centers, _ = body_sphere_states(ur10, q)
+        near_border = (np.abs(centers - grid.origin) < 1e-4) | (np.abs(centers - grid.upper) < 1e-4)
+        checked = ~near_border.any(axis=1)
+        assume((outside_grid(centers, grid) & checked).any())
+        _, jac = collision_residual(ur10, q, grid, params)
+        fd = residual_fd(ur10, q, grid, params)
+        np.testing.assert_allclose(jac[checked], fd[checked], rtol=0.0, atol=1e-7)
 
 
 class TestSdfGridShape:

@@ -21,9 +21,16 @@ from manipplan.kinematics import (
     planar_chain,
     point_jacobian,
 )
-from manipplan.kinematics import _cross
+from manipplan.kinematics import _as_config, _cross, _fk_matrices
 
-from .oracles import dh_product, jacobian_fd, jacobian_partials_fd, jacobian_partials_loop, point_jacobian_loop
+from .oracles import (
+    dh_product,
+    fk_matrices_loop,
+    jacobian_fd,
+    jacobian_partials_fd,
+    jacobian_partials_loop,
+    point_jacobian_loop,
+)
 
 # DH rows (a, alpha, d, theta_offset) of the shipped UR-10 model, used to
 # drive the independent product oracle.
@@ -219,6 +226,78 @@ class TestPointJacobian:
             point, jac = point_jacobian(ur10, q, sphere.link_index, sphere.offset)
             np.testing.assert_array_equal(centers[row], point)
             np.testing.assert_array_equal(jacs[row], jac)
+
+
+def tilted_chain():
+    """A 4-link chain with a rotated, shifted base and no zero DH parameters."""
+    spec = {
+        "dh": [
+            {"a": 0.3, "alpha": 0.7, "d": 0.2, "theta_offset": 0.4},
+            {"a": -0.5, "alpha": -1.1, "d": 0.05, "theta_offset": -2.0},
+            {"a": 0.25, "alpha": 2.9, "d": -0.3, "theta_offset": 1.3},
+            {"a": 0.1, "alpha": 0.2, "d": 0.15, "theta_offset": 0.0},
+        ],
+        "base_pose": {"rpy": [0.3, -0.2, 1.1], "xyz": [0.4, -0.1, 0.8]},
+        "body_spheres": [{"link": k, "offset": [0.05 * k, -0.1, 0.02], "radius": 0.1} for k in range(4)],
+    }
+    return chain_from_dict(spec)
+
+
+class TestStackedConfigurations:
+    @pytest.mark.parametrize("name", ["ur10", "planar2r", "tilted"])
+    def test_frames_equal_link_transform_loop_bit_for_bit(self, name, rng):
+        chain = tilted_chain() if name == "tilted" else load_chain(name)
+        configs = rng.uniform(-2 * np.pi, 2 * np.pi, (300, chain.n))
+        reference = np.array([fk_matrices_loop(chain, q) for q in configs])
+        for q, ref in zip(configs, reference):
+            np.testing.assert_array_equal(_fk_matrices(chain, q), ref)
+        np.testing.assert_array_equal(_fk_matrices(chain, configs), reference)
+
+    @pytest.mark.parametrize("name", ["ur10", "planar2r", "tilted"])
+    def test_stack_equals_per_configuration_calls_bit_for_bit(self, name, rng):
+        chain = tilted_chain() if name == "tilted" else load_chain(name)
+        configs = rng.uniform(-np.pi, np.pi, (200, chain.n))
+        for task_dim in (2, 3, 6):
+            stacked = geometric_jacobian(chain, configs, task_dim)
+            assert stacked.shape == (200, task_dim, chain.n)
+            np.testing.assert_array_equal(stacked, [geometric_jacobian(chain, q, task_dim) for q in configs])
+        centers, jacs = body_sphere_states(chain, configs)
+        assert centers.shape == (200, len(chain.body_spheres), 3)
+        assert jacs.shape == (200, len(chain.body_spheres), 3, chain.n)
+        singles = [body_sphere_states(chain, q) for q in configs]
+        np.testing.assert_array_equal(centers, np.array([c for c, _ in singles]).reshape(centers.shape))
+        np.testing.assert_array_equal(jacs, np.array([j for _, j in singles]).reshape(jacs.shape))
+
+    def test_as_config_shapes(self, ur10):
+        assert _as_config(ur10, np.zeros(6)).shape == (6,)
+        assert _as_config(ur10, np.zeros((4, 6)), stack=True).shape == (4, 6)
+        assert _as_config(ur10, np.zeros((0, 6)), stack=True).shape == (0, 6)
+
+    @pytest.mark.parametrize("shape", [(4, 5), (4, 7), (2, 3, 6), (4,), ()])
+    def test_as_config_rejects_malformed_stacks(self, ur10, shape):
+        with pytest.raises(ModelError, match="shape"):
+            _as_config(ur10, np.zeros(shape), stack=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_as_config_rejects_a_non_finite_row(self, ur10, bad):
+        configs = np.zeros((5, 6))
+        configs[3, 2] = bad
+        with pytest.raises(ModelError, match="non-finite"):
+            _as_config(ur10, configs, stack=True)
+        with pytest.raises(ModelError, match="non-finite"):
+            geometric_jacobian(ur10, configs)
+
+    def test_single_configuration_functions_reject_stacks(self, ur10):
+        stack = np.zeros((3, 6))
+        with pytest.raises(ModelError, match="shape"):
+            _as_config(ur10, stack)
+        for call in (
+            lambda: forward_kinematics(ur10, stack),
+            lambda: jacobian_partials(ur10, stack),
+            lambda: point_jacobian(ur10, stack, 2, np.zeros(3)),
+        ):
+            with pytest.raises(ModelError, match="shape"):
+                call()
 
 
 class TestCross:

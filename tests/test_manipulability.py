@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from manipplan.kinematics import geometric_jacobian, jacobian_partials, planar_chain
+from manipplan.kinematics import geometric_jacobian, jacobian_partials, load_chain, planar_chain
 from manipplan.manipulability import (
     SIGMA_MIN,
     Classification,
     SingularityCostParams,
     classify_configuration,
     ellipsoid,
+    estimate_lambda_max,
     likelihood,
     manipulability,
     manipulability_gradient,
@@ -19,7 +21,10 @@ from manipplan.manipulability import (
     singularity_cost_value,
 )
 
-from .oracles import manipulability_fd
+from .oracles import lambda_max_loop, manipulability_fd
+
+# The module itself: the package attribute of the same name is the function.
+manip_module = importlib.import_module("manipplan.manipulability")
 
 
 def planar_xy_jacobian(chain, q):
@@ -77,6 +82,36 @@ class TestManipulabilityMeasure:
             block[:3, :3] = rot
             block[3:, 3:] = rot
             assert manipulability(block @ jac6) == pytest.approx(manipulability(jac6), rel=1e-9)
+
+
+    def test_stack_equals_per_matrix_values_bit_for_bit(self, ur10, rng):
+        jacs = geometric_jacobian(ur10, rng.uniform(-np.pi, np.pi, (200, 6)), task_dim=3)
+        stacked = manipulability(jacs)
+        assert stacked.shape == (200,)
+        np.testing.assert_array_equal(stacked, [manipulability(jac) for jac in jacs])
+
+    def test_stack_checked_once_for_shape_and_finiteness(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            manipulability(np.ones((4, 3, 2)))
+        jacs = np.ones((4, 2, 3))
+        jacs[2, 1, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            manipulability(jacs)
+
+
+class TestEstimateLambdaMax:
+    def test_reproduces_the_shipped_ur10_value(self):
+        chain = load_chain("ur10")
+        assert estimate_lambda_max(chain) == 0.35605122329376215 == chain.lambda_max
+
+    @pytest.mark.parametrize("task_dim", [3, 6])
+    def test_chunked_draw_equals_per_sample_loop(self, monkeypatch, ur10, task_dim):
+        monkeypatch.setattr(manip_module, "LAMBDA_MAX_CHUNK", 700)  # three chunks and a partial one
+        expected = lambda_max_loop(ur10, task_dim, 2500, 7, (-2.0, 2.5))
+        assert estimate_lambda_max(ur10, task_dim, num_samples=2500, seed=7, joint_range=(-2.0, 2.5)) == expected
+
+    def test_no_samples_gives_zero(self, ur10):
+        assert estimate_lambda_max(ur10, num_samples=0) == 0.0
 
 
 class TestEllipsoid:

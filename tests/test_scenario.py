@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from jsonschema import ValidationError
 
 from manipplan import cli
 from manipplan import factor_graph as fg
+from manipplan import gp_prior as gp
+from manipplan import kinematics
+from manipplan import scenario as sc
 from manipplan.kinematics import forward_kinematics, geometric_jacobian, load_chain
-from manipplan.manipulability import manipulability
+from manipplan.manipulability import ellipsoid, manipulability
 from manipplan.scenario import (
     BoxObstacle,
     Scenario,
@@ -21,6 +25,8 @@ from manipplan.scenario import (
     run_scenario,
     scenario_from_dict,
 )
+
+from .oracles import evaluate_profile_loop
 
 
 def planar_scenario(**overrides):
@@ -77,6 +83,11 @@ class TestScenarioLoading:
         with pytest.raises(ValueError, match="two grid nodes"):
             planar_scenario(sdf_extent=1.0, sdf_cell_size=3.0)
         planar_scenario(sdf_extent=0.02, sdf_cell_size=0.02)  # two nodes: one cell
+
+    def test_obstacles_need_body_spheres(self):
+        scenario = planar_scenario(obstacles=(BoxObstacle(center=[1.0, 1.0, 0.0], half_extents=[0.1, 0.1, 0.1]),))
+        with pytest.raises(ValueError, match="body spheres"):
+            scenario.load_chain()
 
     def test_goal_sanity_ball(self):
         scenario = planar_scenario(goal_position=np.array([5.0, 0.0, 0.0]))
@@ -252,6 +263,79 @@ class TestObstacleScenario:
         assert result.collision_free is not None
 
 
+def wandering_trajectory(scenario, rng):
+    """The scenario's support times with random positions around its start
+    and random velocities, so every profile column varies."""
+    trajectory = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support)
+    x = trajectory.as_vector() + rng.uniform(-0.6, 0.6, trajectory.as_vector().shape)
+    return trajectory.with_vector(x)
+
+
+PROFILE_FIELDS = ("times", "positions", "velocities", "lambdas", "sigma_mins", "ee_positions", "clearances")
+
+
+def forbid_calls(monkeypatch, fn):
+    """Make every reference to ``fn`` in the manipplan modules raise."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{fn.__name__} was called")
+    for name, module in list(sys.modules.items()):
+        if name == "manipplan" or name.startswith("manipplan."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, forbidden)
+
+
+class TestStackedProfile:
+    @pytest.mark.parametrize("name", ["ur10_table", "ur10_unconstrained", "planar2r_analytic"])
+    @pytest.mark.parametrize("per_segment", [0, 3, 10])
+    def test_equals_per_sample_loop_bit_for_bit(self, name, per_segment, rng):
+        scenario = load_scenario(name)
+        chain, grid = scenario.load_chain(), scenario.build_sdf()
+        trajectory = wandering_trajectory(scenario, rng)
+        gp_params = gp.GpPriorParams.isotropic(chain.n, scenario.qc_scale)
+        profile = sc._evaluate_states(
+            chain, scenario.task_dim, *sc._sampled_states(trajectory, gp_params, per_segment), grid
+        )
+        expected = evaluate_profile_loop(chain, scenario.task_dim, trajectory, gp_params, per_segment, grid)
+        assert profile.times.shape == ((scenario.num_support - 1) * (per_segment + 1) + 1,)
+        for field, reference in zip(PROFILE_FIELDS, expected):
+            if reference is None:
+                assert getattr(profile, field) is None
+            else:
+                np.testing.assert_array_equal(getattr(profile, field), reference, err_msg=field)
+
+    def test_finalize_run_works_on_the_stack_only(self, monkeypatch, tmp_path, rng):
+        scenario = load_scenario("ur10_table")
+        chain, grid = scenario.load_chain(), scenario.build_sdf()
+        trajectory = wandering_trajectory(scenario, rng)
+        for fn in (forward_kinematics, gp.interpolate, ellipsoid):
+            forbid_calls(monkeypatch, fn)
+        passes = []
+        fk_matrices = kinematics._fk_matrices
+
+        def counted(chain, q):
+            passes.append(q.shape)
+            return fk_matrices(chain, q)
+
+        monkeypatch.setattr(kinematics, "_fk_matrices", counted)
+        monkeypatch.setattr(sc, "_fk_matrices", counted)
+        for n_interp in (1, 6):
+            passes.clear()
+            run = sc._finalize_run(dataclasses.replace(scenario, n_interp=n_interp), chain, grid, trajectory, None, tmp_path)
+            assert (tmp_path / "lambda_profile.csv").is_file()
+            # Three stacked passes per profile (Jacobian, end-effector, spheres), whatever the sample count.
+            factor_rows, dense_rows = run.factor_profile.times.shape[0], run.dense_profile.times.shape[0]
+            assert sorted(passes) == sorted([(factor_rows, chain.n)] * 3 + [(dense_rows, chain.n)] * 3)
+
+    def test_non_finite_state_rejected_once_on_the_stack(self):
+        trajectory = gp.init_trajectory(np.zeros(2), 1.0, 3)
+        x = trajectory.as_vector()
+        x[5] = 1e308  # a finite velocity whose blends overflow
+        gp_params = gp.GpPriorParams.isotropic(2, 1.0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            sc._sampled_states(trajectory.with_vector(x), gp_params, 4)
+
+
 class TestCli:
     def test_validate_ok(self, capsys):
         assert cli.main(["validate", "planar2r_analytic"]) == 0
@@ -288,6 +372,41 @@ class TestCli:
         assert cli.main(["sweep", "planar2r_analytic", "--interp", "0,1", "--out", str(out)]) == 0
         assert (out / "sweep.csv").is_file()
         assert (out / "interp_1" / "report.json").is_file()
+
+    @pytest.mark.parametrize("command", ["plan", "compare", "sweep", "validate"])
+    @pytest.mark.parametrize("content", ['{"robot": "planar2r"}', "not json", None])
+    def test_invalid_file_exits_2_before_any_solve(self, command, content, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sc, "_execute", self._no_solve)
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_text(content)
+        out = tmp_path / "out"
+        argv = [command, str(bad)] + ([] if command == "validate" else ["--out", str(out)])
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("INVALID: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("interp", ["-1", "0,-1", "1,x", ","])
+    def test_sweep_rejects_bad_counts_before_any_solve(self, interp, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sc, "_execute", self._no_solve)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "planar2r_analytic", "--interp", interp, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("INVALID: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["plan", "validate"])
+    def test_obstacles_on_a_robot_without_body_spheres_exit_2(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sc, "_execute", self._no_solve)
+        data = json.loads(builtin_scenario_path("planar2r_analytic").read_text())
+        data["obstacles"] = [{"center": [1.0, 1.0, 0.0], "half_extents": [0.1, 0.1, 0.1]}]
+        path = tmp_path / "planar_obstacle.json"
+        path.write_text(json.dumps(data))
+        assert cli.main([command, str(path)] + (["--out", str(tmp_path / "out")] if command == "plan" else [])) == 2
+        assert "body spheres" in capsys.readouterr().err
+
+    @staticmethod
+    def _no_solve(*args, **kwargs):
+        raise AssertionError("a solve started on invalid input")
 
     def test_plan_exit_code_reflects_failure(self, tmp_path):
         # One iteration cannot reach the goal: constraint dissatisfaction
