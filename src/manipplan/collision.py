@@ -84,15 +84,18 @@ class SdfQuery(NamedTuple):
 
 
 def _trilinear(grid: SdfGrid, points: np.ndarray, with_gradient: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Trilinear distances (k,) and their gradients (k, 3) at points
-    already clamped into the grid (``None`` without ``with_gradient``).
+    """Trilinear distances (k,) and their gradients (k, 3) at points (k, 3)
+    clamped onto the grid (``None`` without ``with_gradient``).
 
     The gradient is the exact derivative of the interpolant inside the
     enclosing cell, so it agrees with finite differences of the distance
     to rounding (a one-cell smoothed stencil would disagree by O(cell)
-    near box edges and break the cost Jacobian contract).
+    near box edges and break the cost Jacobian contract).  The clamped
+    lookup does not change along an axis on which a point was clamped, so
+    that gradient component is zero.
     """
-    rel = (points - grid.origin) / grid.cell_size
+    inside = np.clip(points, grid.origin, grid.upper)
+    rel = (inside - grid.origin) / grid.cell_size
     _, ny, nz = grid.dims
     idx = np.clip(np.floor(rel).astype(int), 0, np.array(grid.dims) - 2)
     fx, fy, fz = (rel - idx).T
@@ -115,8 +118,9 @@ def _trilinear(grid: SdfGrid, points: np.ndarray, with_gradient: bool = True) ->
         return c0 * ez + c1 * fz, None
     dx0 = (c100 - c000) * ey + (c110 - c010) * fy
     dx1 = (c101 - c001) * ey + (c111 - c011) * fy
-    gradient = np.stack([dx0 * ez + dx1 * fz, (c10 - c00) * ez + (c11 - c01) * fz, c1 - c0], axis=1)
-    return c0 * ez + c1 * fz, gradient / grid.cell_size
+    gradient = np.stack([dx0 * ez + dx1 * fz, (c10 - c00) * ez + (c11 - c01) * fz, c1 - c0], axis=1) / grid.cell_size
+    gradient[inside != points] = 0.0
+    return c0 * ez + c1 * fz, gradient
 
 
 def sdf_query(grid: SdfGrid, point) -> SdfQuery:
@@ -126,7 +130,7 @@ def sdf_query(grid: SdfGrid, point) -> SdfQuery:
     """
     point = np.asarray(point, dtype=float).reshape(3)
     clamped = bool(np.any(point < grid.origin) or np.any(point > grid.upper))
-    dist, gradient = _trilinear(grid, np.clip(point, grid.origin, grid.upper)[None, :])
+    dist, gradient = _trilinear(grid, point[None, :])
     return SdfQuery(distance=float(dist[0]), gradient=gradient[0], clamped=clamped)
 
 
@@ -148,23 +152,23 @@ def collision_residual(
     params: CollisionParams,
     with_jacobian: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Hinge costs of every body sphere and their joint-space Jacobian.
+    """Hinge costs of every body sphere and their joint-space Jacobian:
+    shapes (S,) and (S, n), or (K, S) and (K, S, n) for a (K, n) stack of
+    configurations.
 
     Each sphere contributes ``hinge(sdf(center) - radius, epsilon)``; the
     Jacobian row chains the hinge slope, the field gradient, and the
     linear Jacobian of the sphere center.  A center outside the grid is
-    clamped onto its border, which the field does not change along a
-    clamped axis, so that gradient component is zero.
+    clamped onto its border (see :func:`_trilinear`).
     """
     centers, center_jacs = body_sphere_states(chain, q)
-    clamped = np.clip(centers, grid.origin, grid.upper)
-    distances, gradients = _trilinear(grid, clamped, with_jacobian)
-    residual, slopes = hinge_cost(distances - chain._sphere_radii, params.epsilon)
+    distances, gradients = _trilinear(grid, centers.reshape(-1, 3), with_jacobian)
+    residual, slopes = hinge_cost(distances.reshape(centers.shape[:-1]) - chain._sphere_radii, params.epsilon)
     if not with_jacobian:
         return residual, None
-    gradients[clamped != centers] = 0.0
+    gradients = gradients.reshape(centers.shape)
     active = slopes != 0.0
-    jac = np.zeros((len(residual), chain.n))
+    jac = np.zeros(residual.shape + (chain.n,))
     jac[active] = slopes[active, None] * (gradients[active, None, :] @ center_jacs[active])[:, 0]
     return residual, jac
 
@@ -173,7 +177,7 @@ def sphere_clearances(chain: KinematicChain, q, grid: SdfGrid) -> np.ndarray:
     """Signed clearance ``sdf(center) - radius`` of every body sphere:
     shape (S,) for one configuration, (K, S) for a (K, n) stack."""
     centers = _body_sphere_centers(chain, q)[1]
-    distances = _trilinear(grid, np.clip(centers, grid.origin, grid.upper).reshape(-1, 3), with_gradient=False)[0]
+    distances = _trilinear(grid, centers.reshape(-1, 3), with_gradient=False)[0]
     return distances.reshape(centers.shape[:-1]) - chain._sphere_radii
 
 

@@ -1,16 +1,18 @@
 """Factor graph over trajectory states and its nonlinear least-squares solver.
 
-Every factor produces a whitened residual (premultiplied by the square
-root of its inverse covariance) plus Jacobians with respect to the one or
-two consecutive support states it touches, so the MAP problem is the
-standard sum of squared residuals.  Besides the start and GP priors there
-is one cost factor type, :class:`ConfigurationFactor`: a residual of a
-joint configuration taken at a knot or at a GP-interpolated state between
-two knots, whose Jacobian is chained through the interpolation blend
-matrices so gradient information from extra states reaches the decision
-variables.
+Every factor is a stack of K blocks of the same shape.  Each block is a
+whitened residual (premultiplied by the square root of its inverse
+covariance) over one state or two consecutive states, with its Jacobian
+with respect to them, so the MAP problem is the standard sum of squared
+residuals.  Besides the start prior and the GP prior over all segments
+there is one cost factor type, :class:`ConfigurationFactor`: a residual
+of K joint configurations taken at knots or at GP-interpolated states
+between two knots, whose Jacobian is chained through the interpolation
+blend matrices so gradient information from extra states reaches the
+decision variables.  Each factor's cost runs once over all its
+configurations.
 
-Because no factor spans more than two consecutive states, ``J^T J`` is
+Because no block spans more than two consecutive states, ``J^T J`` is
 block tridiagonal (the exactly sparse GP structure).  The solver
 accumulates it straight into banded storage and runs Gauss-Newton or
 Levenberg-Marquardt on the banded Cholesky factorization, at a cost
@@ -21,9 +23,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -43,7 +45,6 @@ __all__ = [
     "StartPriorFactor",
     "GpPriorFactor",
     "ConfigurationFactor",
-    "gp_blend",
     "interpolated_blends",
     "FactorGraph",
     "SolverMethod",
@@ -57,8 +58,8 @@ __all__ = [
     "goal_position_cost",
 ]
 
-# (q, with_jacobian) -> (r, dr_dq); see ConfigurationFactor.
-ConfigCost = Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray | None]]
+# (q (K, n), with_jacobian) -> (r (K, d), dr_dq (K, d, n)); see ConfigurationFactor.
+ConfigCost = Callable[..., tuple[np.ndarray, np.ndarray | None]]
 
 
 class FactorKind(Enum):
@@ -72,21 +73,20 @@ class FactorKind(Enum):
 
 
 class Factor:
-    """Whitened residual over one or two support states.
+    """K whitened residual blocks, each over one state or two consecutive ones.
 
-    Subclasses set ``kind``, ``states`` (connected support-state indices),
-    ``dim`` (residual length), and implement :meth:`evaluate` returning
-    the whitened residual and one whitened Jacobian per connected state.
+    Subclasses set ``kind``, ``states`` (a (K, width) array of consecutive
+    support-state indices, width 1 or 2), ``dim`` (residual length per
+    block), and implement :meth:`evaluate`.
     """
 
     kind: FactorKind
-    states: tuple[int, ...]
+    states: np.ndarray
     dim: int
 
-    def evaluate(
-        self, trajectory: gp.SupportTrajectory, with_jacobians: bool = True
-    ) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
-        """Whitened residual and Jacobians; pass ``with_jacobians=False``
+    def evaluate(self, x: np.ndarray, with_jacobians: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """Whitened residuals (K, dim) and Jacobians (K, dim, width * 2n)
+        at the (N, 2n) support states ``x``; pass ``with_jacobians=False``
         to skip derivative work when only the cost is needed."""
         raise NotImplementedError
 
@@ -95,15 +95,6 @@ def _weight(sigma: float) -> float:
     if sigma <= 0.0:
         raise ValueError("covariance must be positive")
     return 1.0 / math.sqrt(sigma)
-
-
-def _position_row_block(jac_q: np.ndarray) -> np.ndarray:
-    """Embed a d x n joint-space Jacobian into the d x 2n state layout
-    (zeros against the velocity half)."""
-    d, n = jac_q.shape
-    out = np.zeros((d, 2 * n))
-    out[:, :n] = jac_q
-    return out
 
 
 @dataclass
@@ -116,98 +107,101 @@ class StartPriorFactor(Factor):
 
     def __post_init__(self) -> None:
         self.kind = FactorKind.START_PRIOR
-        self.states = (self.state,)
+        self.states = np.array([[self.state]])
         self.prior = np.asarray(self.prior, dtype=float)
         self.dim = self.prior.shape[0]
         self._w = _weight(self.sigma)
 
-    def evaluate(self, trajectory, with_jacobians=True):
-        x = trajectory.states[self.state].as_vector()
-        r = self._w * (x - self.prior)
-        return r, ((self._w * np.eye(self.dim),) if with_jacobians else None)
+    def evaluate(self, x, with_jacobians=True):
+        r = self._w * (x[self.states[0]] - self.prior)
+        return r, (self._w * np.eye(self.dim)[None] if with_jacobians else None)
 
 
 @dataclass
 class GpPriorFactor(Factor):
-    """Constant-velocity GP prior between consecutive support states."""
+    """Constant-velocity GP prior over every segment between consecutive
+    support states at ``times``."""
 
-    i: int
-    j: int
-    dt: float
+    times: np.ndarray
     params: gp.GpPriorParams
 
     def __post_init__(self) -> None:
         self.kind = FactorKind.GP_PRIOR
-        self.states = (self.i, self.j)
+        self.states = np.arange(len(self.times) - 1)[:, None] + np.arange(2)
         self.dim = self.params.state_dim
-        self._phi, self._info_sqrt = gp.whitened_transition(self.dt, self.params)
-        self._jac_i = self._info_sqrt @ self._phi
-        self._jac_j = -self._info_sqrt
+        # One whitening per distinct step length: uniform knots have one or a few.
+        dts = np.diff(self.times)
+        steps = sorted(set(dts.tolist()))
+        phi, info_sqrt = zip(*(gp.whitened_transition(dt, self.params) for dt in steps))
+        which = np.searchsorted(steps, dts)
+        self._phi, self._info_sqrt = np.array(phi)[which], np.array(info_sqrt)[which]
+        self._jac = np.concatenate([self._info_sqrt @ self._phi, -self._info_sqrt], axis=-1)
 
-    def evaluate(self, trajectory, with_jacobians=True):
-        x_i = trajectory.states[self.i].as_vector()
-        x_j = trajectory.states[self.j].as_vector()
-        r = self._info_sqrt @ (self._phi @ x_i - x_j)
-        return r, ((self._jac_i, self._jac_j) if with_jacobians else None)
+    def evaluate(self, x, with_jacobians=True):
+        x_i, x_j = x[self.states.T, :, None]
+        r = (self._info_sqrt @ (self._phi @ x_i - x_j))[..., 0]
+        return r, (self._jac if with_jacobians else None)
 
 
 @dataclass
 class ConfigurationFactor(Factor):
-    """A cost of one joint configuration: the position of knot ``i``, or,
-    with ``blend = (j, Lambda, Psi)``, the position of the GP-interpolated
-    state ``Lambda x_i + Psi x_j``.
+    """A cost of K joint configurations: the positions of the knots
+    ``knots``, or, with ``blend = (Lambda, Psi)`` of shape (K, 2n, 2n),
+    the positions of the GP-interpolated states
+    ``Lambda[k] x[knots[k]] + Psi[k] x[knots[k] + 1]``.
 
-    ``cost(q, with_jacobian)`` returns the unwhitened residual ``r`` and
-    its ``dim x n`` joint-space Jacobian (ignored when ``with_jacobian`` is
-    false).  The Jacobian is chained through the blend matrices, so the
-    gradient of an interpolated cost lands on both bracketing knots.
+    ``cost(q, with_jacobian=...)`` maps the (K, n) configurations to the
+    unwhitened residuals (K, dim) and their joint-space Jacobians
+    (K, dim, n), the latter ignored when ``with_jacobian`` is false.  The
+    Jacobians are chained through the blend matrices, so the gradient of
+    an interpolated cost lands on both bracketing knots.
     """
 
     kind: FactorKind
-    i: int
+    knots: np.ndarray
     cost: ConfigCost
     dim: int
     sigma: float
-    blend: tuple[int, np.ndarray, np.ndarray] | None = None
+    blend: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        self.states = (self.i,) if self.blend is None else (self.i, self.blend[0])
+        self.knots = np.asarray(self.knots, dtype=int).reshape(-1)
+        self.states = self.knots[:, None] + np.arange(1 if self.blend is None else 2)
         self._w = _weight(self.sigma)
 
-    def evaluate(self, trajectory, with_jacobians=True):
-        x_i = trajectory.states[self.i]
+    def evaluate(self, x, with_jacobians=True):
+        n = x.shape[1] // 2
         if self.blend is None:
-            q = x_i.position
+            q = x[self.knots, :n]
         else:
-            j, lam, psi = self.blend
-            q = (lam @ x_i.as_vector() + psi @ trajectory.states[j].as_vector())[: x_i.n]
-        r, jac_q = self.cost(q, with_jacobians)
+            lam, psi = self.blend
+            q = (lam @ x[self.knots, :, None] + psi @ x[self.knots + 1, :, None])[:, :n, 0]
+        r, jac_q = self.cost(q, with_jacobian=with_jacobians)
         if not with_jacobians:
             return self._w * r, None
-        block = _position_row_block(jac_q)
-        if self.blend is None:
-            return self._w * r, (self._w * block,)
-        return self._w * r, (self._w * (block @ lam), self._w * (block @ psi))
-
-
-def gp_blend(j: int, t_i: float, t_j: float, tau: float, gp_params: gp.GpPriorParams):
-    """The ``blend`` of a :class:`ConfigurationFactor` at time ``tau``
-    strictly inside the segment ``[t_i, t_j]`` that ends at knot ``j``."""
-    if not t_i < tau < t_j:
-        raise ValueError(f"interpolated factor needs t_i < tau < t_j, got {t_i}, {tau}, {t_j}")
-    lam, psi = gp.interpolation_matrices(t_i, t_j, tau, gp_params)
-    return j, lam, psi
+        # Zeros against the velocity half of each state.
+        jac = np.zeros(jac_q.shape[:-1] + (2 * n,))
+        jac[..., :n] = jac_q
+        if self.blend is not None:
+            jac = np.concatenate([jac @ lam, jac @ psi], axis=-1)
+        return self._w * r, self._w * jac
 
 
 def interpolated_blends(times: np.ndarray, n_interp: int, gp_params: gp.GpPriorParams):
-    """``(i, tau, blend)`` of ``n_interp`` GP-interpolated states spaced
-    uniformly strictly inside each segment ``[times[i], times[i+1]]``, in
-    time order."""
-    return [
-        (i, tau, gp_blend(i + 1, float(times[i]), float(times[i + 1]), tau, gp_params))
-        for i in range(len(times) - 1)
-        for tau in (times[i] + (times[i + 1] - times[i]) * k / (n_interp + 1) for k in range(1, n_interp + 1))
-    ]
+    """``n_interp`` GP-interpolated states spaced uniformly strictly inside
+    each segment ``[times[i], times[i+1]]``, in time order, as arrays:
+    their segments ``i`` (M,), times (M,) and blend matrices ``Lambda``,
+    ``Psi`` (M, 2n, 2n) with ``x_tau = Lambda x_i + Psi x_{i+1}``."""
+    segments = np.repeat(np.arange(len(times) - 1), n_interp)
+    steps = np.tile(np.arange(1, n_interp + 1), len(times) - 1)
+    t_i, t_j = times[segments], times[segments + 1]
+    taus = t_i + (t_j - t_i) * steps / (n_interp + 1)
+    if not np.all((t_i < taus) & (taus < t_j)):
+        raise ValueError("interpolated states need t_i < tau < t_j")
+    dim = gp_params.state_dim
+    blends = [gp.interpolation_matrices(a, b, tau, gp_params) for a, b, tau in zip(t_i.tolist(), t_j.tolist(), taus)]
+    lam, psi = np.array(blends).reshape(-1, 2, dim, dim).swapaxes(0, 1)
+    return segments, taus, lam, psi
 
 
 @dataclass(frozen=True)
@@ -221,25 +215,26 @@ class FactorGraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
         for factor in self.factors:
-            for s in factor.states:
-                if not 0 <= s < self.num_states:
-                    raise ValueError(f"factor {factor.kind} references state {s} of {self.num_states}")
-            # The banded normal equations rely on this layout.
-            if factor.states[1:] not in ((), (factor.states[0] + 1,)):
-                raise ValueError(f"factor {factor.kind} must touch one state or two consecutive ones, got {factor.states}")
+            if not np.all((0 <= factor.states) & (factor.states < self.num_states)):
+                raise ValueError(f"factor {factor.kind} references a state outside 0..{self.num_states - 1}")
 
     @property
     def residual_dim(self) -> int:
-        return sum(f.dim for f in self.factors)
+        return sum(f.dim * len(f.states) for f in self.factors)
+
+
+def _cost(residuals) -> float:
+    """Half the squared norm of residual blocks (K, dim), added up one
+    block at a time in factor and block order."""
+    halves = [0.5 * (r[:, None, :] @ r[:, :, None]).ravel() for r in residuals]
+    # cumsum adds sequentially, unlike the pairwise np.sum.
+    return float(np.cumsum(np.concatenate([[0.0], *halves]))[-1])
 
 
 def total_cost(graph: FactorGraph, trajectory: gp.SupportTrajectory) -> float:
     """Half the squared norm of all whitened residuals (the MAP negative log)."""
-    cost = 0.0
-    for factor in graph.factors:
-        r, _ = factor.evaluate(trajectory, with_jacobians=False)
-        cost += 0.5 * float(r @ r)
-    return cost
+    x = trajectory.as_vector().reshape(graph.num_states, graph.state_dim)
+    return _cost([factor.evaluate(x, with_jacobians=False)[0] for factor in graph.factors])
 
 
 @lru_cache(maxsize=None)
@@ -255,23 +250,25 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
 
     Returns ``(band, gradient, cost)``: ``J^T J`` in LAPACK lower banded
     storage (``band[a - b, b] = (J^T J)[a, b]``), ``J^T r`` and half the
-    squared residual norm.  Every factor touches one state or two
+    squared residual norm.  Every block touches one state or two
     consecutive ones, so ``J^T J`` is block tridiagonal and its lower
-    half-bandwidth is ``2 * state_dim - 1``.
+    half-bandwidth is ``2 * state_dim - 1``.  Each factor's blocks are
+    added in state order.
     """
     dim = graph.state_dim
+    x = trajectory.as_vector().reshape(graph.num_states, dim)
     band = np.zeros((2 * dim, graph.num_states * dim))
     gradient = np.zeros(graph.num_states * dim)
-    cost = 0.0
+    residuals = []
     for factor in graph.factors:
-        r, jacs = factor.evaluate(trajectory)
-        jac = jacs[0] if len(jacs) == 1 else np.hstack(jacs)
-        start = factor.states[0] * dim
-        offsets, cols = _lower_triangle(jac.shape[1])
-        band[offsets, start + cols] += (jac.T @ jac)[offsets + cols, cols]
-        gradient[start : start + jac.shape[1]] += jac.T @ r
-        cost += 0.5 * float(r @ r)
-    return band, gradient, cost
+        r, jac = factor.evaluate(x)
+        jac_t = jac.swapaxes(1, 2)
+        starts = factor.states[:, :1] * dim
+        offsets, cols = _lower_triangle(jac.shape[2])
+        np.add.at(band, (offsets, starts + cols), (jac_t @ jac)[:, offsets + cols, cols])
+        np.add.at(gradient, starts + np.arange(jac.shape[2]), (jac_t @ r[..., None])[..., 0])
+        residuals.append(r)
+    return band, gradient, _cost(residuals)
 
 
 class SolverMethod(Enum):
@@ -318,30 +315,24 @@ class OptimizeReport:
     message: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "cost_trace": self.cost_trace,
-            "final_cost": self.final_cost,
-            "wall_time_s": self.wall_time_s,
-            "grad_inf_norm": self.grad_inf_norm,
-            "method": self.method,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 def _solve_normal(band: np.ndarray, damping: np.ndarray | None, g: np.ndarray) -> np.ndarray | None:
     """Solve ``(A + diag(damping)) x = -g`` for ``A`` in lower banded
-    storage by banded Cholesky; ``None`` when the matrix is not positive
-    definite."""
+    storage by banded Cholesky; ``None`` when the matrix is not finite or
+    not positive definite, or the step is not finite."""
     if damping is not None:
         band = band.copy()
         band[0] += damping
+    if not np.all(np.isfinite(band)):
+        return None
     try:
-        chol = cholesky_banded(band, lower=True)
+        chol = cholesky_banded(band, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         return None
-    return cho_solve_banded((chol, True), -g)
+    step = cho_solve_banded((chol, True), -g, check_finite=False)
+    return step if np.all(np.isfinite(step)) else None
 
 
 def _damping_scale(diag: np.ndarray) -> np.ndarray:
@@ -405,7 +396,7 @@ def optimize(
                 break
             delta = _solve_normal(band, None, gradient)
             if delta is None:
-                message = "normal equations not positive definite"
+                message = "no finite step: normal equations not finite or not positive definite"
                 break
             trajectory = trajectory.with_vector(trajectory.as_vector() + delta)
             band, gradient, cost = linearize(graph, trajectory)
@@ -446,8 +437,8 @@ def optimize(
                     message = "cost decrease below tolerance"
                     break
             else:
-                # A failed factorization is a rejected step: more damping
-                # makes the system positive definite.
+                # A failed factorization or a non-finite step is a rejected
+                # step: more damping makes the system positive definite.
                 mu *= nu
                 nu *= 2.0
                 if mu > 1e20:
@@ -473,6 +464,7 @@ def optimize(
     return trajectory, report
 
 
+@dataclass(frozen=True)
 class ChainSingularityCost:
     """The chain's log-manipulability cost as a one-entry configuration cost.
 
@@ -480,16 +472,15 @@ class ChainSingularityCost:
     derivative work.
     """
 
-    def __init__(self, chain: KinematicChain, params: SingularityCostParams, task_dim: int):
-        self.chain = chain
-        self.params = params
-        self.task_dim = task_dim
+    chain: KinematicChain
+    params: SingularityCostParams
+    task_dim: int
 
     def __call__(self, q: np.ndarray, with_jacobian: bool = True):
         if not with_jacobian:
-            return np.array([singularity_cost_value(self.chain, q, self.params, self.task_dim)]), None
+            return singularity_cost_value(self.chain, q, self.params, self.task_dim)[:, None], None
         out = singularity_cost(self.chain, q, self.params, self.task_dim)
-        return np.array([out[0]]), np.asarray(out[1], dtype=float)[None, :]
+        return out.h[:, None], out.gradient[:, None, :]
 
 
 def goal_position_cost(chain: KinematicChain, goal) -> ConfigCost:
@@ -507,10 +498,11 @@ def goal_position_cost(chain: KinematicChain, goal) -> ConfigCost:
 def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> FactorGraph:
     """Wire a scenario into factors over the given support trajectory.
 
-    Layout: a tight prior on state 0, a GP prior per segment, the goal
-    position on the final state, and (when enabled / present) singularity
-    and collision costs on every support state plus ``n_interp``
-    interpolated evaluation points per segment.
+    Layout: a tight prior on state 0, the GP prior over all segments, and
+    (when enabled / present) singularity and collision costs on all
+    support states and on all ``n_interp`` interpolated evaluation points
+    per segment (one factor each), then the goal position on the final
+    state.
     """
     chain = scenario.load_chain()
     n = chain.n
@@ -519,15 +511,15 @@ def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> Facto
     times = trajectory.times
 
     factors: list[Factor] = [
-        StartPriorFactor(state=0, prior=trajectory.states[0].as_vector(), sigma=scenario.sigma_start)
+        StartPriorFactor(state=0, prior=trajectory.states[0].as_vector(), sigma=scenario.sigma_start),
+        GpPriorFactor(times=times, params=gp_params),
     ]
-    for i in range(num - 1):
-        factors.append(GpPriorFactor(i=i, j=i + 1, dt=float(times[i + 1] - times[i]), params=gp_params))
-    blends = interpolated_blends(times, scenario.n_interp, gp_params)
+    segments, _, lam, psi = interpolated_blends(times, scenario.n_interp, gp_params)
 
     def add_cost(knot_kind, interp_kind, cost, dim, sigma):
-        factors.extend(ConfigurationFactor(knot_kind, s, cost, dim, sigma) for s in range(num))
-        factors.extend(ConfigurationFactor(interp_kind, i, cost, dim, sigma, blend) for i, _, blend in blends)
+        factors.append(ConfigurationFactor(knot_kind, np.arange(num), cost, dim, sigma))
+        if segments.size:
+            factors.append(ConfigurationFactor(interp_kind, segments, cost, dim, sigma, (lam, psi)))
 
     if scenario.enable_singularity_factors:
         cost_params = SingularityCostParams(
@@ -543,16 +535,11 @@ def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> Facto
         )
 
     if scenario.obstacles:
-        grid = scenario.build_sdf()
         col_params = CollisionParams(epsilon=scenario.epsilon, sigma_obs=scenario.sigma_obs)
-
-        def collision(q, with_jacobian):
-            return collision_residual(chain, q, grid, col_params, with_jacobian)
-
         add_cost(
             FactorKind.COLLISION,
             FactorKind.INTERP_COLLISION,
-            collision,
+            partial(collision_residual, chain, grid=scenario.build_sdf(), params=col_params),
             len(chain.body_spheres),
             col_params.sigma_obs,
         )

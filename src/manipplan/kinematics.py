@@ -194,7 +194,8 @@ class JacobianSet:
     """Geometric Jacobian together with its joint-angle derivatives.
 
     ``partials`` is an (n, m, n) array: ``partials[k]`` is the elementwise
-    derivative of the m x n ``jacobian`` with respect to joint ``k``.
+    derivative of the m x n ``jacobian`` with respect to joint ``k``.  Of
+    a stack of configurations, both carry the stack's leading axis.
     """
 
     jacobian: np.ndarray
@@ -297,42 +298,44 @@ def jacobian_partials(chain: KinematicChain, q, task_dim: int = 6) -> JacobianSe
     Uses the geometric identities of a revolute chain: rotating joint k
     turns every downstream axis (``d z_j / d theta_k = z_k x z_j`` for
     j > k) and sweeps every downstream point about the joint k axis line;
-    the linear rows follow by the product rule.
+    the linear rows follow by the product rule.  ``q`` may be a (K, n) stack.
     """
-    q = _as_config(chain, q)
+    q = _as_config(chain, q, stack=True)
     _check_task_dim(task_dim)
     n = chain.n
     frames = _fk_matrices(chain, q)
     jac = _end_effector_jacobian(frames)
-    axes = frames[:-1, :3, 2]
-    rel = frames[-1, :3, 3] - frames[:-1, :3, 3]
-    dpe = jac[:3].T  # row k = d p_e / d theta_k
+    axes = frames[..., :-1, :3, 2]
+    rel = frames[..., -1:, :3, 3] - frames[..., :-1, :3, 3]
+    dpe = np.swapaxes(jac[..., :3, :], -1, -2)  # row k = d p_e / d theta_k
 
     # Entry [k, j] of each array below is the derivative of column j with
     # respect to joint k.  Joints j <= k sit upstream of joint k: their
     # axis and origin do not move, only the end-effector point does.
     upstream = (np.arange(n) <= np.arange(n)[:, None])[..., None]
-    d_axes = _cross(axes[:, None], axes)
-    d_linear = _cross(d_axes, rel) + _cross(axes, _cross(axes[:, None], rel))
-    partials = np.empty((n, 6, n))
-    partials[:, :3] = np.where(upstream, _cross(axes, dpe[:, None]), d_linear).transpose(0, 2, 1)
-    partials[:, 3:] = np.where(upstream, 0.0, d_axes).transpose(0, 2, 1)
-    return JacobianSet(jacobian=jac[:task_dim], partials=partials[:, :task_dim])
+    axes_k, axes_j, rel_j = axes[..., :, None, :], axes[..., None, :, :], rel[..., None, :, :]
+    d_axes = _cross(axes_k, axes_j)
+    d_linear = _cross(d_axes, rel_j) + _cross(axes_j, _cross(axes_k, rel_j))
+    partials = np.empty(q.shape[:-1] + (n, 6, n))
+    partials[..., :3, :] = np.swapaxes(np.where(upstream, _cross(axes_j, dpe[..., :, None, :]), d_linear), -1, -2)
+    partials[..., 3:, :] = np.swapaxes(np.where(upstream, 0.0, d_axes), -1, -2)
+    return JacobianSet(jacobian=jac[..., :task_dim, :], partials=partials[..., :task_dim, :])
 
 
 def point_jacobian(chain: KinematicChain, q, link_index: int, offset) -> tuple[np.ndarray, np.ndarray]:
     """Position and 3 x n linear Jacobian of a point fixed in a link frame.
 
     The point is ``offset`` expressed in the frame after link
-    ``link_index``; columns of joints that cannot move it are zero.
+    ``link_index``; columns of joints that cannot move it are zero.  A
+    (K, n) stack of configurations gives (K, 3) and (K, 3, n).
     """
-    q = _as_config(chain, q)
+    q = _as_config(chain, q, stack=True)
     if not 0 <= link_index < chain.n:
         raise ModelError(f"link index {link_index} out of range")
     frames = _fk_matrices(chain, q)
-    frame = frames[link_index + 1]
-    point = frame[:3, :3] @ np.asarray(offset, dtype=float) + frame[:3, 3]
-    return point, _point_jacobians(frames, point[None], np.array([link_index]))[0]
+    frame = frames[..., link_index + 1, :, :]
+    point = frame[..., :3, :3] @ np.asarray(offset, dtype=float) + frame[..., :3, 3]
+    return point, _point_jacobians(frames, point[..., None, :], np.array([link_index]))[..., 0, :, :]
 
 
 def _body_sphere_centers(chain: KinematicChain, q) -> tuple[np.ndarray, np.ndarray]:

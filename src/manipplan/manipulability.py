@@ -133,17 +133,19 @@ def _gram_terms(chain: KinematicChain, q, task_dim: int):
 
     Returns ``(lam, traces, degenerate)`` where ``traces[j]`` is
     ``Tr((JJ^T)^-1 (dJ_j J^T + J dJ_j^T))`` with singular values clamped
-    at ``SIGMA_MIN`` inside the inverse.
+    at ``SIGMA_MIN`` inside the inverse; arrays over a (K, n) stack ``q``.
     """
     jset = jacobian_partials(chain, q, task_dim)
     J = jset.jacobian
     u, s, _ = np.linalg.svd(J, full_matrices=False)
-    lam = float(np.prod(s))
-    degenerate = bool(s[-1] < SIGMA_MIN)
-    inv_gram = (u / np.maximum(s, SIGMA_MIN) ** 2) @ u.T
-    sym = jset.partials @ J.T
-    sym = sym + sym.transpose(0, 2, 1)
-    traces = (inv_gram * sym).reshape(chain.n, -1).sum(axis=1)  # Tr of symmetric products
+    lam = np.prod(s, axis=-1)
+    degenerate = s[..., -1] < SIGMA_MIN
+    inv_gram = (u / np.maximum(s, SIGMA_MIN)[..., None, :] ** 2) @ np.swapaxes(u, -1, -2)
+    sym = jset.partials @ np.swapaxes(J, -1, -2)[..., None, :, :]
+    sym = sym + np.swapaxes(sym, -1, -2)
+    traces = (inv_gram[..., None, :, :] * sym).reshape(sym.shape[:-2] + (-1,)).sum(axis=-1)  # Tr of symmetric products
+    if lam.ndim == 0:
+        return float(lam), traces, bool(degenerate)
     return lam, traces, degenerate
 
 
@@ -153,10 +155,17 @@ def manipulability_gradient(chain: KinematicChain, q, task_dim: int = 6) -> Mani
     Per joint j: ``(lambda/2) Tr((JJ^T)^-1 (dJ_j J^T + J dJ_j^T))``, with
     the Jacobian derivatives from :func:`jacobian_partials`.  Near a
     singularity the clamped inverse keeps the value finite and the result
-    is flagged degenerate.
+    is flagged degenerate.  Takes a (K, n) stack like :func:`singularity_cost`.
     """
     lam, traces, degenerate = _gram_terms(chain, q, task_dim)
-    return ManipulabilityGradient(values=0.5 * lam * traces, degenerate=degenerate)
+    return ManipulabilityGradient(values=0.5 * np.expand_dims(lam, -1) * traces, degenerate=degenerate)
+
+
+def _log_ratio(lam, params: SingularityCostParams):
+    """``ln(lambda_max / lambda)`` with ``lambda`` clamped at the floor: a
+    float for one measure, an array for an array of them."""
+    h = np.log(params.lambda_max / np.maximum(lam, params.lambda_floor))
+    return float(h) if np.ndim(h) == 0 else h
 
 
 def singularity_cost(
@@ -170,11 +179,11 @@ def singularity_cost(
     The gradient is ``-(1/2) Tr((JJ^T)^-1 (dJ_j J^T + J dJ_j^T))``: the
     ``lambda`` of the raw manipulability gradient cancels against the
     ``1/lambda`` of the log, so it is never multiplied in.  ``lambda`` is
-    clamped at ``params.lambda_floor`` inside the log.
+    clamped at ``params.lambda_floor`` inside the log.  Of a (K, n) stack
+    ``q``, every field is an array over the stack.
     """
     lam, traces, degenerate = _gram_terms(chain, q, task_dim)
-    h = math.log(params.lambda_max / max(lam, params.lambda_floor))
-    return SingularityCost(h=h, gradient=-0.5 * traces, degenerate=degenerate)
+    return SingularityCost(h=_log_ratio(lam, params), gradient=-0.5 * traces, degenerate=degenerate)
 
 
 def singularity_cost_value(
@@ -182,11 +191,11 @@ def singularity_cost_value(
     q,
     params: SingularityCostParams,
     task_dim: int = 6,
-) -> float:
-    """The scalar cost of :func:`singularity_cost` without its gradient
-    (skips the Jacobian joint derivatives; used in solver line searches)."""
-    lam = manipulability(geometric_jacobian(chain, q, task_dim))
-    return math.log(params.lambda_max / max(lam, params.lambda_floor))
+):
+    """The cost of :func:`singularity_cost` without its gradient (skips
+    the Jacobian joint derivatives; used in solver line searches): a float
+    for one configuration, a (K,) array for a (K, n) stack."""
+    return _log_ratio(manipulability(geometric_jacobian(chain, q, task_dim)), params)
 
 
 def classify_configuration(lam: float, params: SingularityCostParams) -> Classification:

@@ -258,13 +258,8 @@ def _sampled_states(
     times = np.empty(inner.shape)
     states = np.empty(inner.shape + knots.shape[1:])
     times[~inner], states[~inner] = trajectory.times, knots
-    blends = fg.interpolated_blends(trajectory.times, per_segment, gp_params)
-    if blends:
-        seg = np.array([i for i, _, _ in blends])
-        lam = np.array([lam for _, _, (_, lam, _) in blends])
-        psi = np.array([psi for _, _, (_, _, psi) in blends])
-        times[inner] = [tau for _, tau, _ in blends]
-        states[inner] = (lam @ knots[seg, :, None] + psi @ knots[seg + 1, :, None])[..., 0]
+    segments, times[inner], lam, psi = fg.interpolated_blends(trajectory.times, per_segment, gp_params)
+    states[inner] = (lam @ knots[segments, :, None] + psi @ knots[segments + 1, :, None])[..., 0]
     if not np.all(np.isfinite(states)):
         raise ValueError("trajectory state contains non-finite values")
     return times, states

@@ -128,10 +128,8 @@ def collision_residual_loop(chain, q, grid, params):
         query = sdf_query(grid, center)
         clearance = query.distance - sphere.radius
         if clearance <= params.epsilon:
-            # The clamped lookup does not change along an axis clamped to the border.
-            gradient = np.where((center < grid.origin) | (center > grid.upper), 0.0, query.gradient)
             residual[row] = params.epsilon - clearance
-            jac[row] = -(gradient @ center_jac)
+            jac[row] = -(query.gradient @ center_jac)
     return residual, jac
 
 
@@ -270,16 +268,17 @@ def dense_gp_conditional_mean(times, values, tau, qc, initial_cov):
 
 def dense_linearization(graph, trajectory):
     """Dense whitened Jacobian and residual of a factor graph, stacked one
-    factor after another from ``Factor.evaluate`` (never the solver's own
+    block after another from ``Factor.evaluate`` (never the solver's own
     banded assembly)."""
     dim = graph.state_dim
+    x = trajectory.as_vector().reshape(graph.num_states, dim)
     jac = np.zeros((graph.residual_dim, graph.num_states * dim))
     res = np.zeros(graph.residual_dim)
     row = 0
     for factor in graph.factors:
-        r, blocks = factor.evaluate(trajectory)
-        res[row : row + factor.dim] = r
-        for state, block in zip(factor.states, blocks):
-            jac[row : row + factor.dim, state * dim : (state + 1) * dim] = block
-        row += factor.dim
+        r, blocks = factor.evaluate(x)
+        for states, r_k, block in zip(factor.states, r, blocks):
+            res[row : row + factor.dim] = r_k
+            jac[row : row + factor.dim, states[0] * dim : (states[-1] + 1) * dim] = block
+            row += factor.dim
     return jac, res

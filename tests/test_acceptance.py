@@ -99,19 +99,18 @@ def test_criterion_3_planar_analytic_oracle():
         worst = max(worst, abs(lam - abs(math.sin(q2))))
 
     def sine_cost(q, with_jacobian=True):
-        theta = float(q[0])
-        lam = abs(math.sin(theta))
-        h = math.log(1.0 / max(lam, 1e-9))
-        grad = np.array([-math.cos(theta) / math.sin(theta)]) if lam > 1e-9 else np.zeros(1)
-        return np.array([h]), grad[None, :]
+        theta = q[:, 0]
+        lam = np.abs(np.sin(theta))
+        h = np.log(1.0 / np.maximum(lam, 1e-9))
+        grad = -np.cos(theta) / np.where(lam > 1e-9, np.sin(theta), np.inf)
+        return h[:, None], grad[:, None, None]
 
     trajectory = gp.SupportTrajectory(
         states=(gp.TrajectoryState([0.3], [0.0], 0.0), gp.TrajectoryState([0.3], [0.0], 1.0))
     )
     graph = fg.FactorGraph(
         factors=(
-            fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, 0, sine_cost, 1, 1e-2),
-            fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, 1, sine_cost, 1, 1e-2),
+            fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, [0, 1], sine_cost, 1, 1e-2),
         ),
         num_states=2,
         state_dim=2,
@@ -158,7 +157,7 @@ def test_criterion_5_solver_sanity(unconstrained_comparison, table_comparison):
     trajectory = gp.init_trajectory(np.zeros(2), 3.0, 4)
     goal_state = np.concatenate([[1.0, -0.5], np.zeros(2)])
     factors = [fg.StartPriorFactor(state=0, prior=trajectory.states[0].as_vector(), sigma=1e-6)]
-    factors += [fg.GpPriorFactor(i=i, j=i + 1, dt=1.0, params=params) for i in range(3)]
+    factors.append(fg.GpPriorFactor(times=trajectory.times, params=params))
     factors.append(fg.StartPriorFactor(state=3, prior=goal_state, sigma=1e-6))
     graph = fg.FactorGraph(factors=tuple(factors), num_states=4, state_dim=4)
     jac, res = dense_linearization(graph, trajectory)

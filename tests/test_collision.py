@@ -64,6 +64,26 @@ class TestSdfQuery:
         edge = sdf_query(table_grid, [table_grid.upper[0], 0.0, 0.0])
         assert q.distance == pytest.approx(edge.distance, abs=1e-12)
 
+    def test_gradient_outside_the_grid_matches_central_differences(self, rng):
+        # An affine field, which trilinear interpolation reproduces exactly;
+        # the points lie at least 1e-3 off the border on every axis and
+        # beyond it on at least one, where the clamped distance is flat.
+        slope = np.array([0.7, -0.4, 0.25])
+        grid = SdfGrid(origin=np.zeros(3), cell_size=0.1, data=np.moveaxis(np.indices((5, 5, 5)), 0, -1) @ (0.1 * slope))
+        points = rng.uniform(-0.3, 0.7, (400, 3))
+        off_border = np.all((np.abs(points - grid.origin) > 1e-3) & (np.abs(points - grid.upper) > 1e-3), axis=1)
+        points = points[off_border & ((points < grid.origin) | (points > grid.upper)).any(axis=1)]
+        assert len(points) > 100
+        step = 1e-6
+        for point in points:
+            query = sdf_query(grid, point)
+            assert query.clamped
+            fd = [
+                (sdf_query(grid, point + step * e).distance - sdf_query(grid, point - step * e).distance) / (2 * step)
+                for e in np.eye(3)
+            ]
+            np.testing.assert_allclose(query.gradient, fd, rtol=0.0, atol=1e-8)
+
     def test_sign_correctness_against_analytic_oracle(self, table_grid, rng):
         # 10k random points; skip the one-cell band around the surface
         # where interpolation may legitimately smooth the sign over.
@@ -212,6 +232,23 @@ class TestCollisionResidual:
             np.testing.assert_array_equal(jac, ref_jac)
             active += int(np.count_nonzero(r))
         assert active > 0  # the batch must have been exercised on active spheres
+
+    def test_stack_equals_per_configuration_calls_bit_for_bit(self, ur10, planar2r, table_grid, rng):
+        # Configurations driven into the tabletop, so many rows are active.
+        configs = np.array([1.0, 1.7, 1.2, 0.0, 0.0, 0.0]) + rng.uniform(-0.4, 0.4, (60, 6))
+        for with_jacobian in (True, False):
+            r, jac = collision_residual(ur10, configs, table_grid, self.params(), with_jacobian)
+            assert r.shape == (60, len(ur10.body_spheres))
+            singles = [collision_residual(ur10, q, table_grid, self.params(), with_jacobian) for q in configs]
+            np.testing.assert_array_equal(r, [r_k for r_k, _ in singles])
+            if with_jacobian:
+                assert jac.shape == (60, len(ur10.body_spheres), 6)
+                np.testing.assert_array_equal(jac, [jac_k for _, jac_k in singles])
+            else:
+                assert jac is None
+        assert np.count_nonzero(r) > 60
+        r, jac = collision_residual(planar2r, np.zeros((4, 2)), table_grid, self.params())
+        assert r.shape == (4, 0) and jac.shape == (4, 0, 2)
 
     def test_chain_without_spheres_gives_empty_rows(self, planar2r, table_grid):
         q = [0.3, -0.4]

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from manipplan import factor_graph as fg
 from manipplan import gp_prior as gp
+from manipplan import kinematics
 from manipplan.kinematics import forward_kinematics, planar_chain
 from manipplan.manipulability import SingularityCostParams
 from manipplan.scenario import BoxObstacle, Scenario
@@ -15,23 +17,26 @@ LAMBDA_FLOOR = 1e-9
 
 
 def sine_cost(q, with_jacobian=True):
-    """Toy 1-joint log cost with lambda(theta) = |sin theta|, lambda_max = 1."""
-    theta = float(q[0])
-    lam = abs(math.sin(theta))
-    h = math.log(1.0 / max(lam, LAMBDA_FLOOR))
-    if lam > LAMBDA_FLOOR:
-        grad = np.array([-math.cos(theta) / math.sin(theta)])
-    else:
-        grad = np.zeros(1)
-    return np.array([h]), grad[None, :]
+    """Toy 1-joint log cost with lambda(theta) = |sin theta|, lambda_max = 1,
+    over a (K, 1) stack of configurations."""
+    theta = q[:, 0]
+    lam = np.abs(np.sin(theta))
+    h = np.log(1.0 / np.maximum(lam, LAMBDA_FLOOR))
+    grad = -np.cos(theta) / np.where(lam > LAMBDA_FLOOR, np.sin(theta), np.inf)
+    return h[:, None], grad[:, None, None]
 
 
 def singularity_factor(state, cost, sigma):
-    return fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, state, cost, 1, sigma)
+    return fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, [state], cost, 1, sigma)
 
 
 def goal_factor(state, chain, goal, sigma):
-    return fg.ConfigurationFactor(fg.FactorKind.GOAL_POSITION, state, fg.goal_position_cost(chain, goal), 3, sigma)
+    return fg.ConfigurationFactor(fg.FactorKind.GOAL_POSITION, [state], fg.goal_position_cost(chain, goal), 3, sigma)
+
+
+def state_array(trajectory):
+    """The (N, 2n) support states that Factor.evaluate takes."""
+    return trajectory.as_vector().reshape(trajectory.num_states, -1)
 
 
 def single_state_graph(factors, n):
@@ -58,16 +63,16 @@ class TestFactorResiduals:
         cost_fn = fg.ChainSingularityCost(planar2r, params, task_dim=2)
         factor = singularity_factor(0, cost_fn, 1e-4)
         traj = one_state_trajectory([0.4, np.pi / 2])
-        r, jacs = factor.evaluate(traj)
-        assert abs(r[0]) < 1e-10
-        assert jacs[0].shape == (1, 4)
+        r, jac = factor.evaluate(state_array(traj))
+        assert abs(r[0, 0]) < 1e-10
+        assert jac.shape == (1, 1, 4)
 
     def test_goal_residual_zero_at_goal(self, ur10, rng):
         q = rng.uniform(-np.pi, np.pi, 6)
         goal = forward_kinematics(ur10, q)[-1].position
         factor = goal_factor(0, ur10, goal, 1e-8)
-        r, _ = factor.evaluate(one_state_trajectory(q))
-        np.testing.assert_allclose(r, np.zeros(3), atol=1e-9)
+        r, _ = factor.evaluate(state_array(one_state_trajectory(q)))
+        np.testing.assert_allclose(r, np.zeros((1, 3)), atol=1e-9)
 
     def test_interpolated_singularity_midpoint_identity(self, planar2r):
         # Two identical stationary states: the midpoint cost equals the
@@ -81,34 +86,35 @@ class TestFactorResiduals:
             states=(gp.TrajectoryState(q, np.zeros(2), 0.0), gp.TrajectoryState(q, np.zeros(2), 2.0))
         )
         plain = singularity_factor(0, cost_fn, 1e-4)
-        interp = fg.ConfigurationFactor(
-            fg.FactorKind.INTERP_SINGULARITY, 0, cost_fn, 1, 1e-4, fg.gp_blend(1, 0.0, 2.0, 1.0, gpp)
-        )
-        r_plain, jac_plain = plain.evaluate(traj)
-        r_interp, (jac_i, jac_j) = interp.evaluate(traj)
-        assert r_interp[0] == pytest.approx(r_plain[0], rel=1e-12)
-        np.testing.assert_allclose(jac_i[0, :2], 0.5 * jac_plain[0][0, :2], rtol=1e-12)
-        np.testing.assert_allclose(jac_j[0, :2], 0.5 * jac_plain[0][0, :2], rtol=1e-12)
+        segments, taus, lam, psi = fg.interpolated_blends(traj.times, 1, gpp)
+        assert segments.tolist() == [0] and taus.tolist() == [1.0]
+        interp = fg.ConfigurationFactor(fg.FactorKind.INTERP_SINGULARITY, segments, cost_fn, 1, 1e-4, (lam, psi))
+        r_plain, jac_plain = plain.evaluate(state_array(traj))
+        r_interp, jac_interp = interp.evaluate(state_array(traj))
+        jac_i, jac_j = jac_interp[0, :, :4], jac_interp[0, :, 4:]
+        assert r_interp[0, 0] == pytest.approx(r_plain[0, 0], rel=1e-12)
+        np.testing.assert_allclose(jac_i[0, :2], 0.5 * jac_plain[0, 0, :2], rtol=1e-12)
+        np.testing.assert_allclose(jac_j[0, :2], 0.5 * jac_plain[0, 0, :2], rtol=1e-12)
 
     def test_residual_function_returns_whitened_values(self, planar2r):
         factor = fg.StartPriorFactor(state=0, prior=np.zeros(4), sigma=1e-4)
         traj = one_state_trajectory([0.2, -0.1])
-        r, jacs = factor.evaluate(traj)
-        np.testing.assert_allclose(r, 100.0 * traj.states[0].as_vector(), rtol=1e-12)
-        np.testing.assert_allclose(jacs[0], 100.0 * np.eye(4), rtol=1e-12)
+        r, jac = factor.evaluate(state_array(traj))
+        np.testing.assert_allclose(r[0], 100.0 * traj.states[0].as_vector(), rtol=1e-12)
+        np.testing.assert_allclose(jac[0], 100.0 * np.eye(4), rtol=1e-12)
 
     def test_interpolated_factor_requires_interior_tau(self):
+        # A one-ulp segment: its midpoint rounds onto the first knot.
         gpp = gp.GpPriorParams.isotropic(1, 1.0)
         with pytest.raises(ValueError):
-            fg.gp_blend(1, 0.0, 1.0, 0.0, gpp)
+            fg.interpolated_blends(np.array([1.0, np.nextafter(1.0, 2.0)]), 1, gpp)
 
 
 class TestTotalCost:
     def test_stationary_prior_graph_costs_nothing(self):
         params = gp.GpPriorParams.isotropic(2, 1e3)
         traj = gp.init_trajectory([0.3, -0.7], horizon=5.0, num_states=6)
-        factors = [fg.GpPriorFactor(i=i, j=i + 1, dt=1.0, params=params) for i in range(5)]
-        graph = fg.FactorGraph(factors=tuple(factors), num_states=6, state_dim=4)
+        graph = fg.FactorGraph(factors=(fg.GpPriorFactor(times=traj.times, params=params),), num_states=6, state_dim=4)
         assert fg.total_cost(graph, traj) == 0.0
 
     def test_adding_factors_never_decreases_cost(self, planar2r):
@@ -142,7 +148,7 @@ class TestOptimize:
         traj = gp.init_trajectory(np.zeros(2), 3.0, 4)
         goal_state = np.concatenate([[1.0, -0.5], np.zeros(2)])
         factors = [fg.StartPriorFactor(state=0, prior=traj.states[0].as_vector(), sigma=1e-6)]
-        factors += [fg.GpPriorFactor(i=i, j=i + 1, dt=1.0, params=params) for i in range(3)]
+        factors.append(fg.GpPriorFactor(times=traj.times, params=params))
         factors.append(fg.StartPriorFactor(state=3, prior=goal_state, sigma=1e-6))
         return fg.FactorGraph(factors=tuple(factors), num_states=4, state_dim=4), traj
 
@@ -199,7 +205,7 @@ class TestOptimize:
 
     def test_non_finite_initial_cost_rejected(self):
         def exploding(q, with_jacobian=True):
-            return np.array([np.inf]), np.zeros((1, 1))
+            return np.full((len(q), 1), np.inf), np.zeros((len(q), 1, 1))
 
         graph = fg.FactorGraph(
             factors=(singularity_factor(0, exploding, 1.0),),
@@ -267,7 +273,7 @@ class TestOptimize:
         traj = gp.init_trajectory(np.zeros(2), float(num - 1), num)
         goal_state = np.concatenate([[1.0, -0.5], np.zeros(2)])
         factors = [fg.StartPriorFactor(state=0, prior=traj.states[0].as_vector(), sigma=1e-6)]
-        factors += [fg.GpPriorFactor(i=i, j=i + 1, dt=1.0, params=params) for i in range(num - 1)]
+        factors.append(fg.GpPriorFactor(times=traj.times, params=params))
         factors.append(fg.StartPriorFactor(state=num - 1, prior=goal_state, sigma=1e-6))
         graph = fg.FactorGraph(factors=tuple(factors), num_states=num, state_dim=4)
         jac, res = dense_linearization(graph, traj)
@@ -293,8 +299,8 @@ class TestOptimize:
         graph = fg.build_graph(scenario, traj)
         band, gradient, cost = fg.linearize(graph, traj)
         jac, res = dense_linearization(graph, traj)
-        collision = [f for f in graph.factors if f.kind is fg.FactorKind.INTERP_COLLISION]
-        assert all(np.count_nonzero(f.evaluate(traj)[0]) for f in collision)
+        (collision,) = [f for f in graph.factors if f.kind is fg.FactorKind.INTERP_COLLISION]
+        assert np.all(np.count_nonzero(collision.evaluate(state_array(traj))[0], axis=1))
         normal = jac.T @ jac
         size = normal.shape[0]
         assert band.shape == (2 * graph.state_dim, size)
@@ -304,6 +310,59 @@ class TestOptimize:
         np.testing.assert_allclose(gradient, jac.T @ res, rtol=1e-12, atol=1e-6)
         assert cost == pytest.approx(0.5 * res @ res, rel=1e-12)
         assert cost == fg.total_cost(graph, traj)
+
+    @pytest.mark.parametrize("method", list(fg.SolverMethod))
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_normal_equations_reject_the_step(self, method):
+        def steep(q, with_jacobian=True):
+            # A finite residual whose Jacobian squares to infinity in J^T J.
+            return np.ones((len(q), 1)), np.full((len(q), 1, 1), 1e200)
+
+        init = one_state_trajectory([0.1])
+        # Priors at the initial states make the rest of J^T J positive definite.
+        priors = [fg.StartPriorFactor(state=s, prior=[0.1, 0.0], sigma=1.0) for s in (0, 1)]
+        graph = fg.FactorGraph(factors=(singularity_factor(0, steep, 1.0), *priors), num_states=2, state_dim=2)
+        solution, report = fg.optimize(graph, init, fg.SolverSettings(method=method))
+        np.testing.assert_array_equal(solution.as_vector(), init.as_vector())
+        assert report.cost_trace == [0.5]
+        if method is fg.SolverMethod.GAUSS_NEWTON:
+            assert not report.converged and report.iterations == 1
+        else:
+            # Every step is rejected until the damping runs out.
+            assert report.message.startswith("damping exhausted")
+
+    def test_finite_normal_equations_with_an_infinite_step_give_no_step(self):
+        assert fg._solve_normal(np.array([[1e-300]]), None, np.array([1e10])) is None
+        assert fg._solve_normal(np.array([[1e-300]]), np.array([1.0]), np.array([1e10])) == pytest.approx([-1e10])
+
+    @pytest.mark.parametrize("call", ["linearize", "total_cost"])
+    def test_forward_kinematics_passes_do_not_grow_with_the_knots(self, monkeypatch, call):
+        # One pass per configuration factor: singularity, collision and goal
+        # costs over all knots, and over all interpolated states.
+        scenario = Scenario(
+            robot="ur10",
+            start_config=np.array([0.3, -1.2, 1.1, 0.4, 0.2, 0.1]),
+            goal_position=np.array([0.5, 0.5, 0.5]),
+            n_interp=1,
+            obstacles=(BoxObstacle(center=[-0.1, 0.0, 0.3], half_extents=[0.2, 0.2, 0.2]),),
+            sdf_cell_size=0.1,
+        )
+        passes = []
+        for knots in (4, 16):
+            traj = gp.init_trajectory(scenario.start_config, scenario.horizon, knots, n_interp=1)
+            graph = fg.build_graph(replace(scenario, num_support=knots), traj)
+            calls = []
+
+            def counted(chain, q, fk=kinematics._fk_matrices):
+                calls.append(q.shape)
+                return fk(chain, q)
+
+            monkeypatch.setattr(kinematics, "_fk_matrices", counted)
+            getattr(fg, call)(graph, traj)
+            monkeypatch.undo()
+            passes.append(calls)
+        assert [len(calls) for calls in passes] == [5, 5]
+        assert sorted(passes[1]) == [(1, 6), (15, 6), (15, 6), (16, 6), (16, 6)]
 
     def test_report_dict_has_interface_keys(self):
         graph, traj = self.linear_graph()
@@ -330,18 +389,20 @@ class TestBuildGraph:
         return Scenario(**fields)
 
     def counts(self, graph):
+        """Blocks per factor kind."""
         out = {}
         for factor in graph.factors:
-            out[factor.kind] = out.get(factor.kind, 0) + 1
+            out[factor.kind] = out.get(factor.kind, 0) + len(factor.states)
         return out
 
     def test_unobstructed_counting_rule(self):
         # 11 support states: 1 start prior + 10 GP priors + 11 singularity
-        # factors + 1 goal = 23.
+        # blocks + 1 goal = 23, in one factor per kind.
         scenario = self.scenario()
         traj = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support)
         graph = fg.build_graph(scenario, traj)
-        assert len(graph.factors) == 23
+        assert sum(self.counts(graph).values()) == 23
+        assert len(graph.factors) == 4
         counts = self.counts(graph)
         assert counts[fg.FactorKind.START_PRIOR] == 1
         assert counts[fg.FactorKind.GP_PRIOR] == 10
@@ -354,7 +415,8 @@ class TestBuildGraph:
         graph = fg.build_graph(scenario, traj)
         counts = self.counts(graph)
         assert counts[fg.FactorKind.INTERP_SINGULARITY] == 20
-        assert len(graph.factors) == 43
+        assert sum(counts.values()) == 43
+        assert len(graph.factors) == 5
 
     def test_obstacle_doubles_per_state_cost_factors(self):
         # planar2r has no body spheres, so use the UR-10 for the collision
@@ -386,20 +448,14 @@ class TestBuildGraph:
         kept = [f for f in with_s.factors if f.kind not in singular_kinds]
         assert [f.kind for f in kept] == [f.kind for f in without.factors]
         for a, b in zip(kept, without.factors):
-            r_a, _ = a.evaluate(traj)
-            r_b, _ = b.evaluate(traj)
+            r_a, _ = a.evaluate(state_array(traj))
+            r_b, _ = b.evaluate(state_array(traj))
             np.testing.assert_array_equal(r_a, r_b)
 
     def test_state_indices_validated(self):
         factor = fg.StartPriorFactor(state=5, prior=np.zeros(2), sigma=1.0)
         with pytest.raises(ValueError):
             fg.FactorGraph(factors=(factor,), num_states=2, state_dim=2)
-
-    def test_factor_over_non_consecutive_states_rejected(self):
-        params = gp.GpPriorParams.isotropic(1, 1.0)
-        factor = fg.GpPriorFactor(i=0, j=2, dt=1.0, params=params)
-        with pytest.raises(ValueError, match="consecutive"):
-            fg.FactorGraph(factors=(factor,), num_states=3, state_dim=2)
 
     def test_solver_settings_validation(self):
         with pytest.raises(ValueError):

@@ -72,15 +72,15 @@ class TestPriorError:
     def test_factor_and_prior_error_share_the_whitening(self):
         params = GpPriorParams(qc=np.array([[2.0, 0.3], [0.3, 1.5]]))
         err = gp_prior_error(state([0.1, 0.2], [0.3, -0.4], 0.5), state([1.0, 0.0], [0.2, 0.1], 1.2), params)
-        factor = GpPriorFactor(i=0, j=1, dt=0.7, params=params)
+        factor = GpPriorFactor(times=np.array([0.0, 0.7]), params=params)
         phi, info_sqrt = whitened_transition(0.7, params)
         np.testing.assert_array_equal(err.info_sqrt, info_sqrt)
         np.testing.assert_array_equal(err.jac_i, phi)
-        np.testing.assert_array_equal(factor._info_sqrt, info_sqrt)
-        np.testing.assert_array_equal(factor._jac_i, info_sqrt @ phi)
+        np.testing.assert_array_equal(factor._info_sqrt, [info_sqrt])
+        np.testing.assert_array_equal(factor._jac[0, :, :4], info_sqrt @ phi)
         np.testing.assert_allclose(info_sqrt.T @ info_sqrt, process_noise_inv(0.7, params), rtol=1e-9)
         with pytest.raises(ValueError, match="out of order"):
-            GpPriorFactor(i=0, j=1, dt=0.0, params=params)
+            GpPriorFactor(times=np.array([0.0, 0.0]), params=params)
 
     def test_out_of_order_states_rejected(self):
         params = GpPriorParams.isotropic(1, 1.0)

@@ -234,6 +234,26 @@ class TestSingularityCost:
             full = singularity_cost(ur10, q, params, task_dim=6)
             assert singularity_cost_value(ur10, q, params, task_dim=6) == pytest.approx(full.h, rel=1e-12)
 
+    @pytest.mark.parametrize("name, task_dim", [("ur10", 6), ("ur10", 3), ("planar2r", 2)])
+    def test_stack_equals_per_configuration_calls_bit_for_bit(self, name, task_dim, rng):
+        chain = load_chain("ur10") if name == "ur10" else planar_chain([1.0, 1.0])
+        params = SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4)
+        configs = rng.uniform(-np.pi, np.pi, (46, chain.n))
+        configs[:10, 1:] = rng.uniform(0.0, 2e-3, (10, chain.n - 1))  # near-singular rows
+        configs[10] = 0.0  # the stretched-out arm
+        stacked = singularity_cost(chain, configs, params, task_dim)
+        singles = [singularity_cost(chain, q, params, task_dim) for q in configs]
+        assert all(type(c.h) is float and type(c.degenerate) is bool for c in singles)
+        assert stacked.gradient.shape == (46, chain.n)
+        np.testing.assert_array_equal(stacked.h, [c.h for c in singles])
+        np.testing.assert_array_equal(stacked.gradient, [c.gradient for c in singles])
+        np.testing.assert_array_equal(stacked.degenerate, [c.degenerate for c in singles])
+        values = singularity_cost_value(chain, configs, params, task_dim)
+        assert all(type(singularity_cost_value(chain, q, params, task_dim)) is float for q in configs[:3])
+        np.testing.assert_array_equal(values, [singularity_cost_value(chain, q, params, task_dim) for q in configs])
+        gradient = manipulability_gradient(chain, configs, task_dim)
+        np.testing.assert_array_equal(gradient.values, [manipulability_gradient(chain, q, task_dim).values for q in configs])
+
     def test_params_ordering_enforced(self):
         with pytest.raises(ValueError):
             SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4, near_singular_threshold=2.0)
