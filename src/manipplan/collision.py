@@ -195,21 +195,54 @@ def build_box_sdf(center, half_extents, origin, cell_size: float, dims) -> SdfGr
     return build_workspace_sdf([(center, half_extents)], origin, cell_size, dims)
 
 
+def _checked_box(index: int, center, half_extents) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and half extents of box ``index`` as shape (3,) arrays; a
+    scalar broadcasts, as in :func:`box_distance`."""
+    try:
+        center = np.broadcast_to(np.asarray(center, dtype=float), (3,))
+        half_extents = np.broadcast_to(np.asarray(half_extents, dtype=float), (3,))
+    except ValueError as exc:
+        raise ValueError(f"box {index}: centre and half extents must broadcast to shape (3,)") from exc
+    if not (np.all(np.isfinite(center)) and np.all(np.isfinite(half_extents))):
+        raise ValueError(f"box {index}: centre and half extents must be finite")
+    if np.any(half_extents <= 0.0):
+        raise ValueError(f"box {index}: half extents must be positive")
+    return center, half_extents
+
+
 def build_workspace_sdf(boxes, origin, cell_size: float, dims) -> SdfGrid:
-    """SDF of a union of axis-aligned boxes (pointwise minimum of distances)."""
+    """SDF of a union of axis-aligned boxes (pointwise minimum of distances).
+
+    A box's distance is separable: per axis, the offsets
+    ``|axis - c| - h`` are a 1-D array, and the grid is their broadcast.
+    The outside term sums the squares as ``(x + y) + z``, the order in
+    which :func:`box_distance`'s norm reduces its length-3 axis, so every
+    node equals ``box_distance`` at its position bit for bit.  Each box
+    needs two grid-sized temporaries.
+    """
     if not boxes:
         raise ValueError("need at least one obstacle box")
+    checked = [_checked_box(i, center, half_extents) for i, (center, half_extents) in enumerate(boxes)]
     origin = np.asarray(origin, dtype=float).reshape(3)
     dims = tuple(int(d) for d in dims)
     axes = [origin[i] + cell_size * np.arange(dims[i]) for i in range(3)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    data = np.full(points.shape[0], np.inf)
-    for center, half_extents in boxes:
-        if np.any(np.asarray(half_extents, dtype=float) <= 0.0):
-            raise ValueError("box half extents must be positive")
-        data = np.minimum(data, box_distance(points, center, half_extents))
-    return SdfGrid(origin=origin, cell_size=float(cell_size), data=data.reshape(dims))
+    data = _box_field(axes, *checked[0])
+    for center, half_extents in checked[1:]:
+        np.minimum(data, _box_field(axes, center, half_extents), out=data)
+    return SdfGrid(origin=origin, cell_size=float(cell_size), data=data)
+
+
+def _box_field(axes: list[np.ndarray], center: np.ndarray, half_extents: np.ndarray) -> np.ndarray:
+    """Signed distance of one box at every node of the grid spanned by the
+    three 1-D ``axes``."""
+    dx, dy, dz = (np.abs(axes[i] - center[i]) - half_extents[i] for i in range(3))
+    ox, oy, oz = (np.maximum(d, 0.0) for d in (dx, dy, dz))
+    dist = (ox * ox)[:, None, None] + (oy * oy)[None, :, None] + oz * oz
+    np.sqrt(dist, out=dist)
+    inside = np.maximum(np.maximum(dx[:, None, None], dy[None, :, None]), dz)
+    np.minimum(inside, 0.0, out=inside)
+    dist += inside
+    return dist
 
 
 def save_sdf(grid: SdfGrid, path: str | Path) -> None:
@@ -231,6 +264,10 @@ def load_sdf(path: str | Path) -> SdfGrid:
         header = json.loads(fh.readline().decode("ascii"))
         raw = fh.read()
     dims = tuple(int(d) for d in header["dims"])
-    count = dims[0] * dims[1] * dims[2]
-    data = np.frombuffer(raw, dtype="<f8", count=count).reshape(dims)
+    if len(dims) != 3:
+        raise ValueError(f"SDF header dims must have three entries, got {list(dims)}")
+    expected = 8 * dims[0] * dims[1] * dims[2]
+    if len(raw) != expected:
+        raise ValueError(f"SDF payload is {len(raw)} bytes, dims {list(dims)} need {expected}")
+    data = np.frombuffer(raw, dtype="<f8").reshape(dims)
     return SdfGrid(origin=np.array(header["origin"], dtype=float), cell_size=float(header["cell_size"]), data=data.copy())

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from manipplan import collision
 from manipplan.collision import (
     CollisionParams,
     SdfGrid,
@@ -17,6 +20,7 @@ from manipplan.collision import (
     sphere_clearances,
 )
 from manipplan.kinematics import body_sphere_states
+from manipplan.scenario import load_scenario
 
 from .oracles import box_sdf_reference, collision_residual_loop
 
@@ -144,6 +148,71 @@ class TestBoxSdf:
     def test_invalid_extents_rejected(self):
         with pytest.raises(ValueError):
             build_box_sdf((0, 0, 0), (0.0, 1.0, 1.0), origin=(-1, -1, -1), cell_size=0.1, dims=(5, 5, 5))
+
+    @staticmethod
+    def node_distances(boxes, origin, cell_size, dims):
+        """Union distance from ``box_distance`` at the explicit node
+        positions ``origin + cell_size * (i, j, k)``."""
+        points = np.asarray(origin, dtype=float) + cell_size * np.indices(dims).reshape(3, -1).T
+        return np.minimum.reduce([box_distance(points, c, h) for c, h in boxes]).reshape(dims)
+
+    def test_table_grid_equals_box_distance_at_every_node(self):
+        scenario = load_scenario("ur10_table")
+        grid = scenario.build_sdf()
+        assert grid.dims == (121, 121, 121)
+        boxes = [(box.center, box.half_extents) for box in scenario.obstacles]
+        assert np.array_equal(grid.data, self.node_distances(boxes, grid.origin, grid.cell_size, grid.dims))
+
+    @pytest.mark.parametrize(
+        "boxes",
+        [
+            # Overlapping, off-centre boxes on a non-cubic grid: a swapped
+            # axis changes the values.
+            [((0.13, -0.21, 0.37), (0.2, 0.35, 0.1)), ((0.3, -0.05, 0.2), (0.15, 0.1, 0.4)), ((-0.4, 0.5, 0.9), (0.05, 0.3, 0.2))],
+            # A scalar half extent is a cube, as in ``box_distance``.
+            [((0.1, 0.2, 0.3), 0.25)],
+        ],
+    )
+    def test_grid_equals_box_distance_at_every_node(self, boxes):
+        origin, cell_size, dims = (-0.7, -0.45, -0.2), 0.11, (7, 11, 13)
+        grid = build_workspace_sdf(boxes, origin=origin, cell_size=cell_size, dims=dims)
+        assert grid.dims == dims
+        assert np.array_equal(grid.data, self.node_distances(boxes, origin, cell_size, dims))
+
+    @pytest.mark.parametrize("count, bound", [(1, 2.5), (3, 3.5)])
+    def test_build_peak_memory_is_a_few_grids(self, count, bound):
+        # The grid plus one box's two temporaries: 2 grids for one box, 3 for
+        # several. Materialising the grid points would trace about 18.
+        boxes = [((0.15, 0.65, -0.45), (0.5, 0.25, 0.05)), ((0.0, 0.0, 0.3), (0.1, 0.1, 0.1)), ((-0.5, 0.2, 0.0), 0.2)]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            grid = build_workspace_sdf(boxes[:count], origin=(-1.2, -1.2, -1.2), cell_size=0.02, dims=(121, 121, 121))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * grid.data.nbytes
+
+    @pytest.mark.parametrize(
+        "center, half_extents, match",
+        [
+            ((0.0, 0.0), (0.1, 0.1, 0.1), "broadcast"),
+            ((0.0, 0.0, 0.0), (0.1, 0.2), "broadcast"),
+            ((0.0, 0.0, 0.0), (0.1, np.nan, 0.1), "finite"),
+            ((0.0, np.inf, 0.0), (0.1, 0.1, 0.1), "finite"),
+            ((0.0, 0.0, 0.0), (0.1, 0.0, 0.1), "positive"),
+            ((0.0, 0.0, 0.0), -0.1, "positive"),
+        ],
+    )
+    def test_bad_box_rejected_by_index_before_any_grid_work(self, monkeypatch, center, half_extents, match):
+        def no_grid_work(*args):
+            raise AssertionError("grid built before every box was checked")
+
+        monkeypatch.setattr(collision, "_box_field", no_grid_work)
+        boxes = [((0.0, 0.0, 0.0), (0.1, 0.1, 0.1)), (center, half_extents)]
+        with pytest.raises(ValueError, match=f"box 1: .*{match}"):
+            build_workspace_sdf(boxes, origin=(-1, -1, -1), cell_size=0.1, dims=(5, 5, 5))
 
 
 class TestHinge:
@@ -373,6 +442,22 @@ class TestSdfSerialization:
             payload = fh.read()
         assert header == {"origin": [0.0, 0.0, 0.0], "cell_size": 0.5, "dims": [2, 2, 2]}
         assert len(payload) == 8 * 8
+
+    @pytest.mark.parametrize(
+        "edit", [lambda raw: raw[:-8], lambda raw: raw + bytes(24)], ids=["truncated", "trailing_bytes"]
+    )
+    def test_payload_of_the_wrong_size_rejected(self, tmp_path, edit):
+        path = tmp_path / "grid.sdf"
+        save_sdf(SdfGrid(origin=(0, 0, 0), cell_size=0.5, data=np.zeros((5, 5, 5))), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match="payload"):
+            load_sdf(path)
+
+    def test_header_dims_need_three_entries(self, tmp_path):
+        path = tmp_path / "grid.sdf"
+        path.write_bytes(b'{"origin": [0, 0, 0], "cell_size": 0.5, "dims": [5, 25]}\n' + bytes(8 * 125))
+        with pytest.raises(ValueError, match="three entries"):
+            load_sdf(path)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
