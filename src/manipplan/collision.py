@@ -42,8 +42,10 @@ class SdfGrid:
     def __post_init__(self) -> None:
         origin = np.asarray(self.origin, dtype=float).reshape(3)
         data = np.asarray(self.data, dtype=float)
-        if self.cell_size <= 0.0:
-            raise ValueError("cell_size must be positive")
+        if not (np.isfinite(self.cell_size) and self.cell_size > 0.0):
+            raise ValueError("cell_size must be positive and finite")
+        if not np.all(np.isfinite(origin)):
+            raise ValueError("SDF origin must be finite")
         if data.ndim != 3:
             raise ValueError(f"SDF data must be a 3-d array, got shape {data.shape}")
         if min(data.shape) < 2:

@@ -119,8 +119,8 @@ class StartPriorFactor(Factor):
 
 @dataclass
 class GpPriorFactor(Factor):
-    """Constant-velocity GP prior over every segment between consecutive
-    support states at ``times``."""
+    """Constant-velocity GP prior ``W (Phi x_i - x_j)`` over every segment
+    between support states at ``times``, linear with Jacobian ``[W~ Phi~, -W~] ⊗ Lc^-1``."""
 
     times: np.ndarray
     params: gp.GpPriorParams
@@ -129,32 +129,29 @@ class GpPriorFactor(Factor):
         self.kind = FactorKind.GP_PRIOR
         self.states = np.arange(len(self.times) - 1)[:, None] + np.arange(2)
         self.dim = self.params.state_dim
-        # One whitening per distinct step length: uniform knots have one or a few.
-        dts = np.diff(self.times)
-        steps = sorted(set(dts.tolist()))
-        phi, info_sqrt = zip(*(gp.whitened_transition(dt, self.params) for dt in steps))
-        which = np.searchsorted(steps, dts)
-        self._phi, self._info_sqrt = np.array(phi)[which], np.array(info_sqrt)[which]
-        self._jac = np.concatenate([self._info_sqrt @ self._phi, -self._info_sqrt], axis=-1)
+        phi, w = gp.segment_kernels(np.diff(self.times))
+        self._kernel = np.concatenate([w @ phi, -w], axis=-1)
+        self._whitening = self.params.whitening
+        self._jac = np.kron(self._kernel, self._whitening)
 
     def evaluate(self, x, with_jacobians=True):
-        x_i, x_j = x[self.states.T, :, None]
-        r = (self._info_sqrt @ (self._phi @ x_i - x_j))[..., 0]
-        return r, (self._jac if with_jacobians else None)
+        halves = x[self.states].reshape(len(self.states), 1, 4, -1)
+        r = gp.blend(self._kernel, halves) @ self._whitening.T
+        return r.reshape(len(self.states), -1), (self._jac if with_jacobians else None)
 
 
 @dataclass
 class ConfigurationFactor(Factor):
     """A cost of K joint configurations: the positions of the knots
-    ``knots``, or, with ``blend = (Lambda, Psi)`` of shape (K, 2n, 2n),
-    the positions of the GP-interpolated states
-    ``Lambda[k] x[knots[k]] + Psi[k] x[knots[k] + 1]``.
+    ``knots``, or, with the (K, 2, 2) blend kernels ``blend = (Lambda~,
+    Psi~)``, of the GP-interpolated states after them.
 
     ``cost(q, with_jacobian=...)`` maps the (K, n) configurations to the
     unwhitened residuals (K, dim) and their joint-space Jacobians
-    (K, dim, n), the latter ignored when ``with_jacobian`` is false.  The
-    Jacobians are chained through the blend matrices, so the gradient of
-    an interpolated cost lands on both bracketing knots.
+    (K, dim, n), the latter ignored when ``with_jacobian`` is false.  A
+    configuration is ``sum_s c_s h_s`` over its states' halves ``h = (q_i,
+    q_dot_i[, q_j, q_dot_j])``, ``c = (1, 0)`` at a knot and the kernels'
+    position row otherwise, so its Jacobian is ``[c_s J]``.
     """
 
     kind: FactorKind
@@ -166,42 +163,32 @@ class ConfigurationFactor(Factor):
 
     def __post_init__(self) -> None:
         self.knots = np.asarray(self.knots, dtype=int).reshape(-1)
-        self.states = self.knots[:, None] + np.arange(1 if self.blend is None else 2)
+        blend = [np.eye(2)[None]] if self.blend is None else self.blend
+        self._coef = np.concatenate([kernel[:, 0] for kernel in blend], axis=-1)
+        self.states = self.knots[:, None] + np.arange(self._coef.shape[-1] // 2)
         self._w = _weight(self.sigma)
 
     def evaluate(self, x, with_jacobians=True):
-        n = x.shape[1] // 2
-        if self.blend is None:
-            q = x[self.knots, :n]
-        else:
-            lam, psi = self.blend
-            q = (lam @ x[self.knots, :, None] + psi @ x[self.knots + 1, :, None])[:, :n, 0]
-        r, jac_q = self.cost(q, with_jacobian=with_jacobians)
+        halves = x[self.states].reshape(len(self.knots), -1, x.shape[1] // 2)
+        r, jac_q = self.cost(gp.blend(self._coef, halves), with_jacobian=with_jacobians)
         if not with_jacobians:
             return self._w * r, None
-        # Zeros against the velocity half of each state.
-        jac = np.zeros(jac_q.shape[:-1] + (2 * n,))
-        jac[..., :n] = jac_q
-        if self.blend is not None:
-            jac = np.concatenate([jac @ lam, jac @ psi], axis=-1)
-        return self._w * r, self._w * jac
+        jac = self._coef[:, None, :, None] * jac_q[:, :, None, :]
+        return self._w * r, self._w * jac.reshape(jac.shape[:2] + (-1,))
 
 
-def interpolated_blends(times: np.ndarray, n_interp: int, gp_params: gp.GpPriorParams):
+def interpolated_blends(times: np.ndarray, n_interp: int):
     """``n_interp`` GP-interpolated states spaced uniformly strictly inside
     each segment ``[times[i], times[i+1]]``, in time order, as arrays:
-    their segments ``i`` (M,), times (M,) and blend matrices ``Lambda``,
-    ``Psi`` (M, 2n, 2n) with ``x_tau = Lambda x_i + Psi x_{i+1}``."""
+    their segments ``i`` (M,), times (M,) and blend kernels ``Lambda~``,
+    ``Psi~`` (M, 2, 2) with ``x_tau = (Lambda~ ⊗ I) x_i + (Psi~ ⊗ I) x_{i+1}``."""
     segments = np.repeat(np.arange(len(times) - 1), n_interp)
     steps = np.tile(np.arange(1, n_interp + 1), len(times) - 1)
     t_i, t_j = times[segments], times[segments + 1]
     taus = t_i + (t_j - t_i) * steps / (n_interp + 1)
     if not np.all((t_i < taus) & (taus < t_j)):
         raise ValueError("interpolated states need t_i < tau < t_j")
-    dim = gp_params.state_dim
-    blends = [gp.interpolation_matrices(a, b, tau, gp_params) for a, b, tau in zip(t_i.tolist(), t_j.tolist(), taus)]
-    lam, psi = np.array(blends).reshape(-1, 2, dim, dim).swapaxes(0, 1)
-    return segments, taus, lam, psi
+    return (segments, taus, *gp.blend_kernels(t_i, t_j, taus))
 
 
 @dataclass(frozen=True)
@@ -233,8 +220,7 @@ def _cost(residuals) -> float:
 
 def total_cost(graph: FactorGraph, trajectory: gp.SupportTrajectory) -> float:
     """Half the squared norm of all whitened residuals (the MAP negative log)."""
-    x = trajectory.as_vector().reshape(graph.num_states, graph.state_dim)
-    return _cost([factor.evaluate(x, with_jacobians=False)[0] for factor in graph.factors])
+    return _cost([factor.evaluate(trajectory.x, with_jacobians=False)[0] for factor in graph.factors])
 
 
 @lru_cache(maxsize=None)
@@ -256,12 +242,11 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
     added in state order.
     """
     dim = graph.state_dim
-    x = trajectory.as_vector().reshape(graph.num_states, dim)
     band = np.zeros((2 * dim, graph.num_states * dim))
     gradient = np.zeros(graph.num_states * dim)
     residuals = []
     for factor in graph.factors:
-        r, jac = factor.evaluate(x)
+        r, jac = factor.evaluate(trajectory.x)
         jac_t = jac.swapaxes(1, 2)
         starts = factor.states[:, :1] * dim
         offsets, cols = _lower_triangle(jac.shape[2])
@@ -285,8 +270,8 @@ class SolverSettings:
     lm_init_damping: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.rel_cost_tol <= 0.0 or self.abs_grad_tol <= 0.0 or self.lm_init_damping <= 0.0:
-            raise ValueError("solver tolerances must be positive")
+        if not all(0.0 < value < math.inf for value in (self.rel_cost_tol, self.abs_grad_tol, self.lm_init_damping)):
+            raise ValueError("solver tolerances must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -378,9 +363,9 @@ def optimize(
             f"graph expects {graph.num_states} states of dim {graph.state_dim}, "
             f"trajectory has {init.num_states} states of dim {2 * init.n}"
         )
-    band, gradient, cost = linearize(graph, trajectory)
-    if not math.isfinite(cost):
+    if not math.isfinite(total_cost(graph, trajectory)):
         raise ValueError("initial trajectory has non-finite cost")
+    band, gradient, cost = linearize(graph, trajectory)
     trace = [cost]
     converged = False
     message = "max iterations reached"
@@ -511,10 +496,10 @@ def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> Facto
     times = trajectory.times
 
     factors: list[Factor] = [
-        StartPriorFactor(state=0, prior=trajectory.states[0].as_vector(), sigma=scenario.sigma_start),
+        StartPriorFactor(state=0, prior=trajectory.x[0], sigma=scenario.sigma_start),
         GpPriorFactor(times=times, params=gp_params),
     ]
-    segments, _, lam, psi = interpolated_blends(times, scenario.n_interp, gp_params)
+    segments, _, lam, psi = interpolated_blends(times, scenario.n_interp)
 
     def add_cost(knot_kind, interp_kind, cost, dim, sigma):
         factors.append(ConfigurationFactor(knot_kind, np.arange(num), cost, dim, sigma))

@@ -11,6 +11,12 @@ Because the process is Markov, the state at any time between two support
 states is a linear blend ``x_tau = Lambda x_i + Psi x_j`` of its
 neighbours, which lets cost factors attach to interpolated states and
 back-propagate their gradients to the optimized ones.
+
+Both are Kronecker products of 2x2 kernels, ``Phi~ ⊗ I_n`` and ``Q~ ⊗ Qc``
+(Barfoot, Tong & Särkkä, RSS 2014), so ``Qc`` cancels from the blends,
+``Lambda = Lambda~ ⊗ I_n`` and ``Psi = Psi~ ⊗ I_n``, and the whitening is
+``W~ ⊗ Lc^-1`` with ``Qc = Lc Lc^T``: a trajectory is one (N, 2n) array
+whose rows the kernels act on as (2, n) position and velocity halves.
 """
 
 from __future__ import annotations
@@ -28,6 +34,9 @@ __all__ = [
     "transition",
     "process_noise",
     "process_noise_inv",
+    "segment_kernels",
+    "blend_kernels",
+    "blend",
     "whitened_transition",
     "gp_prior_error",
     "interpolation_matrices",
@@ -54,18 +63,9 @@ class TrajectoryState:
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "velocity", vel)
 
-    @property
-    def n(self) -> int:
-        return self.position.shape[0]
-
     def as_vector(self) -> np.ndarray:
         """Stacked ``[theta; theta_dot]`` of length 2n."""
         return np.concatenate([self.position, self.velocity])
-
-    @classmethod
-    def from_vector(cls, x: np.ndarray, time: float) -> "TrajectoryState":
-        n = x.shape[0] // 2
-        return cls(position=x[:n], velocity=x[n:], time=time)
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,11 @@ class GpPriorParams:
     def state_dim(self) -> int:
         return 2 * self.qc.shape[0]
 
+    @property
+    def whitening(self) -> np.ndarray:
+        """``Lc^-1`` for ``Qc = Lc Lc^T``, the n x n block of every whitening."""
+        return np.linalg.inv(np.linalg.cholesky(self.qc))
+
 
 class GpPriorError(NamedTuple):
     residual: np.ndarray  # Phi(dt) x_i - x_j, length 2n
@@ -108,42 +113,66 @@ class GpPriorError(NamedTuple):
 
 def transition(dt: float, n: int) -> np.ndarray:
     """State transition ``Phi(dt)`` of the constant-velocity model."""
-    phi = np.eye(2 * n)
-    phi[:n, n:] = dt * np.eye(n)
-    return phi
+    return np.kron([[1.0, dt], [0.0, 1.0]], np.eye(n))
 
 
 def process_noise(dt: float, params: GpPriorParams) -> np.ndarray:
     """Accumulated process-noise covariance ``Q(dt)``; positive definite for dt > 0."""
-    qc = params.qc
-    n = params.n
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = (dt**3 / 3.0) * qc
-    out[:n, n:] = (dt**2 / 2.0) * qc
-    out[n:, :n] = out[:n, n:]
-    out[n:, n:] = dt * qc
-    return out
+    return np.kron([[dt**3 / 3.0, dt**2 / 2.0], [dt**2 / 2.0, dt]], params.qc)
 
 
 def process_noise_inv(dt: float, params: GpPriorParams) -> np.ndarray:
     """Closed-form ``Q(dt)^-1`` (block inverse of the dt-polynomial kernel)."""
-    qc_inv = np.linalg.inv(params.qc)
-    n = params.n
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = (12.0 / dt**3) * qc_inv
-    out[:n, n:] = (-6.0 / dt**2) * qc_inv
-    out[n:, :n] = out[:n, n:]
-    out[n:, n:] = (4.0 / dt) * qc_inv
+    return np.kron([[12.0 / dt**3, -6.0 / dt**2], [-6.0 / dt**2, 4.0 / dt]], np.linalg.inv(params.qc))
+
+
+def _kernels(*entries: np.ndarray) -> np.ndarray:
+    """2x2 kernels (..., 2, 2) from their four row-major entries (...)."""
+    entries = np.broadcast_arrays(*entries)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
+
+
+def segment_kernels(dt) -> tuple[np.ndarray, np.ndarray]:
+    """Kernels ``Phi~`` and ``W~`` (..., 2, 2) over ``dt`` (...), ``W~``
+    the inverse Cholesky factor of ``Q~(dt)``."""
+    dt = np.asarray(dt, dtype=float)
+    if not np.all(dt > 0.0):
+        raise ValueError(f"states out of order: dt = {dt}")
+    root = np.sqrt(dt)
+    return _kernels(1.0, dt, 0.0, 1.0), _kernels(np.sqrt(3.0) / (dt * root), 0.0, -3.0 / (dt * root), 2.0 / root)
+
+
+def blend_kernels(t_i, t_j, tau) -> tuple[np.ndarray, np.ndarray]:
+    """Kernels ``(Lambda~, Psi~)`` (..., 2, 2) of the blends at ``t_i <=
+    tau <= t_j`` (...): ``Psi = Q(a) Phi(b)^T Q(T)^-1`` and ``Lambda =
+    Phi(a) - Psi Phi(T)`` in closed form in the offsets ``a = tau - t_i``,
+    ``b = t_j - tau`` and ``T = t_j - t_i``; exactly ``(I, 0)`` at ``t_i``
+    and ``(0, I)`` at ``t_j``."""
+    t_i, t_j, tau = (np.asarray(v, dtype=float) for v in (t_i, t_j, tau))
+    if not np.all(t_i < t_j):
+        raise ValueError(f"states out of order: dt = {t_j - t_i}")
+    if not np.all((t_i <= tau) & (tau <= t_j)):
+        raise ValueError(f"interpolation time {tau} outside segment [{t_i}, {t_j}]")
+    a, b, span = tau - t_i, t_j - tau, t_j - t_i
+    span2, span3 = span * span, span * span * span
+    lam = _kernels(b * b * (b + 3.0 * a) / span3, a * b * b / span2, -6.0 * a * b / span3, b * (b - 2.0 * a) / span2)
+    psi = _kernels(a * a * (a + 3.0 * b) / span3, -a * a * b / span2, 6.0 * a * b / span3, a * (a - 2.0 * b) / span2)
+    return lam, psi
+
+
+def blend(weights: np.ndarray, halves: np.ndarray) -> np.ndarray:
+    """A kernel row (..., S) applied to the (..., S, n) position and velocity
+    halves of one state or two, added left to right elementwise, so a stack
+    gives the same bits as each of its entries."""
+    out = weights[..., 0, None] * halves[..., 0, :]
+    for s in range(1, weights.shape[-1]):
+        out = out + weights[..., s, None] * halves[..., s, :]
     return out
 
 
 def whitened_transition(dt: float, params: GpPriorParams) -> tuple[np.ndarray, np.ndarray]:
-    """``Phi(dt)`` and the whitening ``W = L^-1`` of ``Q(dt) = L L^T``, so
-    that ``W^T W = Q(dt)^-1``."""
-    if dt <= 0.0:
-        raise ValueError(f"states out of order: dt = {dt}")
-    chol = np.linalg.cholesky(process_noise(dt, params))
-    return transition(dt, params.n), np.linalg.solve(chol, np.eye(params.state_dim))
+    """``Phi(dt)`` and the whitening ``W = W~ ⊗ Lc^-1``, so that ``W^T W = Q(dt)^-1``."""
+    return transition(dt, params.n), np.kron(segment_kernels(dt)[1], params.whitening)
 
 
 def gp_prior_error(x_i: TrajectoryState, x_j: TrajectoryState, params: GpPriorParams) -> GpPriorError:
@@ -161,22 +190,11 @@ def gp_prior_error(x_i: TrajectoryState, x_j: TrajectoryState, params: GpPriorPa
 def interpolation_matrices(
     t_i: float, t_j: float, tau: float, params: GpPriorParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Blend matrices ``(Lambda, Psi)`` with ``x_tau = Lambda x_i + Psi x_j``.
-
-    ``Psi = Q(tau-t_i) Phi(t_j-tau)^T Q(t_j-t_i)^-1`` and ``Lambda =
-    Phi(tau-t_i) - Psi Phi(t_j-t_i)``; at ``tau = t_i`` they reduce to
-    ``(I, 0)`` and at ``tau = t_j`` to ``(0, I)``.
-    """
-    dt = t_j - t_i
-    if dt <= 0.0:
-        raise ValueError(f"states out of order: dt = {dt}")
-    if not t_i <= tau <= t_j:
-        raise ValueError(f"interpolation time {tau} outside segment [{t_i}, {t_j}]")
-    n = params.n
-    q_tau = process_noise(tau - t_i, params)
-    psi = q_tau @ transition(t_j - tau, n).T @ process_noise_inv(dt, params)
-    lam = transition(tau - t_i, n) - psi @ transition(dt, n)
-    return lam, psi
+    """Blend matrices ``(Lambda, Psi)`` with ``x_tau = Lambda x_i + Psi x_j``:
+    the Kronecker products of :func:`blend_kernels` with ``I_n``."""
+    lam, psi = blend_kernels(t_i, t_j, tau)
+    eye = np.eye(params.n)
+    return np.kron(lam, eye), np.kron(psi, eye)
 
 
 def interpolate(
@@ -187,75 +205,68 @@ def interpolate(
     Also returns ``(Lambda, Psi)`` so factor Jacobians evaluated at the
     interpolated state can be chained back onto both neighbours.
     """
-    lam, psi = interpolation_matrices(x_i.time, x_j.time, tau, params)
-    x_tau = lam @ x_i.as_vector() + psi @ x_j.as_vector()
-    return TrajectoryState.from_vector(x_tau, tau), lam, psi
+    lam, psi = blend_kernels(x_i.time, x_j.time, tau)
+    halves = np.stack([x_i.position, x_i.velocity, x_j.position, x_j.velocity])
+    position, velocity = blend(np.concatenate([lam, psi], axis=-1), halves)
+    return TrajectoryState(position, velocity, tau), *interpolation_matrices(x_i.time, x_j.time, tau, params)
 
 
 @dataclass(frozen=True)
 class SupportTrajectory:
-    """Support states at uniformly spaced knot times.
-
+    """Support states ``x`` (N, 2n), rows ``[theta; theta_dot]``, at
+    uniformly spaced knot ``times`` (N,), both kept as read-only copies.
     ``n_interp`` records how many interpolated evaluation points per
     segment the planning problem uses (0 = costs on support states only).
     """
 
-    states: tuple[TrajectoryState, ...]
+    times: np.ndarray
+    x: np.ndarray
     n_interp: int = 0
 
     def __post_init__(self) -> None:
-        states = tuple(self.states)
-        object.__setattr__(self, "states", states)
-        if len(states) < 2:
-            raise ValueError("trajectory needs at least two support states")
+        times = np.array(self.times, dtype=float)
+        x = np.array(self.x, dtype=float)
+        shapes_ok = times.ndim == 1 and len(times) >= 2 and x.ndim == 2 and len(x) == len(times)
+        if not (shapes_ok and x.size and x.shape[1] % 2 == 0):
+            raise ValueError(f"need (N,) times and (N, 2n) states, N >= 2, n >= 1; got {times.shape}, {x.shape}")
         if self.n_interp < 0:
             raise ValueError("n_interp cannot be negative")
-        times = np.array([s.time for s in states])
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(x))):
+            raise ValueError("trajectory contains non-finite values")
         steps = np.diff(times)
         if np.any(steps <= 0.0):
             raise ValueError("support times must be strictly increasing")
         if np.abs(steps - steps[0]).max() > 1e-9 * max(1.0, abs(steps[0])):
             raise ValueError("support times must be uniformly spaced")
+        times.flags.writeable = x.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "x", x)
 
     @property
     def num_states(self) -> int:
-        return len(self.states)
+        return self.x.shape[0]
 
     @property
     def n(self) -> int:
-        return self.states[0].n
+        return self.x.shape[1] // 2
 
     @property
-    def dt(self) -> float:
-        return self.states[1].time - self.states[0].time
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.states])
+    def states(self) -> tuple[TrajectoryState, ...]:
+        """The support states as :class:`TrajectoryState` views, built on each access."""
+        return tuple(TrajectoryState(row[: self.n], row[self.n :], float(t)) for t, row in zip(self.times, self.x))
 
     def as_vector(self) -> np.ndarray:
-        """All states stacked into one flat decision vector."""
-        return np.concatenate([s.as_vector() for s in self.states])
+        """All states as one flat, read-only decision vector."""
+        return self.x.reshape(-1)
 
     def with_vector(self, x: np.ndarray) -> "SupportTrajectory":
         """Same knot times and n_interp, states replaced from a flat vector."""
-        dim = 2 * self.n
-        states = tuple(
-            TrajectoryState.from_vector(x[k * dim : (k + 1) * dim], s.time)
-            for k, s in enumerate(self.states)
-        )
-        return replace(self, states=states)
+        return replace(self, x=np.reshape(x, self.x.shape))
 
 
 def init_trajectory(start, horizon: float, num_states: int, n_interp: int = 0) -> SupportTrajectory:
     """Stationary prior trajectory: every support state at the start
     configuration with zero velocity, knots uniform on [0, horizon]."""
-    start = np.asarray(start, dtype=float)
-    if num_states < 2:
-        raise ValueError("need at least two support states")
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    times = np.linspace(0.0, horizon, num_states)
-    zero = np.zeros_like(start)
-    states = tuple(TrajectoryState(position=start.copy(), velocity=zero.copy(), time=float(t)) for t in times)
-    return SupportTrajectory(states=states, n_interp=n_interp)
+    start = np.asarray(start, dtype=float).reshape(-1)
+    x = np.tile(np.concatenate([start, np.zeros_like(start)]), (num_states, 1))
+    return SupportTrajectory(times=np.linspace(0.0, horizon, num_states), x=x, n_interp=n_interp)

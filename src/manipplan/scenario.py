@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -57,8 +58,9 @@ class BoxObstacle:
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))
         object.__setattr__(self, "half_extents", np.asarray(self.half_extents, dtype=float).reshape(3))
-        if np.any(self.half_extents <= 0.0):
-            raise ValueError("obstacle half extents must be positive")
+        finite = np.all(np.isfinite(self.center)) and np.all(np.isfinite(self.half_extents))
+        if not (finite and np.all(self.half_extents > 0.0)):
+            raise ValueError("obstacle center and half extents must be finite, half extents positive")
 
 
 @dataclass
@@ -92,7 +94,10 @@ class Scenario:
         self.start_config = np.asarray(self.start_config, dtype=float).reshape(-1)
         self.goal_position = np.asarray(self.goal_position, dtype=float).reshape(3)
         self.obstacles = tuple(self.obstacles)
+        if not (np.all(np.isfinite(self.start_config)) and np.all(np.isfinite(self.goal_position))):
+            raise ValueError("start_config and goal_position must be finite")
         for value, label in (
+            (self.horizon, "horizon"),
             (self.sigma_sbar, "sigma_sbar"),
             (self.sigma_obs, "sigma_obs"),
             (self.qc_scale, "qc_scale"),
@@ -101,18 +106,18 @@ class Scenario:
             (self.sdf_cell_size, "sdf_cell_size"),
             (self.sdf_extent, "sdf_extent"),
         ):
-            if value <= 0.0:
-                raise ValueError(f"{label} must be positive")
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{label} must be positive and finite")
+        if self.lambda_max is not None and not 0.0 < self.lambda_max < math.inf:
+            raise ValueError("lambda_max must be positive and finite")
         if self.num_support < 2:
             raise ValueError("num_support must be at least 2")
         if self.n_interp < 0:
             raise ValueError("n_interp cannot be negative")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
         if self.task_dim not in (2, 3, 6):
             raise ValueError("task_dim must be 2, 3, or 6")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon cannot be negative")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be non-negative and finite")
         if round(self.sdf_extent / self.sdf_cell_size) < 1:
             raise ValueError("sdf extent over cell size gives fewer than two grid nodes per axis")
 
@@ -244,22 +249,19 @@ class LambdaStats:
         return {"mean": self.mean, "min": self.minimum, "max": self.maximum}
 
 
-def _sampled_states(
-    trajectory: gp.SupportTrajectory,
-    gp_params: gp.GpPriorParams,
-    per_segment: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def _sampled_states(trajectory: gp.SupportTrajectory, per_segment: int) -> tuple[np.ndarray, np.ndarray]:
     """Times (S,) and stacked ``[q; q_dot]`` states (S, 2n) of the support
     states plus ``per_segment`` GP-interpolated states per segment, in time
     order.  The interpolated states are the factor graph's blends."""
-    knots = trajectory.as_vector().reshape(trajectory.num_states, -1)
+    knots, n = trajectory.x, trajectory.n
     stride = per_segment + 1
     inner = np.arange(stride * (trajectory.num_states - 1) + 1) % stride != 0
     times = np.empty(inner.shape)
     states = np.empty(inner.shape + knots.shape[1:])
     times[~inner], states[~inner] = trajectory.times, knots
-    segments, times[inner], lam, psi = fg.interpolated_blends(trajectory.times, per_segment, gp_params)
-    states[inner] = (lam @ knots[segments, :, None] + psi @ knots[segments + 1, :, None])[..., 0]
+    segments, times[inner], lam, psi = fg.interpolated_blends(trajectory.times, per_segment)
+    halves = knots[segments[:, None] + np.arange(2)].reshape(-1, 1, 4, n)
+    states[inner] = gp.blend(np.concatenate([lam, psi], axis=-1), halves).reshape(-1, 2 * n)
     if not np.all(np.isfinite(states)):
         raise ValueError("trajectory state contains non-finite values")
     return times, states
@@ -369,9 +371,8 @@ def _finalize_run(
     report: fg.OptimizeReport | None,
     out_dir: Path | None,
 ) -> RunResult:
-    gp_params = gp.GpPriorParams.isotropic(chain.n, scenario.qc_scale)
     factor_profile, dense_profile = (
-        _evaluate_states(chain, scenario.task_dim, *_sampled_states(trajectory, gp_params, per_segment), grid)
+        _evaluate_states(chain, scenario.task_dim, *_sampled_states(trajectory, per_segment), grid)
         for per_segment in (scenario.n_interp, PROFILE_POINTS_PER_SEGMENT)
     )
     goal_error = float(np.linalg.norm(dense_profile.ee_positions[-1] - scenario.goal_position))

@@ -225,6 +225,32 @@ def wnoa_covariance_quadrature(dt, qc, samples=20001):
     return acc * (h / 3.0)
 
 
+def wnoa_covariance(dt, qc):
+    """Closed-form process-noise covariance ``Q(dt)``, written out blockwise."""
+    n = qc.shape[0]
+    out = np.zeros((2 * n, 2 * n))
+    out[:n, :n] = dt**3 / 3.0 * qc
+    out[:n, n:] = dt**2 / 2.0 * qc
+    out[n:, :n] = out[:n, n:]
+    out[n:, n:] = dt * qc
+    return out
+
+
+def dense_blend_matrices(t_i, t_j, tau, qc):
+    """Dense blend matrices ``(Lambda, Psi)`` (2n x 2n) by the textbook
+    formula ``Psi = Q(tau-t_i) Phi(t_j-tau)^T Q(t_j-t_i)^-1`` and ``Lambda =
+    Phi(tau-t_i) - Psi Phi(t_j-t_i)``, with the closed-form block inverse
+    of ``Q``; never uses the 2x2 kernels."""
+    qc = np.asarray(qc, dtype=float)
+    n = qc.shape[0]
+    dt = t_j - t_i
+    qc_inv = np.linalg.inv(qc)
+    q_inv = np.block([[12.0 / dt**3 * qc_inv, -6.0 / dt**2 * qc_inv], [-6.0 / dt**2 * qc_inv, 4.0 / dt * qc_inv]])
+    psi = wnoa_covariance(tau - t_i, qc) @ wnoa_transition(t_j - tau, n).T @ q_inv
+    lam = wnoa_transition(tau - t_i, n) - psi @ wnoa_transition(dt, n)
+    return lam, psi
+
+
 def dense_gp_conditional_mean(times, values, tau, qc, initial_cov):
     """GP-conditioned mean state at ``tau`` from the dense joint kernel.
 
@@ -237,20 +263,11 @@ def dense_gp_conditional_mean(times, values, tau, qc, initial_cov):
     values = np.asarray(values, dtype=float)
     qc = np.asarray(qc, dtype=float)
     n = qc.shape[0]
-    dim = 2 * n
-
-    def q_of(dt):
-        out = np.zeros((dim, dim))
-        out[:n, :n] = dt**3 / 3.0 * qc
-        out[:n, n:] = dt**2 / 2.0 * qc
-        out[n:, :n] = out[:n, n:]
-        out[n:, n:] = dt * qc
-        return out
 
     def marginal_cov(t):
         dt = t - times[0]
         phi = wnoa_transition(dt, n)
-        return phi @ initial_cov @ phi.T + q_of(dt)
+        return phi @ initial_cov @ phi.T + wnoa_covariance(dt, qc)
 
     def cross_cov(ta, tb):
         # cov(x(ta), x(tb)) for ta <= tb

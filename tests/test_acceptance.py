@@ -105,9 +105,7 @@ def test_criterion_3_planar_analytic_oracle():
         grad = -np.cos(theta) / np.where(lam > 1e-9, np.sin(theta), np.inf)
         return h[:, None], grad[:, None, None]
 
-    trajectory = gp.SupportTrajectory(
-        states=(gp.TrajectoryState([0.3], [0.0], 0.0), gp.TrajectoryState([0.3], [0.0], 1.0))
-    )
+    trajectory = gp.SupportTrajectory(times=[0.0, 1.0], x=[[0.3, 0.0], [0.3, 0.0]])
     graph = fg.FactorGraph(
         factors=(
             fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, [0, 1], sine_cost, 1, 1e-2),

@@ -420,6 +420,15 @@ class TestSdfGridShape:
         assert query.distance == pytest.approx(0.05, abs=1e-15)
         np.testing.assert_allclose(query.gradient, [0.0, 0.0, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "origin, cell_size",
+        [((0, 0, 0), np.nan), ((0, 0, 0), np.inf), ((0, np.nan, 0), 0.1), ((np.inf, 0, 0), 0.1)],
+        ids=["nan_cell", "infinite_cell", "nan_origin", "infinite_origin"],
+    )
+    def test_non_finite_geometry_rejected(self, origin, cell_size):
+        with pytest.raises(ValueError, match="finite"):
+            SdfGrid(origin=origin, cell_size=cell_size, data=np.zeros((2, 2, 2)))
+
 
 class TestSdfSerialization:
     def test_roundtrip_is_exact(self, tmp_path, rng):
@@ -457,6 +466,12 @@ class TestSdfSerialization:
         path = tmp_path / "grid.sdf"
         path.write_bytes(b'{"origin": [0, 0, 0], "cell_size": 0.5, "dims": [5, 25]}\n' + bytes(8 * 125))
         with pytest.raises(ValueError, match="three entries"):
+            load_sdf(path)
+
+    def test_header_with_a_nan_cell_size_rejected(self, tmp_path):
+        path = tmp_path / "grid.sdf"
+        path.write_bytes(b'{"origin": [0, 0, 0], "cell_size": NaN, "dims": [2, 2, 2]}\n' + bytes(8 * 8))
+        with pytest.raises(ValueError, match="cell_size"):
             load_sdf(path)
 
     def test_grid_validation(self):

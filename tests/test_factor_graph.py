@@ -49,12 +49,7 @@ def single_state_graph(factors, n):
 def one_state_trajectory(q, extra_time=1.0):
     q = np.atleast_1d(np.asarray(q, dtype=float))
     zero = np.zeros_like(q)
-    return gp.SupportTrajectory(
-        states=(
-            gp.TrajectoryState(q, zero, 0.0),
-            gp.TrajectoryState(q, zero, extra_time),
-        )
-    )
+    return gp.SupportTrajectory(times=[0.0, extra_time], x=[np.concatenate([q, zero])] * 2)
 
 
 class TestFactorResiduals:
@@ -80,13 +75,10 @@ class TestFactorResiduals:
         # position-block Jacobian (midpoint blend weights are 1/2).
         params = SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4)
         cost_fn = fg.ChainSingularityCost(planar2r, params, task_dim=2)
-        gpp = gp.GpPriorParams.isotropic(2, 100.0)
         q = np.array([0.3, 0.9])
-        traj = gp.SupportTrajectory(
-            states=(gp.TrajectoryState(q, np.zeros(2), 0.0), gp.TrajectoryState(q, np.zeros(2), 2.0))
-        )
+        traj = gp.SupportTrajectory(times=[0.0, 2.0], x=[np.concatenate([q, np.zeros(2)])] * 2)
         plain = singularity_factor(0, cost_fn, 1e-4)
-        segments, taus, lam, psi = fg.interpolated_blends(traj.times, 1, gpp)
+        segments, taus, lam, psi = fg.interpolated_blends(traj.times, 1)
         assert segments.tolist() == [0] and taus.tolist() == [1.0]
         interp = fg.ConfigurationFactor(fg.FactorKind.INTERP_SINGULARITY, segments, cost_fn, 1, 1e-4, (lam, psi))
         r_plain, jac_plain = plain.evaluate(state_array(traj))
@@ -105,9 +97,8 @@ class TestFactorResiduals:
 
     def test_interpolated_factor_requires_interior_tau(self):
         # A one-ulp segment: its midpoint rounds onto the first knot.
-        gpp = gp.GpPriorParams.isotropic(1, 1.0)
         with pytest.raises(ValueError):
-            fg.interpolated_blends(np.array([1.0, np.nextafter(1.0, 2.0)]), 1, gpp)
+            fg.interpolated_blends(np.array([1.0, np.nextafter(1.0, 2.0)]), 1)
 
 
 class TestTotalCost:

@@ -5,6 +5,7 @@ from manipplan.gp_prior import (
     GpPriorParams,
     SupportTrajectory,
     TrajectoryState,
+    blend_kernels,
     gp_prior_error,
     init_trajectory,
     interpolate,
@@ -16,7 +17,7 @@ from manipplan.gp_prior import (
 )
 from manipplan.factor_graph import GpPriorFactor
 
-from .oracles import dense_gp_conditional_mean, wnoa_covariance_quadrature
+from .oracles import dense_blend_matrices, dense_gp_conditional_mean, wnoa_covariance_quadrature
 
 # Frozen closed form of the per-joint noise covariance at dt = 1, Qc = 1,
 # cross-checked below against the quadrature oracle.
@@ -71,13 +72,18 @@ class TestPriorError:
 
     def test_factor_and_prior_error_share_the_whitening(self):
         params = GpPriorParams(qc=np.array([[2.0, 0.3], [0.3, 1.5]]))
-        err = gp_prior_error(state([0.1, 0.2], [0.3, -0.4], 0.5), state([1.0, 0.0], [0.2, 0.1], 1.2), params)
+        x_i, x_j = state([0.1, 0.2], [0.3, -0.4], 0.5), state([1.0, 0.0], [0.2, 0.1], 1.2)
+        err = gp_prior_error(x_i, x_j, params)
         factor = GpPriorFactor(times=np.array([0.0, 0.7]), params=params)
         phi, info_sqrt = whitened_transition(0.7, params)
         np.testing.assert_array_equal(err.info_sqrt, info_sqrt)
         np.testing.assert_array_equal(err.jac_i, phi)
-        np.testing.assert_array_equal(factor._info_sqrt, [info_sqrt])
-        np.testing.assert_array_equal(factor._jac[0, :, :4], info_sqrt @ phi)
+        r, jac = factor.evaluate(np.array([x_i.as_vector(), x_j.as_vector()]))
+        # The factor applies the 2x2 kernel W~ Phi~ where the dense product
+        # rounds W and Phi separately: equal to a few ulps.
+        np.testing.assert_array_equal(jac[0, :, 4:], -info_sqrt)
+        np.testing.assert_allclose(jac[0, :, :4], info_sqrt @ phi, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(r[0], info_sqrt @ err.residual, rtol=1e-12, atol=0)
         np.testing.assert_allclose(info_sqrt.T @ info_sqrt, process_noise_inv(0.7, params), rtol=1e-9)
         with pytest.raises(ValueError, match="out of order"):
             GpPriorFactor(times=np.array([0.0, 0.0]), params=params)
@@ -146,6 +152,22 @@ class TestInterpolation:
             x_tau, _, _ = interpolate(x_i, x_j, tau, params)
             np.testing.assert_allclose(x_tau.as_vector(), expected, atol=1e-8)
 
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_kernels_match_the_dense_blend_formula(self, n, rng):
+        # Qc cancels: the dense blends of any SPD Qc are the kernels ⊗ I_n.
+        # Relative to the blend [Lambda Psi]: near t_j the dense Lambda is
+        # a small difference of O(1) terms and carries their rounding.
+        a = rng.standard_normal((n, n))
+        qc = a @ a.T + np.diag(rng.uniform(0.1, 2.0, n))
+        t_i = rng.uniform(-2.0, 2.0, 30)
+        t_j = t_i + rng.uniform(0.05, 3.0, 30)
+        taus = t_i + (t_j - t_i) * rng.uniform(0.0, 1.0, 30)
+        lam, psi = blend_kernels(t_i, t_j, taus)
+        for k in range(30):
+            reference = np.hstack(dense_blend_matrices(t_i[k], t_j[k], taus[k], qc))
+            kernels = np.hstack([np.kron(lam[k], np.eye(n)), np.kron(psi[k], np.eye(n))])
+            assert np.abs(kernels - reference).max() <= 1e-12 * np.abs(reference).max()
+
     def test_outside_segment_rejected(self):
         params = GpPriorParams.isotropic(1, 1.0)
         with pytest.raises(ValueError):
@@ -176,11 +198,23 @@ class TestSupportTrajectory:
             init_trajectory([0.0], horizon=1.0, num_states=1)
         with pytest.raises(ValueError):
             init_trajectory([0.0], horizon=-1.0, num_states=3)
-        good = [state(0.0, 0.0, t) for t in (0.0, 1.0, 2.0)]
         with pytest.raises(ValueError):
-            SupportTrajectory(states=(good[0], good[2], good[1]))
+            SupportTrajectory(times=[0.0, 2.0, 1.0], x=np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            SupportTrajectory(states=tuple(state(0.0, 0.0, t) for t in (0.0, 1.0, 3.0)))
+            SupportTrajectory(times=[0.0, 1.0, 3.0], x=np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            SupportTrajectory(times=[0.0, 1.0], x=np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_times_and_states_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            SupportTrajectory(times=[0.0, 1.0, bad], x=np.zeros((3, 4)))
+        traj = init_trajectory([0.1, 0.2], horizon=1.0, num_states=3)
+        for index in (0, 3, 11):
+            x = traj.as_vector().copy()
+            x[index] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                traj.with_vector(x)
 
     def test_vector_roundtrip_keeps_times(self, rng):
         traj = init_trajectory([0.0, 0.0, 0.0], horizon=1.0, num_states=4, n_interp=3)

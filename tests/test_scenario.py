@@ -285,6 +285,23 @@ def forbid_calls(monkeypatch, fn):
                     monkeypatch.setattr(module, attr, forbidden)
 
 
+def test_a_plan_builds_no_trajectory_state(monkeypatch):
+    # The solver works on the (N, 2n) state array; TrajectoryState objects
+    # are views built only on request.
+    built = []
+    post_init = gp.TrajectoryState.__post_init__
+
+    def counted(self):
+        built.append(self.time)
+        post_init(self)
+
+    monkeypatch.setattr(gp.TrajectoryState, "__post_init__", counted)
+    result = run_scenario(load_scenario("ur10_unconstrained"))
+    assert result.report.iterations > 1 and result.report.method == fg.SolverMethod.LEVENBERG_MARQUARDT.value
+    assert built == []
+    assert len(result.trajectory.states) == len(built) == result.trajectory.num_states
+
+
 class TestStackedProfile:
     @pytest.mark.parametrize("name", ["ur10_table", "ur10_unconstrained", "planar2r_analytic"])
     @pytest.mark.parametrize("per_segment", [0, 3, 10])
@@ -294,7 +311,7 @@ class TestStackedProfile:
         trajectory = wandering_trajectory(scenario, rng)
         gp_params = gp.GpPriorParams.isotropic(chain.n, scenario.qc_scale)
         profile = sc._evaluate_states(
-            chain, scenario.task_dim, *sc._sampled_states(trajectory, gp_params, per_segment), grid
+            chain, scenario.task_dim, *sc._sampled_states(trajectory, per_segment), grid
         )
         expected = evaluate_profile_loop(chain, scenario.task_dim, trajectory, gp_params, per_segment, grid)
         assert profile.times.shape == ((scenario.num_support - 1) * (per_segment + 1) + 1,)
@@ -329,11 +346,10 @@ class TestStackedProfile:
 
     def test_non_finite_state_rejected_once_on_the_stack(self):
         trajectory = gp.init_trajectory(np.zeros(2), 1.0, 3)
-        x = trajectory.as_vector()
+        x = trajectory.as_vector().copy()
         x[5] = 1e308  # a finite velocity whose blends overflow
-        gp_params = gp.GpPriorParams.isotropic(2, 1.0)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            sc._sampled_states(trajectory.with_vector(x), gp_params, 4)
+            sc._sampled_states(trajectory.with_vector(x), 4)
 
 
 class TestCli:
@@ -403,6 +419,39 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert cli.main([command, str(path)] + (["--out", str(tmp_path / "out")] if command == "plan" else [])) == 2
         assert "body spheres" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["plan", "validate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("horizon",),
+            ("qc_scale",),
+            ("sigma_sbar",),
+            ("epsilon",),
+            ("lambda_max",),
+            ("goal_position", 1),
+            ("obstacles", 0, "center", 2),
+            ("solver", "rel_cost_tol"),
+            ("solver", "lm_init_damping"),
+        ],
+        ids=lambda path: ".".join(map(str, path)),
+    )
+    def test_non_finite_value_exits_2_before_any_solve(self, command, value, path, tmp_path, capsys, monkeypatch):
+        # NaN passes every "value <= 0" check; the file used to validate and
+        # then crash the solve.
+        monkeypatch.setattr(sc, "_execute", self._no_solve)
+        data = json.loads(builtin_scenario_path("ur10_table").read_text())
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "non_finite.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert cli.main([command, str(bad)] + (["--out", str(out)] if command == "plan" else [])) == 2
+        assert capsys.readouterr().err.startswith("INVALID: ")
+        assert not out.exists()
 
     @staticmethod
     def _no_solve(*args, **kwargs):
