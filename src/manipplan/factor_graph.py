@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable
@@ -33,7 +33,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import gp_prior as gp
 from .collision import CollisionParams, collision_residual
-from .kinematics import KinematicChain, point_jacobian
+from .kinematics import KinematicChain, point_jacobian, point_position
 from .manipulability import SingularityCostParams, singularity_cost, singularity_cost_value
 
 if TYPE_CHECKING:
@@ -191,6 +191,33 @@ def interpolated_blends(times: np.ndarray, n_interp: int):
     return (segments, taus, *gp.blend_kernels(t_i, t_j, taus))
 
 
+def _block_groups(first: np.ndarray):
+    """How linearize sums a factor's blocks per first state ``first`` (K,).
+
+    Returns ``(gather, at, below)``: ``gather`` (G, r) lists the blocks on
+    each distinct state in their order, padded with K (a zero block), or is
+    ``None`` when the states are distinct and in order; ``at`` and
+    ``below`` are the distinct states and the states after them, as slices
+    when contiguous.
+    """
+    order = np.argsort(first, kind="stable")
+    at, starts, counts = np.unique(first[order], return_index=True, return_counts=True)
+    run = np.repeat(np.arange(at.size), counts)  # the distinct state of each sorted block
+    gather = np.full((at.size, counts.max(initial=1)), first.size)
+    gather[run, np.arange(first.size) - starts[run]] = order
+    if gather.shape[1] == 1 and np.array_equal(order, np.arange(first.size)):
+        gather = None
+    if at.size and at[-1] - at[0] == at.size - 1:
+        return gather, slice(at[0], at[-1] + 1), slice(at[0] + 1, at[-1] + 2)
+    return gather, at, at + 1
+
+
+def _sum_runs(blocks: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """Blocks (K, ...) summed along each row of ``gather``, in row order;
+    index K is a zero block."""
+    return np.concatenate([blocks, np.zeros_like(blocks[:1])])[gather].sum(axis=1)
+
+
 @dataclass(frozen=True)
 class FactorGraph:
     """The MAP problem: factors over ``num_states`` states of size ``state_dim``."""
@@ -198,12 +225,20 @@ class FactorGraph:
     factors: tuple[Factor, ...]
     num_states: int
     state_dim: int
+    # Per factor, how linearize sums its blocks per first state: see _block_groups.
+    _groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
+        groups = []
         for factor in self.factors:
-            if not np.all((0 <= factor.states) & (factor.states < self.num_states)):
+            states = np.asarray(factor.states)
+            if states.ndim != 2 or states.shape[1] not in (1, 2) or np.any(np.diff(states, axis=1) != 1):
+                raise ValueError(f"factor {factor.kind} must reference one state or two consecutive ones per block")
+            if not np.all((0 <= states) & (states < self.num_states)):
                 raise ValueError(f"factor {factor.kind} references a state outside 0..{self.num_states - 1}")
+            groups.append(_block_groups(states[:, 0]))
+        object.__setattr__(self, "_groups", tuple(groups))
 
     @property
     def residual_dim(self) -> int:
@@ -224,11 +259,17 @@ def total_cost(graph: FactorGraph, trajectory: gp.SupportTrajectory) -> float:
 
 
 @lru_cache(maxsize=None)
-def _lower_triangle(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Band rows ``a - b`` and columns ``b`` of the lower triangle of a
-    ``size x size`` block."""
-    rows, cols = np.tril_indices(size)
-    return rows - cols, cols
+def _band_layout(num_states: int, dim: int) -> np.ndarray:
+    """Where each entry of the LAPACK lower band of a block tridiagonal
+    matrix sits in its blocks, stored per state ``s`` as a (2 dim, dim)
+    column block (the diagonal block, then the block below it) followed by
+    one zero: ``band[r, s dim + j]`` is entry ``(j + r, j)`` of block ``s``,
+    or the zero where ``j + r`` leaves it."""
+    r, j = np.arange(2 * dim)[:, None], np.arange(dim)
+    inside = np.where(j + r < 2 * dim, (j + r) * dim + j, -1)
+    layout = np.arange(num_states)[:, None, None] * (2 * dim * dim) + inside
+    layout[:, inside < 0] = num_states * 2 * dim * dim
+    return layout.transpose(1, 0, 2).reshape(2 * dim, num_states * dim)
 
 
 def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
@@ -238,22 +279,31 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
     storage (``band[a - b, b] = (J^T J)[a, b]``), ``J^T r`` and half the
     squared residual norm.  Every block touches one state or two
     consecutive ones, so ``J^T J`` is block tridiagonal and its lower
-    half-bandwidth is ``2 * state_dim - 1``.  Each factor's blocks are
-    added in state order.
+    half-bandwidth is ``2 * state_dim - 1``.  A factor's blocks on one
+    first state are summed in their order, then added to the diagonal
+    blocks, the blocks below them and the gradient of the states they
+    touch; one gather then lays the blocks out as the band.
     """
-    dim = graph.state_dim
-    band = np.zeros((2 * dim, graph.num_states * dim))
-    gradient = np.zeros(graph.num_states * dim)
+    dim, num = graph.state_dim, graph.num_states
+    store = np.zeros(num * 2 * dim * dim + 1)
+    # Column block s: the diagonal block (s, s) over the block (s + 1, s),
+    # so diag = blocks[:, :dim] (N, 2n, 2n) and lower = blocks[:-1, dim:].
+    blocks = store[:-1].reshape(num, 2 * dim, dim)
+    gradient = np.zeros((num, dim))
     residuals = []
-    for factor in graph.factors:
+    for factor, (gather, at, below) in zip(graph.factors, graph._groups):
         r, jac = factor.evaluate(trajectory.x)
         jac_t = jac.swapaxes(1, 2)
-        starts = factor.states[:, :1] * dim
-        offsets, cols = _lower_triangle(jac.shape[2])
-        np.add.at(band, (offsets, starts + cols), (jac_t @ jac)[:, offsets + cols, cols])
-        np.add.at(gradient, starts + np.arange(jac.shape[2]), (jac_t @ r[..., None])[..., 0])
+        normal, jac_r = jac_t @ jac, (jac_t @ r[..., None])[..., 0]
+        if gather is not None:
+            normal, jac_r = _sum_runs(normal, gather), _sum_runs(jac_r, gather)
+        blocks[at, : normal.shape[1]] += normal[..., :dim]
+        gradient[at] += jac_r[:, :dim]
+        if normal.shape[1] > dim:
+            blocks[below, :dim] += normal[:, dim:, dim:]
+            gradient[below] += jac_r[:, dim:]
         residuals.append(r)
-    return band, gradient, _cost(residuals)
+    return store[_band_layout(num, dim)], gradient.reshape(-1), _cost(residuals)
 
 
 class SolverMethod(Enum):
@@ -405,18 +455,18 @@ def optimize(
             delta = _solve_normal(band, mu * scale, gradient)
             rho = 0.0
             if delta is not None:
+                # The candidate's linearization carries its cost; an accepted
+                # step keeps it, so every candidate is evaluated once.
                 candidate = trajectory.with_vector(trajectory.as_vector() + delta)
-                new_cost = total_cost(graph, candidate)
+                new_band, new_gradient, new_cost = linearize(graph, candidate)
                 predicted = 0.5 * float(delta @ (mu * scale * delta - gradient))
                 if math.isfinite(new_cost) and new_cost < cost and predicted > 0.0:
                     rho = (cost - new_cost) / predicted
             if rho > 0.0:
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
-                trajectory = candidate
-                cost = new_cost
+                trajectory, band, gradient, cost = candidate, new_band, new_gradient, new_cost
                 trace.append(cost)
-                band, gradient, _ = linearize(graph, trajectory)
                 if _converged(trace, float(np.abs(gradient).max()), settings):
                     converged = True
                     message = "cost decrease below tolerance"
@@ -474,6 +524,8 @@ def goal_position_cost(chain: KinematicChain, goal) -> ConfigCost:
     tool = np.zeros(3)
 
     def cost(q: np.ndarray, with_jacobian: bool = True):
+        if not with_jacobian:
+            return point_position(chain, q, chain.n - 1, tool) - goal, None
         p, jac_q = point_jacobian(chain, q, chain.n - 1, tool)
         return p - goal, jac_q
 

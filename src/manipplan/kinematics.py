@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -28,6 +29,7 @@ __all__ = [
     "forward_kinematics",
     "geometric_jacobian",
     "jacobian_partials",
+    "point_position",
     "point_jacobian",
     "planar_chain",
     "chain_from_dict",
@@ -193,13 +195,62 @@ class KinematicChain:
 class JacobianSet:
     """Geometric Jacobian together with its joint-angle derivatives.
 
-    ``partials`` is an (n, m, n) array: ``partials[k]`` is the elementwise
-    derivative of the m x n ``jacobian`` with respect to joint ``k``.  Of
-    a stack of configurations, both carry the stack's leading axis.
+    ``jacobian`` is the m x n task Jacobian.  ``partials`` is an (n, m, n)
+    array: ``partials[k]`` is the elementwise derivative of ``jacobian``
+    with respect to joint ``k``; it is built on first access.
+    :meth:`contract` pairs a weight matrix with every ``partials[k]``
+    without forming them.  Of a stack of configurations, all carry the
+    stack's leading axis.
     """
 
     jacobian: np.ndarray
-    partials: np.ndarray
+    # The frames (..., n+1, 4, 4) and the full six-row Jacobian behind ``jacobian``.
+    _frames: np.ndarray = field(repr=False, compare=False)
+    _full: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def partials(self) -> np.ndarray:
+        """Rotating joint k turns every downstream axis (``d z_j / d theta_k
+        = z_k x z_j`` for j > k) and sweeps every downstream point about the
+        joint k axis line; the linear rows follow by the product rule."""
+        frames, jac = self._frames, self._full
+        n = jac.shape[-1]
+        axes = frames[..., :-1, :3, 2]
+        rel = frames[..., -1:, :3, 3] - frames[..., :-1, :3, 3]
+        dpe = np.swapaxes(jac[..., :3, :], -1, -2)  # row k = d p_e / d theta_k
+
+        # Entry [k, j] of each array below is the derivative of column j with
+        # respect to joint k.  Joints j <= k sit upstream of joint k: their
+        # axis and origin do not move, only the end-effector point does.
+        upstream = (np.arange(n) <= np.arange(n)[:, None])[..., None]
+        axes_k, axes_j, rel_j = axes[..., :, None, :], axes[..., None, :, :], rel[..., None, :, :]
+        d_axes = _cross(axes_k, axes_j)
+        d_linear = _cross(d_axes, rel_j) + _cross(axes_j, _cross(axes_k, rel_j))
+        partials = np.empty(jac.shape[:-2] + (n, 6, n))
+        partials[..., :3, :] = np.swapaxes(np.where(upstream, _cross(axes_j, dpe[..., :, None, :]), d_linear), -1, -2)
+        partials[..., 3:, :] = np.swapaxes(np.where(upstream, 0.0, d_axes), -1, -2)
+        return partials[..., : self.jacobian.shape[-2], :]
+
+    def contract(self, weights: np.ndarray) -> np.ndarray:
+        """``<weights, partials[k]>`` (the sum of their elementwise
+        products) for every joint k, in O(n) per configuration.
+
+        ``weights`` has the shape of ``jacobian``; the result is (..., n).
+        Column j's derivative is ``z_k x J_j`` for j > k and ``[z_j x
+        J_lin,k; 0]`` for j <= k, so with ``w_j = [w_lin,j; w_ang,j]`` the
+        product is ``z_k . sum_{j>k} (J_lin,j x w_lin,j + z_j x w_ang,j)
+        + J_lin,k . sum_{j<=k} (w_lin,j x z_j)``: one suffix and one prefix
+        sum over the joints.
+        """
+        w = np.zeros(self._full.shape)
+        w[..., : weights.shape[-2], :] = weights
+        w, cols = np.swapaxes(w, -1, -2), np.swapaxes(self._full, -1, -2)
+        lin, axes = cols[..., :3], cols[..., 3:]
+        downstream = _cross(lin, w[..., :3]) + _cross(axes, w[..., 3:])
+        suffix = np.zeros_like(downstream)  # row k: sum over j > k
+        suffix[..., :-1, :] = np.cumsum(downstream[..., :0:-1, :], axis=-2)[..., ::-1, :]
+        prefix = np.cumsum(_cross(w[..., :3], axes), axis=-2)
+        return np.sum(axes * suffix, axis=-1) + np.sum(lin * prefix, axis=-1)
 
 
 def _as_config(chain: KinematicChain, q, stack: bool = False) -> np.ndarray:
@@ -295,31 +346,33 @@ def geometric_jacobian(chain: KinematicChain, q, task_dim: int = 6) -> np.ndarra
 def jacobian_partials(chain: KinematicChain, q, task_dim: int = 6) -> JacobianSet:
     """Jacobian plus analytic derivatives with respect to each joint.
 
-    Uses the geometric identities of a revolute chain: rotating joint k
-    turns every downstream axis (``d z_j / d theta_k = z_k x z_j`` for
-    j > k) and sweeps every downstream point about the joint k axis line;
-    the linear rows follow by the product rule.  ``q`` may be a (K, n) stack.
+    One FK pass gives the Jacobian; its derivatives (the geometric
+    identities of a revolute chain, see :class:`JacobianSet`) are formed
+    on access to ``partials`` or contracted by ``contract``.  ``q`` may be
+    a (K, n) stack.
     """
     q = _as_config(chain, q, stack=True)
     _check_task_dim(task_dim)
-    n = chain.n
     frames = _fk_matrices(chain, q)
     jac = _end_effector_jacobian(frames)
-    axes = frames[..., :-1, :3, 2]
-    rel = frames[..., -1:, :3, 3] - frames[..., :-1, :3, 3]
-    dpe = np.swapaxes(jac[..., :3, :], -1, -2)  # row k = d p_e / d theta_k
+    return JacobianSet(jacobian=jac[..., :task_dim, :], _frames=frames, _full=jac)
 
-    # Entry [k, j] of each array below is the derivative of column j with
-    # respect to joint k.  Joints j <= k sit upstream of joint k: their
-    # axis and origin do not move, only the end-effector point does.
-    upstream = (np.arange(n) <= np.arange(n)[:, None])[..., None]
-    axes_k, axes_j, rel_j = axes[..., :, None, :], axes[..., None, :, :], rel[..., None, :, :]
-    d_axes = _cross(axes_k, axes_j)
-    d_linear = _cross(d_axes, rel_j) + _cross(axes_j, _cross(axes_k, rel_j))
-    partials = np.empty(q.shape[:-1] + (n, 6, n))
-    partials[..., :3, :] = np.swapaxes(np.where(upstream, _cross(axes_j, dpe[..., :, None, :]), d_linear), -1, -2)
-    partials[..., 3:, :] = np.swapaxes(np.where(upstream, 0.0, d_axes), -1, -2)
-    return JacobianSet(jacobian=jac[..., :task_dim, :], partials=partials[..., :task_dim, :])
+
+def _point_frames(chain: KinematicChain, q, link_index: int, offset) -> tuple[np.ndarray, np.ndarray]:
+    """Frames (..., n+1, 4, 4) and position (..., 3) of a point fixed in
+    the frame after link ``link_index``, from one FK pass."""
+    q = _as_config(chain, q, stack=True)
+    if not 0 <= link_index < chain.n:
+        raise ModelError(f"link index {link_index} out of range")
+    frames = _fk_matrices(chain, q)
+    frame = frames[..., link_index + 1, :, :]
+    return frames, frame[..., :3, :3] @ np.asarray(offset, dtype=float) + frame[..., :3, 3]
+
+
+def point_position(chain: KinematicChain, q, link_index: int, offset) -> np.ndarray:
+    """Position of a point fixed in a link frame: the position of
+    :func:`point_jacobian` without its Jacobian, (3,) or (K, 3)."""
+    return _point_frames(chain, q, link_index, offset)[1]
 
 
 def point_jacobian(chain: KinematicChain, q, link_index: int, offset) -> tuple[np.ndarray, np.ndarray]:
@@ -329,12 +382,7 @@ def point_jacobian(chain: KinematicChain, q, link_index: int, offset) -> tuple[n
     ``link_index``; columns of joints that cannot move it are zero.  A
     (K, n) stack of configurations gives (K, 3) and (K, 3, n).
     """
-    q = _as_config(chain, q, stack=True)
-    if not 0 <= link_index < chain.n:
-        raise ModelError(f"link index {link_index} out of range")
-    frames = _fk_matrices(chain, q)
-    frame = frames[..., link_index + 1, :, :]
-    point = frame[..., :3, :3] @ np.asarray(offset, dtype=float) + frame[..., :3, 3]
+    frames, point = _point_frames(chain, q, link_index, offset)
     return point, _point_jacobians(frames, point[..., None, :], np.array([link_index]))[..., 0, :, :]
 
 

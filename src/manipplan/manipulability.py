@@ -131,19 +131,19 @@ def ellipsoid(J) -> ManipulabilityEllipsoid:
 def _gram_terms(chain: KinematicChain, q, task_dim: int):
     """SVD-side quantities shared by the gradient and the log cost.
 
-    Returns ``(lam, traces, degenerate)`` where ``traces[j]`` is
-    ``Tr((JJ^T)^-1 (dJ_j J^T + J dJ_j^T))`` with singular values clamped
-    at ``SIGMA_MIN`` inside the inverse; arrays over a (K, n) stack ``q``.
+    Returns ``(lam, traces, degenerate)`` where ``traces[k]`` is
+    ``Tr((JJ^T)^-1 (dJ_k J^T + J dJ_k^T)) = 2 <W, dJ_k>`` with singular
+    values clamped at ``SIGMA_MIN`` inside the inverse: ``W = (JJ^T)^-1 J
+    = U diag(s / max(s, SIGMA_MIN)^2) V^T`` from the SVD ``J = U S V^T``,
+    contracted with the Jacobian derivatives in O(n); arrays over a (K, n)
+    stack ``q``.
     """
     jset = jacobian_partials(chain, q, task_dim)
-    J = jset.jacobian
-    u, s, _ = np.linalg.svd(J, full_matrices=False)
+    u, s, vh = np.linalg.svd(jset.jacobian, full_matrices=False)
     lam = np.prod(s, axis=-1)
     degenerate = s[..., -1] < SIGMA_MIN
-    inv_gram = (u / np.maximum(s, SIGMA_MIN)[..., None, :] ** 2) @ np.swapaxes(u, -1, -2)
-    sym = jset.partials @ np.swapaxes(J, -1, -2)[..., None, :, :]
-    sym = sym + np.swapaxes(sym, -1, -2)
-    traces = (inv_gram[..., None, :, :] * sym).reshape(sym.shape[:-2] + (-1,)).sum(axis=-1)  # Tr of symmetric products
+    weights = (u * (s / np.maximum(s, SIGMA_MIN) ** 2)[..., None, :]) @ vh
+    traces = 2.0 * jset.contract(weights)
     if lam.ndim == 0:
         return float(lam), traces, bool(degenerate)
     return lam, traces, degenerate
@@ -153,9 +153,10 @@ def manipulability_gradient(chain: KinematicChain, q, task_dim: int = 6) -> Mani
     """Analytic gradient of the manipulability measure.
 
     Per joint j: ``(lambda/2) Tr((JJ^T)^-1 (dJ_j J^T + J dJ_j^T))``, with
-    the Jacobian derivatives from :func:`jacobian_partials`.  Near a
-    singularity the clamped inverse keeps the value finite and the result
-    is flagged degenerate.  Takes a (K, n) stack like :func:`singularity_cost`.
+    the Jacobian derivatives of :func:`jacobian_partials` contracted in
+    O(n).  Near a singularity the clamped inverse keeps the value finite
+    and the result is flagged degenerate.  Takes a (K, n) stack like
+    :func:`singularity_cost`.
     """
     lam, traces, degenerate = _gram_terms(chain, q, task_dim)
     return ManipulabilityGradient(values=0.5 * np.expand_dims(lam, -1) * traces, degenerate=degenerate)
@@ -193,7 +194,7 @@ def singularity_cost_value(
     task_dim: int = 6,
 ):
     """The cost of :func:`singularity_cost` without its gradient (skips
-    the Jacobian joint derivatives; used in solver line searches): a float
+    the Jacobian joint derivatives; used by the solver's initial cost check): a float
     for one configuration, a (K,) array for a (K, n) stack."""
     return _log_ratio(manipulability(geometric_jacobian(chain, q, task_dim)), params)
 

@@ -14,11 +14,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from jsonschema import validate as _validate_schema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import factor_graph as fg
 from . import gp_prior as gp
@@ -167,6 +169,24 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+@lru_cache(maxsize=None)
+def _validator():
+    """The scenario schema's validator, with the schema itself checked
+    against its metaschema once per process."""
+    schema = _schema()
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(data: dict) -> None:
+    """Raise what ``jsonschema.validate`` raises for an invalid scenario:
+    the best match among the validation errors."""
+    error = best_match(_validator().iter_errors(data))
+    if error is not None:
+        raise error
+
+
 # Scenario file key -> cast, for the keys that map one to one onto a
 # Scenario field.  A key the file leaves out keeps the dataclass default.
 _SCENARIO_CASTS = {
@@ -194,7 +214,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
     ``robot`` may be a built-in model name or a path, resolved relative
     to ``base_dir`` (the scenario file's directory).
     """
-    _validate_schema(instance=data, schema=_schema())
+    _validate(data)
     robot = str(data["robot"])
     robot_path = Path(robot)
     if robot_path.suffix:

@@ -5,6 +5,7 @@ matrix products, finite differences, quadrature, dense kernels) and never
 calls back into the code paths it checks.
 """
 
+import mpmath
 import numpy as np
 
 from manipplan import gp_prior as gp
@@ -116,6 +117,48 @@ def jacobian_partials_loop(chain, q, task_dim):
                 out[k, 3:, j] = d_axis
                 out[k, :3, j] = np.cross(d_axis, rel[j]) + np.cross(axes[j], np.cross(axes[k], rel[j]))
     return out[:, :task_dim]
+
+
+def singularity_gradient_mp(chain, q, task_dim, sigma_min, digits=60):
+    """Gradient of ``ln(lambda_max / lambda)``, ``-(1/2) Tr(G^-1 (dJ_k J^T
+    + J dJ_k^T))`` with ``G = J J^T`` and its eigenvalues clamped at
+    ``sigma_min^2`` inside the inverse, evaluated in ``digits``-digit
+    arithmetic: forward kinematics, the Jacobian and its derivatives by
+    the product rule, and the eigen-decomposition of ``G``."""
+    with mpmath.workdps(digits):
+        cross = lambda a, b: [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+        frames = [mpmath.matrix(chain.base_pose.as_matrix().tolist())]
+        for link, qk in zip(chain.links, q):
+            th, al = mpmath.mpf(float(qk)) + link.theta_offset, mpmath.mpf(link.alpha)
+            ct, st, ca, sa = mpmath.cos(th), mpmath.sin(th), mpmath.cos(al), mpmath.sin(al)
+            frames.append(
+                frames[-1]
+                * mpmath.matrix([[ct, -st * ca, st * sa, link.a * ct], [st, ct * ca, -ct * sa, link.a * st],
+                                 [0, sa, ca, link.d], [0, 0, 0, 1]])
+            )
+        n = chain.n
+        axes = [[frame[i, 2] for i in range(3)] for frame in frames[:-1]]
+        rel = [[frames[-1][i, 3] - frame[i, 3] for i in range(3)] for frame in frames[:-1]]
+        lin = [cross(axes[j], rel[j]) for j in range(n)]
+        jac = mpmath.matrix([[(lin[j] + axes[j])[i] for j in range(n)] for i in range(task_dim)])
+        evals, evecs = mpmath.eigsy(jac * jac.T)
+        clamped = mpmath.diag([1 / max(e, mpmath.mpf(sigma_min) ** 2) for e in evals])
+        inv_gram = evecs * clamped * evecs.T
+        out = np.empty(n)
+        for k in range(n):
+            cols = []
+            for j in range(n):
+                if j <= k:
+                    cols.append(cross(axes[j], lin[k]) + [0, 0, 0])
+                else:
+                    d_axis = cross(axes[k], axes[j])
+                    d_lin = [a + b for a, b in zip(cross(d_axis, rel[j]), cross(axes[j], cross(axes[k], rel[j])))]
+                    cols.append(d_lin + d_axis)
+            d_jac = mpmath.matrix([[cols[j][i] for j in range(n)] for i in range(task_dim)])
+            sym = d_jac * jac.T
+            product = inv_gram * (sym + sym.T)
+            out[k] = float(-sum(product[i, i] for i in range(task_dim)) / 2)
+    return out
 
 
 def collision_residual_loop(chain, q, grid, params):

@@ -69,6 +69,19 @@ class TestFactorResiduals:
         r, _ = factor.evaluate(state_array(one_state_trajectory(q)))
         np.testing.assert_allclose(r, np.zeros((1, 3)), atol=1e-9)
 
+    def test_goal_value_path_computes_no_jacobian(self, ur10, rng, monkeypatch):
+        q = rng.uniform(-np.pi, np.pi, (4, 6))
+        cost = fg.goal_position_cost(ur10, [0.5, 0.2, 0.3])
+        r_full, _ = cost(q)
+
+        def no_jacobian(*args, **kwargs):
+            raise AssertionError("point_jacobian called on the value-only path")
+
+        monkeypatch.setattr(fg, "point_jacobian", no_jacobian)
+        r, jac = cost(q, with_jacobian=False)
+        assert jac is None
+        np.testing.assert_array_equal(r, r_full)
+
     def test_interpolated_singularity_midpoint_identity(self, planar2r):
         # Two identical stationary states: the midpoint cost equals the
         # plain per-state cost, and each state receives exactly half of the
@@ -239,6 +252,42 @@ class TestOptimize:
         np.testing.assert_array_equal(sol_a.as_vector(), sol_b.as_vector())
         assert all(a >= b for a, b in zip(rep_a.cost_trace, rep_a.cost_trace[1:]))
 
+    @pytest.mark.parametrize("problem", ["planar", "steep"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_lm_linearizes_each_candidate_once(self, monkeypatch, planar2r, problem):
+        if problem == "planar":
+            params = SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4)
+            factors = (
+                singularity_factor(0, fg.ChainSingularityCost(planar2r, params, task_dim=2), 1e-4),
+                goal_factor(0, planar2r, [1.0, 1.0, 0.0], 1e-8),
+                fg.StartPriorFactor(state=1, prior=np.array([0.0, 0.9, 0.0, 0.0]), sigma=1e2),
+            )
+            graph, init = fg.FactorGraph(factors=factors, num_states=2, state_dim=4), one_state_trajectory([0.4, 0.7])
+        else:
+            # J^T J is infinite, so no step is ever solved.
+            def steep(q, with_jacobian=True):
+                return np.ones((len(q), 1)), np.full((len(q), 1, 1), 1e200)
+
+            priors = [fg.StartPriorFactor(state=s, prior=[0.1, 0.0], sigma=1.0) for s in (0, 1)]
+            graph = fg.FactorGraph(factors=(singularity_factor(0, steep, 1.0), *priors), num_states=2, state_dim=2)
+            init = one_state_trajectory([0.1])
+        calls = {"linearize": [], "total_cost": [], "_solve_normal": []}
+        for name, seen in calls.items():
+
+            def counted(*args, original=getattr(fg, name), seen=seen):
+                seen.append(original(*args))
+                return seen[-1]
+
+            monkeypatch.setattr(fg, name, counted)
+        _, report = fg.optimize(graph, init, fg.SolverSettings(max_iterations=150))
+        unsolved = sum(step is None for step in calls["_solve_normal"]) + (report.message == "gradient tolerance")
+        assert len(calls["total_cost"]) == 1
+        assert len(calls["linearize"]) == report.iterations + 1 - unsolved
+        assert unsolved == (report.iterations if problem == "steep" else 0)
+        # The accepted candidates' linearizations carry the reported costs.
+        assert report.cost_trace[-1] == report.final_cost
+        assert set(report.cost_trace) <= {cost for _, _, cost in calls["linearize"]}
+
     def test_gradient_small_at_convergence(self):
         graph, traj = self.linear_graph()
         settings = fg.SolverSettings(max_iterations=50)
@@ -274,18 +323,19 @@ class TestOptimize:
         )
         assert np.abs(solution.as_vector() - closed_form).max() < 1e-8
 
-    def test_linearize_band_matches_dense_oracle(self):
+    @pytest.mark.parametrize("n_interp", [1, 3])
+    def test_linearize_band_matches_dense_oracle(self, n_interp):
         scenario = Scenario(
             robot="ur10",
             start_config=np.array([0.3, -1.2, 1.1, 0.4, 0.2, 0.1]),
             goal_position=np.array([0.5, 0.5, 0.5]),
             num_support=4,
-            n_interp=1,
+            n_interp=n_interp,
             # The box swallows the lower arm, so collision rows are active.
             obstacles=(BoxObstacle(center=[-0.1, 0.0, 0.3], half_extents=[0.2, 0.2, 0.2]),),
             sdf_cell_size=0.1,
         )
-        traj = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, n_interp=1)
+        traj = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, n_interp=n_interp)
         traj = traj.with_vector(traj.as_vector() + 0.05 * np.sin(np.arange(traj.as_vector().size)))
         graph = fg.build_graph(scenario, traj)
         band, gradient, cost = fg.linearize(graph, traj)
@@ -301,6 +351,35 @@ class TestOptimize:
         np.testing.assert_allclose(gradient, jac.T @ res, rtol=1e-12, atol=1e-6)
         assert cost == pytest.approx(0.5 * res @ res, rel=1e-12)
         assert cost == fg.total_cost(graph, traj)
+
+    def test_linearize_band_with_unsorted_repeated_states(self, planar2r):
+        # Blocks in no particular order, several on the same first state.
+        traj = gp.init_trajectory([0.3, 0.8], 4.0, 5)
+        traj = traj.with_vector(traj.as_vector() + 0.1 * np.cos(np.arange(traj.as_vector().size)))
+        cost = fg.goal_position_cost(planar2r, [1.0, 0.5, 0.0])
+        knots = np.array([2, 0, 3, 2, 1, 0, 2])
+        _, _, lam, psi = fg.interpolated_blends(traj.times[[0, 1]], len(knots))
+        factors = (
+            fg.ConfigurationFactor(fg.FactorKind.GOAL_POSITION, [3, 1, 3, 4, 0, 1], cost, 3, 1e-2),
+            fg.ConfigurationFactor(fg.FactorKind.INTERP_COLLISION, knots, cost, 3, 1e-2, (lam, psi)),
+            fg.GpPriorFactor(times=traj.times, params=gp.GpPriorParams.isotropic(2, 1.0)),
+        )
+        graph = fg.FactorGraph(factors=factors, num_states=5, state_dim=4)
+        band, gradient, _ = fg.linearize(graph, traj)
+        jac, res = dense_linearization(graph, traj)
+        normal = jac.T @ jac
+        size = normal.shape[0]
+        for offset in range(band.shape[0]):
+            np.testing.assert_allclose(band[offset, : size - offset], np.diag(normal, -offset), rtol=1e-12, atol=1e-12)
+            assert np.all(band[offset, size - offset :] == 0.0)
+        np.testing.assert_allclose(gradient, jac.T @ res, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("states", [[[0, 2]], [[1, 0]], [[0, 1, 2]], [0, 1]])
+    def test_graph_rejects_blocks_over_other_than_consecutive_states(self, states):
+        factor = fg.StartPriorFactor(state=0, prior=np.zeros(2), sigma=1.0)
+        factor.states = np.array(states)
+        with pytest.raises(ValueError, match="consecutive"):
+            fg.FactorGraph(factors=(factor,), num_states=3, state_dim=2)
 
     @pytest.mark.parametrize("method", list(fg.SolverMethod))
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 from jsonschema import ValidationError
@@ -72,6 +73,38 @@ class TestScenarioLoading:
         data["task_dim"] = 4
         with pytest.raises(ValidationError):
             scenario_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "change, drop",
+        [
+            ({"unknown_knob": 1.0}, None),
+            ({"task_dim": 4}, None),
+            ({"horizon": -1.0, "num_support": "many", "solver": {"method": "newton"}}, None),
+            ({}, "goal_position"),
+        ],
+    )
+    def test_schema_errors_match_jsonschema_validate(self, change, drop):
+        data = json.loads(builtin_scenario_path("ur10_table").read_text()) | change
+        data.pop(drop, None)
+        schema = json.loads((builtin_scenario_path("ur10_table").parent.parent / "scenario.schema.json").read_text())
+        with pytest.raises(ValidationError) as ours:
+            scenario_from_dict(data)
+        with pytest.raises(ValidationError) as reference:
+            jsonschema.validate(data, schema)
+        assert str(ours.value) == str(reference.value)
+
+    def test_schema_is_checked_once_per_process(self, monkeypatch):
+        built = []
+
+        def counted(schema, validator_for=sc.validator_for):
+            built.append(schema)
+            return validator_for(schema)
+
+        sc._validator.cache_clear()
+        monkeypatch.setattr(sc, "validator_for", counted)
+        for name in ("ur10_table", "ur10_unconstrained", "planar2r_analytic"):
+            load_scenario(name)
+        assert len(built) == 1
 
     def test_negative_covariance_rejected(self):
         with pytest.raises(ValueError):
