@@ -85,9 +85,9 @@ class SdfQuery(NamedTuple):
     clamped: bool  # True when the query point was outside the grid
 
 
-def _trilinear(grid: SdfGrid, points: np.ndarray, with_gradient: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def _trilinear(grid: SdfGrid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trilinear distances (k,) and their gradients (k, 3) at points (k, 3)
-    clamped onto the grid (``None`` without ``with_gradient``).
+    clamped onto the grid.
 
     The gradient is the exact derivative of the interpolant inside the
     enclosing cell, so it agrees with finite differences of the distance
@@ -116,8 +116,6 @@ def _trilinear(grid: SdfGrid, points: np.ndarray, with_gradient: bool = True) ->
     c11 = c011 * ex + c111 * fx
     c0 = c00 * ey + c10 * fy
     c1 = c01 * ey + c11 * fy
-    if not with_gradient:
-        return c0 * ez + c1 * fz, None
     dx0 = (c100 - c000) * ey + (c110 - c010) * fy
     dx1 = (c101 - c001) * ey + (c111 - c011) * fy
     gradient = np.stack([dx0 * ez + dx1 * fz, (c10 - c00) * ez + (c11 - c01) * fz, c1 - c0], axis=1) / grid.cell_size
@@ -152,8 +150,7 @@ def collision_residual(
     q,
     grid: SdfGrid,
     params: CollisionParams,
-    with_jacobian: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Hinge costs of every body sphere and their joint-space Jacobian:
     shapes (S,) and (S, n), or (K, S) and (K, S, n) for a (K, n) stack of
     configurations.
@@ -164,10 +161,8 @@ def collision_residual(
     clamped onto its border (see :func:`_trilinear`).
     """
     centers, center_jacs = body_sphere_states(chain, q)
-    distances, gradients = _trilinear(grid, centers.reshape(-1, 3), with_jacobian)
+    distances, gradients = _trilinear(grid, centers.reshape(-1, 3))
     residual, slopes = hinge_cost(distances.reshape(centers.shape[:-1]) - chain._sphere_radii, params.epsilon)
-    if not with_jacobian:
-        return residual, None
     gradients = gradients.reshape(centers.shape)
     active = slopes != 0.0
     jac = np.zeros(residual.shape + (chain.n,))
@@ -179,7 +174,7 @@ def sphere_clearances(chain: KinematicChain, q, grid: SdfGrid) -> np.ndarray:
     """Signed clearance ``sdf(center) - radius`` of every body sphere:
     shape (S,) for one configuration, (K, S) for a (K, n) stack."""
     centers = _body_sphere_centers(chain, q)[1]
-    distances = _trilinear(grid, centers.reshape(-1, 3), with_gradient=False)[0]
+    distances = _trilinear(grid, centers.reshape(-1, 3))[0]
     return distances.reshape(centers.shape[:-1]) - chain._sphere_radii
 
 

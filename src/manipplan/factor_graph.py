@@ -33,8 +33,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import gp_prior as gp
 from .collision import CollisionParams, collision_residual
-from .kinematics import KinematicChain, point_jacobian, point_position
-from .manipulability import SingularityCostParams, singularity_cost, singularity_cost_value
+from .kinematics import KinematicChain, point_jacobian
+from .manipulability import SingularityCostParams, singularity_cost
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -58,8 +58,8 @@ __all__ = [
     "goal_position_cost",
 ]
 
-# (q (K, n), with_jacobian) -> (r (K, d), dr_dq (K, d, n)); see ConfigurationFactor.
-ConfigCost = Callable[..., tuple[np.ndarray, np.ndarray | None]]
+# q (K, n) -> (r (K, d), dr_dq (K, d, n)); see ConfigurationFactor.
+ConfigCost = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 class FactorKind(Enum):
@@ -84,10 +84,9 @@ class Factor:
     states: np.ndarray
     dim: int
 
-    def evaluate(self, x: np.ndarray, with_jacobians: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Whitened residuals (K, dim) and Jacobians (K, dim, width * 2n)
-        at the (N, 2n) support states ``x``; pass ``with_jacobians=False``
-        to skip derivative work when only the cost is needed."""
+        at the (N, 2n) support states ``x``."""
         raise NotImplementedError
 
 
@@ -112,9 +111,9 @@ class StartPriorFactor(Factor):
         self.dim = self.prior.shape[0]
         self._w = _weight(self.sigma)
 
-    def evaluate(self, x, with_jacobians=True):
+    def evaluate(self, x):
         r = self._w * (x[self.states[0]] - self.prior)
-        return r, (self._w * np.eye(self.dim)[None] if with_jacobians else None)
+        return r, self._w * np.eye(self.dim)[None]
 
 
 @dataclass
@@ -134,10 +133,10 @@ class GpPriorFactor(Factor):
         self._whitening = self.params.whitening
         self._jac = np.kron(self._kernel, self._whitening)
 
-    def evaluate(self, x, with_jacobians=True):
+    def evaluate(self, x):
         halves = x[self.states].reshape(len(self.states), 1, 4, -1)
         r = gp.blend(self._kernel, halves) @ self._whitening.T
-        return r.reshape(len(self.states), -1), (self._jac if with_jacobians else None)
+        return r.reshape(len(self.states), -1), self._jac
 
 
 @dataclass
@@ -146,9 +145,8 @@ class ConfigurationFactor(Factor):
     ``knots``, or, with the (K, 2, 2) blend kernels ``blend = (Lambda~,
     Psi~)``, of the GP-interpolated states after them.
 
-    ``cost(q, with_jacobian=...)`` maps the (K, n) configurations to the
-    unwhitened residuals (K, dim) and their joint-space Jacobians
-    (K, dim, n), the latter ignored when ``with_jacobian`` is false.  A
+    ``cost(q)`` maps the (K, n) configurations to the unwhitened
+    residuals (K, dim) and their joint-space Jacobians (K, dim, n).  A
     configuration is ``sum_s c_s h_s`` over its states' halves ``h = (q_i,
     q_dot_i[, q_j, q_dot_j])``, ``c = (1, 0)`` at a knot and the kernels'
     position row otherwise, so its Jacobian is ``[c_s J]``.
@@ -168,11 +166,9 @@ class ConfigurationFactor(Factor):
         self.states = self.knots[:, None] + np.arange(self._coef.shape[-1] // 2)
         self._w = _weight(self.sigma)
 
-    def evaluate(self, x, with_jacobians=True):
+    def evaluate(self, x):
         halves = x[self.states].reshape(len(self.knots), -1, x.shape[1] // 2)
-        r, jac_q = self.cost(gp.blend(self._coef, halves), with_jacobian=with_jacobians)
-        if not with_jacobians:
-            return self._w * r, None
+        r, jac_q = self.cost(gp.blend(self._coef, halves))
         jac = self._coef[:, None, :, None] * jac_q[:, :, None, :]
         return self._w * r, self._w * jac.reshape(jac.shape[:2] + (-1,))
 
@@ -254,8 +250,9 @@ def _cost(residuals) -> float:
 
 
 def total_cost(graph: FactorGraph, trajectory: gp.SupportTrajectory) -> float:
-    """Half the squared norm of all whitened residuals (the MAP negative log)."""
-    return _cost([factor.evaluate(trajectory.x, with_jacobians=False)[0] for factor in graph.factors])
+    """Half the squared norm of all whitened residuals (the MAP negative
+    log): the cost that :func:`linearize` returns."""
+    return _cost([factor.evaluate(trajectory.x)[0] for factor in graph.factors])
 
 
 @lru_cache(maxsize=None)
@@ -277,22 +274,26 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
 
     Returns ``(band, gradient, cost)``: ``J^T J`` in LAPACK lower banded
     storage (``band[a - b, b] = (J^T J)[a, b]``), ``J^T r`` and half the
-    squared residual norm.  Every block touches one state or two
-    consecutive ones, so ``J^T J`` is block tridiagonal and its lower
-    half-bandwidth is ``2 * state_dim - 1``.  A factor's blocks on one
-    first state are summed in their order, then added to the diagonal
+    squared residual norm.  When the cost is not finite it returns
+    ``(None, None, cost)`` before forming any ``J^T J``, whose products
+    with infinite residuals would be NaN.  Every block touches one state
+    or two consecutive ones, so ``J^T J`` is block tridiagonal and its
+    lower half-bandwidth is ``2 * state_dim - 1``.  A factor's blocks on
+    one first state are summed in their order, then added to the diagonal
     blocks, the blocks below them and the gradient of the states they
     touch; one gather then lays the blocks out as the band.
     """
+    evaluated = [factor.evaluate(trajectory.x) for factor in graph.factors]
+    cost = _cost([r for r, _ in evaluated])
+    if not math.isfinite(cost):
+        return None, None, cost
     dim, num = graph.state_dim, graph.num_states
     store = np.zeros(num * 2 * dim * dim + 1)
     # Column block s: the diagonal block (s, s) over the block (s + 1, s),
     # so diag = blocks[:, :dim] (N, 2n, 2n) and lower = blocks[:-1, dim:].
     blocks = store[:-1].reshape(num, 2 * dim, dim)
     gradient = np.zeros((num, dim))
-    residuals = []
-    for factor, (gather, at, below) in zip(graph.factors, graph._groups):
-        r, jac = factor.evaluate(trajectory.x)
+    for (r, jac), (gather, at, below) in zip(evaluated, graph._groups):
         jac_t = jac.swapaxes(1, 2)
         normal, jac_r = jac_t @ jac, (jac_t @ r[..., None])[..., 0]
         if gather is not None:
@@ -302,8 +303,7 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
         if normal.shape[1] > dim:
             blocks[below, :dim] += normal[:, dim:, dim:]
             gradient[below] += jac_r[:, dim:]
-        residuals.append(r)
-    return store[_band_layout(num, dim)], gradient.reshape(-1), _cost(residuals)
+    return store[_band_layout(num, dim)], gradient.reshape(-1), cost
 
 
 class SolverMethod(Enum):
@@ -413,9 +413,9 @@ def optimize(
             f"graph expects {graph.num_states} states of dim {graph.state_dim}, "
             f"trajectory has {init.num_states} states of dim {2 * init.n}"
         )
-    if not math.isfinite(total_cost(graph, trajectory)):
-        raise ValueError("initial trajectory has non-finite cost")
     band, gradient, cost = linearize(graph, trajectory)
+    if band is None:
+        raise ValueError("initial trajectory has non-finite cost")
     trace = [cost]
     converged = False
     message = "max iterations reached"
@@ -433,8 +433,12 @@ def optimize(
             if delta is None:
                 message = "no finite step: normal equations not finite or not positive definite"
                 break
-            trajectory = trajectory.with_vector(trajectory.as_vector() + delta)
-            band, gradient, cost = linearize(graph, trajectory)
+            candidate = trajectory.with_vector(trajectory.as_vector() + delta)
+            linearized = linearize(graph, candidate)
+            if linearized[0] is None:
+                message = "no finite step: the cost after the step is not finite"
+                break
+            trajectory, (band, gradient, cost) = candidate, linearized
             trace.append(cost)
             if _converged(trace, float(np.abs(gradient).max()), settings):
                 converged = True
@@ -501,19 +505,14 @@ def optimize(
 
 @dataclass(frozen=True)
 class ChainSingularityCost:
-    """The chain's log-manipulability cost as a one-entry configuration cost.
-
-    Without the Jacobian only ``h`` is computed, skipping the Jacobian
-    derivative work.
-    """
+    """The chain's log-manipulability cost ``h`` as a one-entry
+    configuration cost, with its gradient as the Jacobian row."""
 
     chain: KinematicChain
     params: SingularityCostParams
     task_dim: int
 
-    def __call__(self, q: np.ndarray, with_jacobian: bool = True):
-        if not with_jacobian:
-            return singularity_cost_value(self.chain, q, self.params, self.task_dim)[:, None], None
+    def __call__(self, q: np.ndarray):
         out = singularity_cost(self.chain, q, self.params, self.task_dim)
         return out.h[:, None], out.gradient[:, None, :]
 
@@ -523,9 +522,7 @@ def goal_position_cost(chain: KinematicChain, goal) -> ConfigCost:
     goal = np.asarray(goal, dtype=float).reshape(3)
     tool = np.zeros(3)
 
-    def cost(q: np.ndarray, with_jacobian: bool = True):
-        if not with_jacobian:
-            return point_position(chain, q, chain.n - 1, tool) - goal, None
+    def cost(q: np.ndarray):
         p, jac_q = point_jacobian(chain, q, chain.n - 1, tool)
         return p - goal, jac_q
 

@@ -29,7 +29,6 @@ __all__ = [
     "forward_kinematics",
     "geometric_jacobian",
     "jacobian_partials",
-    "point_position",
     "point_jacobian",
     "planar_chain",
     "chain_from_dict",
@@ -358,23 +357,6 @@ def jacobian_partials(chain: KinematicChain, q, task_dim: int = 6) -> JacobianSe
     return JacobianSet(jacobian=jac[..., :task_dim, :], _frames=frames, _full=jac)
 
 
-def _point_frames(chain: KinematicChain, q, link_index: int, offset) -> tuple[np.ndarray, np.ndarray]:
-    """Frames (..., n+1, 4, 4) and position (..., 3) of a point fixed in
-    the frame after link ``link_index``, from one FK pass."""
-    q = _as_config(chain, q, stack=True)
-    if not 0 <= link_index < chain.n:
-        raise ModelError(f"link index {link_index} out of range")
-    frames = _fk_matrices(chain, q)
-    frame = frames[..., link_index + 1, :, :]
-    return frames, frame[..., :3, :3] @ np.asarray(offset, dtype=float) + frame[..., :3, 3]
-
-
-def point_position(chain: KinematicChain, q, link_index: int, offset) -> np.ndarray:
-    """Position of a point fixed in a link frame: the position of
-    :func:`point_jacobian` without its Jacobian, (3,) or (K, 3)."""
-    return _point_frames(chain, q, link_index, offset)[1]
-
-
 def point_jacobian(chain: KinematicChain, q, link_index: int, offset) -> tuple[np.ndarray, np.ndarray]:
     """Position and 3 x n linear Jacobian of a point fixed in a link frame.
 
@@ -382,7 +364,12 @@ def point_jacobian(chain: KinematicChain, q, link_index: int, offset) -> tuple[n
     ``link_index``; columns of joints that cannot move it are zero.  A
     (K, n) stack of configurations gives (K, 3) and (K, 3, n).
     """
-    frames, point = _point_frames(chain, q, link_index, offset)
+    q = _as_config(chain, q, stack=True)
+    if not 0 <= link_index < chain.n:
+        raise ModelError(f"link index {link_index} out of range")
+    frames = _fk_matrices(chain, q)
+    frame = frames[..., link_index + 1, :, :]
+    point = frame[..., :3, :3] @ np.asarray(offset, dtype=float) + frame[..., :3, 3]
     return point, _point_jacobians(frames, point[..., None, :], np.array([link_index]))[..., 0, :, :]
 
 

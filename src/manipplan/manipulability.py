@@ -194,9 +194,11 @@ def singularity_cost_value(
     task_dim: int = 6,
 ):
     """The cost of :func:`singularity_cost` without its gradient (skips
-    the Jacobian joint derivatives; used by the solver's initial cost check): a float
-    for one configuration, a (K,) array for a (K, n) stack."""
-    return _log_ratio(manipulability(geometric_jacobian(chain, q, task_dim)), params)
+    the Jacobian joint derivatives): a float for one configuration, a (K,)
+    array for a (K, n) stack.  ``lambda`` comes from the same SVD call as
+    in :func:`singularity_cost`, so the two costs agree bit for bit."""
+    s = np.linalg.svd(_checked(geometric_jacobian(chain, q, task_dim)), full_matrices=False)[1]
+    return _log_ratio(np.prod(s, axis=-1), params)
 
 
 def classify_configuration(lam: float, params: SingularityCostParams) -> Classification:

@@ -98,7 +98,7 @@ def test_criterion_3_planar_analytic_oracle():
         lam = manipulability(geometric_jacobian(chain, [0.7, q2], task_dim=2))
         worst = max(worst, abs(lam - abs(math.sin(q2))))
 
-    def sine_cost(q, with_jacobian=True):
+    def sine_cost(q):
         theta = q[:, 0]
         lam = np.abs(np.sin(theta))
         h = np.log(1.0 / np.maximum(lam, 1e-9))

@@ -283,14 +283,6 @@ class TestCollisionResidual:
                 worst = max(worst, np.abs(jac[active, j] - fd[active]).max(initial=0.0))
         assert worst < 1e-3
 
-    def test_residual_only_path_matches(self, ur10, table_grid, rng):
-        params = self.params()
-        q = rng.uniform(-np.pi, np.pi, 6)
-        full_r, _ = collision_residual(ur10, q, table_grid, params)
-        lean_r, lean_jac = collision_residual(ur10, q, table_grid, params, with_jacobian=False)
-        np.testing.assert_array_equal(full_r, lean_r)
-        assert lean_jac is None
-
     def test_equals_per_sphere_loop_bit_for_bit(self, ur10, table_grid, rng):
         active = 0
         for _ in range(40):
@@ -305,16 +297,12 @@ class TestCollisionResidual:
     def test_stack_equals_per_configuration_calls_bit_for_bit(self, ur10, planar2r, table_grid, rng):
         # Configurations driven into the tabletop, so many rows are active.
         configs = np.array([1.0, 1.7, 1.2, 0.0, 0.0, 0.0]) + rng.uniform(-0.4, 0.4, (60, 6))
-        for with_jacobian in (True, False):
-            r, jac = collision_residual(ur10, configs, table_grid, self.params(), with_jacobian)
-            assert r.shape == (60, len(ur10.body_spheres))
-            singles = [collision_residual(ur10, q, table_grid, self.params(), with_jacobian) for q in configs]
-            np.testing.assert_array_equal(r, [r_k for r_k, _ in singles])
-            if with_jacobian:
-                assert jac.shape == (60, len(ur10.body_spheres), 6)
-                np.testing.assert_array_equal(jac, [jac_k for _, jac_k in singles])
-            else:
-                assert jac is None
+        r, jac = collision_residual(ur10, configs, table_grid, self.params())
+        assert r.shape == (60, len(ur10.body_spheres))
+        assert jac.shape == (60, len(ur10.body_spheres), 6)
+        singles = [collision_residual(ur10, q, table_grid, self.params()) for q in configs]
+        np.testing.assert_array_equal(r, [r_k for r_k, _ in singles])
+        np.testing.assert_array_equal(jac, [jac_k for _, jac_k in singles])
         assert np.count_nonzero(r) > 60
         r, jac = collision_residual(planar2r, np.zeros((4, 2)), table_grid, self.params())
         assert r.shape == (4, 0) and jac.shape == (4, 0, 2)
@@ -324,9 +312,6 @@ class TestCollisionResidual:
         r, jac = collision_residual(planar2r, q, table_grid, self.params())
         assert r.shape == (0,)
         assert jac.shape == (0, planar2r.n)
-        r, jac = collision_residual(planar2r, q, table_grid, self.params(), with_jacobian=False)
-        assert r.shape == (0,)
-        assert jac is None
 
     def test_zero_residual_implies_margin_clearance(self, ur10, table_grid, rng):
         params = self.params()
@@ -358,8 +343,8 @@ def residual_fd(chain, q, grid, params, step=1e-6):
         qp, qm = q.copy(), q.copy()
         qp[j] += step
         qm[j] -= step
-        rp, _ = collision_residual(chain, qp, grid, params, with_jacobian=False)
-        rm, _ = collision_residual(chain, qm, grid, params, with_jacobian=False)
+        rp, _ = collision_residual(chain, qp, grid, params)
+        rm, _ = collision_residual(chain, qm, grid, params)
         cols.append((rp - rm) / (2 * step))
     return np.stack(cols, axis=1)
 

@@ -9,14 +9,14 @@ from manipplan import gp_prior as gp
 from manipplan import kinematics
 from manipplan.kinematics import forward_kinematics, planar_chain
 from manipplan.manipulability import SingularityCostParams
-from manipplan.scenario import BoxObstacle, Scenario
+from manipplan.scenario import BoxObstacle, Scenario, load_scenario
 
 from .oracles import dense_linearization
 
 LAMBDA_FLOOR = 1e-9
 
 
-def sine_cost(q, with_jacobian=True):
+def sine_cost(q):
     """Toy 1-joint log cost with lambda(theta) = |sin theta|, lambda_max = 1,
     over a (K, 1) stack of configurations."""
     theta = q[:, 0]
@@ -68,19 +68,6 @@ class TestFactorResiduals:
         factor = goal_factor(0, ur10, goal, 1e-8)
         r, _ = factor.evaluate(state_array(one_state_trajectory(q)))
         np.testing.assert_allclose(r, np.zeros((1, 3)), atol=1e-9)
-
-    def test_goal_value_path_computes_no_jacobian(self, ur10, rng, monkeypatch):
-        q = rng.uniform(-np.pi, np.pi, (4, 6))
-        cost = fg.goal_position_cost(ur10, [0.5, 0.2, 0.3])
-        r_full, _ = cost(q)
-
-        def no_jacobian(*args, **kwargs):
-            raise AssertionError("point_jacobian called on the value-only path")
-
-        monkeypatch.setattr(fg, "point_jacobian", no_jacobian)
-        r, jac = cost(q, with_jacobian=False)
-        assert jac is None
-        np.testing.assert_array_equal(r, r_full)
 
     def test_interpolated_singularity_midpoint_identity(self, planar2r):
         # Two identical stationary states: the midpoint cost equals the
@@ -208,7 +195,7 @@ class TestOptimize:
         assert grid_min - solver_cost <= neighbor_span
 
     def test_non_finite_initial_cost_rejected(self):
-        def exploding(q, with_jacobian=True):
+        def exploding(q):
             return np.full((len(q), 1), np.inf), np.zeros((len(q), 1, 1))
 
         graph = fg.FactorGraph(
@@ -265,7 +252,7 @@ class TestOptimize:
             graph, init = fg.FactorGraph(factors=factors, num_states=2, state_dim=4), one_state_trajectory([0.4, 0.7])
         else:
             # J^T J is infinite, so no step is ever solved.
-            def steep(q, with_jacobian=True):
+            def steep(q):
                 return np.ones((len(q), 1)), np.full((len(q), 1, 1), 1e200)
 
             priors = [fg.StartPriorFactor(state=s, prior=[0.1, 0.0], sigma=1.0) for s in (0, 1)]
@@ -281,7 +268,7 @@ class TestOptimize:
             monkeypatch.setattr(fg, name, counted)
         _, report = fg.optimize(graph, init, fg.SolverSettings(max_iterations=150))
         unsolved = sum(step is None for step in calls["_solve_normal"]) + (report.message == "gradient tolerance")
-        assert len(calls["total_cost"]) == 1
+        assert len(calls["total_cost"]) == 0
         assert len(calls["linearize"]) == report.iterations + 1 - unsolved
         assert unsolved == (report.iterations if problem == "steep" else 0)
         # The accepted candidates' linearizations carry the reported costs.
@@ -384,7 +371,7 @@ class TestOptimize:
     @pytest.mark.parametrize("method", list(fg.SolverMethod))
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_normal_equations_reject_the_step(self, method):
-        def steep(q, with_jacobian=True):
+        def steep(q):
             # A finite residual whose Jacobian squares to infinity in J^T J.
             return np.ones((len(q), 1)), np.full((len(q), 1, 1), 1e200)
 
@@ -400,6 +387,33 @@ class TestOptimize:
         else:
             # Every step is rejected until the damping runs out.
             assert report.message.startswith("damping exhausted")
+
+    @pytest.mark.parametrize("method", list(fg.SolverMethod))
+    def test_non_finite_candidate_cost_rejects_the_step(self, method):
+        # A wall: no cost below q = 0.5 and an infinite one beyond it, while
+        # the priors pull both states to q = 1.  The full step crosses the
+        # wall; its linearization must stop at the cost, before J^T r forms
+        # 0 * inf (a RuntimeWarning, an error under -W error).
+        def wall(q):
+            return np.where(q < 0.5, 0.0, np.inf), np.zeros(q.shape + (1,))
+
+        init = one_state_trajectory([0.1])
+        priors = [fg.StartPriorFactor(state=s, prior=[1.0, 0.0], sigma=1.0) for s in (0, 1)]
+        graph = fg.FactorGraph(
+            factors=(fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, [0, 1], wall, 1, 1.0), *priors),
+            num_states=2,
+            state_dim=2,
+        )
+        solution, report = fg.optimize(graph, init, fg.SolverSettings(method=method))
+        assert math.isfinite(report.final_cost)
+        assert report.final_cost == fg.total_cost(graph, solution) == report.cost_trace[-1]
+        if method is fg.SolverMethod.GAUSS_NEWTON:
+            assert not report.converged and report.iterations == 1
+            np.testing.assert_array_equal(solution.as_vector(), init.as_vector())
+        else:
+            # Damped steps stop short of the wall and still descend.
+            assert np.all(solution.x[:, 0] < 0.5) and np.all(solution.x[:, 0] > 0.1)
+            assert report.final_cost < report.cost_trace[0]
 
     def test_finite_normal_equations_with_an_infinite_step_give_no_step(self):
         assert fg._solve_normal(np.array([[1e-300]]), None, np.array([1e10])) is None
@@ -433,6 +447,19 @@ class TestOptimize:
             passes.append(calls)
         assert [len(calls) for calls in passes] == [5, 5]
         assert sorted(passes[1]) == [(1, 6), (15, 6), (15, 6), (16, 6), (16, 6)]
+
+    @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
+    @pytest.mark.parametrize("singularity", [True, False])
+    def test_total_cost_is_the_linearized_cost(self, name, singularity):
+        scenario = replace(load_scenario(name), enable_singularity_factors=singularity)
+        init = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, scenario.n_interp)
+        graph = fg.build_graph(scenario, init)
+        rng = np.random.default_rng(7)
+        trajectories = [init] + [
+            init.with_vector(init.as_vector() + rng.normal(0.0, 0.05, init.as_vector().size)) for _ in range(5)
+        ]
+        for traj in trajectories:
+            assert fg.total_cost(graph, traj) == fg.linearize(graph, traj)[2]
 
     def test_report_dict_has_interface_keys(self):
         graph, traj = self.linear_graph()

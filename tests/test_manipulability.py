@@ -224,12 +224,16 @@ class TestSingularityCost:
         assert cost.h == pytest.approx(math.log(1.0 / params.lambda_floor), rel=1e-9)
         assert np.all(np.isfinite(cost.gradient))
 
-    def test_value_shortcut_matches_full_cost(self, ur10, rng):
-        params = SingularityCostParams(lambda_max=ur10.lambda_max, sigma_sbar=1e-4)
-        for _ in range(10):
-            q = rng.uniform(-np.pi, np.pi, 6)
-            full = singularity_cost(ur10, q, params, task_dim=6)
-            assert singularity_cost_value(ur10, q, params, task_dim=6) == pytest.approx(full.h, rel=1e-12)
+    @pytest.mark.parametrize("name, task_dim", [("ur10", 6), ("ur10", 3), ("ur10", 2), ("planar2r", 2)])
+    def test_value_equals_full_cost_bit_for_bit(self, name, task_dim, rng):
+        chain = load_chain("ur10") if name == "ur10" else planar_chain([1.0, 1.0])
+        params = SingularityCostParams(lambda_max=4.0, sigma_sbar=1e-4)
+        configs = rng.uniform(-np.pi, np.pi, (2000, chain.n))
+        configs[:200, 1:] = rng.uniform(0.0, 2e-3, (200, chain.n - 1))  # near-singular rows
+        configs[200] = 0.0  # the stretched-out arm
+        np.testing.assert_array_equal(
+            singularity_cost_value(chain, configs, params, task_dim), singularity_cost(chain, configs, params, task_dim).h
+        )
 
     @pytest.mark.parametrize("name, task_dim", [("ur10", 6), ("ur10", 3), ("planar2r", 2)])
     def test_stack_equals_per_configuration_calls_bit_for_bit(self, name, task_dim, rng):
