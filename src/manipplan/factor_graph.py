@@ -1,16 +1,16 @@
 """Factor graph over trajectory states and its nonlinear least-squares solver.
 
-Every factor is a stack of K blocks of the same shape.  Each block is a
-whitened residual (premultiplied by the square root of its inverse
-covariance) over one state or two consecutive states, with its Jacobian
-with respect to them, so the MAP problem is the standard sum of squared
-residuals.  Besides the start prior and the GP prior over all segments
-there is one cost factor type, :class:`ConfigurationFactor`: a residual
-of K joint configurations taken at knots or at GP-interpolated states
-between two knots, whose Jacobian is chained through the interpolation
-blend matrices so gradient information from extra states reaches the
-decision variables.  Each factor's cost runs once over all its
-configurations.
+Every factor is a stack of K blocks of the same shape, whose first
+states are consecutive.  Each block is a whitened residual
+(premultiplied by the square root of its inverse covariance) over one
+state or two consecutive states, with its Jacobian with respect to them,
+so the MAP problem is the standard sum of squared residuals.  Besides the
+start prior and the GP prior over all segments there is one cost factor
+type, :class:`ConfigurationFactor`: a residual of joint configurations,
+one block per knot, or one per segment stacking its P GP-interpolated
+states, whose Jacobian is chained through the interpolation blend
+matrices so gradient information from extra states reaches the decision
+variables.  Each factor's cost runs once over all its configurations.
 
 Because no block spans more than two consecutive states, ``J^T J`` is
 block tridiagonal (the exactly sparse GP structure).  The solver
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable
@@ -73,11 +73,12 @@ class FactorKind(Enum):
 
 
 class Factor:
-    """K whitened residual blocks, each over one state or two consecutive ones.
+    """K whitened residual blocks, each over one state or two consecutive
+    ones, block k starting at state ``s0 + k``.
 
     Subclasses set ``kind``, ``states`` (a (K, width) array of consecutive
-    support-state indices, width 1 or 2), ``dim`` (residual length per
-    block), and implement :meth:`evaluate`.
+    support-state indices, width 1 or 2, on consecutive rows), ``dim``
+    (residual length per block), and implement :meth:`evaluate`.
     """
 
     kind: FactorKind
@@ -141,15 +142,16 @@ class GpPriorFactor(Factor):
 
 @dataclass
 class ConfigurationFactor(Factor):
-    """A cost of K joint configurations: the positions of the knots
-    ``knots``, or, with the (K, 2, 2) blend kernels ``blend = (Lambda~,
-    Psi~)``, of the GP-interpolated states after them.
+    """A cost of joint configurations: the positions of the K knots
+    ``knots``, or, with the (K, P, 2, 2) blend kernels ``blend = (Lambda~,
+    Psi~)``, of the P GP-interpolated states of the segment after each.
 
-    ``cost(q)`` maps the (K, n) configurations to the unwhitened
-    residuals (K, dim) and their joint-space Jacobians (K, dim, n).  A
-    configuration is ``sum_s c_s h_s`` over its states' halves ``h = (q_i,
-    q_dot_i[, q_j, q_dot_j])``, ``c = (1, 0)`` at a knot and the kernels'
-    position row otherwise, so its Jacobian is ``[c_s J]``.
+    ``cost(q)`` maps (M, n) configurations to the unwhitened residuals
+    (M, d) and their joint-space Jacobians (M, d, n).  A block stacks the
+    residuals of its P configurations (one at a knot), so its length
+    ``dim`` is P d.  A configuration is ``sum_s c_s h_s`` over its states'
+    halves ``h = (q_i, q_dot_i[, q_j, q_dot_j])``, ``c = (1, 0)`` at a knot
+    and the kernels' position row otherwise, so its Jacobian is ``[c_s J]``.
     """
 
     kind: FactorKind
@@ -161,57 +163,31 @@ class ConfigurationFactor(Factor):
 
     def __post_init__(self) -> None:
         self.knots = np.asarray(self.knots, dtype=int).reshape(-1)
-        blend = [np.eye(2)[None]] if self.blend is None else self.blend
-        self._coef = np.concatenate([kernel[:, 0] for kernel in blend], axis=-1)
+        blend = [np.eye(2)[None, None]] if self.blend is None else self.blend
+        self._coef = np.concatenate([kernel[..., 0, :] for kernel in blend], axis=-1)  # (K, P, 2 width)
         self.states = self.knots[:, None] + np.arange(self._coef.shape[-1] // 2)
         self._w = _weight(self.sigma)
 
     def evaluate(self, x):
-        halves = x[self.states].reshape(len(self.knots), -1, x.shape[1] // 2)
-        r, jac_q = self.cost(gp.blend(self._coef, halves))
-        jac = self._coef[:, None, :, None] * jac_q[:, :, None, :]
-        return self._w * r, self._w * jac.reshape(jac.shape[:2] + (-1,))
+        num, n = len(self.knots), x.shape[1] // 2
+        q = gp.blend(self._coef, x[self.states].reshape(num, 1, -1, n))  # (K, P, n)
+        r, jac_q = self.cost(q.reshape(-1, n))
+        jac_q = jac_q.reshape(q.shape[:2] + jac_q.shape[1:-1] + (1, n))  # (K, P, d, 1, n)
+        jac = self._coef[..., None, :, None] * jac_q  # (K, P, d, 2 width, n)
+        return self._w * r.reshape(num, -1), self._w * jac.reshape(num, -1, self.states.shape[1] * x.shape[1])
 
 
 def interpolated_blends(times: np.ndarray, n_interp: int):
     """``n_interp`` GP-interpolated states spaced uniformly strictly inside
-    each segment ``[times[i], times[i+1]]``, in time order, as arrays:
-    their segments ``i`` (M,), times (M,) and blend kernels ``Lambda~``,
-    ``Psi~`` (M, 2, 2) with ``x_tau = (Lambda~ ⊗ I) x_i + (Psi~ ⊗ I) x_{i+1}``."""
-    segments = np.repeat(np.arange(len(times) - 1), n_interp)
-    steps = np.tile(np.arange(1, n_interp + 1), len(times) - 1)
-    t_i, t_j = times[segments], times[segments + 1]
-    taus = t_i + (t_j - t_i) * steps / (n_interp + 1)
+    each segment ``[times[i], times[i+1]]``, in time order, as arrays per
+    segment: their times (N-1, n_interp) and blend kernels ``Lambda~``,
+    ``Psi~`` (N-1, n_interp, 2, 2) with ``x_tau = (Lambda~ ⊗ I) x_i +
+    (Psi~ ⊗ I) x_{i+1}``."""
+    t_i, t_j = times[:-1, None], times[1:, None]
+    taus = t_i + (t_j - t_i) * np.arange(1, n_interp + 1) / (n_interp + 1)
     if not np.all((t_i < taus) & (taus < t_j)):
         raise ValueError("interpolated states need t_i < tau < t_j")
-    return (segments, taus, *gp.blend_kernels(t_i, t_j, taus))
-
-
-def _block_groups(first: np.ndarray):
-    """How linearize sums a factor's blocks per first state ``first`` (K,).
-
-    Returns ``(gather, at, below)``: ``gather`` (G, r) lists the blocks on
-    each distinct state in their order, padded with K (a zero block), or is
-    ``None`` when the states are distinct and in order; ``at`` and
-    ``below`` are the distinct states and the states after them, as slices
-    when contiguous.
-    """
-    order = np.argsort(first, kind="stable")
-    at, starts, counts = np.unique(first[order], return_index=True, return_counts=True)
-    run = np.repeat(np.arange(at.size), counts)  # the distinct state of each sorted block
-    gather = np.full((at.size, counts.max(initial=1)), first.size)
-    gather[run, np.arange(first.size) - starts[run]] = order
-    if gather.shape[1] == 1 and np.array_equal(order, np.arange(first.size)):
-        gather = None
-    if at.size and at[-1] - at[0] == at.size - 1:
-        return gather, slice(at[0], at[-1] + 1), slice(at[0] + 1, at[-1] + 2)
-    return gather, at, at + 1
-
-
-def _sum_runs(blocks: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """Blocks (K, ...) summed along each row of ``gather``, in row order;
-    index K is a zero block."""
-    return np.concatenate([blocks, np.zeros_like(blocks[:1])])[gather].sum(axis=1)
+    return (taus, *gp.blend_kernels(t_i, t_j, taus))
 
 
 @dataclass(frozen=True)
@@ -221,20 +197,24 @@ class FactorGraph:
     factors: tuple[Factor, ...]
     num_states: int
     state_dim: int
-    # Per factor, how linearize sums its blocks per first state: see _block_groups.
-    _groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
-        groups = []
         for factor in self.factors:
             states = np.asarray(factor.states)
-            if states.ndim != 2 or states.shape[1] not in (1, 2) or np.any(np.diff(states, axis=1) != 1):
-                raise ValueError(f"factor {factor.kind} must reference one state or two consecutive ones per block")
+            if (
+                states.ndim != 2
+                or not len(states)
+                or states.shape[1] not in (1, 2)
+                or np.any(np.diff(states, axis=1) != 1)
+                or np.any(np.diff(states, axis=0) != 1)
+            ):
+                raise ValueError(
+                    f"factor {factor.kind} must reference one state or two consecutive ones per block, "
+                    "with consecutive first states"
+                )
             if not np.all((0 <= states) & (states < self.num_states)):
                 raise ValueError(f"factor {factor.kind} references a state outside 0..{self.num_states - 1}")
-            groups.append(_block_groups(states[:, 0]))
-        object.__setattr__(self, "_groups", tuple(groups))
 
     @property
     def residual_dim(self) -> int:
@@ -276,12 +256,13 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
     storage (``band[a - b, b] = (J^T J)[a, b]``), ``J^T r`` and half the
     squared residual norm.  When the cost is not finite it returns
     ``(None, None, cost)`` before forming any ``J^T J``, whose products
-    with infinite residuals would be NaN.  Every block touches one state
-    or two consecutive ones, so ``J^T J`` is block tridiagonal and its
-    lower half-bandwidth is ``2 * state_dim - 1``.  A factor's blocks on
-    one first state are summed in their order, then added to the diagonal
-    blocks, the blocks below them and the gradient of the states they
-    touch; one gather then lays the blocks out as the band.
+    with infinite residuals would be NaN; a ``J^T J`` that overflows is
+    returned non-finite, for the solve to reject.  Every block touches one
+    state or two consecutive ones, and a factor's blocks start at
+    consecutive states, so ``J^T J`` is block tridiagonal (lower
+    half-bandwidth ``2 * state_dim - 1``) and each factor adds to two runs
+    of its diagonal blocks, the blocks below them and the gradient; one
+    gather then lays the blocks out as the band.
     """
     evaluated = [factor.evaluate(trajectory.x) for factor in graph.factors]
     cost = _cost([r for r, _ in evaluated])
@@ -293,16 +274,17 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
     # so diag = blocks[:, :dim] (N, 2n, 2n) and lower = blocks[:-1, dim:].
     blocks = store[:-1].reshape(num, 2 * dim, dim)
     gradient = np.zeros((num, dim))
-    for (r, jac), (gather, at, below) in zip(evaluated, graph._groups):
-        jac_t = jac.swapaxes(1, 2)
-        normal, jac_r = jac_t @ jac, (jac_t @ r[..., None])[..., 0]
-        if gather is not None:
-            normal, jac_r = _sum_runs(normal, gather), _sum_runs(jac_r, gather)
-        blocks[at, : normal.shape[1]] += normal[..., :dim]
-        gradient[at] += jac_r[:, :dim]
-        if normal.shape[1] > dim:
-            blocks[below, :dim] += normal[:, dim:, dim:]
-            gradient[below] += jac_r[:, dim:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for factor, (r, jac) in zip(graph.factors, evaluated):
+            jac_t = jac.swapaxes(1, 2)
+            normal, jac_r = jac_t @ jac, (jac_t @ r[..., None])[..., 0]
+            first = factor.states[0, 0]
+            at, below = slice(first, first + len(r)), slice(first + 1, first + 1 + len(r))
+            blocks[at, : normal.shape[1]] += normal[..., :dim]
+            gradient[at] += jac_r[:, :dim]
+            if normal.shape[1] > dim:
+                blocks[below, :dim] += normal[:, dim:, dim:]
+                gradient[below] += jac_r[:, dim:]
     return store[_band_layout(num, dim)], gradient.reshape(-1), cost
 
 
@@ -535,8 +517,8 @@ def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> Facto
     Layout: a tight prior on state 0, the GP prior over all segments, and
     (when enabled / present) singularity and collision costs on all
     support states and on all ``n_interp`` interpolated evaluation points
-    per segment (one factor each), then the goal position on the final
-    state.
+    per segment (one factor each, an interpolated one with one block per
+    segment), then the goal position on the final state.
     """
     chain = scenario.load_chain()
     n = chain.n
@@ -548,12 +530,14 @@ def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> Facto
         StartPriorFactor(state=0, prior=trajectory.x[0], sigma=scenario.sigma_start),
         GpPriorFactor(times=times, params=gp_params),
     ]
-    segments, _, lam, psi = interpolated_blends(times, scenario.n_interp)
+    _, lam, psi = interpolated_blends(times, scenario.n_interp)
 
     def add_cost(knot_kind, interp_kind, cost, dim, sigma):
         factors.append(ConfigurationFactor(knot_kind, np.arange(num), cost, dim, sigma))
-        if segments.size:
-            factors.append(ConfigurationFactor(interp_kind, segments, cost, dim, sigma, (lam, psi)))
+        if scenario.n_interp:
+            factors.append(
+                ConfigurationFactor(interp_kind, np.arange(num - 1), cost, scenario.n_interp * dim, sigma, (lam, psi))
+            )
 
     if scenario.enable_singularity_factors:
         cost_params = SingularityCostParams(

@@ -273,18 +273,20 @@ def _sampled_states(trajectory: gp.SupportTrajectory, per_segment: int) -> tuple
     """Times (S,) and stacked ``[q; q_dot]`` states (S, 2n) of the support
     states plus ``per_segment`` GP-interpolated states per segment, in time
     order.  The interpolated states are the factor graph's blends."""
-    knots, n = trajectory.x, trajectory.n
-    stride = per_segment + 1
-    inner = np.arange(stride * (trajectory.num_states - 1) + 1) % stride != 0
-    times = np.empty(inner.shape)
-    states = np.empty(inner.shape + knots.shape[1:])
-    times[~inner], states[~inner] = trajectory.times, knots
-    segments, times[inner], lam, psi = fg.interpolated_blends(trajectory.times, per_segment)
-    halves = knots[segments[:, None] + np.arange(2)].reshape(-1, 1, 4, n)
-    states[inner] = gp.blend(np.concatenate([lam, psi], axis=-1), halves).reshape(-1, 2 * n)
+    knots, times = trajectory.x, trajectory.times
+    taus, lam, psi = fg.interpolated_blends(times, per_segment)
+    halves = knots[np.arange(len(knots) - 1)[:, None] + np.arange(2)].reshape(-1, 1, 1, 4, trajectory.n)
+    inner = gp.blend(np.concatenate([lam, psi], axis=-1), halves).reshape(taus.shape + knots.shape[1:])
+
+    def in_time_order(at_knots, between):
+        """Each segment's first knot, then its interpolated rows; the last knot."""
+        segments = np.concatenate([at_knots[:-1, None], between], axis=1)
+        return np.concatenate([segments.reshape((-1,) + at_knots.shape[1:]), at_knots[-1:]])
+
+    states = in_time_order(knots, inner)
     if not np.all(np.isfinite(states)):
         raise ValueError("trajectory state contains non-finite values")
-    return times, states
+    return in_time_order(times, taus), states
 
 
 @dataclass

@@ -78,9 +78,9 @@ class TestFactorResiduals:
         q = np.array([0.3, 0.9])
         traj = gp.SupportTrajectory(times=[0.0, 2.0], x=[np.concatenate([q, np.zeros(2)])] * 2)
         plain = singularity_factor(0, cost_fn, 1e-4)
-        segments, taus, lam, psi = fg.interpolated_blends(traj.times, 1)
-        assert segments.tolist() == [0] and taus.tolist() == [1.0]
-        interp = fg.ConfigurationFactor(fg.FactorKind.INTERP_SINGULARITY, segments, cost_fn, 1, 1e-4, (lam, psi))
+        taus, lam, psi = fg.interpolated_blends(traj.times, 1)
+        assert taus.tolist() == [[1.0]] and lam.shape == psi.shape == (1, 1, 2, 2)
+        interp = fg.ConfigurationFactor(fg.FactorKind.INTERP_SINGULARITY, [0], cost_fn, 1, 1e-4, (lam, psi))
         r_plain, jac_plain = plain.evaluate(state_array(traj))
         r_interp, jac_interp = interp.evaluate(state_array(traj))
         jac_i, jac_j = jac_interp[0, :, :4], jac_interp[0, :, 4:]
@@ -240,7 +240,6 @@ class TestOptimize:
         assert all(a >= b for a, b in zip(rep_a.cost_trace, rep_a.cost_trace[1:]))
 
     @pytest.mark.parametrize("problem", ["planar", "steep"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_lm_linearizes_each_candidate_once(self, monkeypatch, planar2r, problem):
         if problem == "planar":
             params = SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4)
@@ -339,29 +338,9 @@ class TestOptimize:
         assert cost == pytest.approx(0.5 * res @ res, rel=1e-12)
         assert cost == fg.total_cost(graph, traj)
 
-    def test_linearize_band_with_unsorted_repeated_states(self, planar2r):
-        # Blocks in no particular order, several on the same first state.
-        traj = gp.init_trajectory([0.3, 0.8], 4.0, 5)
-        traj = traj.with_vector(traj.as_vector() + 0.1 * np.cos(np.arange(traj.as_vector().size)))
-        cost = fg.goal_position_cost(planar2r, [1.0, 0.5, 0.0])
-        knots = np.array([2, 0, 3, 2, 1, 0, 2])
-        _, _, lam, psi = fg.interpolated_blends(traj.times[[0, 1]], len(knots))
-        factors = (
-            fg.ConfigurationFactor(fg.FactorKind.GOAL_POSITION, [3, 1, 3, 4, 0, 1], cost, 3, 1e-2),
-            fg.ConfigurationFactor(fg.FactorKind.INTERP_COLLISION, knots, cost, 3, 1e-2, (lam, psi)),
-            fg.GpPriorFactor(times=traj.times, params=gp.GpPriorParams.isotropic(2, 1.0)),
-        )
-        graph = fg.FactorGraph(factors=factors, num_states=5, state_dim=4)
-        band, gradient, _ = fg.linearize(graph, traj)
-        jac, res = dense_linearization(graph, traj)
-        normal = jac.T @ jac
-        size = normal.shape[0]
-        for offset in range(band.shape[0]):
-            np.testing.assert_allclose(band[offset, : size - offset], np.diag(normal, -offset), rtol=1e-12, atol=1e-12)
-            assert np.all(band[offset, size - offset :] == 0.0)
-        np.testing.assert_allclose(gradient, jac.T @ res, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("states", [[[0, 2]], [[1, 0]], [[0, 1, 2]], [0, 1]])
+    @pytest.mark.parametrize(
+        "states", [[[0, 2]], [[1, 0]], [[0, 1, 2]], [0, 1], [[2], [0]], [[0], [0]], [[0], [2]], np.zeros((0, 1))]
+    )
     def test_graph_rejects_blocks_over_other_than_consecutive_states(self, states):
         factor = fg.StartPriorFactor(state=0, prior=np.zeros(2), sigma=1.0)
         factor.states = np.array(states)
@@ -369,7 +348,6 @@ class TestOptimize:
             fg.FactorGraph(factors=(factor,), num_states=3, state_dim=2)
 
     @pytest.mark.parametrize("method", list(fg.SolverMethod))
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_normal_equations_reject_the_step(self, method):
         def steep(q):
             # A finite residual whose Jacobian squares to infinity in J^T J.
@@ -492,6 +470,10 @@ class TestBuildGraph:
             out[factor.kind] = out.get(factor.kind, 0) + len(factor.states)
         return out
 
+    def rows(self, graph):
+        """Residual rows per factor kind (one factor per kind)."""
+        return {factor.kind: factor.dim * len(factor.states) for factor in graph.factors}
+
     def test_unobstructed_counting_rule(self):
         # 11 support states: 1 start prior + 10 GP priors + 11 singularity
         # blocks + 1 goal = 23, in one factor per kind.
@@ -511,8 +493,10 @@ class TestBuildGraph:
         traj = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, n_interp=2)
         graph = fg.build_graph(scenario, traj)
         counts = self.counts(graph)
-        assert counts[fg.FactorKind.INTERP_SINGULARITY] == 20
-        assert sum(counts.values()) == 43
+        # One block per segment, stacking its 2 interpolated configurations.
+        assert counts[fg.FactorKind.INTERP_SINGULARITY] == 10
+        assert self.rows(graph)[fg.FactorKind.INTERP_SINGULARITY] == 20
+        assert sum(counts.values()) == 33
         assert len(graph.factors) == 5
 
     def test_obstacle_doubles_per_state_cost_factors(self):
@@ -534,7 +518,11 @@ class TestBuildGraph:
         graph = fg.build_graph(scenario, traj)
         counts = self.counts(graph)
         assert counts[fg.FactorKind.COLLISION] == counts[fg.FactorKind.SINGULARITY] == 11
-        assert counts[fg.FactorKind.INTERP_COLLISION] == counts[fg.FactorKind.INTERP_SINGULARITY] == 20
+        assert counts[fg.FactorKind.INTERP_COLLISION] == counts[fg.FactorKind.INTERP_SINGULARITY] == 10
+        rows, spheres = self.rows(graph), len(scenario.load_chain().body_spheres)
+        assert rows[fg.FactorKind.INTERP_SINGULARITY] == 20
+        assert rows[fg.FactorKind.COLLISION] == 11 * spheres
+        assert rows[fg.FactorKind.INTERP_COLLISION] == 20 * spheres
 
     def test_disabling_singularity_factors_keeps_everything_else(self):
         scenario = self.scenario(n_interp=1)
