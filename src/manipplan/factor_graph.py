@@ -25,11 +25,11 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import solveh_banded
 
 from . import gp_prior as gp
 from .collision import CollisionParams, collision_residual
@@ -235,20 +235,6 @@ def total_cost(graph: FactorGraph, trajectory: gp.SupportTrajectory) -> float:
     return _cost([factor.evaluate(trajectory.x)[0] for factor in graph.factors])
 
 
-@lru_cache(maxsize=None)
-def _band_layout(num_states: int, dim: int) -> np.ndarray:
-    """Where each entry of the LAPACK lower band of a block tridiagonal
-    matrix sits in its blocks, stored per state ``s`` as a (2 dim, dim)
-    column block (the diagonal block, then the block below it) followed by
-    one zero: ``band[r, s dim + j]`` is entry ``(j + r, j)`` of block ``s``,
-    or the zero where ``j + r`` leaves it."""
-    r, j = np.arange(2 * dim)[:, None], np.arange(dim)
-    inside = np.where(j + r < 2 * dim, (j + r) * dim + j, -1)
-    layout = np.arange(num_states)[:, None, None] * (2 * dim * dim) + inside
-    layout[:, inside < 0] = num_states * 2 * dim * dim
-    return layout.transpose(1, 0, 2).reshape(2 * dim, num_states * dim)
-
-
 def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
     """Accumulate the Gauss-Newton normal equations factor by factor.
 
@@ -261,18 +247,18 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
     state or two consecutive ones, and a factor's blocks start at
     consecutive states, so ``J^T J`` is block tridiagonal (lower
     half-bandwidth ``2 * state_dim - 1``) and each factor adds to two runs
-    of its diagonal blocks, the blocks below them and the gradient; one
-    gather then lays the blocks out as the band.
+    of its diagonal blocks, the blocks below them and the gradient.  Column
+    ``j`` of state ``s``'s column block is then column ``s dim + j`` of the
+    band, shifted up by ``j``: one slice copy per column lays out the band.
     """
     evaluated = [factor.evaluate(trajectory.x) for factor in graph.factors]
     cost = _cost([r for r, _ in evaluated])
     if not math.isfinite(cost):
         return None, None, cost
     dim, num = graph.state_dim, graph.num_states
-    store = np.zeros(num * 2 * dim * dim + 1)
     # Column block s: the diagonal block (s, s) over the block (s + 1, s),
     # so diag = blocks[:, :dim] (N, 2n, 2n) and lower = blocks[:-1, dim:].
-    blocks = store[:-1].reshape(num, 2 * dim, dim)
+    blocks = np.zeros((num, 2 * dim, dim))
     gradient = np.zeros((num, dim))
     with np.errstate(over="ignore", invalid="ignore"):
         for factor, (r, jac) in zip(graph.factors, evaluated):
@@ -285,7 +271,10 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
             if normal.shape[1] > dim:
                 blocks[below, :dim] += normal[:, dim:, dim:]
                 gradient[below] += jac_r[:, dim:]
-    return store[_band_layout(num, dim)], gradient.reshape(-1), cost
+    band = np.zeros((2 * dim, num, dim))
+    for j in range(dim):
+        band[: 2 * dim - j, :, j] = blocks[:, j:, j].T
+    return band.reshape(2 * dim, num * dim), gradient.reshape(-1), cost
 
 
 class SolverMethod(Enum):
@@ -337,18 +326,17 @@ class OptimizeReport:
 
 def _solve_normal(band: np.ndarray, damping: np.ndarray | None, g: np.ndarray) -> np.ndarray | None:
     """Solve ``(A + diag(damping)) x = -g`` for ``A`` in lower banded
-    storage by banded Cholesky; ``None`` when the matrix is not finite or
-    not positive definite, or the step is not finite."""
+    storage by banded Cholesky (LAPACK ``pbsv``); ``None`` when the matrix
+    is not finite or not positive definite, or the step is not finite."""
     if damping is not None:
         band = band.copy()
         band[0] += damping
     if not np.all(np.isfinite(band)):
         return None
     try:
-        chol = cholesky_banded(band, lower=True, check_finite=False)
+        step = solveh_banded(band, -g, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         return None
-    step = cho_solve_banded((chol, True), -g, check_finite=False)
     return step if np.all(np.isfinite(step)) else None
 
 
@@ -366,13 +354,16 @@ def _damping_scale(diag: np.ndarray) -> np.ndarray:
 CONVERGENCE_WINDOW = 5
 
 
-def _converged(trace: list[float], grad_inf: float, settings: SolverSettings) -> bool:
+def _stop_after_step(trace: list[float], grad_inf: float, settings: SolverSettings) -> str:
+    """The stop after an accepted step, or ``""`` to go on."""
     if grad_inf < settings.abs_grad_tol:
-        return True
+        return "gradient tolerance"
     if len(trace) <= CONVERGENCE_WINDOW:
-        return False
+        return ""
     window = (trace[-1 - CONVERGENCE_WINDOW] - trace[-1]) / max(trace[-1 - CONVERGENCE_WINDOW], 1e-300)
-    return window < settings.rel_cost_tol and grad_inf < 10.0 * settings.abs_grad_tol
+    if window < settings.rel_cost_tol and grad_inf < 10.0 * settings.abs_grad_tol:
+        return "cost decrease below tolerance"
+    return ""
 
 
 def optimize(
@@ -382,10 +373,15 @@ def optimize(
 ) -> tuple[gp.SupportTrajectory, OptimizeReport]:
     """Solve the MAP problem from an initial trajectory.
 
-    Levenberg-Marquardt (default) only ever accepts cost-decreasing
-    steps, so the reported ``cost_trace`` is non-increasing; Gauss-Newton
-    takes the plain normal-equation step each iteration.  The result is a
-    local optimum; no global claim is made.
+    Both methods run one loop, which solves the normal equations at the
+    current linearization and linearizes the candidate once; an accepted
+    step keeps that linearization.  Gauss-Newton solves them undamped and
+    takes every step whose cost is finite, and stops at the first step
+    without one.  Levenberg-Marquardt (default) adds Marquardt damping
+    ``mu diag(A)`` and only accepts cost-decreasing steps, so the reported
+    ``cost_trace`` is non-increasing; a rejected step raises ``mu`` until
+    the damping runs out.  The result is a local optimum; no global claim
+    is made.
     """
     settings = settings or SolverSettings()
     t_start = time.perf_counter()
@@ -402,83 +398,62 @@ def optimize(
     converged = False
     message = "max iterations reached"
     iterations = 0
+    lm = settings.method is SolverMethod.LEVENBERG_MARQUARDT
+    # Marquardt (relative) damping: mu is dimensionless against diag(A).
+    mu, nu = settings.lm_init_damping, 2.0
 
-    if settings.method is SolverMethod.GAUSS_NEWTON:
-        while iterations < settings.max_iterations:
-            iterations += 1
-            grad_inf = float(np.abs(gradient).max())
-            if grad_inf < settings.abs_grad_tol:
-                converged = True
-                message = "gradient tolerance"
-                break
-            delta = _solve_normal(band, None, gradient)
-            if delta is None:
-                message = "no finite step: normal equations not finite or not positive definite"
-                break
+    while iterations < settings.max_iterations:
+        iterations += 1
+        if float(np.abs(gradient).max()) < settings.abs_grad_tol:
+            converged, message = True, "gradient tolerance"
+            break
+        damping = mu * _damping_scale(band[0]) if lm else None
+        delta = _solve_normal(band, damping, gradient)
+        if delta is not None:
             candidate = trajectory.with_vector(trajectory.as_vector() + delta)
-            linearized = linearize(graph, candidate)
-            if linearized[0] is None:
-                message = "no finite step: the cost after the step is not finite"
-                break
-            trajectory, (band, gradient, cost) = candidate, linearized
-            trace.append(cost)
-            if _converged(trace, float(np.abs(gradient).max()), settings):
-                converged = True
-                message = "cost decrease below tolerance"
-                break
-    else:
-        # Marquardt (relative) damping: mu is dimensionless against diag(A).
-        mu = settings.lm_init_damping
-        nu = 2.0
-        while iterations < settings.max_iterations:
-            iterations += 1
-            grad_inf = float(np.abs(gradient).max())
-            if grad_inf < settings.abs_grad_tol:
-                converged = True
-                message = "gradient tolerance"
-                break
-            scale = _damping_scale(band[0])
-            delta = _solve_normal(band, mu * scale, gradient)
-            rho = 0.0
-            if delta is not None:
-                # The candidate's linearization carries its cost; an accepted
-                # step keeps it, so every candidate is evaluated once.
-                candidate = trajectory.with_vector(trajectory.as_vector() + delta)
-                new_band, new_gradient, new_cost = linearize(graph, candidate)
-                predicted = 0.5 * float(delta @ (mu * scale * delta - gradient))
-                if math.isfinite(new_cost) and new_cost < cost and predicted > 0.0:
-                    rho = (cost - new_cost) / predicted
-            if rho > 0.0:
+            new_band, new_gradient, new_cost = linearize(graph, candidate)
+        accepted = delta is not None and new_band is not None
+        if lm and accepted:
+            # The gain ratio of the actual to the predicted decrease.
+            predicted = 0.5 * float(delta @ (damping * delta - gradient))
+            rho = (cost - new_cost) / predicted if new_cost < cost and predicted > 0.0 else 0.0
+            accepted = rho > 0.0
+        if accepted:
+            if lm:
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
-                trajectory, band, gradient, cost = candidate, new_band, new_gradient, new_cost
-                trace.append(cost)
-                if _converged(trace, float(np.abs(gradient).max()), settings):
-                    converged = True
-                    message = "cost decrease below tolerance"
-                    break
+            trajectory, band, gradient, cost = candidate, new_band, new_gradient, new_cost
+            trace.append(cost)
+            stop = _stop_after_step(trace, float(np.abs(gradient).max()), settings)
+            if stop:
+                converged, message = True, stop
+                break
+        elif not lm:
+            if delta is None:
+                message = "no finite step: normal equations not finite or not positive definite"
             else:
-                # A failed factorization or a non-finite step is a rejected
-                # step: more damping makes the system positive definite.
-                mu *= nu
-                nu *= 2.0
-                if mu > 1e20:
-                    # No decreasing step exists anymore: the cost decrease is
-                    # zero, which satisfies the cost tolerance by definition.
-                    # Stiff factors (1e8-scale weights) can leave a gradient
-                    # plateau above the tolerance that no step removes.
-                    converged = True
-                    message = "damping exhausted (no decreasing step found)"
-                    break
+                message = "no finite step: the cost after the step is not finite"
+            break
+        else:
+            # A failed factorization or a non-finite step is a rejected
+            # step: more damping makes the system positive definite.
+            mu *= nu
+            nu *= 2.0
+            if mu > 1e20:
+                # No decreasing step exists anymore: the cost decrease is
+                # zero, which satisfies the cost tolerance by definition.
+                # Stiff factors (1e8-scale weights) can leave a gradient
+                # plateau above the tolerance that no step removes.
+                converged, message = True, "damping exhausted (no decreasing step found)"
+                break
 
-    grad_inf = float(np.abs(gradient).max())
     report = OptimizeReport(
         iterations=iterations,
         converged=converged,
         cost_trace=trace,
         final_cost=cost,
         wall_time_s=time.perf_counter() - t_start,
-        grad_inf_norm=grad_inf,
+        grad_inf_norm=float(np.abs(gradient).max()),
         method=settings.method.value,
         message=message,
     )

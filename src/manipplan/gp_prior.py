@@ -32,8 +32,6 @@ __all__ = [
     "SupportTrajectory",
     "GpPriorError",
     "transition",
-    "process_noise",
-    "process_noise_inv",
     "segment_kernels",
     "blend_kernels",
     "blend",
@@ -114,16 +112,6 @@ class GpPriorError(NamedTuple):
 def transition(dt: float, n: int) -> np.ndarray:
     """State transition ``Phi(dt)`` of the constant-velocity model."""
     return np.kron([[1.0, dt], [0.0, 1.0]], np.eye(n))
-
-
-def process_noise(dt: float, params: GpPriorParams) -> np.ndarray:
-    """Accumulated process-noise covariance ``Q(dt)``; positive definite for dt > 0."""
-    return np.kron([[dt**3 / 3.0, dt**2 / 2.0], [dt**2 / 2.0, dt]], params.qc)
-
-
-def process_noise_inv(dt: float, params: GpPriorParams) -> np.ndarray:
-    """Closed-form ``Q(dt)^-1`` (block inverse of the dt-polynomial kernel)."""
-    return np.kron([[12.0 / dt**3, -6.0 / dt**2], [-6.0 / dt**2, 4.0 / dt]], np.linalg.inv(params.qc))
 
 
 def _kernels(*entries: np.ndarray) -> np.ndarray:

@@ -94,8 +94,10 @@ class BodySphere:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float).reshape(3))
-        if self.radius <= 0.0:
-            raise ModelError(f"sphere radius must be positive, got {self.radius}")
+        if not np.all(np.isfinite(self.offset)):
+            raise ModelError(f"sphere offset must be finite, got {self.offset}")
+        if not 0.0 < self.radius < math.inf:
+            raise ModelError(f"sphere radius must be positive and finite, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,8 @@ class Pose:
         pos = np.asarray(self.position, dtype=float).reshape(3)
         if rot.shape != (3, 3):
             raise ModelError(f"rotation must be 3x3, got {rot.shape}")
+        if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(pos))):
+            raise ModelError("pose must be finite")
         if np.abs(rot.T @ rot - np.eye(3)).max() > ROTATION_TOL:
             raise ModelError("rotation matrix is not orthonormal")
         if abs(np.linalg.det(rot) - 1.0) > ROTATION_TOL:
@@ -169,6 +173,8 @@ class KinematicChain:
         object.__setattr__(self, "body_spheres", tuple(self.body_spheres))
         if len(self.links) < 1:
             raise ModelError("chain needs at least one link")
+        if self.lambda_max is not None and not 0.0 < self.lambda_max < math.inf:
+            raise ModelError(f"model lambda_max must be positive and finite, got {self.lambda_max}")
         for sphere in self.body_spheres:
             if not 0 <= sphere.link_index < self.n:
                 raise ModelError(f"sphere link index {sphere.link_index} out of range for {self.n} links")

@@ -279,6 +279,12 @@ def wnoa_covariance(dt, qc):
     return out
 
 
+def wnoa_covariance_inv(dt, qc):
+    """Closed-form ``Q(dt)^-1``, the block inverse of the dt-polynomial kernel."""
+    qc_inv = np.linalg.inv(qc)
+    return np.block([[12.0 / dt**3 * qc_inv, -6.0 / dt**2 * qc_inv], [-6.0 / dt**2 * qc_inv, 4.0 / dt * qc_inv]])
+
+
 def dense_blend_matrices(t_i, t_j, tau, qc):
     """Dense blend matrices ``(Lambda, Psi)`` (2n x 2n) by the textbook
     formula ``Psi = Q(tau-t_i) Phi(t_j-tau)^T Q(t_j-t_i)^-1`` and ``Lambda =
@@ -287,9 +293,7 @@ def dense_blend_matrices(t_i, t_j, tau, qc):
     qc = np.asarray(qc, dtype=float)
     n = qc.shape[0]
     dt = t_j - t_i
-    qc_inv = np.linalg.inv(qc)
-    q_inv = np.block([[12.0 / dt**3 * qc_inv, -6.0 / dt**2 * qc_inv], [-6.0 / dt**2 * qc_inv, 4.0 / dt * qc_inv]])
-    psi = wnoa_covariance(tau - t_i, qc) @ wnoa_transition(t_j - tau, n).T @ q_inv
+    psi = wnoa_covariance(tau - t_i, qc) @ wnoa_transition(t_j - tau, n).T @ wnoa_covariance_inv(dt, qc)
     lam = wnoa_transition(tau - t_i, n) - psi @ wnoa_transition(dt, n)
     return lam, psi
 

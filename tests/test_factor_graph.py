@@ -266,13 +266,26 @@ class TestOptimize:
 
             monkeypatch.setattr(fg, name, counted)
         _, report = fg.optimize(graph, init, fg.SolverSettings(max_iterations=150))
-        unsolved = sum(step is None for step in calls["_solve_normal"]) + (report.message == "gradient tolerance")
+        # Each iteration solves once, unless it stops at the top of the loop
+        # on the gradient test, which only the last one can do.
+        stopped_at_top = report.iterations - len(calls["_solve_normal"])
+        assert stopped_at_top in (0, 1)
+        unsolved = sum(step is None for step in calls["_solve_normal"]) + stopped_at_top
         assert len(calls["total_cost"]) == 0
         assert len(calls["linearize"]) == report.iterations + 1 - unsolved
         assert unsolved == (report.iterations if problem == "steep" else 0)
         # The accepted candidates' linearizations carry the reported costs.
         assert report.cost_trace[-1] == report.final_cost
         assert set(report.cost_trace) <= {cost for _, _, cost in calls["linearize"]}
+
+    def test_a_gradient_stop_after_a_step_is_reported_as_one(self):
+        # ur10_table's baseline stops after an accepted step whose gradient
+        # (1.58 in the infinity norm) is under its abs_grad_tol of 2.
+        scenario = replace(load_scenario("ur10_table"), enable_singularity_factors=False)
+        init = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, scenario.n_interp)
+        _, report = fg.optimize(fg.build_graph(scenario, init), init, scenario.solver)
+        assert report.converged and report.grad_inf_norm < scenario.solver.abs_grad_tol
+        assert report.message == "gradient tolerance"
 
     def test_gradient_small_at_convergence(self):
         graph, traj = self.linear_graph()
@@ -392,6 +405,31 @@ class TestOptimize:
             # Damped steps stop short of the wall and still descend.
             assert np.all(solution.x[:, 0] < 0.5) and np.all(solution.x[:, 0] > 0.1)
             assert report.final_cost < report.cost_trace[0]
+
+    @pytest.mark.parametrize("damped", [False, True])
+    def test_banded_solve_matches_dense_solve(self, damped):
+        scenario = load_scenario("ur10_unconstrained")
+        init = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, scenario.n_interp)
+        graph = fg.build_graph(scenario, init)
+        band, gradient, _ = fg.linearize(graph, init)
+        jac, res = dense_linearization(graph, init)
+        # Gauss-Newton's undamped system, and LM's first damped one.
+        damping = scenario.solver.lm_init_damping * fg._damping_scale(band[0]) if damped else None
+        normal = jac.T @ jac + np.diag(np.zeros(len(gradient)) if damping is None else damping)
+        expected = np.linalg.solve(normal, -(jac.T @ res))
+        step = fg._solve_normal(band, damping, gradient)
+        # Both solves are backward stable, so each is within about cond * eps
+        # of the exact step, relative to its size.  The start and goal priors
+        # (sigma 1e-8) put eigenvalues near 1e8, the softest direction sits
+        # near 1e-2, so cond is 8e9 damped and 2e10 undamped and the bound
+        # 2e-6 to 5e-6; the two steps agree to about 4e-12.
+        cond = np.linalg.cond(normal)
+        assert 1e9 < cond < 1e11
+        assert np.abs(step - expected).max() <= cond * np.finfo(float).eps * np.abs(expected).max()
+        # A negative diagonal entry makes the band indefinite: no step.
+        indefinite = band.copy()
+        indefinite[0, 7] = -indefinite[0, 7]
+        assert fg._solve_normal(indefinite, damping, gradient) is None
 
     def test_finite_normal_equations_with_an_infinite_step_give_no_step(self):
         assert fg._solve_normal(np.array([[1e-300]]), None, np.array([1e10])) is None

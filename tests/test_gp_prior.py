@@ -10,14 +10,18 @@ from manipplan.gp_prior import (
     init_trajectory,
     interpolate,
     interpolation_matrices,
-    process_noise,
-    process_noise_inv,
     transition,
     whitened_transition,
 )
 from manipplan.factor_graph import GpPriorFactor
 
-from .oracles import dense_blend_matrices, dense_gp_conditional_mean, wnoa_covariance_quadrature
+from .oracles import (
+    dense_blend_matrices,
+    dense_gp_conditional_mean,
+    wnoa_covariance,
+    wnoa_covariance_inv,
+    wnoa_covariance_quadrature,
+)
 
 # Frozen closed form of the per-joint noise covariance at dt = 1, Qc = 1,
 # cross-checked below against the quadrature oracle.
@@ -44,24 +48,23 @@ class TestPriorError:
 
     def test_unit_covariance_closed_form(self):
         params = GpPriorParams.isotropic(1, 1.0)
-        np.testing.assert_allclose(process_noise(1.0, params), Q_UNIT, atol=1e-15)
+        np.testing.assert_allclose(wnoa_covariance(1.0, params.qc), Q_UNIT, atol=1e-15)
 
     def test_covariance_matches_quadrature_oracle(self):
         qc = np.array([[2.0, 0.3], [0.3, 1.5]])
-        params = GpPriorParams(qc=qc)
         for dt in (0.25, 1.0, 2.5):
             expected = wnoa_covariance_quadrature(dt, qc)
-            np.testing.assert_allclose(process_noise(dt, params), expected, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(wnoa_covariance(dt, qc), expected, rtol=1e-9, atol=1e-12)
 
     def test_closed_form_inverse(self):
         params = GpPriorParams(qc=np.array([[2.0, 0.3], [0.3, 1.5]]))
-        q = process_noise(0.7, params)
-        np.testing.assert_allclose(process_noise_inv(0.7, params) @ q, np.eye(4), atol=1e-10)
+        q = wnoa_covariance(0.7, params.qc)
+        np.testing.assert_allclose(wnoa_covariance_inv(0.7, params.qc) @ q, np.eye(4), atol=1e-10)
 
     def test_info_sqrt_squares_to_inverse_covariance(self):
         params = GpPriorParams.isotropic(2, 5.0)
         err = gp_prior_error(state([0.0, 0.0], [0.0, 0.0], 0.0), state([1.0, 1.0], [0.0, 0.0], 0.5), params)
-        q = process_noise(0.5, params)
+        q = wnoa_covariance(0.5, params.qc)
         np.testing.assert_allclose(err.info_sqrt.T @ err.info_sqrt, np.linalg.inv(q), rtol=1e-9)
 
     def test_jacobians_are_transition_and_negative_identity(self):
@@ -84,7 +87,7 @@ class TestPriorError:
         np.testing.assert_array_equal(jac[0, :, 4:], -info_sqrt)
         np.testing.assert_allclose(jac[0, :, :4], info_sqrt @ phi, rtol=1e-13, atol=0)
         np.testing.assert_allclose(r[0], info_sqrt @ err.residual, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(info_sqrt.T @ info_sqrt, process_noise_inv(0.7, params), rtol=1e-9)
+        np.testing.assert_allclose(info_sqrt.T @ info_sqrt, wnoa_covariance_inv(0.7, params.qc), rtol=1e-9)
         with pytest.raises(ValueError, match="out of order"):
             GpPriorFactor(times=np.array([0.0, 0.0]), params=params)
 
@@ -96,7 +99,7 @@ class TestPriorError:
     def test_positive_definite_for_all_positive_dt(self):
         params = GpPriorParams(qc=np.array([[2.0, 0.3], [0.3, 1.5]]))
         for dt in (1e-4, 0.01, 0.5, 3.0, 50.0):
-            np.linalg.cholesky(process_noise(dt, params))  # raises if not PD
+            np.linalg.cholesky(wnoa_covariance(dt, params.qc))  # raises if not PD
 
     def test_qc_validation(self):
         with pytest.raises(ValueError):

@@ -486,6 +486,39 @@ class TestCli:
         assert capsys.readouterr().err.startswith("INVALID: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("base_pose", "rpy", 0), math.nan),
+            (("base_pose", "xyz", 2), math.nan),
+            (("body_spheres", 0, "radius"), math.nan),
+            (("body_spheres", 0, "radius"), math.inf),
+            (("body_spheres", 0, "offset", 1), math.nan),
+            (("lambda_max",), 0.0),
+            (("lambda_max",), math.nan),
+            (("lambda_max",), math.inf),
+        ],
+        ids=lambda item: ".".join(map(str, item)) if isinstance(item, tuple) else str(item),
+    )
+    def test_invalid_robot_model_exits_2(self, path, value, tmp_path, capsys, monkeypatch):
+        # These used to validate, and then crash the solve or drop a body
+        # sphere from the collision cost (the hinge of NaN is 0).
+        monkeypatch.setattr(sc, "_execute", self._no_solve)
+        model = json.loads(kinematics.builtin_model_path("ur10").read_text())
+        parent = model
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        model_path = tmp_path / "bad_ur10.json"
+        model_path.write_text(json.dumps(model))
+        data = json.loads(builtin_scenario_path("ur10_table").read_text())
+        data["robot"] = str(model_path)
+        scenario_path = tmp_path / "bad_model.json"
+        scenario_path.write_text(json.dumps(data))
+        assert cli.main(["validate", str(scenario_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("INVALID: ") and "finite" in err
+
     @staticmethod
     def _no_solve(*args, **kwargs):
         raise AssertionError("a solve started on invalid input")
