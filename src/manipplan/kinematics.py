@@ -94,7 +94,7 @@ class BodySphere:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float).reshape(3))
-        if not all(map(math.isfinite, self.offset)):
+        if not all(map(math.isfinite, self.offset.tolist())):
             raise ModelError(f"sphere offset must be finite, got {self.offset}")
         if not 0.0 < self.radius < math.inf:
             raise ModelError(f"sphere radius must be positive and finite, got {self.radius}")
@@ -112,7 +112,7 @@ class Pose:
         pos = np.asarray(self.position, dtype=float).reshape(3)
         if rot.shape != (3, 3):
             raise ModelError(f"rotation must be 3x3, got {rot.shape}")
-        if not (np.isfinite(rot).all() and np.isfinite(pos).all()):
+        if not all(map(math.isfinite, rot.ravel().tolist() + pos.tolist())):
             raise ModelError("pose must be finite")
         if np.abs(rot.T @ rot - np.eye(3)).max() > ROTATION_TOL:
             raise ModelError("rotation matrix is not orthonormal")
