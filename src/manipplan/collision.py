@@ -150,6 +150,7 @@ def collision_residual(
     q,
     grid: SdfGrid,
     params: CollisionParams,
+    frames: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hinge costs of every body sphere and their joint-space Jacobian:
     shapes (S,) and (S, n), or (K, S) and (K, S, n) for a (K, n) stack of
@@ -158,9 +159,10 @@ def collision_residual(
     Each sphere contributes ``hinge(sdf(center) - radius, epsilon)``; the
     Jacobian row chains the hinge slope, the field gradient, and the
     linear Jacobian of the sphere center.  A center outside the grid is
-    clamped onto its border (see :func:`_trilinear`).
+    clamped onto its border (see :func:`_trilinear`).  ``frames`` are the
+    frames of ``q``, precomputed (see :func:`manipplan.kinematics._frames`).
     """
-    centers, center_jacs = body_sphere_states(chain, q)
+    centers, center_jacs = body_sphere_states(chain, q, frames)
     distances, gradients = _trilinear(grid, centers.reshape(-1, 3))
     residual, slopes = hinge_cost(distances.reshape(centers.shape[:-1]) - chain._sphere_radii, params.epsilon)
     gradients = gradients.reshape(centers.shape)
@@ -170,10 +172,11 @@ def collision_residual(
     return residual, jac
 
 
-def sphere_clearances(chain: KinematicChain, q, grid: SdfGrid) -> np.ndarray:
+def sphere_clearances(chain: KinematicChain, q, grid: SdfGrid, frames: np.ndarray | None = None) -> np.ndarray:
     """Signed clearance ``sdf(center) - radius`` of every body sphere:
-    shape (S,) for one configuration, (K, S) for a (K, n) stack."""
-    centers = _body_sphere_centers(chain, q)[1]
+    shape (S,) for one configuration, (K, S) for a (K, n) stack, whose
+    precomputed ``frames`` skip the forward kinematics."""
+    centers = _body_sphere_centers(chain, q, frames)[1]
     distances = _trilinear(grid, centers.reshape(-1, 3))[0]
     return distances.reshape(centers.shape[:-1]) - chain._sphere_radii
 

@@ -10,7 +10,9 @@ type, :class:`ConfigurationFactor`: a residual of joint configurations,
 one block per knot, or one per segment stacking its P GP-interpolated
 states, whose Jacobian is chained through the interpolation blend
 matrices so gradient information from extra states reaches the decision
-variables.  Each factor's cost runs once over all its configurations.
+variables.  A graph stacks every configuration its cost factors use once
+(the knots, then the interpolated states of every segment), runs forward
+kinematics once over that stack, and each cost once over its rows.
 
 Because no block spans more than two consecutive states, ``J^T J`` is
 block tridiagonal (the exactly sparse GP structure).  The solver
@@ -23,17 +25,16 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
-from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from scipy.linalg import solveh_banded
 
 from . import gp_prior as gp
-from .collision import CollisionParams, collision_residual
-from .kinematics import KinematicChain, point_jacobian
+from .collision import CollisionParams, SdfGrid, collision_residual
+from .kinematics import KinematicChain, _as_config, _fk_matrices, point_jacobian
 from .manipulability import SingularityCostParams, singularity_cost
 
 if TYPE_CHECKING:
@@ -55,11 +56,14 @@ __all__ = [
     "optimize",
     "build_graph",
     "ChainSingularityCost",
-    "goal_position_cost",
+    "ChainCollisionCost",
+    "ChainGoalCost",
 ]
 
-# q (K, n) -> (r (K, d), dr_dq (K, d, n)); see ConfigurationFactor.
-ConfigCost = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# q (K, n) -> (r (K, d), dr_dq (K, d, n)); see ConfigurationFactor.  A cost
+# with a ``chain`` attribute is called as cost(q, frames) with the frames
+# (K, n+1, 4, 4) of q from that chain's forward kinematics.
+ConfigCost = Callable[..., tuple[np.ndarray, np.ndarray]]
 
 
 class FactorKind(Enum):
@@ -147,11 +151,15 @@ class ConfigurationFactor(Factor):
     Psi~)``, of the P GP-interpolated states of the segment after each.
 
     ``cost(q)`` maps (M, n) configurations to the unwhitened residuals
-    (M, d) and their joint-space Jacobians (M, d, n).  A block stacks the
-    residuals of its P configurations (one at a knot), so its length
-    ``dim`` is P d.  A configuration is ``sum_s c_s h_s`` over its states'
-    halves ``h = (q_i, q_dot_i[, q_j, q_dot_j])``, ``c = (1, 0)`` at a knot
-    and the kernels' position row otherwise, so its Jacobian is ``[c_s J]``.
+    (M, d) and their joint-space Jacobians (M, d, n); see ``ConfigCost``.
+    A block stacks the residuals of its P configurations (one at a knot),
+    so its length ``dim`` is P d.  A configuration is ``sum_s c_s h_s``
+    over its states' halves ``h = (q_i, q_dot_i[, q_j, q_dot_j])``, ``c =
+    (1, 0)`` at a knot (the knot's position itself) and the kernels'
+    position row otherwise, so its Jacobian is ``[c_s J]``.  A graph
+    evaluates all its configuration factors from one stack (see
+    :meth:`FactorGraph.evaluate`); :meth:`evaluate` is that step over this
+    factor alone.
     """
 
     kind: FactorKind
@@ -169,12 +177,92 @@ class ConfigurationFactor(Factor):
         self._w = _weight(self.sigma)
 
     def evaluate(self, x):
-        num, n = len(self.knots), x.shape[1] // 2
-        q = gp.blend(self._coef, x[self.states].reshape(num, 1, -1, n))  # (K, P, n)
-        r, jac_q = self.cost(q.reshape(-1, n))
-        jac_q = jac_q.reshape(q.shape[:2] + jac_q.shape[1:-1] + (1, n))  # (K, P, d, 1, n)
+        return _ConfigurationStack((self,)).evaluate(x)[0]
+
+    def _whiten(self, r: np.ndarray, jac_q: np.ndarray):
+        """Whitened blocks from the cost's residuals (K P, d) and Jacobians
+        (K P, d, n) at this factor's configurations, in block order."""
+        num, n = len(self.knots), jac_q.shape[-1]
+        jac_q = jac_q.reshape((num, -1) + jac_q.shape[1:-1] + (1, n))  # (K, P, d, 1, n)
         jac = self._coef[..., None, :, None] * jac_q  # (K, P, d, 2 width, n)
-        return self._w * r.reshape(num, -1), self._w * jac.reshape(num, -1, self.states.shape[1] * x.shape[1])
+        return self._w * r.reshape(num, -1), self._w * jac.reshape(num, -1, 2 * self.states.shape[1] * n)
+
+
+def _index(rows: np.ndarray) -> slice | np.ndarray:
+    """Sorted ``rows`` as a slice when they are consecutive, which indexes
+    without a copy."""
+    if len(rows) and rows[-1] - rows[0] == len(rows) - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
+class _ConfigurationStack:
+    """Configuration factors evaluated from one stack of configurations.
+
+    The stack holds every configuration the factors use once: the knots of
+    the knot factors in state order, then, for each distinct interpolation
+    (the same first states and blend kernels), its P configurations per
+    segment in segment order.  Singularity and collision factors over the
+    same states so share rows, and the goal's knot is a knot row.  An
+    evaluation checks the stack with ``_as_config`` and runs
+    ``_fk_matrices`` over it once when a cost has a ``chain`` (all such
+    costs must share it), calls each distinct cost once over the rows its
+    factors use, and lets each factor whiten its own rows.  The layout is
+    fixed here, at construction.
+    """
+
+    def __init__(self, factors) -> None:
+        self.factors = tuple(factors)
+        knots = np.unique(np.concatenate([f.knots for f in self.factors if f.blend is None] + [np.zeros(0, int)]))
+        self.knots = _index(knots)
+        self.interpolations: list[tuple[np.ndarray, np.ndarray]] = []  # (states, blend coefficients)
+        placements: dict[tuple, np.ndarray] = {}
+        rows = []  # per factor: its configurations' rows of the stack
+        for factor in self.factors:
+            if factor.blend is None:
+                rows.append(np.searchsorted(knots, factor.knots))
+                continue
+            key = (factor._coef.shape, factor.states.tobytes(), factor._coef.tobytes())
+            if key not in placements:
+                start = len(knots) + sum(len(r) for r in placements.values())
+                placements[key] = start + np.arange(len(factor.knots) * factor._coef.shape[1])
+                self.interpolations.append((factor.states, factor._coef))
+            rows.append(placements[key])
+        members: dict[int, list[int]] = {}
+        for i, factor in enumerate(self.factors):
+            members.setdefault(id(factor.cost), []).append(i)
+        # Per distinct cost: (cost, its rows of the stack, whether it takes frames);
+        # per factor: (its cost's position, its rows of that cost's output).
+        self.costs: list[tuple[ConfigCost, slice | np.ndarray, bool]] = []
+        self.picks: list[tuple[int, slice | np.ndarray]] = [None] * len(self.factors)
+        for group in members.values():
+            cost = self.factors[group[0]].cost
+            used = np.unique(np.concatenate([rows[i] for i in group]))
+            for i in group:
+                self.picks[i] = (len(self.costs), _index(np.searchsorted(used, rows[i])))
+            self.costs.append((cost, _index(used), hasattr(cost, "chain")))
+        chains = {id(cost.chain): cost.chain for cost, _, framed in self.costs if framed}
+        if len(chains) > 1:
+            raise ValueError("the configuration costs of one graph must share one kinematic chain")
+        self.chain = next(iter(chains.values()), None)
+
+    def evaluate(self, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each factor's whitened residuals and Jacobians at the (N, 2n)
+        states ``x``, in factor order."""
+        n = x.shape[1] // 2
+        q = np.concatenate(
+            [x[self.knots, :n]]
+            + [gp.blend(coef, x[states].reshape(len(states), 1, -1, n)).reshape(-1, n) for states, coef in self.interpolations]
+        )
+        frames = None
+        if self.chain is not None:
+            q = _as_config(self.chain, q, stack=True)
+            frames = _fk_matrices(self.chain, q)
+        outputs = [cost(q[rows], frames[rows]) if framed else cost(q[rows]) for cost, rows, framed in self.costs]
+        return [
+            factor._whiten(*(part[pick] for part in outputs[at]))
+            for factor, (at, pick) in zip(self.factors, self.picks)
+        ]
 
 
 def interpolated_blends(times: np.ndarray, n_interp: int):
@@ -197,6 +285,7 @@ class FactorGraph:
     factors: tuple[Factor, ...]
     num_states: int
     state_dim: int
+    _configurations: _ConfigurationStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -215,6 +304,15 @@ class FactorGraph:
                 )
             if not np.all((0 <= states) & (states < self.num_states)):
                 raise ValueError(f"factor {factor.kind} references a state outside 0..{self.num_states - 1}")
+        configurations = [f for f in self.factors if isinstance(f, ConfigurationFactor)]
+        object.__setattr__(self, "_configurations", _ConfigurationStack(configurations))
+
+    def evaluate(self, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Every factor's whitened residuals and Jacobians (see
+        :meth:`Factor.evaluate`) at the (N, 2n) states ``x``, in factor
+        order; the configuration factors share one stacked evaluation."""
+        configured = iter(self._configurations.evaluate(x))
+        return [next(configured) if isinstance(f, ConfigurationFactor) else f.evaluate(x) for f in self.factors]
 
     @property
     def residual_dim(self) -> int:
@@ -232,11 +330,12 @@ def _cost(residuals) -> float:
 def total_cost(graph: FactorGraph, trajectory: gp.SupportTrajectory) -> float:
     """Half the squared norm of all whitened residuals (the MAP negative
     log): the cost that :func:`linearize` returns."""
-    return _cost([factor.evaluate(trajectory.x)[0] for factor in graph.factors])
+    return _cost([r for r, _ in graph.evaluate(trajectory.x)])
 
 
 def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
-    """Accumulate the Gauss-Newton normal equations factor by factor.
+    """Accumulate the Gauss-Newton normal equations factor by factor, from
+    one :meth:`FactorGraph.evaluate` (one forward-kinematics pass).
 
     Returns ``(band, gradient, cost)``: ``J^T J`` in LAPACK lower banded
     storage (``band[a - b, b] = (J^T J)[a, b]``), ``J^T r`` and half the
@@ -251,7 +350,7 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
     ``j`` of state ``s``'s column block is then column ``s dim + j`` of the
     band, shifted up by ``j``: one slice copy per column lays out the band.
     """
-    evaluated = [factor.evaluate(trajectory.x) for factor in graph.factors]
+    evaluated = graph.evaluate(trajectory.x)
     cost = _cost([r for r, _ in evaluated])
     if not math.isfinite(cost):
         return None, None, cost
@@ -469,21 +568,37 @@ class ChainSingularityCost:
     params: SingularityCostParams
     task_dim: int
 
-    def __call__(self, q: np.ndarray):
-        out = singularity_cost(self.chain, q, self.params, self.task_dim)
+    def __call__(self, q: np.ndarray, frames: np.ndarray | None = None):
+        out = singularity_cost(self.chain, q, self.params, self.task_dim, frames)
         return out.h[:, None], out.gradient[:, None, :]
 
 
-def goal_position_cost(chain: KinematicChain, goal) -> ConfigCost:
+@dataclass(frozen=True)
+class ChainCollisionCost:
+    """The hinge collision residuals of the chain's body spheres in
+    ``grid``, one entry per sphere."""
+
+    chain: KinematicChain
+    grid: SdfGrid
+    params: CollisionParams
+
+    def __call__(self, q: np.ndarray, frames: np.ndarray | None = None):
+        return collision_residual(self.chain, q, self.grid, self.params, frames)
+
+
+@dataclass(frozen=True)
+class ChainGoalCost:
     """End-effector position minus ``goal``, a three-entry configuration cost."""
-    goal = np.asarray(goal, dtype=float).reshape(3)
-    tool = np.zeros(3)
 
-    def cost(q: np.ndarray):
-        p, jac_q = point_jacobian(chain, q, chain.n - 1, tool)
-        return p - goal, jac_q
+    chain: KinematicChain
+    goal: np.ndarray
 
-    return cost
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "goal", np.asarray(self.goal, dtype=float).reshape(3))
+
+    def __call__(self, q: np.ndarray, frames: np.ndarray | None = None):
+        p, jac_q = point_jacobian(self.chain, q, self.chain.n - 1, np.zeros(3), frames)
+        return p - self.goal, jac_q
 
 
 def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> FactorGraph:
@@ -532,14 +647,14 @@ def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> Facto
         add_cost(
             FactorKind.COLLISION,
             FactorKind.INTERP_COLLISION,
-            partial(collision_residual, chain, grid=scenario.build_sdf(), params=col_params),
+            ChainCollisionCost(chain, scenario.build_sdf(), col_params),
             len(chain.body_spheres),
             col_params.sigma_obs,
         )
 
     factors.append(
         ConfigurationFactor(
-            FactorKind.GOAL_POSITION, num - 1, goal_position_cost(chain, scenario.goal_position), 3, scenario.sigma_goal
+            FactorKind.GOAL_POSITION, num - 1, ChainGoalCost(chain, scenario.goal_position), 3, scenario.sigma_goal
         )
     )
     return FactorGraph(factors=tuple(factors), num_states=num, state_dim=2 * n)

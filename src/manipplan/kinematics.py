@@ -336,65 +336,79 @@ def _end_effector_jacobian(frames: np.ndarray) -> np.ndarray:
     return np.concatenate([linear, np.swapaxes(frames[..., :-1, :3, 2], -1, -2)], axis=-2)
 
 
-def geometric_jacobian(chain: KinematicChain, q, task_dim: int = 6) -> np.ndarray:
+def _frames(chain: KinematicChain, q, frames: np.ndarray | None) -> np.ndarray:
+    """``frames`` when the caller passes them, else one forward-kinematics
+    pass over ``q`` after checking it with :func:`_as_config`.
+
+    Every function below that takes ``frames`` accepts the (..., n+1, 4, 4)
+    result of ``_fk_matrices(chain, q)`` for the ``q`` it is given, so one
+    pass over a checked stack serves several of them; ``q`` is then not
+    checked again.
+    """
+    return _fk_matrices(chain, _as_config(chain, q, stack=True)) if frames is None else frames
+
+
+def geometric_jacobian(chain: KinematicChain, q, task_dim: int = 6, frames: np.ndarray | None = None) -> np.ndarray:
     """Geometric Jacobian mapping joint rates to end-effector velocity.
 
     Column j is ``[z_j x (p_e - o_j); z_j]`` for revolute joints, rows
     restricted by ``task_dim`` (6 full twist, 3 linear velocity, 2 planar
     x-y velocity).  A (K, n) stack of configurations gives (K, task_dim, n).
+    ``frames`` are those of ``q``, precomputed (see :func:`_frames`).
     """
-    q = _as_config(chain, q, stack=True)
     _check_task_dim(task_dim)
-    return _end_effector_jacobian(_fk_matrices(chain, q))[..., :task_dim, :]
+    return _end_effector_jacobian(_frames(chain, q, frames))[..., :task_dim, :]
 
 
-def jacobian_partials(chain: KinematicChain, q, task_dim: int = 6) -> JacobianSet:
+def jacobian_partials(chain: KinematicChain, q, task_dim: int = 6, frames: np.ndarray | None = None) -> JacobianSet:
     """Jacobian plus analytic derivatives with respect to each joint.
 
     One FK pass gives the Jacobian; its derivatives (the geometric
     identities of a revolute chain, see :class:`JacobianSet`) are formed
     on access to ``partials`` or contracted by ``contract``.  ``q`` may be
-    a (K, n) stack.
+    a (K, n) stack; ``frames`` are its frames, precomputed (see :func:`_frames`).
     """
-    q = _as_config(chain, q, stack=True)
     _check_task_dim(task_dim)
-    frames = _fk_matrices(chain, q)
+    frames = _frames(chain, q, frames)
     jac = _end_effector_jacobian(frames)
     return JacobianSet(jacobian=jac[..., :task_dim, :], _frames=frames, _full=jac)
 
 
-def point_jacobian(chain: KinematicChain, q, link_index: int, offset) -> tuple[np.ndarray, np.ndarray]:
+def point_jacobian(
+    chain: KinematicChain, q, link_index: int, offset, frames: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Position and 3 x n linear Jacobian of a point fixed in a link frame.
 
     The point is ``offset`` expressed in the frame after link
     ``link_index``; columns of joints that cannot move it are zero.  A
-    (K, n) stack of configurations gives (K, 3) and (K, 3, n).
+    (K, n) stack of configurations gives (K, 3) and (K, 3, n).  ``frames``
+    are those of ``q``, precomputed (see :func:`_frames`).
     """
-    q = _as_config(chain, q, stack=True)
     if not 0 <= link_index < chain.n:
         raise ModelError(f"link index {link_index} out of range")
-    frames = _fk_matrices(chain, q)
+    frames = _frames(chain, q, frames)
     frame = frames[..., link_index + 1, :, :]
     point = frame[..., :3, :3] @ np.asarray(offset, dtype=float) + frame[..., :3, 3]
     return point, _point_jacobians(frames, point[..., None, :], np.array([link_index]))[..., 0, :, :]
 
 
-def _body_sphere_centers(chain: KinematicChain, q) -> tuple[np.ndarray, np.ndarray]:
+def _body_sphere_centers(chain: KinematicChain, q, frames: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Frames (..., n+1, 4, 4) and body-sphere centres (..., S, 3) of a
     configuration (n,) or a stack of them (K, n)."""
-    frames = _fk_matrices(chain, _as_config(chain, q, stack=True))
+    frames = _frames(chain, q, frames)
     sphere_frames = frames[..., chain._sphere_links + 1, :, :]
     centers = (sphere_frames[..., :3, :3] @ chain._sphere_offsets[:, :, None])[..., 0] + sphere_frames[..., :3, 3]
     return frames, centers
 
 
-def body_sphere_states(chain: KinematicChain, q) -> tuple[np.ndarray, np.ndarray]:
+def body_sphere_states(chain: KinematicChain, q, frames: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Centers and linear Jacobians of all S body spheres from one FK pass.
 
     Returns ``(centers, jacobians)`` with shapes (S, 3) and (S, 3, n), or
     (K, S, 3) and (K, S, 3, n) for a (K, n) stack of configurations.
+    ``frames`` are those of ``q``, precomputed (see :func:`_frames`).
     """
-    frames, centers = _body_sphere_centers(chain, q)
+    frames, centers = _body_sphere_centers(chain, q, frames)
     return centers, _point_jacobians(frames, centers, chain._sphere_links)
 
 

@@ -128,7 +128,7 @@ def ellipsoid(J) -> ManipulabilityEllipsoid:
     return ManipulabilityEllipsoid(singular_values=s, axes=u, volume_measure=float(np.prod(s)))
 
 
-def _gram_terms(chain: KinematicChain, q, task_dim: int):
+def _gram_terms(chain: KinematicChain, q, task_dim: int, frames: np.ndarray | None = None):
     """SVD-side quantities shared by the gradient and the log cost.
 
     Returns ``(lam, traces, degenerate)`` where ``traces[k]`` is
@@ -136,9 +136,9 @@ def _gram_terms(chain: KinematicChain, q, task_dim: int):
     values clamped at ``SIGMA_MIN`` inside the inverse: ``W = (JJ^T)^-1 J
     = U diag(s / max(s, SIGMA_MIN)^2) V^T`` from the SVD ``J = U S V^T``,
     contracted with the Jacobian derivatives in O(n); arrays over a (K, n)
-    stack ``q``.
+    stack ``q``, whose precomputed ``frames`` skip the forward kinematics.
     """
-    jset = jacobian_partials(chain, q, task_dim)
+    jset = jacobian_partials(chain, q, task_dim, frames)
     u, s, vh = np.linalg.svd(jset.jacobian, full_matrices=False)
     lam = np.prod(s, axis=-1)
     degenerate = s[..., -1] < SIGMA_MIN
@@ -174,6 +174,7 @@ def singularity_cost(
     q,
     params: SingularityCostParams,
     task_dim: int = 6,
+    frames: np.ndarray | None = None,
 ) -> SingularityCost:
     """Log-ratio avoidance cost ``h = ln(lambda_max / lambda)`` and its gradient.
 
@@ -181,9 +182,10 @@ def singularity_cost(
     ``lambda`` of the raw manipulability gradient cancels against the
     ``1/lambda`` of the log, so it is never multiplied in.  ``lambda`` is
     clamped at ``params.lambda_floor`` inside the log.  Of a (K, n) stack
-    ``q``, every field is an array over the stack.
+    ``q``, every field is an array over the stack.  ``frames`` are the
+    frames of ``q``, precomputed (see :func:`manipplan.kinematics._frames`).
     """
-    lam, traces, degenerate = _gram_terms(chain, q, task_dim)
+    lam, traces, degenerate = _gram_terms(chain, q, task_dim, frames)
     return SingularityCost(h=_log_ratio(lam, params), gradient=-0.5 * traces, degenerate=degenerate)
 
 

@@ -25,7 +25,7 @@ from jsonschema.validators import validator_for
 from . import factor_graph as fg
 from . import gp_prior as gp
 from .collision import SdfGrid, build_workspace_sdf, sphere_clearances
-from .kinematics import KinematicChain, _fk_matrices, geometric_jacobian, load_chain
+from .kinematics import KinematicChain, _as_config, _fk_matrices, geometric_jacobian, load_chain
 from .manipulability import _checked, estimate_lambda_max
 
 __all__ = [
@@ -324,16 +324,19 @@ def _evaluate_states(
     grid: SdfGrid | None,
 ) -> EvaluatedProfile:
     positions = states[:, : chain.n]
+    # One forward-kinematics pass gives the Jacobians, end-effector and spheres.
+    frames = _fk_matrices(chain, _as_config(chain, positions, stack=True))
+    jacobians = geometric_jacobian(chain, positions, task_dim, frames)
     # The SVD flavour of manipulability.ellipsoid, whose singular values it matches bit for bit.
-    singular_values = np.linalg.svd(_checked(geometric_jacobian(chain, positions, task_dim)), full_matrices=False)[1]
+    singular_values = np.linalg.svd(_checked(jacobians), full_matrices=False)[1]
     return EvaluatedProfile(
         times=times,
         positions=positions,
         velocities=states[:, chain.n :],
         lambdas=np.prod(singular_values, axis=-1),
         sigma_mins=singular_values[:, -1],
-        ee_positions=_fk_matrices(chain, positions)[:, -1, :3, 3],
-        clearances=None if grid is None else sphere_clearances(chain, positions, grid),
+        ee_positions=frames[:, -1, :3, 3],
+        clearances=None if grid is None else sphere_clearances(chain, positions, grid, frames),
     )
 
 

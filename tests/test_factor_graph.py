@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +33,7 @@ def singularity_factor(state, cost, sigma):
 
 
 def goal_factor(state, chain, goal, sigma):
-    return fg.ConfigurationFactor(fg.FactorKind.GOAL_POSITION, [state], fg.goal_position_cost(chain, goal), 3, sigma)
+    return fg.ConfigurationFactor(fg.FactorKind.GOAL_POSITION, [state], fg.ChainGoalCost(chain, goal), 3, sigma)
 
 
 def state_array(trajectory):
@@ -436,20 +438,20 @@ class TestOptimize:
         assert fg._solve_normal(np.array([[1e-300]]), np.array([1.0]), np.array([1e10])) == pytest.approx([-1e10])
 
     @pytest.mark.parametrize("call", ["linearize", "total_cost"])
-    def test_forward_kinematics_passes_do_not_grow_with_the_knots(self, monkeypatch, call):
-        # One pass per configuration factor: singularity, collision and goal
-        # costs over all knots, and over all interpolated states.
+    @pytest.mark.parametrize("n_interp", [0, 1])
+    def test_forward_kinematics_passes_do_not_grow_with_the_knots(self, monkeypatch, call, n_interp):
+        # The singularity, collision and goal costs over all knots and all
+        # interpolated states read one pass over N + (N - 1) P configurations.
         scenario = Scenario(
             robot="ur10",
             start_config=np.array([0.3, -1.2, 1.1, 0.4, 0.2, 0.1]),
             goal_position=np.array([0.5, 0.5, 0.5]),
-            n_interp=1,
+            n_interp=n_interp,
             obstacles=(BoxObstacle(center=[-0.1, 0.0, 0.3], half_extents=[0.2, 0.2, 0.2]),),
             sdf_cell_size=0.1,
         )
-        passes = []
         for knots in (4, 16):
-            traj = gp.init_trajectory(scenario.start_config, scenario.horizon, knots, n_interp=1)
+            traj = gp.init_trajectory(scenario.start_config, scenario.horizon, knots, n_interp=n_interp)
             graph = fg.build_graph(replace(scenario, num_support=knots), traj)
             calls = []
 
@@ -458,24 +460,77 @@ class TestOptimize:
                 return fk(chain, q)
 
             monkeypatch.setattr(kinematics, "_fk_matrices", counted)
+            monkeypatch.setattr(fg, "_fk_matrices", counted)
             getattr(fg, call)(graph, traj)
             monkeypatch.undo()
-            passes.append(calls)
-        assert [len(calls) for calls in passes] == [5, 5]
-        assert sorted(passes[1]) == [(1, 6), (15, 6), (15, 6), (16, 6), (16, 6)]
+            assert calls == [(knots + (knots - 1) * n_interp, 6)]
 
-    @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
-    @pytest.mark.parametrize("singularity", [True, False])
-    def test_total_cost_is_the_linearized_cost(self, name, singularity):
+    @staticmethod
+    def perturbed_graph(name, singularity):
+        """A shipped scenario's graph, its initial trajectory and 5 seeded perturbations of it."""
         scenario = replace(load_scenario(name), enable_singularity_factors=singularity)
         init = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, scenario.n_interp)
-        graph = fg.build_graph(scenario, init)
         rng = np.random.default_rng(7)
         trajectories = [init] + [
             init.with_vector(init.as_vector() + rng.normal(0.0, 0.05, init.as_vector().size)) for _ in range(5)
         ]
+        return fg.build_graph(scenario, init), trajectories
+
+    @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
+    @pytest.mark.parametrize("singularity", [True, False])
+    def test_total_cost_is_the_linearized_cost(self, name, singularity):
+        graph, trajectories = self.perturbed_graph(name, singularity)
         for traj in trajectories:
             assert fg.total_cost(graph, traj) == fg.linearize(graph, traj)[2]
+
+    @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
+    @pytest.mark.parametrize("singularity", [True, False])
+    def test_stacked_evaluation_equals_each_factor_alone(self, name, singularity):
+        graph, trajectories = self.perturbed_graph(name, singularity)
+        for traj in trajectories:
+            stacked = graph.evaluate(traj.x)
+            assert len(stacked) == len(graph.factors)
+            for factor, (r, jac) in zip(graph.factors, stacked):
+                r_alone, jac_alone = factor.evaluate(traj.x)
+                np.testing.assert_array_equal(r, r_alone, err_msg=str(factor.kind))
+                np.testing.assert_array_equal(jac, jac_alone, err_msg=str(factor.kind))
+
+    def test_a_cost_without_a_chain_shares_the_stack(self, monkeypatch):
+        # sine_cost takes no frames; the goal cost of a one-link arm does.
+        # Both read the same stack of 3 knots and 2 x 2 interpolated states.
+        chain = planar_chain([1.0])
+        traj = gp.SupportTrajectory(times=[0.0, 1.0, 2.0], x=[[0.3, 0.1], [0.7, 0.2], [1.2, 0.0]])
+        _, lam, psi = fg.interpolated_blends(traj.times, 2)
+        kind = fg.FactorKind
+        graph = fg.FactorGraph(
+            factors=(
+                fg.StartPriorFactor(state=0, prior=traj.x[0], sigma=1e-4),
+                fg.GpPriorFactor(times=traj.times, params=gp.GpPriorParams.isotropic(1, 1.0)),
+                fg.ConfigurationFactor(kind.SINGULARITY, [0, 1, 2], sine_cost, 1, 1e-2),
+                fg.ConfigurationFactor(kind.INTERP_SINGULARITY, [0, 1], sine_cost, 2, 1e-2, (lam, psi)),
+                fg.ConfigurationFactor(kind.GOAL_POSITION, [2], fg.ChainGoalCost(chain, [0.0, 1.0, 0.0]), 3, 1e-4),
+            ),
+            num_states=3,
+            state_dim=2,
+        )
+        calls = []
+
+        def counted(chain, q, fk=kinematics._fk_matrices):
+            calls.append(q.shape)
+            return fk(chain, q)
+
+        monkeypatch.setattr(fg, "_fk_matrices", counted)
+        stacked = graph.evaluate(traj.x)
+        assert calls == [(7, 1)]
+        for factor, (r, jac) in zip(graph.factors, stacked):
+            r_alone, jac_alone = factor.evaluate(traj.x)
+            np.testing.assert_array_equal(r, r_alone)
+            np.testing.assert_array_equal(jac, jac_alone)
+        np.testing.assert_allclose(stacked[2][0].ravel(), -10.0 * np.log(np.sin(traj.x[:, 0])), rtol=1e-14)
+        np.testing.assert_allclose(stacked[4][0][0], 100.0 * np.array([math.cos(1.2), math.sin(1.2) - 1.0, 0.0]))
+        assert fg.total_cost(graph, traj) == fg.linearize(graph, traj)[2]
+        _, report = fg.optimize(graph, traj)
+        assert report.final_cost < report.cost_trace[0]
 
     def test_report_dict_has_interface_keys(self):
         graph, traj = self.linear_graph()
@@ -511,6 +566,22 @@ class TestBuildGraph:
     def rows(self, graph):
         """Residual rows per factor kind (one factor per kind)."""
         return {factor.kind: factor.dim * len(factor.states) for factor in graph.factors}
+
+    def test_a_graph_is_freed_without_the_cycle_collector(self):
+        # A reference cycle would keep each plan's graph, and the SDF grid
+        # its collision cost holds, alive until a collection: peak memory
+        # then grows with the plans run between collections.
+        scenario = load_scenario("ur10_table")
+        traj = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, scenario.n_interp)
+        graph = fg.build_graph(scenario, traj)
+        fg.linearize(graph, traj)
+        refs = [weakref.ref(graph)] + [weakref.ref(f) for f in graph.factors]
+        gc.disable()
+        try:
+            del graph
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
     def test_unobstructed_counting_rule(self):
         # 11 support states: 1 start prior + 10 GP priors + 11 singularity

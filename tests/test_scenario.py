@@ -373,9 +373,9 @@ class TestStackedProfile:
             passes.clear()
             run = sc._finalize_run(dataclasses.replace(scenario, n_interp=n_interp), chain, grid, trajectory, None, tmp_path)
             assert (tmp_path / "lambda_profile.csv").is_file()
-            # Three stacked passes per profile (Jacobian, end-effector, spheres), whatever the sample count.
+            # One stacked pass per profile (Jacobian, end-effector, spheres), whatever the sample count.
             factor_rows, dense_rows = run.factor_profile.times.shape[0], run.dense_profile.times.shape[0]
-            assert sorted(passes) == sorted([(factor_rows, chain.n)] * 3 + [(dense_rows, chain.n)] * 3)
+            assert sorted(passes) == sorted([(factor_rows, chain.n), (dense_rows, chain.n)])
 
     def test_non_finite_state_rejected_once_on_the_stack(self):
         trajectory = gp.init_trajectory(np.zeros(2), 1.0, 3)
