@@ -188,6 +188,12 @@ class ConfigurationFactor(Factor):
         return self._w * r.reshape(num, -1), self._w * jac.reshape(num, -1, 2 * self.states.shape[1] * n)
 
 
+def _distinct(arrays) -> np.ndarray:
+    """The distinct entries of integer arrays, sorted.  (``np.unique``
+    would do, but its first call in a process maps about 0.25 MiB more.)"""
+    return np.array(sorted({int(i) for array in arrays for i in array}), dtype=int)
+
+
 def _index(rows: np.ndarray) -> slice | np.ndarray:
     """Sorted ``rows`` as a slice when they are consecutive, which indexes
     without a copy."""
@@ -202,8 +208,8 @@ class _ConfigurationStack:
     The stack holds every configuration the factors use once: the knots of
     the knot factors in state order, then, for each distinct interpolation
     (the same first states and blend kernels), its P configurations per
-    segment in segment order.  Singularity and collision factors over the
-    same states so share rows, and the goal's knot is a knot row.  An
+    segment in segment order.  So singularity and collision factors over
+    the same states share rows, and the goal's knot is a knot row.  An
     evaluation checks the stack with ``_as_config`` and runs
     ``_fk_matrices`` over it once when a cost has a ``chain`` (all such
     costs must share it), calls each distinct cost once over the rows its
@@ -213,7 +219,7 @@ class _ConfigurationStack:
 
     def __init__(self, factors) -> None:
         self.factors = tuple(factors)
-        knots = np.unique(np.concatenate([f.knots for f in self.factors if f.blend is None] + [np.zeros(0, int)]))
+        knots = _distinct(f.knots for f in self.factors if f.blend is None)
         self.knots = _index(knots)
         self.interpolations: list[tuple[np.ndarray, np.ndarray]] = []  # (states, blend coefficients)
         placements: dict[tuple, np.ndarray] = {}
@@ -237,7 +243,7 @@ class _ConfigurationStack:
         self.picks: list[tuple[int, slice | np.ndarray]] = [None] * len(self.factors)
         for group in members.values():
             cost = self.factors[group[0]].cost
-            used = np.unique(np.concatenate([rows[i] for i in group]))
+            used = _distinct(rows[i] for i in group)
             for i in group:
                 self.picks[i] = (len(self.costs), _index(np.searchsorted(used, rows[i])))
             self.costs.append((cost, _index(used), hasattr(cost, "chain")))

@@ -19,7 +19,7 @@ from manipplan.collision import (
     sdf_query,
     sphere_clearances,
 )
-from manipplan.kinematics import body_sphere_states
+from manipplan.kinematics import _fk_matrices, body_sphere_states
 from manipplan.scenario import load_scenario
 
 from .oracles import box_sdf_reference, collision_residual_loop
@@ -306,6 +306,17 @@ class TestCollisionResidual:
         assert np.count_nonzero(r) > 60
         r, jac = collision_residual(planar2r, np.zeros((4, 2)), table_grid, self.params())
         assert r.shape == (4, 0) and jac.shape == (4, 0, 2)
+
+    def test_precomputed_frames_give_the_same_bits(self, ur10, table_grid, rng):
+        configs = np.array([1.0, 1.7, 1.2, 0.0, 0.0, 0.0]) + rng.uniform(-0.4, 0.4, (30, 6))
+        frames = _fk_matrices(ur10, configs)
+        r, jac = collision_residual(ur10, configs, table_grid, self.params(), frames)
+        np.testing.assert_array_equal(r, collision_residual(ur10, configs, table_grid, self.params())[0])
+        np.testing.assert_array_equal(jac, collision_residual(ur10, configs, table_grid, self.params())[1])
+        np.testing.assert_array_equal(
+            sphere_clearances(ur10, configs, table_grid, frames), sphere_clearances(ur10, configs, table_grid)
+        )
+        assert np.count_nonzero(r) > 30
 
     def test_chain_without_spheres_gives_empty_rows(self, planar2r, table_grid):
         q = [0.3, -0.4]

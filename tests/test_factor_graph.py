@@ -646,6 +646,13 @@ class TestBuildGraph:
             r_b, _ = b.evaluate(state_array(traj))
             np.testing.assert_array_equal(r_a, r_b)
 
+    def test_costs_of_two_chains_rejected(self, planar2r):
+        # One stack gets one forward-kinematics pass, so one chain.
+        goals = [fg.ChainGoalCost(chain, [1.0, 1.0, 0.0]) for chain in (planar2r, planar_chain([1.0, 1.0]))]
+        factors = [fg.ConfigurationFactor(fg.FactorKind.GOAL_POSITION, [s], goals[s], 3, 1e-4) for s in (0, 1)]
+        with pytest.raises(ValueError, match="one kinematic chain"):
+            fg.FactorGraph(factors=tuple(factors), num_states=2, state_dim=4)
+
     def test_state_indices_validated(self):
         factor = fg.StartPriorFactor(state=5, prior=np.zeros(2), sigma=1.0)
         with pytest.raises(ValueError):

@@ -254,6 +254,25 @@ class TestStackedConfigurations:
         np.testing.assert_array_equal(_fk_matrices(chain, configs), reference)
 
     @pytest.mark.parametrize("name", ["ur10", "planar2r", "tilted"])
+    def test_precomputed_frames_give_the_same_bits(self, name, rng):
+        # One forward-kinematics pass serves every function that takes frames.
+        chain = tilted_chain() if name == "tilted" else load_chain(name)
+        configs = rng.uniform(-np.pi, np.pi, (50, chain.n))
+        frames = _fk_matrices(chain, configs)
+        calls = [
+            lambda **kw: geometric_jacobian(chain, configs, 3, **kw),
+            lambda **kw: jacobian_partials(chain, configs, 6, **kw).contract(np.ones((6, chain.n))),
+            lambda **kw: point_jacobian(chain, configs, chain.n - 1, [0.1, 0.2, 0.3], **kw),
+            lambda **kw: body_sphere_states(chain, configs, **kw),
+        ]
+        for call in calls:
+            own, shared = call(), call(frames=frames)
+            if not isinstance(own, tuple):
+                own, shared = (own,), (shared,)
+            for own_part, shared_part in zip(own, shared):
+                np.testing.assert_array_equal(shared_part, own_part)
+
+    @pytest.mark.parametrize("name", ["ur10", "planar2r", "tilted"])
     def test_stack_equals_per_configuration_calls_bit_for_bit(self, name, rng):
         chain = tilted_chain() if name == "tilted" else load_chain(name)
         configs = rng.uniform(-np.pi, np.pi, (200, chain.n))
