@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from . import gp_prior as gp
-from .collision import CollisionParams, SdfGrid, collision_residual
+from .collision import BoxSdfGrid, CollisionParams, SdfGrid, collision_residual
 from .kinematics import KinematicChain, _as_config, _fk_matrices, point_jacobian
 from .manipulability import SingularityCostParams, singularity_cost
 
@@ -585,7 +585,7 @@ class ChainCollisionCost:
     ``grid``, one entry per sphere."""
 
     chain: KinematicChain
-    grid: SdfGrid
+    grid: SdfGrid | BoxSdfGrid
     params: CollisionParams
 
     def __call__(self, q: np.ndarray, frames: np.ndarray | None = None):

@@ -317,7 +317,9 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _point_jacobians(frames: np.ndarray, points: np.ndarray, links: np.ndarray) -> np.ndarray:
     """(..., P, 3, n) linear Jacobians of P points (..., P, 3), point i
-    fixed on the frame after link ``links[i]``, from frames (..., n+1, 4, 4).
+    fixed on the frame after link ``links[..., i]``, from frames (..., n+1,
+    4, 4).  ``links`` is (P,), shared by every stacked set of frames, or
+    has the leading shape of ``points``, one link per point.
 
     Column j is ``z_j x (p - o_j)``; columns of joints past a point's link
     cannot move it and are zero.
@@ -325,7 +327,7 @@ def _point_jacobians(frames: np.ndarray, points: np.ndarray, links: np.ndarray) 
     n = frames.shape[-3] - 1
     axes, origins = frames[..., None, :-1, :3, 2], frames[..., None, :-1, :3, 3]
     cols = _cross(axes, points[..., :, None, :] - origins)
-    cols[..., np.arange(n) > links[:, None], :] = 0.0
+    cols[..., np.arange(n) > links[..., None], :] = 0.0
     return np.ascontiguousarray(np.swapaxes(cols, -1, -2))
 
 

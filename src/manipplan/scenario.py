@@ -24,7 +24,7 @@ from jsonschema.validators import validator_for
 
 from . import factor_graph as fg
 from . import gp_prior as gp
-from .collision import SdfGrid, build_workspace_sdf, sphere_clearances
+from .collision import BoxSdfGrid, SdfGrid, build_workspace_sdf, sphere_clearances
 from .kinematics import KinematicChain, _as_config, _fk_matrices, geometric_jacobian, load_chain
 from .manipulability import _checked, estimate_lambda_max
 
@@ -90,7 +90,7 @@ class Scenario:
     sdf_cell_size: float = 0.02
     sdf_extent: float = 2.4
     _chain: KinematicChain | None = field(default=None, init=False, repr=False, compare=False)
-    _sdf: SdfGrid | None = field(default=None, init=False, repr=False, compare=False)
+    _sdf: BoxSdfGrid | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.start_config = np.asarray(self.start_config, dtype=float).reshape(-1)
@@ -138,7 +138,7 @@ class Scenario:
             self._chain = chain
         return self._chain
 
-    def build_sdf(self) -> SdfGrid | None:
+    def build_sdf(self) -> BoxSdfGrid | None:
         if not self.obstacles:
             return None
         if self._sdf is None:
@@ -321,7 +321,7 @@ def _evaluate_states(
     task_dim: int,
     times: np.ndarray,
     states: np.ndarray,
-    grid: SdfGrid | None,
+    grid: SdfGrid | BoxSdfGrid | None,
 ) -> EvaluatedProfile:
     positions = states[:, : chain.n]
     # One forward-kinematics pass gives the Jacobians, end-effector and spheres.
@@ -391,7 +391,7 @@ class RunResult:
 def _finalize_run(
     scenario: Scenario,
     chain: KinematicChain,
-    grid: SdfGrid | None,
+    grid: SdfGrid | BoxSdfGrid | None,
     trajectory: gp.SupportTrajectory,
     report: fg.OptimizeReport | None,
     out_dir: Path | None,
@@ -430,7 +430,7 @@ def _finalize_run(
     return result
 
 
-def _execute(scenario: Scenario, out_dir: Path | None, optimize: bool, grid: SdfGrid | None) -> RunResult:
+def _execute(scenario: Scenario, out_dir: Path | None, optimize: bool, grid: SdfGrid | BoxSdfGrid | None) -> RunResult:
     chain = scenario.load_chain()
     if grid is None:
         grid = scenario.build_sdf()

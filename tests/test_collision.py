@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from manipplan import collision
 from manipplan.collision import (
+    BoxSdfGrid,
     CollisionParams,
     SdfGrid,
     box_distance,
@@ -19,8 +21,8 @@ from manipplan.collision import (
     sdf_query,
     sphere_clearances,
 )
-from manipplan.kinematics import _fk_matrices, body_sphere_states
-from manipplan.scenario import load_scenario
+from manipplan.kinematics import _fk_matrices, body_sphere_states, chain_from_dict
+from manipplan.scenario import load_scenario, run_scenario
 
 from .oracles import box_sdf_reference, collision_residual_loop
 
@@ -181,18 +183,31 @@ class TestBoxSdf:
 
     @pytest.mark.parametrize("count, bound", [(1, 2.5), (3, 3.5)])
     def test_build_peak_memory_is_a_few_grids(self, count, bound):
-        # The grid plus one box's two temporaries: 2 grids for one box, 3 for
-        # several. Materialising the grid points would trace about 18.
+        # Forming a box grid's data holds the result plus one box's two
+        # temporaries: 2 grids for one box, 3 for several. Materialising the
+        # grid points would trace about 18.
         boxes = [((0.15, 0.65, -0.45), (0.5, 0.25, 0.05)), ((0.0, 0.0, 0.3), (0.1, 0.1, 0.1)), ((-0.5, 0.2, 0.0), 0.2)]
+        grid = build_workspace_sdf(boxes[:count], origin=(-1.2, -1.2, -1.2), cell_size=0.02, dims=(121, 121, 121))
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            grid = build_workspace_sdf(boxes[:count], origin=(-1.2, -1.2, -1.2), cell_size=0.02, dims=(121, 121, 121))
+            data = grid.data
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= bound * grid.data.nbytes
+        assert data.shape == (121, 121, 121)
+        assert peak <= bound * data.nbytes
+
+    @pytest.mark.parametrize("dims", [(1, 5, 5), (5, 5, 1)])
+    def test_fewer_than_two_nodes_on_an_axis_rejected(self, dims):
+        with pytest.raises(ValueError, match="two nodes"):
+            build_box_sdf((0, 0, 0), (0.1, 0.1, 0.1), origin=(-1, -1, -1), cell_size=0.1, dims=dims)
+
+    def test_overflowing_distances_rejected(self):
+        # Finite offsets whose squares sum past the largest float.
+        with pytest.raises(ValueError, match="non-finite"):
+            build_box_sdf((0, 0, 0), (0.1, 0.1, 0.1), origin=(-1e154, -1e154, -1e154), cell_size=1e153, dims=(5, 5, 5))
 
     @pytest.mark.parametrize(
         "center, half_extents, match",
@@ -207,12 +222,126 @@ class TestBoxSdf:
     )
     def test_bad_box_rejected_by_index_before_any_grid_work(self, monkeypatch, center, half_extents, match):
         def no_grid_work(*args):
-            raise AssertionError("grid built before every box was checked")
+            raise AssertionError("tables or grid built before every box was checked")
 
+        monkeypatch.setattr(collision, "_box_tables", no_grid_work)
         monkeypatch.setattr(collision, "_box_field", no_grid_work)
         boxes = [((0.0, 0.0, 0.0), (0.1, 0.1, 0.1)), (center, half_extents)]
         with pytest.raises(ValueError, match=f"box 1: .*{match}"):
             build_workspace_sdf(boxes, origin=(-1, -1, -1), cell_size=0.1, dims=(5, 5, 5))
+
+
+# One box, and three overlapping off-centre boxes, on non-cubic grids.
+BOX_GRIDS = {
+    "one_box": ([((0.13, -0.21, 0.37), (0.2, 0.35, 0.1))], (-0.7, -0.45, -0.2), 0.11, (7, 11, 13)),
+    "three_boxes": (
+        [((0.13, -0.21, 0.37), (0.2, 0.35, 0.1)), ((0.3, -0.05, 0.2), (0.15, 0.1, 0.4)), ((-0.4, 0.5, 0.9), (0.05, 0.3, 0.2))],
+        (-0.7, -0.45, -0.2),
+        0.11,
+        (9, 6, 14),
+    ),
+}
+
+
+def lookup_points(grid, rng):
+    """Points inside the grid, outside it on some axes, on nodes, and on the
+    upper border (whose cell index is clipped to ``dims - 2``)."""
+    dims = np.array(grid.dims)
+    inside = grid.origin + grid.cell_size * rng.uniform(0.0, 1.0, (200, 3)) * (dims - 1)
+    outside = grid.origin + grid.cell_size * rng.uniform(-3.0, 4.0, (200, 3)) * (dims - 1)
+    nodes = grid.origin + grid.cell_size * rng.integers(0, dims, (100, 3))
+    border = inside[:100].copy()
+    border[np.arange(100), rng.integers(0, 3, 100)] = grid.upper[rng.integers(0, 3, 100)]
+    border[:10] = grid.upper
+    return np.concatenate([inside, outside, nodes, border])
+
+
+class TestBoxGridLookup:
+    """A box grid forms its corner values from per-box tables; a data-backed
+    grid gathers them. Both must give the same bits."""
+
+    @pytest.mark.parametrize("name", BOX_GRIDS)
+    def test_corner_values_equal_gathers_from_its_data(self, name, rng):
+        grid = build_workspace_sdf(*BOX_GRIDS[name])
+        assert isinstance(grid, BoxSdfGrid)
+        data = grid.data
+        nx, ny, nz = grid.dims
+        # Cell corners as the lookup asks for them, (2, 2, 2, k), border cells included.
+        i, j, k = (rng.integers(0, d - 1, 500) for d in grid.dims)
+        i[:3], j[:3], k[:3] = nx - 2, ny - 2, nz - 2
+        i[3:6], j[3:6], k[3:6] = 0, 0, 0
+        step = np.arange(2)
+        corners = (i + step[:, None, None, None], j + step[:, None, None], k + step[:, None])
+        assert np.array_equal(grid.values(*corners), data[corners])
+        assert np.array_equal(grid.values(*corners), SdfGrid(grid.origin, grid.cell_size, data).values(*corners))
+
+    @pytest.mark.parametrize("name", BOX_GRIDS)
+    def test_lookups_equal_the_data_backed_grid(self, name, rng):
+        grid = build_workspace_sdf(*BOX_GRIDS[name])
+        gathered = SdfGrid(origin=grid.origin, cell_size=grid.cell_size, data=grid.data)
+        points = lookup_points(grid, rng)
+        assert (points < grid.origin).any() and (points > grid.upper).any()
+        assert np.any(points == grid.upper)
+        for got, want in zip(collision._trilinear(grid, points), collision._trilinear(gathered, points)):
+            np.testing.assert_array_equal(got, want)
+        for point in points[::7]:
+            got, want = sdf_query(grid, point), sdf_query(gathered, point)
+            assert (got.distance, got.clamped) == (want.distance, want.clamped)
+            np.testing.assert_array_equal(got.gradient, want.gradient)
+
+    def test_robot_costs_equal_the_data_backed_grid(self, ur10, rng):
+        scenario = load_scenario("ur10_table")
+        grid = scenario.build_sdf()
+        gathered = SdfGrid(origin=grid.origin, cell_size=grid.cell_size, data=grid.data)
+        params = CollisionParams(epsilon=scenario.epsilon, sigma_obs=scenario.sigma_obs)
+        configs = np.concatenate(
+            [np.array([1.0, 1.7, 1.2, 0.0, 0.0, 0.0]) + rng.uniform(-0.4, 0.4, (30, 6)), rng.uniform(-np.pi, np.pi, (30, 6))]
+        )
+        r, jac = collision_residual(ur10, configs, grid, params)
+        ref_r, ref_jac = collision_residual(ur10, configs, gathered, params)
+        np.testing.assert_array_equal(r, ref_r)
+        np.testing.assert_array_equal(jac, ref_jac)
+        assert np.count_nonzero(r) > 30
+        np.testing.assert_array_equal(sphere_clearances(ur10, configs, grid), sphere_clearances(ur10, configs, gathered))
+        for got, want in zip(collision_residual(ur10, configs[0], grid, params), collision_residual(ur10, configs[0], gathered, params)):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestMemory:
+    """Neither building a box grid nor planning on it allocates an array the
+    size of the grid (121**3 float64 is 13.5 MiB)."""
+
+    BOUND = 4 * 2**20
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_building_and_planning_the_table_scenario(self):
+        scenario = load_scenario("ur10_table")
+        results = []
+        peak = self.traced_peak(lambda: results.append(run_scenario(scenario) if scenario.build_sdf() else None))
+        assert results[0].success
+        assert peak < self.BOUND
+
+    def test_a_fine_grid_costs_no_more(self, ur10):
+        # 481**3 nodes: 0.9 GB as an array.
+        scenario = replace(load_scenario("ur10_table"), sdf_cell_size=0.005)
+        params = CollisionParams(epsilon=scenario.epsilon, sigma_obs=scenario.sigma_obs)
+        out = []
+        peak = self.traced_peak(
+            lambda: out.append(collision_residual(ur10, scenario.start_config, scenario.build_sdf(), params))
+        )
+        assert scenario.build_sdf().dims == (481, 481, 481)
+        assert out[0][0].shape == (len(ur10.body_spheres),)
+        assert peak < self.BOUND
 
 
 class TestHinge:
@@ -293,6 +422,46 @@ class TestCollisionResidual:
             np.testing.assert_array_equal(jac, ref_jac)
             active += int(np.count_nonzero(r))
         assert active > 0  # the batch must have been exercised on active spheres
+
+    def test_active_pair_jacobians_equal_the_loop_bit_for_bit(self):
+        # A planar arm with one sphere per link above the half-space y < 0,
+        # whose distance field f = y trilinear interpolation reproduces.
+        chain = chain_from_dict(
+            {
+                "dh": [{"a": 0.5, "alpha": 0.0, "d": 0.0}, {"a": 0.5, "alpha": 0.0, "d": 0.0}, {"a": 0.25, "alpha": 0.0, "d": 0.0}],
+                "body_spheres": [
+                    {"link": 0, "offset": [0.0, 0.25, 0.0], "radius": 0.125},
+                    {"link": 1, "offset": [0.0, 0.75, 0.0], "radius": 0.125},
+                    {"link": 2, "offset": [0.0, 0.5, 0.0], "radius": 0.125},
+                ],
+            }
+        )
+        origin, cell, dims = np.array([-2.0, -2.0, -1.0]), 0.25, (17, 17, 9)
+        y = origin[1] + cell * np.arange(dims[1])
+        grid = SdfGrid(origin=origin, cell_size=cell, data=np.broadcast_to(y[None, :, None], dims).copy())
+        params = CollisionParams(epsilon=0.125, sigma_obs=1e-3)
+        # At q = 0 every value is a dyadic fraction: sphere 0's centre is
+        # (0.5, 0.25, 0), its clearance 0.25 - 0.125 is exactly epsilon.
+        configs = np.array(
+            [
+                [0.0, 0.0, 0.0],  # one active sphere, at its margin
+                [np.pi / 2, 0.0, 0.0],  # none
+                [-np.pi / 2, 0.0, 0.0],  # all three links
+                [0.3, -1.2, 0.4],  # two, on links 1 and 2
+                [0.3, 0.2, 0.1],  # none
+            ]
+        )
+        r, jac = collision_residual(chain, configs, grid, params)
+        loops = [collision_residual_loop(chain, q, grid, params) for q in configs]
+        np.testing.assert_array_equal(r, [r_k for r_k, _ in loops])
+        np.testing.assert_array_equal(jac, [jac_k for _, jac_k in loops])
+        active = np.any(jac != 0.0, axis=-1)
+        assert active.astype(int).tolist() == [[1, 0, 0], [0, 0, 0], [1, 1, 1], [0, 1, 1], [0, 0, 0]]
+        assert r[0, 0] == 0.0 and active[0, 0]  # on the margin: zero cost, slope -1
+        assert jac[0, 0, 0] != 0.0 and not jac[0, 0, 1:].any()
+        single_r, single_jac = collision_residual(chain, configs[0], grid, params)
+        np.testing.assert_array_equal(single_r, loops[0][0])
+        np.testing.assert_array_equal(single_jac, loops[0][1])
 
     def test_stack_equals_per_configuration_calls_bit_for_bit(self, ur10, planar2r, table_grid, rng):
         # Configurations driven into the tabletop, so many rows are active.
@@ -462,6 +631,17 @@ class TestSdfSerialization:
         path = tmp_path / "grid.sdf"
         path.write_bytes(b'{"origin": [0, 0, 0], "cell_size": 0.5, "dims": [5, 25]}\n' + bytes(8 * 125))
         with pytest.raises(ValueError, match="three entries"):
+            load_sdf(path)
+
+    @pytest.mark.parametrize("key", ["origin", "cell_size", "dims"])
+    def test_header_without_a_key_rejected_by_name(self, tmp_path, key):
+        import json
+
+        header = {"origin": [0, 0, 0], "cell_size": 0.5, "dims": [2, 2, 2]}
+        del header[key]
+        path = tmp_path / "grid.sdf"
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + bytes(8 * 8))
+        with pytest.raises(ValueError, match=f"no '{key}'"):
             load_sdf(path)
 
     def test_header_with_a_nan_cell_size_rejected(self, tmp_path):
