@@ -2,7 +2,7 @@
 manipulators, solved as MAP inference over a Gaussian-process trajectory
 prior on a factor graph."""
 
-from .collision import BoxSdfGrid, CollisionParams, SdfGrid, build_box_sdf, hinge_cost, load_sdf, save_sdf, sdf_query
+from .collision import BoxObstacle, CollisionParams, WorkspaceSdf, build_workspace_sdf, hinge_cost, sdf_query
 from .factor_graph import (
     FactorGraph,
     FactorKind,

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from . import gp_prior as gp
-from .collision import BoxSdfGrid, CollisionParams, SdfGrid, collision_residual
+from .collision import CollisionParams, WorkspaceSdf, collision_residual
 from .kinematics import KinematicChain, _as_config, _fk_matrices, point_jacobian
 from .manipulability import SingularityCostParams, singularity_cost
 
@@ -582,14 +582,14 @@ class ChainSingularityCost:
 @dataclass(frozen=True)
 class ChainCollisionCost:
     """The hinge collision residuals of the chain's body spheres in
-    ``grid``, one entry per sphere."""
+    ``sdf``, one entry per sphere."""
 
     chain: KinematicChain
-    grid: SdfGrid | BoxSdfGrid
+    sdf: WorkspaceSdf
     params: CollisionParams
 
     def __call__(self, q: np.ndarray, frames: np.ndarray | None = None):
-        return collision_residual(self.chain, q, self.grid, self.params, frames)
+        return collision_residual(self.chain, q, self.sdf, self.params, frames)
 
 
 @dataclass(frozen=True)

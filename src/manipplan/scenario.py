@@ -24,7 +24,7 @@ from jsonschema.validators import validator_for
 
 from . import factor_graph as fg
 from . import gp_prior as gp
-from .collision import BoxSdfGrid, SdfGrid, build_workspace_sdf, sphere_clearances
+from .collision import BoxObstacle, WorkspaceSdf, build_workspace_sdf, sphere_clearances
 from .kinematics import KinematicChain, _as_config, _fk_matrices, geometric_jacobian, load_chain
 from .manipulability import _checked, estimate_lambda_max
 
@@ -52,19 +52,6 @@ GOAL_TOLERANCE = 1e-3
 PROFILE_POINTS_PER_SEGMENT = 10
 
 
-@dataclass(frozen=True)
-class BoxObstacle:
-    center: np.ndarray
-    half_extents: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))
-        object.__setattr__(self, "half_extents", np.asarray(self.half_extents, dtype=float).reshape(3))
-        finite = np.all(np.isfinite(self.center)) and np.all(np.isfinite(self.half_extents))
-        if not (finite and np.all(self.half_extents > 0.0)):
-            raise ValueError("obstacle center and half extents must be finite, half extents positive")
-
-
 @dataclass
 class Scenario:
     """One planning problem; see ``data/scenario.schema.json`` for the file format."""
@@ -87,10 +74,7 @@ class Scenario:
     solver: fg.SolverSettings = field(default_factory=fg.SolverSettings)
     enable_singularity_factors: bool = True
     task_dim: int = 6
-    sdf_cell_size: float = 0.02
-    sdf_extent: float = 2.4
     _chain: KinematicChain | None = field(default=None, init=False, repr=False, compare=False)
-    _sdf: BoxSdfGrid | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.start_config = np.asarray(self.start_config, dtype=float).reshape(-1)
@@ -105,8 +89,6 @@ class Scenario:
             (self.qc_scale, "qc_scale"),
             (self.sigma_goal, "sigma_goal"),
             (self.sigma_start, "sigma_start"),
-            (self.sdf_cell_size, "sdf_cell_size"),
-            (self.sdf_extent, "sdf_extent"),
         ):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{label} must be positive and finite")
@@ -120,8 +102,6 @@ class Scenario:
             raise ValueError("task_dim must be 2, 3, or 6")
         if not 0.0 <= self.epsilon < math.inf:
             raise ValueError("epsilon must be non-negative and finite")
-        if round(self.sdf_extent / self.sdf_cell_size) < 1:
-            raise ValueError("sdf extent over cell size gives fewer than two grid nodes per axis")
 
     def load_chain(self) -> KinematicChain:
         if self._chain is None:
@@ -138,21 +118,9 @@ class Scenario:
             self._chain = chain
         return self._chain
 
-    def build_sdf(self) -> BoxSdfGrid | None:
-        if not self.obstacles:
-            return None
-        if self._sdf is None:
-            chain = self.load_chain()
-            half = self.sdf_extent / 2.0
-            origin = chain.base_pose.position - half
-            cells = int(round(self.sdf_extent / self.sdf_cell_size)) + 1
-            self._sdf = build_workspace_sdf(
-                [(box.center, box.half_extents) for box in self.obstacles],
-                origin=origin,
-                cell_size=self.sdf_cell_size,
-                dims=(cells, cells, cells),
-            )
-        return self._sdf
+    def build_sdf(self) -> WorkspaceSdf | None:
+        """The exact signed distance of the obstacles; None without any."""
+        return build_workspace_sdf(self.obstacles) if self.obstacles else None
 
     def resolve_lambda_max(self, chain: KinematicChain | None = None) -> float:
         """Scenario override, else the model-file cache, else a fresh estimate."""
@@ -204,8 +172,6 @@ _SCENARIO_CASTS = {
     "enable_singularity_factors": bool,
     "task_dim": int,
 }
-# Key of the file's "sdf" object -> Scenario field.
-_SDF_FIELDS = {"cell_size": "sdf_cell_size", "extent": "sdf_extent"}
 
 
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
@@ -223,8 +189,6 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
             if candidate.is_file():
                 robot = str(candidate)
     fields = {key: cast(data[key]) for key, cast in _SCENARIO_CASTS.items() if key in data}
-    sdf_spec = data.get("sdf", {})
-    fields |= {name: float(sdf_spec[key]) for key, name in _SDF_FIELDS.items() if key in sdf_spec}
     if "obstacles" in data:
         fields["obstacles"] = tuple(
             BoxObstacle(center=box["center"], half_extents=box["half_extents"]) for box in data["obstacles"]
@@ -321,7 +285,7 @@ def _evaluate_states(
     task_dim: int,
     times: np.ndarray,
     states: np.ndarray,
-    grid: SdfGrid | BoxSdfGrid | None,
+    sdf: WorkspaceSdf | None,
 ) -> EvaluatedProfile:
     positions = states[:, : chain.n]
     # One forward-kinematics pass gives the Jacobians, end-effector and spheres.
@@ -336,7 +300,7 @@ def _evaluate_states(
         lambdas=np.prod(singular_values, axis=-1),
         sigma_mins=singular_values[:, -1],
         ee_positions=frames[:, -1, :3, 3],
-        clearances=None if grid is None else sphere_clearances(chain, positions, grid, frames),
+        clearances=None if sdf is None else sphere_clearances(chain, positions, sdf, frames),
     )
 
 
@@ -390,19 +354,18 @@ class RunResult:
 
 def _finalize_run(
     scenario: Scenario,
-    chain: KinematicChain,
-    grid: SdfGrid | BoxSdfGrid | None,
     trajectory: gp.SupportTrajectory,
     report: fg.OptimizeReport | None,
     out_dir: Path | None,
 ) -> RunResult:
+    chain, sdf = scenario.load_chain(), scenario.build_sdf()
     factor_profile, dense_profile = (
-        _evaluate_states(chain, scenario.task_dim, *_sampled_states(trajectory, per_segment), grid)
+        _evaluate_states(chain, scenario.task_dim, *_sampled_states(trajectory, per_segment), sdf)
         for per_segment in (scenario.n_interp, PROFILE_POINTS_PER_SEGMENT)
     )
     goal_error = float(np.linalg.norm(dense_profile.ee_positions[-1] - scenario.goal_position))
     collision_free = None
-    if grid is not None:
+    if sdf is not None:
         collision_free = bool(dense_profile.clearances.min() >= 0.0 and factor_profile.clearances.min() >= 0.0)
     result = RunResult(
         scenario_name=scenario.name,
@@ -422,7 +385,7 @@ def _finalize_run(
         _write_csv(out_dir / "trajectory.csv", header, columns)
         header = ["time", "lambda", "sigma_min", "ee_x", "ee_y", "ee_z"]
         columns = [dense_profile.times, dense_profile.lambdas, dense_profile.sigma_mins, dense_profile.ee_positions]
-        if grid is not None:
+        if sdf is not None:
             header += [f"clearance_{i}" for i in range(len(chain.body_spheres))]
             columns.append(dense_profile.clearances)
         _write_csv(out_dir / "lambda_profile.csv", header, columns)
@@ -430,10 +393,7 @@ def _finalize_run(
     return result
 
 
-def _execute(scenario: Scenario, out_dir: Path | None, optimize: bool, grid: SdfGrid | BoxSdfGrid | None) -> RunResult:
-    chain = scenario.load_chain()
-    if grid is None:
-        grid = scenario.build_sdf()
+def _execute(scenario: Scenario, out_dir: Path | None, optimize: bool) -> RunResult:
     trajectory = gp.init_trajectory(
         scenario.start_config, scenario.horizon, scenario.num_support, scenario.n_interp
     )
@@ -441,14 +401,14 @@ def _execute(scenario: Scenario, out_dir: Path | None, optimize: bool, grid: Sdf
     if optimize:
         graph = fg.build_graph(scenario, trajectory)
         trajectory, report = fg.optimize(graph, trajectory, scenario.solver)
-    return _finalize_run(scenario, chain, grid, trajectory, report, out_dir)
+    return _finalize_run(scenario, trajectory, report, out_dir)
 
 
 def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> RunResult:
     """Plan one scenario and export ``trajectory.csv``, ``lambda_profile.csv``
     and ``report.json`` into ``out_dir`` (when given)."""
     out = Path(out_dir) if out_dir is not None else None
-    return _execute(scenario, out, optimize=True, grid=None)
+    return _execute(scenario, out, optimize=True)
 
 
 @dataclass
@@ -476,12 +436,11 @@ def run_comparison(scenario: Scenario, out_dir: str | Path | None = None) -> Com
     manipulability profiles normalized to the maximum observed value.
     """
     out = Path(out_dir) if out_dir is not None else None
-    grid = scenario.build_sdf()
-    prior = _execute(scenario, None if out is None else out / "prior", optimize=False, grid=grid)
+    prior = _execute(scenario, None if out is None else out / "prior", optimize=False)
     baseline_scenario = replace(scenario, enable_singularity_factors=False)
-    baseline = _execute(baseline_scenario, None if out is None else out / "baseline", optimize=True, grid=grid)
+    baseline = _execute(baseline_scenario, None if out is None else out / "baseline", optimize=True)
     aware_scenario = replace(scenario, enable_singularity_factors=True)
-    aware = _execute(aware_scenario, None if out is None else out / "aware", optimize=True, grid=grid)
+    aware = _execute(aware_scenario, None if out is None else out / "aware", optimize=True)
 
     normalization = max(run.dense_profile.lambdas.max() for run in (prior, baseline, aware))
     result = ComparisonResult(prior=prior, baseline=baseline, aware=aware, normalization=normalization, out_dir=out)
@@ -521,12 +480,11 @@ def run_interp_sweep(
     if not counts:
         raise ValueError("interp_counts must not be empty")
     out = Path(out_dir) if out_dir is not None else None
-    grid = scenario.build_sdf()
-    prior = _execute(scenario, None, optimize=False, grid=grid)
+    prior = _execute(scenario, None, optimize=False)
     runs = []
     for count in counts:
         sub = None if out is None else out / f"interp_{count}"
-        runs.append(_execute(replace(scenario, n_interp=count), sub, optimize=True, grid=grid))
+        runs.append(_execute(replace(scenario, n_interp=count), sub, optimize=True))
     result = SweepResult(counts=counts, runs=runs, prior=prior, out_dir=out)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)

@@ -161,14 +161,14 @@ def singularity_gradient_mp(chain, q, task_dim, sigma_min, digits=60):
     return out
 
 
-def collision_residual_loop(chain, q, grid, params):
+def collision_residual_loop(chain, q, sdf, params):
     """Hinge residual and Jacobian one body sphere at a time, from
     :func:`point_jacobian_loop` and single-point ``sdf_query`` lookups."""
     count = len(chain.body_spheres)
     residual, jac = np.zeros(count), np.zeros((count, chain.n))
     for row, sphere in enumerate(chain.body_spheres):
         center, center_jac = point_jacobian_loop(chain, q, sphere.link_index, sphere.offset)
-        query = sdf_query(grid, center)
+        query = sdf_query(sdf, center)
         clearance = query.distance - sphere.radius
         if clearance <= params.epsilon:
             residual[row] = params.epsilon - clearance
@@ -187,13 +187,13 @@ def lambda_max_loop(chain, task_dim, num_samples, seed, joint_range):
     return best
 
 
-def evaluate_profile_loop(chain, task_dim, trajectory, gp_params, per_segment, grid):
+def evaluate_profile_loop(chain, task_dim, trajectory, gp_params, per_segment, sdf):
     """Trajectory samples and their diagnostics one sample at a time: each
     interpolated state from ``gp.interpolate``, then one Jacobian, ellipsoid,
     forward-kinematics pass and clearance lookup per sample.
 
     Returns ``(times, positions, velocities, lambdas, sigma_mins,
-    ee_positions, clearances)``, the last ``None`` without a grid.
+    ee_positions, clearances)``, the last ``None`` without obstacles.
     """
     states = []
     knots = trajectory.states
@@ -207,10 +207,10 @@ def evaluate_profile_loop(chain, task_dim, trajectory, gp_params, per_segment, g
     for state in states:
         ell = ellipsoid(geometric_jacobian(chain, state.position, task_dim))
         ee = forward_kinematics(chain, state.position)[-1].position
-        clearance = None if grid is None else sphere_clearances(chain, state.position, grid)
+        clearance = None if sdf is None else sphere_clearances(chain, state.position, sdf)
         rows.append((state.time, state.position, state.velocity, ell.volume_measure, ell.singular_values[-1], ee, clearance))
     columns = [np.array(column) for column in zip(*rows)]
-    if grid is None:
+    if sdf is None:
         columns[-1] = None
     return tuple(columns)
 

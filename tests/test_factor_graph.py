@@ -334,7 +334,6 @@ class TestOptimize:
             n_interp=n_interp,
             # The box swallows the lower arm, so collision rows are active.
             obstacles=(BoxObstacle(center=[-0.1, 0.0, 0.3], half_extents=[0.2, 0.2, 0.2]),),
-            sdf_cell_size=0.1,
         )
         traj = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, n_interp=n_interp)
         traj = traj.with_vector(traj.as_vector() + 0.05 * np.sin(np.arange(traj.as_vector().size)))
@@ -448,7 +447,6 @@ class TestOptimize:
             goal_position=np.array([0.5, 0.5, 0.5]),
             n_interp=n_interp,
             obstacles=(BoxObstacle(center=[-0.1, 0.0, 0.3], half_extents=[0.2, 0.2, 0.2]),),
-            sdf_cell_size=0.1,
         )
         for knots in (4, 16):
             traj = gp.init_trajectory(scenario.start_config, scenario.horizon, knots, n_interp=n_interp)
@@ -568,7 +566,7 @@ class TestBuildGraph:
         return {factor.kind: factor.dim * len(factor.states) for factor in graph.factors}
 
     def test_a_graph_is_freed_without_the_cycle_collector(self):
-        # A reference cycle would keep each plan's graph, and the SDF grid
+        # A reference cycle would keep each plan's graph, and the SDF
         # its collision cost holds, alive until a collection: peak memory
         # then grows with the plans run between collections.
         scenario = load_scenario("ur10_table")
@@ -620,8 +618,6 @@ class TestBuildGraph:
             n_interp=2,
             task_dim=6,
             obstacles=(BoxObstacle(center=[0.8, 0.0, 0.0], half_extents=[0.1, 0.1, 0.1]),),
-            sdf_cell_size=0.2,
-            sdf_extent=2.4,
         )
         traj = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, n_interp=2)
         graph = fg.build_graph(scenario, traj)

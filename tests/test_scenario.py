@@ -110,13 +110,6 @@ class TestScenarioLoading:
         with pytest.raises(ValueError):
             planar_scenario(sigma_sbar=-1.0)
 
-    def test_sdf_with_fewer_than_two_nodes_rejected(self):
-        with pytest.raises(ValueError, match="two grid nodes"):
-            planar_scenario(sdf_extent=0.01)
-        with pytest.raises(ValueError, match="two grid nodes"):
-            planar_scenario(sdf_extent=1.0, sdf_cell_size=3.0)
-        planar_scenario(sdf_extent=0.02, sdf_cell_size=0.02)  # two nodes: one cell
-
     def test_obstacles_need_body_spheres(self):
         scenario = planar_scenario(obstacles=(BoxObstacle(center=[1.0, 1.0, 0.0], half_extents=[0.1, 0.1, 0.1]),))
         with pytest.raises(ValueError, match="body spheres"):
@@ -156,15 +149,13 @@ class TestScenarioLoading:
         solver_defaults = {f.name: f.default for f in dataclasses.fields(fg.SolverSettings)}
         pinned = {}
         for key, spec in properties.items():
-            if key in ("sdf", "solver"):
+            if key == "solver":
                 assert spec["default"] == {}
             elif "default" in spec:
                 pinned[key] = (spec["default"], scenario_defaults[key])
-        for key, spec in properties["sdf"]["properties"].items():
-            pinned[f"sdf.{key}"] = (spec["default"], scenario_defaults[f"sdf_{key}"])
         for key, spec in properties["solver"]["properties"].items():
             pinned[f"solver.{key}"] = (spec["default"], solver_defaults[key])
-        assert len(pinned) == 21
+        assert len(pinned) == 19
         for key, (documented, default) in pinned.items():
             if isinstance(default, fg.SolverMethod):
                 default = default.value
@@ -286,8 +277,6 @@ class TestObstacleScenario:
             task_dim=3,
             lambda_max=0.47,
             obstacles=(BoxObstacle(center=[0.0, -0.9, 0.0], half_extents=[0.2, 0.2, 0.2]),),
-            sdf_cell_size=0.1,
-            sdf_extent=2.4,
         )
         result = run_scenario(scenario, tmp_path / "obs")
         header, data = read_csv(tmp_path / "obs" / "lambda_profile.csv")
@@ -340,13 +329,13 @@ class TestStackedProfile:
     @pytest.mark.parametrize("per_segment", [0, 3, 10])
     def test_equals_per_sample_loop_bit_for_bit(self, name, per_segment, rng):
         scenario = load_scenario(name)
-        chain, grid = scenario.load_chain(), scenario.build_sdf()
+        chain, sdf = scenario.load_chain(), scenario.build_sdf()
         trajectory = wandering_trajectory(scenario, rng)
         gp_params = gp.GpPriorParams.isotropic(chain.n, scenario.qc_scale)
         profile = sc._evaluate_states(
-            chain, scenario.task_dim, *sc._sampled_states(trajectory, per_segment), grid
+            chain, scenario.task_dim, *sc._sampled_states(trajectory, per_segment), sdf
         )
-        expected = evaluate_profile_loop(chain, scenario.task_dim, trajectory, gp_params, per_segment, grid)
+        expected = evaluate_profile_loop(chain, scenario.task_dim, trajectory, gp_params, per_segment, sdf)
         assert profile.times.shape == ((scenario.num_support - 1) * (per_segment + 1) + 1,)
         for field, reference in zip(PROFILE_FIELDS, expected):
             if reference is None:
@@ -356,7 +345,7 @@ class TestStackedProfile:
 
     def test_finalize_run_works_on_the_stack_only(self, monkeypatch, tmp_path, rng):
         scenario = load_scenario("ur10_table")
-        chain, grid = scenario.load_chain(), scenario.build_sdf()
+        chain = scenario.load_chain()
         trajectory = wandering_trajectory(scenario, rng)
         for fn in (forward_kinematics, gp.interpolate, ellipsoid):
             forbid_calls(monkeypatch, fn)
@@ -371,7 +360,7 @@ class TestStackedProfile:
         monkeypatch.setattr(sc, "_fk_matrices", counted)
         for n_interp in (1, 6):
             passes.clear()
-            run = sc._finalize_run(dataclasses.replace(scenario, n_interp=n_interp), chain, grid, trajectory, None, tmp_path)
+            run = sc._finalize_run(dataclasses.replace(scenario, n_interp=n_interp), trajectory, None, tmp_path)
             assert (tmp_path / "lambda_profile.csv").is_file()
             # One stacked pass per profile (Jacobian, end-effector, spheres), whatever the sample count.
             factor_rows, dense_rows = run.factor_profile.times.shape[0], run.dense_profile.times.shape[0]
@@ -395,13 +384,14 @@ class TestCli:
         bad.write_text(json.dumps({"robot": "planar2r"}))
         assert cli.main(["validate", str(bad)]) == 2
 
-    def test_validate_rejects_sdf_without_a_cell(self, tmp_path, capsys):
+    def test_validate_rejects_the_removed_sdf_settings(self, tmp_path, capsys):
         data = json.loads(builtin_scenario_path("ur10_table").read_text())
-        data["sdf"] = {"extent": 0.01}
-        bad = tmp_path / "tiny_sdf.json"
+        data["sdf"] = {"cell_size": 0.02, "extent": 2.4}
+        bad = tmp_path / "grid_sdf.json"
         bad.write_text(json.dumps(data))
         assert cli.main(["validate", str(bad)]) == 2
-        assert "two grid nodes" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("INVALID: ") and "'sdf' was unexpected" in err
 
     def test_plan_writes_artifacts_and_exits_zero(self, tmp_path):
         out = tmp_path / "plan_out"
