@@ -174,6 +174,14 @@ _SCENARIO_CASTS = {
 }
 
 
+def _obstacle(index: int, box: dict) -> BoxObstacle:
+    """Obstacle ``index`` of a scenario file; an invalid box is named by its index."""
+    try:
+        return BoxObstacle(center=box["center"], half_extents=box["half_extents"])
+    except ValueError as exc:
+        raise ValueError(f"obstacles[{index}]: {exc}") from exc
+
+
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
     """Build a validated scenario from parsed JSON.
 
@@ -190,9 +198,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
                 robot = str(candidate)
     fields = {key: cast(data[key]) for key, cast in _SCENARIO_CASTS.items() if key in data}
     if "obstacles" in data:
-        fields["obstacles"] = tuple(
-            BoxObstacle(center=box["center"], half_extents=box["half_extents"]) for box in data["obstacles"]
-        )
+        fields["obstacles"] = tuple(_obstacle(i, box) for i, box in enumerate(data["obstacles"]))
     if "solver" in data:
         fields["solver"] = fg.SolverSettings.from_dict(data["solver"])
     return Scenario(

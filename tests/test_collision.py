@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -141,6 +142,113 @@ class TestSdfQuery:
         assert first.distance == swapped.distance == pytest.approx(0.1, abs=1e-16)
         np.testing.assert_array_equal(first.gradient, [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(swapped.gradient, [0.0, -1.0, 0.0])
+
+    # A box at the origin with dyadic half extents (0.5, 0.25, 0.125): every
+    # distance below is exact in binary.
+    @pytest.mark.parametrize(
+        "point, distance, gradient",
+        [
+            ((0.0, 0.0, 0.0), -0.125, (0.0, 0.0, 1.0)),
+            ((0.4375, 0.0, 0.0), -0.0625, (1.0, 0.0, 0.0)),
+            ((0.0, -0.1875, 0.0), -0.0625, (0.0, -1.0, 0.0)),
+            ((0.5, 0.0, 0.0), 0.0, (1.0, 0.0, 0.0)),
+            ((0.0, 0.0, 0.375), 0.25, (0.0, 0.0, 1.0)),
+            ((0.875, 0.75, 0.0), 0.625, (0.6, 0.8, 0.0)),
+            ((-0.625, -0.5, 0.375), 0.375, (-1 / 3, -2 / 3, 2 / 3)),
+            ((0.0, 0.0, 100.125), 100.0, (0.0, 0.0, 1.0)),
+        ],
+        ids=["centre", "inside_x", "inside_neg_y", "on_a_face", "face", "edge", "corner", "far_face"],
+    )
+    def test_closed_form_value_and_gradient(self, point, distance, gradient):
+        query = sdf_query(box_field([(np.zeros(3), (0.5, 0.25, 0.125))]), point)
+        assert query.distance == distance
+        np.testing.assert_allclose(query.gradient, gradient, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("reach", [5.0, 50.0, 1e3, 1e6])
+    def test_far_points_are_not_clamped(self, table_sdf, reach):
+        # Above the table and off its corner: the grid the field replaced
+        # returned its border value at any point beyond 1.2 m.
+        above = TABLE_CENTER + [0.0, 0.0, TABLE_HALF[2] + reach]
+        query = sdf_query(table_sdf, above)
+        assert query.distance == pytest.approx(reach, rel=1e-15)
+        np.testing.assert_array_equal(query.gradient, [0.0, 0.0, 1.0])
+        corner = TABLE_CENTER + TABLE_HALF + reach / np.sqrt(3.0)
+        query = sdf_query(table_sdf, corner)
+        assert query.distance == box_distance(corner, TABLE_CENTER, TABLE_HALF)[0]
+        assert query.distance == pytest.approx(reach, rel=1e-12)
+        np.testing.assert_allclose(query.gradient, np.full(3, 1 / np.sqrt(3.0)), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper", "lower"])
+    def test_inside_a_face_the_gradient_is_its_normal(self, axis, sign):
+        # Each point is nearer its face than any other, so that face is
+        # where the box is left fastest.
+        half_extents = np.array([0.3, 0.2, 0.1])
+        point = np.zeros(3)
+        point[axis] = sign * 0.9 * half_extents[axis]
+        query = sdf_query(box_field([(np.zeros(3), half_extents)]), point)
+        assert query.distance == pytest.approx(-0.1 * half_extents[axis], abs=1e-15)
+        np.testing.assert_array_equal(query.gradient, sign * np.eye(3)[axis])
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_mirror_images_through_the_centre_plane(self, axis, rng):
+        sdf = box_field([(np.zeros(3), (0.3, 0.2, 0.1))])
+        for point in rng.uniform(-0.6, 0.6, (300, 3)):
+            mirrored = point.copy()
+            mirrored[axis] = -point[axis]
+            query, image = sdf_query(sdf, point), sdf_query(sdf, mirrored)
+            assert image.distance == query.distance
+            flipped = query.gradient.copy()
+            flipped[axis] = -flipped[axis]
+            np.testing.assert_array_equal(image.gradient, flipped)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))), ids=lambda order: "".join(map(str, order)))
+    def test_box_order_changes_no_distance(self, order, rng):
+        boxes = BOXES["three_boxes"]
+        sdf, reordered = box_field(boxes), box_field([boxes[i] for i in order])
+        for point in field_points(boxes, rng):
+            query, other = sdf_query(sdf, point), sdf_query(reordered, point)
+            assert other.distance == query.distance
+            nearest = sorted(box_distance(point, c, h)[0] for c, h in boxes)
+            if nearest[1] > nearest[0]:  # one nearest box: one gradient
+                np.testing.assert_array_equal(other.gradient, query.gradient)
+
+    @pytest.mark.parametrize("name", BOXES)
+    def test_a_step_down_the_gradient_reaches_the_nearest_surface(self, name, rng):
+        # p - f(p) grad f(p) is the nearest surface point of the nearest
+        # box; from outside every box, it lies on no other box's inside.
+        boxes = BOXES[name]
+        sdf = box_field(boxes)
+        for point in field_points(boxes, rng):
+            query = sdf_query(sdf, point)
+            foot = point - query.distance * query.gradient
+            distances = [box_distance(foot, c, h)[0] for c, h in boxes]
+            nearest = int(np.argmin([box_distance(point, c, h)[0] for c, h in boxes]))
+            assert distances[nearest] == pytest.approx(0.0, abs=1e-14)
+            if query.distance > 0.0:
+                assert sdf_query(sdf, foot).distance == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("name", BOXES)
+    def test_field_is_one_lipschitz(self, name, rng):
+        boxes = BOXES[name]
+        sdf = box_field(boxes)
+        points = field_points(boxes, rng)
+        others = points + rng.normal(scale=0.2, size=points.shape)
+        for p, q in zip(points, others):
+            change = abs(sdf_query(sdf, p).distance - sdf_query(sdf, q).distance)
+            assert change <= np.linalg.norm(p - q) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "point",
+        [[0, 0, 1], (0.0, 0.0, 1.0), np.array([0, 0, 1]), np.array([[0.0, 0.0, 1.0]])],
+        ids=["int_list", "tuple", "int_array", "row"],
+    )
+    def test_any_three_vector_is_a_point(self, point):
+        sdf = box_field([(np.zeros(3), (0.5, 0.25, 0.125))])
+        query = sdf_query(sdf, point)
+        assert type(query.distance) is float and query.distance == 0.875
+        assert query.gradient.shape == (3,) and query.gradient.dtype == float
+        np.testing.assert_array_equal(query.gradient, [0.0, 0.0, 1.0])
 
 
 class TestBoxSdf:

@@ -443,6 +443,24 @@ class TestCli:
         assert cli.main([command, str(path)] + (["--out", str(tmp_path / "out")] if command == "plan" else [])) == 2
         assert "body spheres" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "index, half_extents",
+        [(0, [0.5, 0.0, 0.05]), (1, [0.1, -0.1, 0.1]), (1, [0.1, 0.1, math.inf])],
+        ids=["zero", "negative", "infinite"],
+    )
+    def test_bad_obstacle_named_by_index_before_any_solve(self, index, half_extents, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sc, "_execute", self._no_solve)
+        data = json.loads(builtin_scenario_path("ur10_table").read_text())
+        data["obstacles"].append({"center": [0.0, -0.9, 0.0], "half_extents": [0.2, 0.2, 0.2]})
+        data["obstacles"][index]["half_extents"] = half_extents
+        bad = tmp_path / "bad_box.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert cli.main(["plan", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"INVALID: obstacles[{index}]: ") and "half extents positive" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["plan", "validate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
