@@ -5,7 +5,7 @@ robot's body spheres."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -14,6 +14,7 @@ import numpy as np
 from .kinematics import KinematicChain, _body_sphere_centers, _point_jacobians, body_sphere_states  # noqa: F401
 
 __all__ = [
+    "BOX_COORDINATE_LIMIT",
     "BoxObstacle",
     "WorkspaceSdf",
     "CollisionParams",
@@ -25,6 +26,12 @@ __all__ = [
     "box_distance",
     "build_workspace_sdf",
 ]
+
+
+# Largest magnitude (meters) of a box's centre and half-extent entries.  For
+# boxes and points within it, a box offset's positive part is below 2e150,
+# so the sum of its three squares stays under 1.2e301, far from overflow.
+BOX_COORDINATE_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,8 @@ class BoxObstacle:
         finite = np.all(np.isfinite(self.center)) and np.all(np.isfinite(self.half_extents))
         if not (finite and np.all(self.half_extents > 0.0)):
             raise ValueError("obstacle center and half extents must be finite, half extents positive")
+        if max(np.abs(self.center).max(), self.half_extents.max()) > BOX_COORDINATE_LIMIT:
+            raise ValueError(f"obstacle center and half extents must be at most {BOX_COORDINATE_LIMIT:g} m in magnitude")
 
 
 @dataclass(frozen=True)
@@ -94,24 +103,38 @@ def box_distance(points, center, half_extents) -> np.ndarray:
     return outside + inside
 
 
-def _field(sdf: WorkspaceSdf, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distances (k,) and gradients (k, 3) of the field at points (k, 3).
+def _field_distances(sdf: WorkspaceSdf, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances (k,) of the field at points (k, 3), and the index (k,) of
+    the box that attains each: the first in box order on a tie."""
+    _, outside, inside = _box_terms(points[:, None, :] - sdf.centers, sdf.half_extents)
+    distances = outside + inside
+    rows, nearest = np.arange(len(points)), distances.argmin(axis=1)
+    return distances[rows, nearest], nearest
+
+
+def _field_gradients(sdf: WorkspaceSdf, points: np.ndarray, nearest: np.ndarray) -> np.ndarray:
+    """Gradients (k, 3) of the field at points (k, 3) whose nearest boxes
+    are ``nearest`` (k,), as :func:`_field_distances` finds them.
 
     Outside its nearest box a point's gradient is its unit offset from the
     box's nearest point; on or inside the box, the outward normal of the
     nearest face.  Where the field has a kink (a medial plane, or points
-    equidistant from two boxes) it is one of the one-sided gradients."""
-    offsets = points[:, None, :] - sdf.centers
-    delta, outside, inside = _box_terms(offsets, sdf.half_extents)
-    distances = outside + inside
-    rows = np.arange(len(points))
-    nearest = rows, distances.argmin(axis=1)
-    delta, outside = delta[nearest], outside[nearest]
+    equidistant from two boxes) it is one of the one-sided gradients.  Each
+    point's gradient reads that point and its box alone, so it is the same
+    whatever other points are evaluated with it."""
+    offsets = points - sdf.centers[nearest]
+    delta, outside, _ = _box_terms(offsets, sdf.half_extents[nearest])
     normal = np.zeros_like(delta)
-    normal[rows, delta.argmax(axis=1)] = 1.0
+    normal[np.arange(len(points)), delta.argmax(axis=1)] = 1.0
     away = outside > 0.0
     normal[away] = np.maximum(delta[away], 0.0) / outside[away, None]
-    return distances[nearest], np.copysign(normal, offsets[nearest])
+    return np.copysign(normal, offsets)
+
+
+def _field(sdf: WorkspaceSdf, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances (k,) and gradients (k, 3) of the field at points (k, 3)."""
+    distances, nearest = _field_distances(sdf, points)
+    return distances, _field_gradients(sdf, points, nearest)
 
 
 def sdf_query(sdf: WorkspaceSdf, point) -> SdfQuery:
@@ -129,6 +152,38 @@ def hinge_cost(distance: float | np.ndarray, epsilon: float):
     """
     inside = distance <= epsilon
     return np.where(inside, epsilon - distance, 0.0)[()], np.where(inside, -1.0, 0.0)[()]
+
+
+def _collision_terms(
+    chain: KinematicChain,
+    q,
+    sdf: WorkspaceSdf,
+    params: CollisionParams,
+    frames: np.ndarray | None = None,
+) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """The hinge costs of :func:`collision_residual`, and a function that
+    forms their Jacobian from the same evaluation.
+
+    The costs need the field's distances at every sphere; the Jacobian
+    needs its gradient, the sphere-centre Jacobians and a row only at the
+    active (configuration, sphere) pairs, inside the margin."""
+    frames, centers = _body_sphere_centers(chain, q, frames)
+    distances, nearest = _field_distances(sdf, centers.reshape(-1, 3))
+    residual, slopes = hinge_cost(distances.reshape(centers.shape[:-1]) - chain._sphere_radii, params.epsilon)
+
+    def jacobian() -> np.ndarray:
+        active = slopes != 0.0
+        # The active pairs, each with its own frames, in row-major order.
+        flat_frames = frames.reshape(-1, chain.n + 1, 4, 4)
+        config, sphere = np.nonzero(active.reshape(len(flat_frames), -1))
+        points = centers.reshape(len(flat_frames), -1, 3)[config, sphere]
+        gradients = _field_gradients(sdf, points, nearest.reshape(len(flat_frames), -1)[config, sphere])
+        center_jacs = _point_jacobians(flat_frames[config], points[:, None], chain._sphere_links[sphere, None])[:, 0]
+        jac = np.zeros(residual.shape + (chain.n,))
+        jac[active] = slopes[active, None] * (gradients[:, None, :] @ center_jacs)[:, 0]
+        return jac
+
+    return residual, jacobian
 
 
 def collision_residual(
@@ -149,21 +204,8 @@ def collision_residual(
     the frames of ``q``, precomputed (see
     :func:`manipplan.kinematics._frames`).
     """
-    frames, centers = _body_sphere_centers(chain, q, frames)
-    distances, gradients = _field(sdf, centers.reshape(-1, 3))
-    residual, slopes = hinge_cost(distances.reshape(centers.shape[:-1]) - chain._sphere_radii, params.epsilon)
-    active = slopes != 0.0
-    # The active (configuration, sphere) pairs, each with its own frames.
-    flat_frames = frames.reshape(-1, chain.n + 1, 4, 4)
-    config, sphere = np.nonzero(active.reshape(len(flat_frames), -1))
-    center_jacs = _point_jacobians(
-        flat_frames[config],
-        centers.reshape(len(flat_frames), -1, 3)[config, sphere, None],
-        chain._sphere_links[sphere, None],
-    )[:, 0]
-    jac = np.zeros(residual.shape + (chain.n,))
-    jac[active] = slopes[active, None] * (gradients.reshape(centers.shape)[active, None, :] @ center_jacs)[:, 0]
-    return residual, jac
+    residual, jacobian = _collision_terms(chain, q, sdf, params, frames)
+    return residual, jacobian()
 
 
 def sphere_clearances(chain: KinematicChain, q, sdf: WorkspaceSdf, frames: np.ndarray | None = None) -> np.ndarray:
@@ -171,5 +213,5 @@ def sphere_clearances(chain: KinematicChain, q, sdf: WorkspaceSdf, frames: np.nd
     shape (S,) for one configuration, (K, S) for a (K, n) stack, whose
     precomputed ``frames`` skip the forward kinematics."""
     centers = _body_sphere_centers(chain, q, frames)[1]
-    distances = _field(sdf, centers.reshape(-1, 3))[0]
+    distances = _field_distances(sdf, centers.reshape(-1, 3))[0]
     return distances.reshape(centers.shape[:-1]) - chain._sphere_radii

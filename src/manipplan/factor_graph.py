@@ -14,6 +14,11 @@ variables.  A graph stacks every configuration its cost factors use once
 (the knots, then the interpolated states of every segment), runs forward
 kinematics once over that stack, and each cost once over its rows.
 
+An evaluation has two phases: a *score* forms every residual and keeps the
+intermediates the Jacobians need (frames, singular value decompositions,
+the collision pairs inside the margin); the Jacobians are formed from them
+later, and only when the solver asks for them.
+
 Because no block spans more than two consecutive states, ``J^T J`` is
 block tridiagonal (the exactly sparse GP structure).  The solver
 accumulates it straight into banded storage and runs Gauss-Newton or
@@ -27,15 +32,26 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solveh_banded
 
 from . import gp_prior as gp
-from .collision import CollisionParams, WorkspaceSdf, collision_residual
-from .kinematics import KinematicChain, _as_config, _fk_matrices, point_jacobian
-from .manipulability import SingularityCostParams, singularity_cost
+from .collision import CollisionParams, WorkspaceSdf, _collision_terms
+
+# point_jacobian and singularity_cost are re-exported, not called: perfbench's
+# tracer tests wrap them under this module's name.
+from .kinematics import (  # noqa: F401
+    JacobianSet,
+    KinematicChain,
+    _as_config,
+    _check_task_dim,
+    _end_effector_jacobian,
+    _fk_matrices,
+    point_jacobian,
+)
+from .manipulability import SingularityCostParams, _gram_lambda, _gram_traces, _log_ratio, singularity_cost  # noqa: F401
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -51,6 +67,7 @@ __all__ = [
     "SolverMethod",
     "SolverSettings",
     "OptimizeReport",
+    "Scored",
     "total_cost",
     "linearize",
     "optimize",
@@ -61,8 +78,10 @@ __all__ = [
 ]
 
 # q (K, n) -> (r (K, d), dr_dq (K, d, n)); see ConfigurationFactor.  A cost
-# with a ``chain`` attribute is called as cost(q, frames) with the frames
-# (K, n+1, 4, 4) of q from that chain's forward kinematics.
+# with a ``chain`` attribute is scored in two phases instead, as
+# cost.score(q, frames, jacobians) with the frames (K, n+1, 4, 4) of q from
+# that chain's forward kinematics and their end-effector Jacobians (K, 6, n):
+# it returns r and a function that forms dr_dq from the same evaluation.
 ConfigCost = Callable[..., tuple[np.ndarray, np.ndarray]]
 
 
@@ -177,15 +196,27 @@ class ConfigurationFactor(Factor):
         self._w = _weight(self.sigma)
 
     def evaluate(self, x):
-        return _ConfigurationStack((self,)).evaluate(x)[0]
+        residuals, jacobians = _ConfigurationStack((self,)).score(x)
+        return residuals[0], jacobians()[0]
 
-    def _whiten(self, r: np.ndarray, jac_q: np.ndarray):
-        """Whitened blocks from the cost's residuals (K P, d) and Jacobians
-        (K P, d, n) at this factor's configurations, in block order."""
+    def _whiten_residuals(self, r: np.ndarray) -> np.ndarray:
+        """Whitened blocks from the cost's residuals (K P, d) at this
+        factor's configurations, in block order."""
+        return self._w * r.reshape(len(self.knots), -1)
+
+    def _whiten_jacobians(self, jac_q: np.ndarray) -> np.ndarray:
+        """Whitened block Jacobians from the cost's Jacobians (K P, d, n)
+        at this factor's configurations, in block order."""
         num, n = len(self.knots), jac_q.shape[-1]
         jac_q = jac_q.reshape((num, -1) + jac_q.shape[1:-1] + (1, n))  # (K, P, d, 1, n)
         jac = self._coef[..., None, :, None] * jac_q  # (K, P, d, 2 width, n)
-        return self._w * r.reshape(num, -1), self._w * jac.reshape(num, -1, 2 * self.states.shape[1] * n)
+        return self._w * jac.reshape(num, -1, 2 * self.states.shape[1] * n)
+
+
+def _formed(r: np.ndarray, jac: np.ndarray):
+    """A one-phase cost's output in the form of a score: its residuals and
+    a function that returns its Jacobians, formed already."""
+    return r, lambda: jac
 
 
 def _distinct(arrays) -> np.ndarray:
@@ -209,12 +240,13 @@ class _ConfigurationStack:
     the knot factors in state order, then, for each distinct interpolation
     (the same first states and blend kernels), its P configurations per
     segment in segment order.  So singularity and collision factors over
-    the same states share rows, and the goal's knot is a knot row.  An
-    evaluation checks the stack with ``_as_config`` and runs
-    ``_fk_matrices`` over it once when a cost has a ``chain`` (all such
-    costs must share it), calls each distinct cost once over the rows its
-    factors use, and lets each factor whiten its own rows.  The layout is
-    fixed here, at construction.
+    the same states share rows, and the goal's knot is a knot row.  A score
+    checks the stack with ``_as_config`` and, when a cost has a ``chain``
+    (all such costs must share it), runs ``_fk_matrices`` over it once and
+    forms its end-effector Jacobians once; it scores each distinct cost
+    once over the rows its factors use, and lets each factor whiten its own
+    rows.  The Jacobians are formed later, on request, from that same
+    score.  The layout is fixed here, at construction.
     """
 
     def __init__(self, factors) -> None:
@@ -252,23 +284,31 @@ class _ConfigurationStack:
             raise ValueError("the configuration costs of one graph must share one kinematic chain")
         self.chain = next(iter(chains.values()), None)
 
-    def evaluate(self, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each factor's whitened residuals and Jacobians at the (N, 2n)
-        states ``x``, in factor order."""
+    def score(self, x: np.ndarray) -> tuple[list[np.ndarray], Callable[[], list[np.ndarray]]]:
+        """Each factor's whitened residuals at the (N, 2n) states ``x``, in
+        factor order, and a function that forms their whitened Jacobians
+        from the same evaluation."""
         n = x.shape[1] // 2
         q = np.concatenate(
             [x[self.knots, :n]]
             + [gp.blend(coef, x[states].reshape(len(states), 1, -1, n)).reshape(-1, n) for states, coef in self.interpolations]
         )
-        frames = None
+        frames = jacobians = None
         if self.chain is not None:
             q = _as_config(self.chain, q, stack=True)
             frames = _fk_matrices(self.chain, q)
-        outputs = [cost(q[rows], frames[rows]) if framed else cost(q[rows]) for cost, rows, framed in self.costs]
-        return [
-            factor._whiten(*(part[pick] for part in outputs[at]))
-            for factor, (at, pick) in zip(self.factors, self.picks)
+            jacobians = _end_effector_jacobian(frames)
+        scored = [
+            cost.score(q[rows], frames[rows], jacobians[rows]) if framed else _formed(*cost(q[rows]))
+            for cost, rows, framed in self.costs
         ]
+        residuals = [factor._whiten_residuals(scored[at][0][pick]) for factor, (at, pick) in zip(self.factors, self.picks)]
+
+        def whitened_jacobians() -> list[np.ndarray]:
+            formed = [jacobian() for _, jacobian in scored]
+            return [factor._whiten_jacobians(formed[at][pick]) for factor, (at, pick) in zip(self.factors, self.picks)]
+
+        return residuals, whitened_jacobians
 
 
 def interpolated_blends(times: np.ndarray, n_interp: int):
@@ -313,16 +353,44 @@ class FactorGraph:
         configurations = [f for f in self.factors if isinstance(f, ConfigurationFactor)]
         object.__setattr__(self, "_configurations", _ConfigurationStack(configurations))
 
+    def score(self, x: np.ndarray) -> "Scored":
+        """The residual half of :meth:`evaluate` at the (N, 2n) states
+        ``x``, whose ``jacobians()`` forms the other half from the same
+        evaluation: the configuration factors share one stacked score, and
+        the other factors' Jacobians are constant, formed with their
+        residuals."""
+        stacked_residuals, stacked_jacobians = self._configurations.score(x)
+        stacked = iter(stacked_residuals)
+        others = [None if isinstance(f, ConfigurationFactor) else f.evaluate(x) for f in self.factors]
+        residuals = [next(stacked) if other is None else other[0] for other in others]
+
+        def jacobians() -> list[np.ndarray]:
+            formed = iter(stacked_jacobians())
+            return [next(formed) if other is None else other[1] for other in others]
+
+        return Scored(residuals, _cost(residuals), jacobians)
+
     def evaluate(self, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Every factor's whitened residuals and Jacobians (see
         :meth:`Factor.evaluate`) at the (N, 2n) states ``x``, in factor
         order; the configuration factors share one stacked evaluation."""
-        configured = iter(self._configurations.evaluate(x))
-        return [next(configured) if isinstance(f, ConfigurationFactor) else f.evaluate(x) for f in self.factors]
+        scored = self.score(x)
+        return list(zip(scored.residuals, scored.jacobians()))
 
     @property
     def residual_dim(self) -> int:
         return sum(f.dim * len(f.states) for f in self.factors)
+
+
+class Scored(NamedTuple):
+    """The residual half of one evaluation of a graph (see
+    :meth:`FactorGraph.score`): every factor's whitened residuals in factor
+    order, their cost (half the squared norm), and ``jacobians()``, which
+    forms every factor's whitened Jacobians from the same evaluation."""
+
+    residuals: list[np.ndarray]
+    cost: float
+    jacobians: Callable[[], list[np.ndarray]]
 
 
 def _cost(residuals) -> float:
@@ -335,13 +403,16 @@ def _cost(residuals) -> float:
 
 def total_cost(graph: FactorGraph, trajectory: gp.SupportTrajectory) -> float:
     """Half the squared norm of all whitened residuals (the MAP negative
-    log): the cost that :func:`linearize` returns."""
-    return _cost([r for r, _ in graph.evaluate(trajectory.x)])
+    log): the cost that :func:`linearize` returns, scored without any
+    Jacobian."""
+    return graph.score(trajectory.x).cost
 
 
-def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
+def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory, scored: Scored | None = None):
     """Accumulate the Gauss-Newton normal equations factor by factor, from
-    one :meth:`FactorGraph.evaluate` (one forward-kinematics pass).
+    one evaluation of the graph (one forward-kinematics pass): ``scored``,
+    the :meth:`FactorGraph.score` of ``trajectory`` when the caller has it,
+    else a new score.
 
     Returns ``(band, gradient, cost)``: ``J^T J`` in LAPACK lower banded
     storage (``band[a - b, b] = (J^T J)[a, b]``), ``J^T r`` and half the
@@ -356,8 +427,8 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
     ``j`` of state ``s``'s column block is then column ``s dim + j`` of the
     band, shifted up by ``j``: one slice copy per column lays out the band.
     """
-    evaluated = graph.evaluate(trajectory.x)
-    cost = _cost([r for r, _ in evaluated])
+    scored = graph.score(trajectory.x) if scored is None else scored
+    cost = scored.cost
     if not math.isfinite(cost):
         return None, None, cost
     dim, num = graph.state_dim, graph.num_states
@@ -366,7 +437,7 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory):
     blocks = np.zeros((num, 2 * dim, dim))
     gradient = np.zeros((num, dim))
     with np.errstate(over="ignore", invalid="ignore"):
-        for factor, (r, jac) in zip(graph.factors, evaluated):
+        for factor, r, jac in zip(graph.factors, scored.residuals, scored.jacobians()):
             jac_t = jac.swapaxes(1, 2)
             normal, jac_r = jac_t @ jac, (jac_t @ r[..., None])[..., 0]
             first = factor.states[0, 0]
@@ -479,14 +550,16 @@ def optimize(
     """Solve the MAP problem from an initial trajectory.
 
     Both methods run one loop, which solves the normal equations at the
-    current linearization and linearizes the candidate once; an accepted
-    step keeps that linearization.  Gauss-Newton solves them undamped and
-    takes every step whose cost is finite, and stops at the first step
-    without one.  Levenberg-Marquardt (default) adds Marquardt damping
-    ``mu diag(A)`` and only accepts cost-decreasing steps, so the reported
-    ``cost_trace`` is non-increasing; a rejected step raises ``mu`` until
-    the damping runs out.  The result is a local optimum; no global claim
-    is made.
+    current linearization and scores the candidate by its residuals alone.
+    Only an accepted candidate is linearized, from that same score (Madsen,
+    Nielsen & Tingleff 2004, Alg. 3.16), so a solve makes one
+    :func:`linearize` call per accepted step, plus one at the start.
+    Gauss-Newton solves them undamped and takes every step whose cost is
+    finite, and stops at the first step without one.  Levenberg-Marquardt
+    (default) adds Marquardt damping ``mu diag(A)`` and only accepts
+    cost-decreasing steps, so the reported ``cost_trace`` is non-increasing;
+    a rejected step raises ``mu`` until the damping runs out.  The result
+    is a local optimum; no global claim is made.
     """
     settings = settings or SolverSettings()
     t_start = time.perf_counter()
@@ -516,8 +589,9 @@ def optimize(
         delta = _solve_normal(band, damping, gradient)
         if delta is not None:
             candidate = trajectory.with_vector(trajectory.as_vector() + delta)
-            new_band, new_gradient, new_cost = linearize(graph, candidate)
-        accepted = delta is not None and new_band is not None
+            scored = graph.score(candidate.x)
+            new_cost = scored.cost
+        accepted = delta is not None and math.isfinite(new_cost)
         if lm and accepted:
             # The gain ratio of the actual to the predicted decrease.
             predicted = 0.5 * float(delta @ (damping * delta - gradient))
@@ -527,7 +601,8 @@ def optimize(
             if lm:
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
-            trajectory, band, gradient, cost = candidate, new_band, new_gradient, new_cost
+            trajectory = candidate
+            band, gradient, cost = linearize(graph, candidate, scored)
             trace.append(cost)
             stop = _stop_after_step(trace, float(np.abs(gradient).max()), settings)
             if stop:
@@ -568,33 +643,40 @@ def optimize(
 @dataclass(frozen=True)
 class ChainSingularityCost:
     """The chain's log-manipulability cost ``h`` as a one-entry
-    configuration cost, with its gradient as the Jacobian row."""
+    configuration cost, with its gradient as the Jacobian row: the two
+    halves of :func:`manipplan.manipulability.singularity_cost`."""
 
     chain: KinematicChain
     params: SingularityCostParams
     task_dim: int
 
-    def __call__(self, q: np.ndarray, frames: np.ndarray | None = None):
-        out = singularity_cost(self.chain, q, self.params, self.task_dim, frames)
-        return out.h[:, None], out.gradient[:, None, :]
+    def __post_init__(self) -> None:
+        _check_task_dim(self.task_dim)
+
+    def score(self, q: np.ndarray, frames: np.ndarray, jacobians: np.ndarray):
+        jset = JacobianSet(jacobian=jacobians[..., : self.task_dim, :], _frames=frames, _full=jacobians)
+        lam, _, svd = _gram_lambda(jset)
+        return _log_ratio(lam, self.params)[:, None], lambda: (-0.5 * _gram_traces(jset, svd))[:, None, :]
 
 
 @dataclass(frozen=True)
 class ChainCollisionCost:
     """The hinge collision residuals of the chain's body spheres in
-    ``sdf``, one entry per sphere."""
+    ``sdf``, one entry per sphere (see
+    :func:`manipplan.collision.collision_residual`)."""
 
     chain: KinematicChain
     sdf: WorkspaceSdf
     params: CollisionParams
 
-    def __call__(self, q: np.ndarray, frames: np.ndarray | None = None):
-        return collision_residual(self.chain, q, self.sdf, self.params, frames)
+    def score(self, q: np.ndarray, frames: np.ndarray, jacobians: np.ndarray):
+        return _collision_terms(self.chain, q, self.sdf, self.params, frames)
 
 
 @dataclass(frozen=True)
 class ChainGoalCost:
-    """End-effector position minus ``goal``, a three-entry configuration cost."""
+    """End-effector position minus ``goal``, a three-entry configuration
+    cost, whose Jacobian is the linear part of the end-effector Jacobian."""
 
     chain: KinematicChain
     goal: np.ndarray
@@ -602,9 +684,8 @@ class ChainGoalCost:
     def __post_init__(self) -> None:
         object.__setattr__(self, "goal", np.asarray(self.goal, dtype=float).reshape(3))
 
-    def __call__(self, q: np.ndarray, frames: np.ndarray | None = None):
-        p, jac_q = point_jacobian(self.chain, q, self.chain.n - 1, np.zeros(3), frames)
-        return p - self.goal, jac_q
+    def score(self, q: np.ndarray, frames: np.ndarray, jacobians: np.ndarray):
+        return frames[:, -1, :3, 3] - self.goal, lambda: np.ascontiguousarray(jacobians[:, :3, :])
 
 
 def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> FactorGraph:

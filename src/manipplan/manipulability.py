@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import KinematicChain, geometric_jacobian, jacobian_partials
+from .kinematics import JacobianSet, KinematicChain, geometric_jacobian, jacobian_partials
 
 __all__ = [
     "SIGMA_MIN",
@@ -128,6 +128,22 @@ def ellipsoid(J) -> ManipulabilityEllipsoid:
     return ManipulabilityEllipsoid(singular_values=s, axes=u, volume_measure=float(np.prod(s)))
 
 
+def _gram_lambda(jset: JacobianSet):
+    """The λ half of :func:`_gram_terms`: ``(lam, degenerate, svd)``, the
+    measure and the degeneracy flag from the SVD ``svd = (U, s, V^T)`` of
+    ``jset.jacobian``, which :func:`_gram_traces` continues from."""
+    u, s, vh = np.linalg.svd(jset.jacobian, full_matrices=False)
+    return np.prod(s, axis=-1), s[..., -1] < SIGMA_MIN, (u, s, vh)
+
+
+def _gram_traces(jset: JacobianSet, svd) -> np.ndarray:
+    """The trace half of :func:`_gram_terms`, from the SVD that
+    :func:`_gram_lambda` took of ``jset.jacobian``."""
+    u, s, vh = svd
+    weights = (u * (s / np.maximum(s, SIGMA_MIN) ** 2)[..., None, :]) @ vh
+    return 2.0 * jset.contract(weights)
+
+
 def _gram_terms(chain: KinematicChain, q, task_dim: int, frames: np.ndarray | None = None):
     """SVD-side quantities shared by the gradient and the log cost.
 
@@ -139,11 +155,8 @@ def _gram_terms(chain: KinematicChain, q, task_dim: int, frames: np.ndarray | No
     stack ``q``, whose precomputed ``frames`` skip the forward kinematics.
     """
     jset = jacobian_partials(chain, q, task_dim, frames)
-    u, s, vh = np.linalg.svd(jset.jacobian, full_matrices=False)
-    lam = np.prod(s, axis=-1)
-    degenerate = s[..., -1] < SIGMA_MIN
-    weights = (u * (s / np.maximum(s, SIGMA_MIN) ** 2)[..., None, :]) @ vh
-    traces = 2.0 * jset.contract(weights)
+    lam, degenerate, svd = _gram_lambda(jset)
+    traces = _gram_traces(jset, svd)
     if lam.ndim == 0:
         return float(lam), traces, bool(degenerate)
     return lam, traces, degenerate

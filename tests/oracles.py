@@ -9,8 +9,8 @@ import mpmath
 import numpy as np
 
 from manipplan import gp_prior as gp
-from manipplan.collision import sdf_query, sphere_clearances
-from manipplan.kinematics import forward_kinematics, geometric_jacobian
+from manipplan.collision import _field, hinge_cost, sdf_query, sphere_clearances
+from manipplan.kinematics import body_sphere_states, forward_kinematics, geometric_jacobian
 from manipplan.manipulability import ellipsoid, manipulability
 
 
@@ -174,6 +174,17 @@ def collision_residual_loop(chain, q, sdf, params):
             residual[row] = params.epsilon - clearance
             jac[row] = -(query.gradient @ center_jac)
     return residual, jac
+
+
+def collision_residual_dense(chain, q, sdf, params):
+    """Hinge residual and Jacobian from the field's distance and gradient
+    (``_field``) and the centre Jacobian at every body sphere, active or
+    not; the rows outside the margin are then set to zero."""
+    centers, center_jacs = body_sphere_states(chain, q)
+    distances, gradients = _field(sdf, centers.reshape(-1, 3))
+    residual, slopes = hinge_cost(distances.reshape(centers.shape[:-1]) - chain._sphere_radii, params.epsilon)
+    rows = slopes[..., None] * (gradients.reshape(centers.shape)[..., None, :] @ center_jacs)[..., 0, :]
+    return residual, np.where(slopes[..., None] != 0.0, rows, 0.0)
 
 
 def lambda_max_loop(chain, task_dim, num_samples, seed, joint_range):

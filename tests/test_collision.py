@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from manipplan.collision import (
+    BOX_COORDINATE_LIMIT,
     BoxObstacle,
     CollisionParams,
     box_distance,
@@ -17,10 +18,11 @@ from manipplan.collision import (
     sdf_query,
     sphere_clearances,
 )
+from manipplan.collision import _field, _field_distances, _field_gradients
 from manipplan.kinematics import _fk_matrices, body_sphere_states, chain_from_dict
 from manipplan.scenario import load_scenario, run_scenario
 
-from .oracles import box_sdf_reference, collision_residual_loop
+from .oracles import box_sdf_reference, collision_residual_dense, collision_residual_loop
 
 TABLE_CENTER = np.array([0.15, 0.65, -0.45])
 TABLE_HALF = np.array([0.5, 0.25, 0.05])
@@ -296,11 +298,25 @@ class TestBoxSdf:
             ((0.0, np.inf, 0.0), (0.1, 0.1, 0.1)),
             ((0.0, 0.0, 0.0), (0.1, 0.0, 0.1)),
             ((0.0, 0.0, 0.0), (0.1, -0.1, 0.1)),
+            ((1e200, 0.0, 0.0), (1.0, 1.0, 1.0)),
+            ((0.0, 0.0, -2e150), (1.0, 1.0, 1.0)),
+            ((0.0, 0.0, 0.0), (1.0, 1e151, 1.0)),
         ],
     )
     def test_bad_box_rejected(self, center, half_extents):
         with pytest.raises(ValueError):
             BoxObstacle(center, half_extents)
+
+    def test_the_largest_boxes_give_finite_distances_without_warnings(self):
+        # Run under -W error: an overflow in the squared offsets would raise.
+        limit = BOX_COORDINATE_LIMIT
+        sdf = build_workspace_sdf(
+            [BoxObstacle((limit, -limit, limit), (limit, 1.0, limit)), BoxObstacle((-limit, 0.0, 0.0), (1.0, 1.0, 1.0))]
+        )
+        points = np.array([[-limit, limit, -limit], [limit, limit, limit], [0.0, 0.0, 0.0], [-limit, 0.0, 0.0]])
+        distances, gradients = _field(sdf, points)
+        assert np.all(np.isfinite(distances)) and np.all(np.isfinite(gradients))
+        assert distances[3] == -1.0
 
 
 class TestMemory:
@@ -459,6 +475,32 @@ class TestCollisionResidual:
         single_r, single_jac = collision_residual(chain, configs[0], sdf, params)
         np.testing.assert_array_equal(single_r, loops[0][0])
         np.testing.assert_array_equal(single_jac, loops[0][1])
+
+    @pytest.mark.parametrize("name", sorted(BOXES))
+    def test_gradients_at_some_points_equal_the_dense_field_bit_for_bit(self, name, rng):
+        sdf = box_field(BOXES[name])
+        points = rng.uniform(-1.0, 1.2, (400, 3))
+        distances, gradients = _field(sdf, points)
+        dense, nearest = _field_distances(sdf, points)
+        np.testing.assert_array_equal(dense, distances)
+        for some in (rng.uniform(size=len(points)) < 0.3, np.zeros(len(points), bool), np.ones(len(points), bool)):
+            subset = _field_gradients(sdf, points[some], nearest[some])
+            assert subset.tobytes() == gradients[some].tobytes()
+
+    @pytest.mark.parametrize(
+        "shift, epsilon, active",
+        [((0.0, 0.0, 0.0), 0.1, "some"), ((40.0, 0.0, -30.0), 0.1, "none"), ((0.0, 0.0, 0.0), 5.0, "all")],
+        ids=["some_active", "none_active", "all_active"],
+    )
+    def test_active_only_jacobian_equals_the_dense_field_bit_for_bit(self, ur10, rng, shift, epsilon, active):
+        boxes = [(np.add(center, shift), half) for center, half in BOXES["three_boxes"] + [(TABLE_CENTER, TABLE_HALF)]]
+        sdf, params = box_field(boxes), CollisionParams(epsilon=epsilon, sigma_obs=1e-3)
+        configs = np.array([1.0, 1.7, 1.2, 0.0, 0.0, 0.0]) + rng.uniform(-1.5, 1.5, (40, 6))
+        r, jac = collision_residual(ur10, configs, sdf, params)
+        ref_r, ref_jac = collision_residual_dense(ur10, configs, sdf, params)
+        assert r.tobytes() == ref_r.tobytes() and jac.tobytes() == ref_jac.tobytes()
+        pairs = np.count_nonzero(r)
+        assert {"none": pairs == 0 and not jac.any(), "all": pairs == r.size, "some": 0 < pairs < r.size}[active]
 
     def test_stack_equals_per_configuration_calls_bit_for_bit(self, ur10, planar2r, table_sdf, rng):
         # Configurations driven into the tabletop, so many rows are active.

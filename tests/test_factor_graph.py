@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import weakref
 from dataclasses import replace
@@ -8,9 +9,10 @@ import pytest
 
 from manipplan import factor_graph as fg
 from manipplan import gp_prior as gp
-from manipplan import kinematics
-from manipplan.kinematics import forward_kinematics, planar_chain
-from manipplan.manipulability import SingularityCostParams
+from manipplan import collision, kinematics
+from manipplan.collision import collision_residual
+from manipplan.kinematics import forward_kinematics, planar_chain, point_jacobian
+from manipplan.manipulability import SingularityCostParams, singularity_cost
 from manipplan.scenario import BoxObstacle, Scenario, load_scenario
 
 from .oracles import dense_linearization
@@ -241,24 +243,20 @@ class TestOptimize:
         np.testing.assert_array_equal(sol_a.as_vector(), sol_b.as_vector())
         assert all(a >= b for a, b in zip(rep_a.cost_trace, rep_a.cost_trace[1:]))
 
-    @pytest.mark.parametrize("problem", ["planar", "steep"])
-    def test_lm_linearizes_each_candidate_once(self, monkeypatch, planar2r, problem):
-        if problem == "planar":
-            params = SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4)
-            factors = (
-                singularity_factor(0, fg.ChainSingularityCost(planar2r, params, task_dim=2), 1e-4),
-                goal_factor(0, planar2r, [1.0, 1.0, 0.0], 1e-8),
-                fg.StartPriorFactor(state=1, prior=np.array([0.0, 0.9, 0.0, 0.0]), sigma=1e2),
-            )
-            graph, init = fg.FactorGraph(factors=factors, num_states=2, state_dim=4), one_state_trajectory([0.4, 0.7])
-        else:
+    @pytest.mark.parametrize("problem", ["planar2r_analytic", "ur10_table", "steep"])
+    def test_lm_linearizes_only_accepted_candidates(self, monkeypatch, problem):
+        if problem == "steep":
             # J^T J is infinite, so no step is ever solved.
             def steep(q):
                 return np.ones((len(q), 1)), np.full((len(q), 1, 1), 1e200)
 
             priors = [fg.StartPriorFactor(state=s, prior=[0.1, 0.0], sigma=1.0) for s in (0, 1)]
             graph = fg.FactorGraph(factors=(singularity_factor(0, steep, 1.0), *priors), num_states=2, state_dim=2)
-            init = one_state_trajectory([0.1])
+            init, settings = one_state_trajectory([0.1]), fg.SolverSettings(max_iterations=150)
+        else:
+            scenario = load_scenario(problem)
+            init = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, scenario.n_interp)
+            graph, settings = fg.build_graph(scenario, init), scenario.solver
         calls = {"linearize": [], "total_cost": [], "_solve_normal": []}
         for name, seen in calls.items():
 
@@ -267,18 +265,33 @@ class TestOptimize:
                 return seen[-1]
 
             monkeypatch.setattr(fg, name, counted)
-        _, report = fg.optimize(graph, init, fg.SolverSettings(max_iterations=150))
-        # Each iteration solves once, unless it stops at the top of the loop
-        # on the gradient test, which only the last one can do.
-        stopped_at_top = report.iterations - len(calls["_solve_normal"])
-        assert stopped_at_top in (0, 1)
-        unsolved = sum(step is None for step in calls["_solve_normal"]) + stopped_at_top
-        assert len(calls["total_cost"]) == 0
-        assert len(calls["linearize"]) == report.iterations + 1 - unsolved
-        assert unsolved == (report.iterations if problem == "steep" else 0)
-        # The accepted candidates' linearizations carry the reported costs.
-        assert report.cost_trace[-1] == report.final_cost
-        assert set(report.cost_trace) <= {cost for _, _, cost in calls["linearize"]}
+        scores, contractions = [], []
+
+        def score(graph, x, original=fg.FactorGraph.score):
+            scores.append(original(graph, x))
+            return scores[-1]
+
+        def contract(jset, weights, original=kinematics.JacobianSet.contract):
+            contractions.append(weights.shape)
+            return original(jset, weights)
+
+        monkeypatch.setattr(fg.FactorGraph, "score", score)
+        monkeypatch.setattr(kinematics.JacobianSet, "contract", contract)
+        _, report = fg.optimize(graph, init, settings)
+        accepted = len(report.cost_trace) - 1
+        solved = sum(step is not None for step in calls["_solve_normal"])
+        # Each solved step scores its candidate once; the start is scored once.
+        assert len(scores) == solved + 1 and len(calls["total_cost"]) == 0
+        # Only the start and the accepted candidates are linearized, each from
+        # its own score, and only they contract the singularity Jacobians.
+        assert len(calls["linearize"]) == accepted + 1
+        assert len(contractions) == (0 if problem == "steep" else accepted + 1)
+        assert report.cost_trace == [cost for _, _, cost in calls["linearize"]]
+        if problem == "steep":
+            assert solved == 0 and accepted == 0
+        else:
+            # Rejected candidates exist, so the counts tell the contract apart.
+            assert 0 < accepted < solved
 
     def test_a_gradient_stop_after_a_step_is_reported_as_one(self):
         # ur10_table's baseline stops after an accepted step whose gradient
@@ -463,6 +476,26 @@ class TestOptimize:
             monkeypatch.undo()
             assert calls == [(knots + (knots - 1) * n_interp, 6)]
 
+    def test_the_goal_reads_the_shared_end_effector_jacobian(self, monkeypatch):
+        scenario = load_scenario("ur10_table")
+        init = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, scenario.n_interp)
+        graph = fg.build_graph(scenario, init)
+        points = []
+
+        def counted(frames, at, links, original=kinematics._point_jacobians):
+            points.append(at.shape[:-1])
+            return original(frames, at, links)
+
+        monkeypatch.setattr(kinematics, "_point_jacobians", counted)
+        monkeypatch.setattr(collision, "_point_jacobians", counted)
+        scored = graph.score(init.x)
+        # The end effector of every stacked configuration: 16 knots, 15 x 2
+        # interpolated states.
+        assert points == [(46, 1)]
+        fg.linearize(graph, init, scored)
+        # Then only the active body spheres; the goal adds no point.
+        assert len(points) == 2 and points[1][1:] == (1,)
+
     @staticmethod
     def perturbed_graph(name, singularity):
         """A shipped scenario's graph, its initial trajectory and 5 seeded perturbations of it."""
@@ -480,6 +513,83 @@ class TestOptimize:
         graph, trajectories = self.perturbed_graph(name, singularity)
         for traj in trajectories:
             assert fg.total_cost(graph, traj) == fg.linearize(graph, traj)[2]
+
+    @staticmethod
+    def immediate_graph(graph):
+        """``graph`` with each chain cost replaced by a one-phase cost that
+        calls the public function composing its two halves, the way every
+        candidate was evaluated before scoring and linearizing were split."""
+
+        def immediate(cost):
+            if isinstance(cost, fg.ChainSingularityCost):
+
+                def evaluate(q):
+                    out = singularity_cost(cost.chain, q, cost.params, cost.task_dim)
+                    return out.h[:, None], out.gradient[:, None, :]
+
+            elif isinstance(cost, fg.ChainCollisionCost):
+
+                def evaluate(q):
+                    return collision_residual(cost.chain, q, cost.sdf, cost.params)
+
+            else:
+
+                def evaluate(q):
+                    p, jac = point_jacobian(cost.chain, q, cost.chain.n - 1, np.zeros(3))
+                    return p - cost.goal, jac
+
+            return evaluate
+
+        made = {}
+        factors = [
+            replace(f, cost=made.setdefault(id(f.cost), immediate(f.cost)))
+            if isinstance(f, fg.ConfigurationFactor)
+            else f
+            for f in graph.factors
+        ]
+        return fg.FactorGraph(factors=tuple(factors), num_states=graph.num_states, state_dim=graph.state_dim)
+
+    @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
+    @pytest.mark.parametrize("singularity", [True, False])
+    def test_two_phase_linearization_hashes_like_an_immediate_one(self, name, singularity):
+        def digests(band, gradient, cost, residuals, jacobians):
+            arrays = [band, gradient, np.array(cost), *residuals, *jacobians]
+            return [(a.shape, hashlib.sha256(a.tobytes()).hexdigest()) for a in arrays]
+
+        graph, trajectories = self.perturbed_graph(name, singularity)
+        reference = self.immediate_graph(graph)
+        for traj, rejected in zip(trajectories, trajectories[::-1]):
+            scored = graph.score(traj.x)
+            # Another candidate is scored between the score and the linearization.
+            graph.score(rejected.x)
+            two_phase = digests(*fg.linearize(graph, traj, scored), scored.residuals, scored.jacobians())
+            immediate = digests(*fg.linearize(reference, traj), *zip(*reference.evaluate(traj.x)))
+            assert two_phase == immediate
+
+    @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
+    @pytest.mark.parametrize("singularity", [True, False])
+    def test_every_cost_and_factor_output_is_c_ordered(self, monkeypatch, name, singularity):
+        # Equal values in another memory order can round differently: J^T r
+        # from an F-ordered residual differs in its last bits.
+        outputs = []
+        for cls in (fg.ChainSingularityCost, fg.ChainCollisionCost, fg.ChainGoalCost):
+
+            def score(cost, *args, original=cls.score):
+                r, jacobian = original(cost, *args)
+                outputs.append(r)
+                return r, lambda: outputs.append(jacobian()) or outputs[-1]
+
+            monkeypatch.setattr(cls, "score", score)
+        graph, trajectories = self.perturbed_graph(name, singularity)
+        for traj in trajectories[:2]:
+            scored = graph.score(traj.x)
+            outputs.extend(scored.residuals + scored.jacobians())
+            outputs.extend(array for factor in graph.factors for array in factor.evaluate(traj.x))
+            outputs.extend(fg.linearize(graph, traj)[:2])
+        # Every configuration cost's residuals and Jacobians were recorded.
+        costs = len({id(f.cost) for f in graph.factors if isinstance(f, fg.ConfigurationFactor)})
+        assert sum(array.ndim == 3 for array in outputs) > 2 * costs
+        assert all(array.flags.c_contiguous for array in outputs)
 
     @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
     @pytest.mark.parametrize("singularity", [True, False])

@@ -461,6 +461,17 @@ class TestCli:
         assert err.startswith(f"INVALID: obstacles[{index}]: ") and "half extents positive" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [("center", [0.0, 1e200, 0.0]), ("half_extents", [2e150, 0.1, 0.1])])
+    def test_a_box_whose_squared_offsets_overflow_is_named_by_index(self, field, value, tmp_path, capsys):
+        data = json.loads(builtin_scenario_path("ur10_table").read_text())
+        data["obstacles"].append({"center": [0.0, -0.9, 0.0], "half_extents": [0.2, 0.2, 0.2]})
+        data["obstacles"][1][field] = value
+        bad = tmp_path / "far_box.json"
+        bad.write_text(json.dumps(data))
+        assert cli.main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("INVALID: obstacles[1]: ") and "at most 1e+150 m" in err
+
     @pytest.mark.parametrize("command", ["plan", "validate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
