@@ -88,28 +88,42 @@ class SdfQuery(NamedTuple):
 
 
 def _box_terms(offsets: np.ndarray, half_extents) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A box's ``d = |p - c| - h`` from the offsets ``p - c`` (..., 3), and
-    the two terms of its signed distance: ``sqrt((x^2 + y^2) + z^2)`` over
-    the positive parts x, y, z of ``d``, and ``min(max(dx, dy, dz), 0)``."""
+    """A box's ``d = |p - c| - h`` from the offsets ``p - c`` (3, ...), the
+    coordinates on the leading axis, and the two terms of its signed
+    distance: ``sqrt((x^2 + y^2) + z^2)`` over the positive parts x, y, z
+    of ``d``, and ``min(max(dx, dy, dz), 0)``.  ``half_extents`` broadcasts
+    against the offsets the same way, (3, 1) for one box."""
     delta = np.abs(offsets) - half_extents
-    x, y, z = np.moveaxis(np.maximum(delta, 0.0), -1, 0)
-    return delta, np.sqrt((x * x + y * y) + z * z), np.minimum(delta.max(axis=-1), 0.0)
+    x, y, z = np.maximum(delta, 0.0)
+    return delta, np.sqrt((x * x + y * y) + z * z), np.minimum(delta.max(axis=0), 0.0)
 
 
 def box_distance(points, center, half_extents) -> np.ndarray:
-    """Exact signed distance from points to an axis-aligned box."""
+    """Exact signed distance from points (k, 3) to an axis-aligned box."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    _, outside, inside = _box_terms(points - np.asarray(center, dtype=float), np.asarray(half_extents, dtype=float))
+    offsets = (points - np.asarray(center, dtype=float)).T
+    _, outside, inside = _box_terms(offsets, np.asarray(half_extents, dtype=float).reshape(3, 1))
     return outside + inside
 
 
 def _field_distances(sdf: WorkspaceSdf, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances (k,) of the field at points (k, 3), and the index (k,) of
-    the box that attains each: the first in box order on a tie."""
-    _, outside, inside = _box_terms(points[:, None, :] - sdf.centers, sdf.half_extents)
-    distances = outside + inside
-    rows, nearest = np.arange(len(points)), distances.argmin(axis=1)
-    return distances[rows, nearest], nearest
+    the box that attains each: the first in box order on a tie.
+
+    One box at a time, over the three contiguous coordinate arrays of the
+    points."""
+    coords = np.ascontiguousarray(points.T)
+    distances = nearest = None
+    for box, (center, half) in enumerate(zip(sdf.centers[:, :, None], sdf.half_extents[:, :, None])):
+        _, outside, inside = _box_terms(coords - center, half)
+        box_distances = outside + inside
+        if distances is None:
+            distances, nearest = box_distances, np.zeros(len(points), dtype=int)
+        else:
+            closer = box_distances < distances
+            distances = np.where(closer, box_distances, distances)
+            nearest[closer] = box
+    return distances, nearest
 
 
 def _field_gradients(sdf: WorkspaceSdf, points: np.ndarray, nearest: np.ndarray) -> np.ndarray:
@@ -123,11 +137,11 @@ def _field_gradients(sdf: WorkspaceSdf, points: np.ndarray, nearest: np.ndarray)
     point's gradient reads that point and its box alone, so it is the same
     whatever other points are evaluated with it."""
     offsets = points - sdf.centers[nearest]
-    delta, outside, _ = _box_terms(offsets, sdf.half_extents[nearest])
-    normal = np.zeros_like(delta)
-    normal[np.arange(len(points)), delta.argmax(axis=1)] = 1.0
+    delta, outside, _ = _box_terms(offsets.T, sdf.half_extents[nearest].T)
+    normal = np.zeros(offsets.shape)
+    normal[np.arange(len(points)), delta.argmax(axis=0)] = 1.0
     away = outside > 0.0
-    normal[away] = np.maximum(delta[away], 0.0) / outside[away, None]
+    normal[away] = (np.maximum(delta[:, away], 0.0) / outside[away]).T
     return np.copysign(normal, offsets)
 
 

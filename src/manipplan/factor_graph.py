@@ -35,7 +35,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import get_lapack_funcs
 
 from . import gp_prior as gp
 from .collision import CollisionParams, WorkspaceSdf, _collision_terms
@@ -101,12 +101,15 @@ class Factor:
 
     Subclasses set ``kind``, ``states`` (a (K, width) array of consecutive
     support-state indices, width 1 or 2, on consecutive rows), ``dim``
-    (residual length per block), and implement :meth:`evaluate`.
+    (residual length per block), and implement :meth:`evaluate`.  A factor
+    whose Jacobians do not depend on the states sets ``constant_jacobian``
+    to them, and :meth:`evaluate` returns that array.
     """
 
     kind: FactorKind
     states: np.ndarray
     dim: int
+    constant_jacobian: np.ndarray | None = None
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Whitened residuals (K, dim) and Jacobians (K, dim, width * 2n)
@@ -134,10 +137,11 @@ class StartPriorFactor(Factor):
         self.prior = np.asarray(self.prior, dtype=float)
         self.dim = self.prior.shape[0]
         self._w = _weight(self.sigma)
+        self.constant_jacobian = self._w * np.eye(self.dim)[None]
 
     def evaluate(self, x):
         r = self._w * (x[self.states[0]] - self.prior)
-        return r, self._w * np.eye(self.dim)[None]
+        return r, self.constant_jacobian
 
 
 @dataclass
@@ -155,12 +159,12 @@ class GpPriorFactor(Factor):
         phi, w = gp.segment_kernels(np.diff(self.times))
         self._kernel = np.concatenate([w @ phi, -w], axis=-1)
         self._whitening = self.params.whitening
-        self._jac = np.kron(self._kernel, self._whitening)
+        self.constant_jacobian = np.kron(self._kernel, self._whitening)
 
     def evaluate(self, x):
         halves = x[self.states].reshape(len(self.states), 1, 4, -1)
         r = gp.blend(self._kernel, halves) @ self._whitening.T
-        return r.reshape(len(self.states), -1), self._jac
+        return r.reshape(len(self.states), -1), self.constant_jacobian
 
 
 @dataclass
@@ -302,7 +306,11 @@ class _ConfigurationStack:
             cost.score(q[rows], frames[rows], jacobians[rows]) if framed else _formed(*cost(q[rows]))
             for cost, rows, framed in self.costs
         ]
-        residuals = [factor._whiten_residuals(scored[at][0][pick]) for factor, (at, pick) in zip(self.factors, self.picks)]
+        # C order fixes how linearize's J^T r rounds, whatever order a cost returns.
+        residuals = [
+            np.ascontiguousarray(factor._whiten_residuals(scored[at][0][pick]))
+            for factor, (at, pick) in zip(self.factors, self.picks)
+        ]
 
         def whitened_jacobians() -> list[np.ndarray]:
             formed = [jacobian() for _, jacobian in scored]
@@ -326,12 +334,24 @@ def interpolated_blends(times: np.ndarray, n_interp: int):
 
 @dataclass(frozen=True)
 class FactorGraph:
-    """The MAP problem: factors over ``num_states`` states of size ``state_dim``."""
+    """The MAP problem: factors over ``num_states`` states of size ``state_dim``.
+
+    At construction the graph fixes what every :func:`linearize` call
+    shares: the stack of its configuration factors, the ``J^T J`` block
+    sums of its leading run of factors with constant Jacobians (see
+    :func:`_add_normal`), and the gather that lays the blocks out as a band.
+    """
 
     factors: tuple[Factor, ...]
     num_states: int
     state_dim: int
     _configurations: _ConfigurationStack = field(init=False, repr=False, compare=False)
+    # How many leading factors have constant Jacobians, and their J^T J
+    # blocks as linearize's flat accumulator (see _add_normal).
+    _constant_count: int = field(init=False, repr=False, compare=False)
+    _constant_normal: np.ndarray = field(init=False, repr=False, compare=False)
+    # Indices into that accumulator of every band entry (see linearize).
+    _band_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -352,6 +372,21 @@ class FactorGraph:
                 raise ValueError(f"factor {factor.kind} references a state outside 0..{self.num_states - 1}")
         configurations = [f for f in self.factors if isinstance(f, ConfigurationFactor)]
         object.__setattr__(self, "_configurations", _ConfigurationStack(configurations))
+        dim, num = self.state_dim, self.num_states
+        count = 0
+        while count < len(self.factors) and self.factors[count].constant_jacobian is not None:
+            count += 1
+        normal = np.zeros(num * 2 * dim * dim + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for factor in self.factors[:count]:
+                _add_normal(normal, factor, factor.constant_jacobian, dim)
+        # Band entry (i, s dim + j) is J^T J's (s dim + i + j, s dim + j):
+        # block entry (s, i + j, j) while i + j < 2 dim, else a zero.
+        i, s, j = np.ogrid[: 2 * dim, :num, :dim]
+        index = np.where(i + j < 2 * dim, (s * 2 * dim + i + j) * dim + j, normal.size - 1)
+        object.__setattr__(self, "_constant_count", count)
+        object.__setattr__(self, "_constant_normal", normal)
+        object.__setattr__(self, "_band_index", index.reshape(2 * dim, num * dim))
 
     def score(self, x: np.ndarray) -> "Scored":
         """The residual half of :meth:`evaluate` at the (N, 2n) states
@@ -408,11 +443,27 @@ def total_cost(graph: FactorGraph, trajectory: gp.SupportTrajectory) -> float:
     return graph.score(trajectory.x).cost
 
 
-def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory, scored: Scored | None = None):
+def _add_normal(normal: np.ndarray, factor: Factor, jac: np.ndarray, dim: int) -> None:
+    """Add a factor's ``J^T J`` to the flat accumulator ``normal``: the
+    column blocks (N, 2 dim, dim) of ``J^T J``, column block s holding the
+    diagonal block (s, s) over the block (s + 1, s), then one zero for the
+    band's entries outside them.  A factor adds to two runs of diagonal
+    blocks and the blocks below them, since its blocks start at consecutive
+    states."""
+    blocks = normal[:-1].reshape(-1, 2 * dim, dim)
+    product = jac.swapaxes(1, 2) @ jac
+    first = factor.states[0, 0]
+    blocks[first : first + len(product), : product.shape[1]] += product[..., :dim]
+    if product.shape[1] > dim:
+        blocks[first + 1 : first + 1 + len(product), :dim] += product[:, dim:, dim:]
+
+
+def linearize(graph: FactorGraph, trajectory, scored: Scored | None = None):
     """Accumulate the Gauss-Newton normal equations factor by factor, from
     one evaluation of the graph (one forward-kinematics pass): ``scored``,
-    the :meth:`FactorGraph.score` of ``trajectory`` when the caller has it,
-    else a new score.
+    the :meth:`FactorGraph.score` of ``trajectory`` (a
+    :class:`~manipplan.gp_prior.SupportTrajectory` or its (N, 2n) states)
+    when the caller has it, else a new score.
 
     Returns ``(band, gradient, cost)``: ``J^T J`` in LAPACK lower banded
     storage (``band[a - b, b] = (J^T J)[a, b]``), ``J^T r`` and half the
@@ -423,34 +474,29 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory, scored: Scor
     state or two consecutive ones, and a factor's blocks start at
     consecutive states, so ``J^T J`` is block tridiagonal (lower
     half-bandwidth ``2 * state_dim - 1``) and each factor adds to two runs
-    of its diagonal blocks, the blocks below them and the gradient.  Column
-    ``j`` of state ``s``'s column block is then column ``s dim + j`` of the
-    band, shifted up by ``j``: one slice copy per column lays out the band.
+    of its diagonal blocks, the blocks below them and the gradient (see
+    :func:`_add_normal`).  The sum starts from the graph's blocks of its
+    leading factors with constant Jacobians, added in the same order at
+    construction, and one gather lays the blocks out as the band.
     """
-    scored = graph.score(trajectory.x) if scored is None else scored
+    if scored is None:
+        scored = graph.score(trajectory.x if isinstance(trajectory, gp.SupportTrajectory) else trajectory)
     cost = scored.cost
     if not math.isfinite(cost):
         return None, None, cost
-    dim, num = graph.state_dim, graph.num_states
-    # Column block s: the diagonal block (s, s) over the block (s + 1, s),
-    # so diag = blocks[:, :dim] (N, 2n, 2n) and lower = blocks[:-1, dim:].
-    blocks = np.zeros((num, 2 * dim, dim))
-    gradient = np.zeros((num, dim))
+    dim = graph.state_dim
+    normal = graph._constant_normal.copy()
+    gradient = np.zeros((graph.num_states, dim))
     with np.errstate(over="ignore", invalid="ignore"):
-        for factor, r, jac in zip(graph.factors, scored.residuals, scored.jacobians()):
-            jac_t = jac.swapaxes(1, 2)
-            normal, jac_r = jac_t @ jac, (jac_t @ r[..., None])[..., 0]
+        for i, (factor, r, jac) in enumerate(zip(graph.factors, scored.residuals, scored.jacobians())):
+            jac_r = (jac.swapaxes(1, 2) @ r[..., None])[..., 0]
             first = factor.states[0, 0]
-            at, below = slice(first, first + len(r)), slice(first + 1, first + 1 + len(r))
-            blocks[at, : normal.shape[1]] += normal[..., :dim]
-            gradient[at] += jac_r[:, :dim]
-            if normal.shape[1] > dim:
-                blocks[below, :dim] += normal[:, dim:, dim:]
-                gradient[below] += jac_r[:, dim:]
-    band = np.zeros((2 * dim, num, dim))
-    for j in range(dim):
-        band[: 2 * dim - j, :, j] = blocks[:, j:, j].T
-    return band.reshape(2 * dim, num * dim), gradient.reshape(-1), cost
+            gradient[first : first + len(r)] += jac_r[:, :dim]
+            if jac_r.shape[1] > dim:
+                gradient[first + 1 : first + 1 + len(r)] += jac_r[:, dim:]
+            if i >= graph._constant_count:
+                _add_normal(normal, factor, jac, dim)
+    return normal[graph._band_index], gradient.reshape(-1), cost
 
 
 class SolverMethod(Enum):
@@ -500,20 +546,24 @@ class OptimizeReport:
         return asdict(self)
 
 
+# LAPACK's banded Cholesky solve, the routine scipy.linalg.solveh_banded wraps.
+(_pbsv,) = get_lapack_funcs(("pbsv",), dtype=np.float64)
+
+
 def _solve_normal(band: np.ndarray, damping: np.ndarray | None, g: np.ndarray) -> np.ndarray | None:
     """Solve ``(A + diag(damping)) x = -g`` for ``A`` in lower banded
     storage by banded Cholesky (LAPACK ``pbsv``); ``None`` when the matrix
     is not finite or not positive definite, or the step is not finite."""
+    # A Fortran-ordered copy, which pbsv factors in place.
+    band = np.array(band, order="F")
     if damping is not None:
-        band = band.copy()
         band[0] += damping
     if not np.all(np.isfinite(band)):
         return None
-    try:
-        step = solveh_banded(band, -g, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
-    return step if np.all(np.isfinite(step)) else None
+    _, step, info = _pbsv(band, -g, lower=1, overwrite_ab=1, overwrite_b=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK pbsv")
+    return step if info == 0 and np.all(np.isfinite(step)) else None
 
 
 def _damping_scale(diag: np.ndarray) -> np.ndarray:
@@ -563,13 +613,15 @@ def optimize(
     """
     settings = settings or SolverSettings()
     t_start = time.perf_counter()
-    trajectory = init
     if graph.num_states != init.num_states or graph.state_dim != 2 * init.n:
         raise ValueError(
             f"graph expects {graph.num_states} states of dim {graph.state_dim}, "
             f"trajectory has {init.num_states} states of dim {2 * init.n}"
         )
-    band, gradient, cost = linearize(graph, trajectory)
+    # The states (N, 2n) of the current trajectory; the candidates are
+    # scored as arrays, and only the solution is returned as a trajectory.
+    x = init.x
+    band, gradient, cost = linearize(graph, init)
     if band is None:
         raise ValueError("initial trajectory has non-finite cost")
     trace = [cost]
@@ -588,8 +640,8 @@ def optimize(
         damping = mu * _damping_scale(band[0]) if lm else None
         delta = _solve_normal(band, damping, gradient)
         if delta is not None:
-            candidate = trajectory.with_vector(trajectory.as_vector() + delta)
-            scored = graph.score(candidate.x)
+            candidate = x + delta.reshape(x.shape)
+            scored = graph.score(candidate)
             new_cost = scored.cost
         accepted = delta is not None and math.isfinite(new_cost)
         if lm and accepted:
@@ -601,7 +653,7 @@ def optimize(
             if lm:
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
-            trajectory = candidate
+            x = candidate
             band, gradient, cost = linearize(graph, candidate, scored)
             trace.append(cost)
             stop = _stop_after_step(trace, float(np.abs(gradient).max()), settings)
@@ -637,7 +689,7 @@ def optimize(
         method=settings.method.value,
         message=message,
     )
-    return trajectory, report
+    return init.with_vector(x), report
 
 
 @dataclass(frozen=True)

@@ -245,13 +245,17 @@ class JacobianSet:
         J_lin,k; 0]`` for j <= k, so with ``w_j = [w_lin,j; w_ang,j]`` the
         product is ``z_k . sum_{j>k} (J_lin,j x w_lin,j + z_j x w_ang,j)
         + J_lin,k . sum_{j<=k} (w_lin,j x z_j)``: one suffix and one prefix
-        sum over the joints.
+        sum over the joints.  Weights without angular rows (a task
+        dimension up to 3) skip the ``z_j x w_ang,j`` terms, which are zero.
         """
-        w = np.zeros(self._full.shape)
+        angular = weights.shape[-2] > 3
+        w = np.zeros(self._full.shape[:-2] + (6 if angular else 3, self._full.shape[-1]))
         w[..., : weights.shape[-2], :] = weights
         w, cols = np.swapaxes(w, -1, -2), np.swapaxes(self._full, -1, -2)
         lin, axes = cols[..., :3], cols[..., 3:]
-        downstream = _cross(lin, w[..., :3]) + _cross(axes, w[..., 3:])
+        downstream = _cross(lin, w[..., :3])
+        if angular:
+            downstream += _cross(axes, w[..., 3:])
         suffix = np.zeros_like(downstream)  # row k: sum over j > k
         suffix[..., :-1, :] = np.cumsum(downstream[..., :0:-1, :], axis=-2)[..., ::-1, :]
         prefix = np.cumsum(_cross(w[..., :3], axes), axis=-2)

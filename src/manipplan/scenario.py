@@ -10,7 +10,6 @@ interpolated cost states.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -312,11 +311,14 @@ def _evaluate_states(
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write (rows,) and (rows, c) arrays side by side, one line per row,
-    at full round-trip precision so consumers can recompute exactly."""
+    at full round-trip precision so consumers can recompute exactly.
+
+    The fields are float ``repr`` strings and plain column names, which
+    hold no comma, quote or line break, so joining them with commas writes
+    the bytes of ``csv.writer`` with ``lineterminator="\\n"``."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([repr(value) for value in row] for row in np.column_stack(columns).tolist())
+        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass

@@ -357,3 +357,63 @@ def dense_linearization(graph, trajectory):
             jac[row : row + factor.dim, states[0] * dim : (states[-1] + 1) * dim] = block
             row += factor.dim
     return jac, res
+
+
+def field_distances_broadcast(sdf, points):
+    """Distances (k,) of a box field at points (k, 3) and the index (k,) of
+    the nearest box, from one broadcast (k, B, 3) array of offsets and an
+    ``argmin`` over the boxes (the first on a tie): the formula the
+    per-box evaluation of ``collision._field_distances`` must reproduce
+    bit for bit."""
+    delta = np.abs(points[:, None, :] - sdf.centers) - sdf.half_extents
+    x, y, z = np.moveaxis(np.maximum(delta, 0.0), -1, 0)
+    distances = np.sqrt((x * x + y * y) + z * z) + np.minimum(delta.max(axis=-1), 0.0)
+    nearest = distances.argmin(axis=1)
+    return distances[np.arange(len(points)), nearest], nearest
+
+
+def _cross3(a, b):
+    """Cross products along the last axis, one component at a time."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def contract_six_rows(jset, weights):
+    """``JacobianSet.contract`` with the weights padded to all six rows of
+    the full Jacobian, so the angular cross products are always formed:
+    the formula the contraction must reproduce bit for bit."""
+    w = np.zeros(jset._full.shape)
+    w[..., : weights.shape[-2], :] = weights
+    w, cols = np.swapaxes(w, -1, -2), np.swapaxes(jset._full, -1, -2)
+    lin, axes = cols[..., :3], cols[..., 3:]
+    downstream = _cross3(lin, w[..., :3]) + _cross3(axes, w[..., 3:])
+    suffix = np.zeros_like(downstream)
+    suffix[..., :-1, :] = np.cumsum(downstream[..., :0:-1, :], axis=-2)[..., ::-1, :]
+    prefix = np.cumsum(_cross3(w[..., :3], axes), axis=-2)
+    return np.sum(axes * suffix, axis=-1) + np.sum(lin * prefix, axis=-1)
+
+
+def linearize_per_factor(graph, scored):
+    """``(band, gradient, cost)`` of ``factor_graph.linearize`` from a
+    graph's score, with every factor's ``J^T J`` and ``J^T r`` added to
+    zeroed column blocks in factor order, and the band laid out one column
+    slice at a time: the assembly the solver must reproduce bit for bit."""
+    dim, num = graph.state_dim, graph.num_states
+    blocks = np.zeros((num, 2 * dim, dim))
+    gradient = np.zeros((num, dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for factor, r, jac in zip(graph.factors, scored.residuals, scored.jacobians()):
+            jac_t = jac.swapaxes(1, 2)
+            normal, jac_r = jac_t @ jac, (jac_t @ r[..., None])[..., 0]
+            first = factor.states[0, 0]
+            at, below = slice(first, first + len(r)), slice(first + 1, first + 1 + len(r))
+            blocks[at, : normal.shape[1]] += normal[..., :dim]
+            gradient[at] += jac_r[:, :dim]
+            if normal.shape[1] > dim:
+                blocks[below, :dim] += normal[:, dim:, dim:]
+                gradient[below] += jac_r[:, dim:]
+    band = np.zeros((2 * dim, num, dim))
+    for j in range(dim):
+        band[: 2 * dim - j, :, j] = blocks[:, j:, j].T
+    return band.reshape(2 * dim, num * dim), gradient.reshape(-1), scored.cost

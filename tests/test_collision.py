@@ -22,7 +22,7 @@ from manipplan.collision import _field, _field_distances, _field_gradients
 from manipplan.kinematics import _fk_matrices, body_sphere_states, chain_from_dict
 from manipplan.scenario import load_scenario, run_scenario
 
-from .oracles import box_sdf_reference, collision_residual_dense, collision_residual_loop
+from .oracles import box_sdf_reference, collision_residual_dense, collision_residual_loop, field_distances_broadcast
 
 TABLE_CENTER = np.array([0.15, 0.65, -0.45])
 TABLE_HALF = np.array([0.5, 0.25, 0.05])
@@ -144,6 +144,35 @@ class TestSdfQuery:
         assert first.distance == swapped.distance == pytest.approx(0.1, abs=1e-16)
         np.testing.assert_array_equal(first.gradient, [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(swapped.gradient, [0.0, -1.0, 0.0])
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_per_box_distances_equal_the_broadcast_formula_bit_for_bit(self, count, rng):
+        # Dyadic boxes and points on a 1/16 m lattice give exact ties between
+        # boxes and points exactly on faces; random points fall inside the
+        # boxes and around them.  Every fourth draw copies the first box last,
+        # a tie at every point.
+        seen = {"face": 0, "inside": 0, "tie": 0}
+        for trial in range(20):
+            centers = rng.integers(-8, 9, (count, 3)) / 8.0
+            half_extents = rng.integers(1, 5, (count, 3)) / 8.0
+            copied = count > 1 and trial % 4 == 0
+            if copied:
+                centers[-1], half_extents[-1] = centers[0], half_extents[0]
+            sdf = build_workspace_sdf([BoxObstacle(c, h) for c, h in zip(centers, half_extents)])
+            which = rng.integers(0, count, 200)
+            inside = centers[which] + rng.uniform(-1.0, 1.0, (200, 3)) * half_extents[which]
+            lattice = rng.integers(-24, 25, (300, 3)) / 16.0
+            points = np.concatenate([lattice, inside, rng.uniform(-2.0, 2.0, (200, 3))])
+            distances, nearest = _field_distances(sdf, points)
+            expected_distances, expected_nearest = field_distances_broadcast(sdf, points)
+            assert distances.tobytes() == expected_distances.tobytes()
+            assert nearest.tobytes() == expected_nearest.tobytes()
+            per_box = np.array([box_distance(points, c, h) for c, h in zip(centers, half_extents)])
+            seen["face"] += np.count_nonzero(distances == 0.0)
+            seen["inside"] += np.count_nonzero(distances < 0.0)
+            if not copied:
+                seen["tie"] += np.count_nonzero(np.sum(per_box == distances, axis=0) > 1)
+        assert seen["face"] and seen["inside"] and (seen["tie"] or count == 1)
 
     # A box at the origin with dyadic half extents (0.5, 0.25, 0.125): every
     # distance below is exact in binary.

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 from manipplan import factor_graph as fg
 from manipplan import gp_prior as gp
@@ -15,7 +16,7 @@ from manipplan.kinematics import forward_kinematics, planar_chain, point_jacobia
 from manipplan.manipulability import SingularityCostParams, singularity_cost
 from manipplan.scenario import BoxObstacle, Scenario, load_scenario
 
-from .oracles import dense_linearization
+from .oracles import contract_six_rows, dense_linearization, field_distances_broadcast, linearize_per_factor
 
 LAMBDA_FLOOR = 1e-9
 
@@ -565,6 +566,100 @@ class TestOptimize:
             two_phase = digests(*fg.linearize(graph, traj, scored), scored.residuals, scored.jacobians())
             immediate = digests(*fg.linearize(reference, traj), *zip(*reference.evaluate(traj.x)))
             assert two_phase == immediate
+
+    @staticmethod
+    def digests(*arrays):
+        return [(np.shape(a), hashlib.sha256(np.asarray(a).tobytes()).hexdigest()) for a in arrays]
+
+    @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
+    @pytest.mark.parametrize("singularity", [True, False])
+    def test_linearization_equals_the_reference_formulas_bit_for_bit(self, monkeypatch, name, singularity):
+        # The reference scores with the broadcast box field and the six-row
+        # contraction, and assembles J^T J factor by factor from zero.
+        graph, trajectories = self.perturbed_graph(name, singularity)
+        # The start prior and the GP prior lead, with constant Jacobians.
+        assert graph._constant_count == 2
+        for traj in trajectories:
+            band, gradient, cost = fg.linearize(graph, traj)
+            with monkeypatch.context() as patched:
+                patched.setattr(kinematics.JacobianSet, "contract", contract_six_rows)
+                patched.setattr(collision, "_field_distances", field_distances_broadcast)
+                expected = linearize_per_factor(graph, graph.score(traj.x))
+            assert self.digests(band, gradient, cost) == self.digests(*expected)
+
+    @pytest.mark.parametrize("order", ["priors_first", "configuration_first"])
+    def test_constant_factors_after_a_configuration_factor_keep_their_order(self, order):
+        # Criterion 5's linear graph, with a planar arm's singularity factor
+        # before its goal prior at state 3: only a leading run of constant
+        # Jacobians is summed at construction.
+        params = gp.GpPriorParams.isotropic(2, 2.0)
+        init = gp.init_trajectory([0.3, -0.4], 3.0, 4)
+        goal_state = np.concatenate([[1.0, -0.5], np.zeros(2)])
+        cost = fg.ChainSingularityCost(planar_chain([1.0, 1.0]), SingularityCostParams(2.0, 1e-2), 2)
+        configuration = fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, np.arange(4), cost, 1, 1e-2)
+        priors = [
+            fg.StartPriorFactor(state=0, prior=init.x[0], sigma=1e-6),
+            fg.GpPriorFactor(times=init.times, params=params),
+        ]
+        leading = [*priors, configuration] if order == "priors_first" else [configuration, *priors]
+        factors = (*leading, fg.StartPriorFactor(state=3, prior=goal_state, sigma=1e-6))
+        graph = fg.FactorGraph(factors=factors, num_states=4, state_dim=4)
+        assert graph._constant_count == (2 if order == "priors_first" else 0)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            traj = init.with_vector(init.as_vector() + rng.normal(0.0, 0.3, init.as_vector().size))
+            expected = linearize_per_factor(graph, graph.score(traj.x))
+            assert self.digests(*fg.linearize(graph, traj)) == self.digests(*expected)
+
+    @pytest.mark.parametrize("name", ["ur10_unconstrained", "ur10_table"])
+    @pytest.mark.parametrize("damped", [False, True])
+    def test_the_banded_solve_equals_solveh_banded_bit_for_bit(self, name, damped):
+        graph, trajectories = self.perturbed_graph(name, True)
+        for traj in trajectories:
+            band, gradient, _ = fg.linearize(graph, traj)
+            damping = 1e-3 * fg._damping_scale(band[0]) if damped else None
+            kept = band.copy()
+            step = fg._solve_normal(band, damping, gradient)
+            damped_band = band.copy()
+            if damped:
+                damped_band[0] += damping
+            expected = solveh_banded(damped_band, -gradient, lower=True, check_finite=False)
+            assert step.tobytes() == expected.tobytes()
+            # The caller's band is left as it was.
+            assert band.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("n_interp", [0, 2])
+    def test_fortran_ordered_residuals_linearize_like_c_ordered_ones(self, n_interp):
+        # A cost whose residuals hold the same values in Fortran order: the
+        # stack hands linearize C-ordered copies, so J^T r and the cost keep
+        # their bits.
+        mixing = np.random.default_rng(3).normal(size=(6, 22))
+
+        def residuals(order):
+            def cost(q):
+                r = np.sin(q @ mixing)
+                return np.asarray(r, order=order), np.cos(q @ mixing)[..., None] * mixing.T
+
+            return cost
+
+        init = gp.init_trajectory(np.linspace(0.3, -0.4, 6), 3.0, 8)
+        traj = init.with_vector(init.as_vector() + 0.1 * np.sin(np.arange(init.as_vector().size)))
+        _, lam, psi = fg.interpolated_blends(traj.times, max(n_interp, 1))
+        linearized = []
+        for order in ("C", "F"):
+            cost = residuals(order)
+            factors = [
+                fg.StartPriorFactor(state=0, prior=traj.x[0], sigma=1e-4),
+                fg.GpPriorFactor(times=traj.times, params=gp.GpPriorParams.isotropic(6, 1.0)),
+                fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, np.arange(8), cost, 22, 0.1),
+            ]
+            if n_interp:
+                blend = (lam, psi)
+                factors.append(fg.ConfigurationFactor(fg.FactorKind.INTERP_SINGULARITY, np.arange(7), cost, 44, 0.1, blend))
+            graph = fg.FactorGraph(factors=tuple(factors), num_states=8, state_dim=12)
+            assert all(r.flags.c_contiguous for r in graph.score(traj.x).residuals)
+            linearized.append(self.digests(*fg.linearize(graph, traj)))
+        assert linearized[0] == linearized[1]
 
     @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
     @pytest.mark.parametrize("singularity", [True, False])

@@ -24,6 +24,7 @@ from manipplan.kinematics import (
 from manipplan.kinematics import _as_config, _cross, _fk_matrices
 
 from .oracles import (
+    contract_six_rows,
     dh_product,
     fk_matrices_loop,
     jacobian_fd,
@@ -172,6 +173,22 @@ class TestJacobianPartials:
                 for task_dim in task_dims:
                     partials = jacobian_partials(chain, q, task_dim).partials
                     np.testing.assert_array_equal(partials, jacobian_partials_loop(chain, q, task_dim))
+
+    @pytest.mark.parametrize("task_dim", [2, 3, 6])
+    def test_contract_equals_the_six_row_formula_bit_for_bit(self, ur10, planar2r, task_dim, rng):
+        # Random, right-angle and zero configurations (exact zeros in the
+        # frames), against random weights, weights with zero columns and
+        # zero weights.
+        for chain in (ur10, planar2r):
+            configs = rng.uniform(-np.pi, np.pi, (60, chain.n))
+            configs[:20] = rng.integers(-2, 3, (20, chain.n)) * (np.pi / 2)
+            configs[20] = 0.0
+            jset = jacobian_partials(chain, configs, task_dim)
+            random = rng.normal(size=jset.jacobian.shape)
+            sparse = np.where(rng.uniform(size=random.shape) < 0.5, 0.0, random)
+            for weights in (random, sparse, np.zeros_like(random)):
+                expected = contract_six_rows(jset, weights)
+                assert jset.contract(weights).tobytes() == expected.tobytes()
 
     def test_jacobian_field_matches_geometric_jacobian(self, ur10, rng):
         q = rng.uniform(-np.pi, np.pi, 6)

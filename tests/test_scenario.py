@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -219,6 +220,26 @@ class TestRunScenario:
         run_scenario(planar_scenario(), tmp_path / "b")
         for name in ("trajectory.csv", "lambda_profile.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestCsvExport:
+    @pytest.mark.parametrize("rows", [14, 0])
+    def test_bytes_equal_the_csv_module(self, tmp_path, rows):
+        special = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300]
+        values = np.array(special + [0.1, 1.0 / 3.0, 1e16, 1e-5, 123456789.0])[:rows]
+        columns = [values, np.column_stack([values[::-1], -values]), values.reshape(-1, 1)]
+        header = ["time", "a", "b", "c_1"]
+        sc._write_csv(tmp_path / "out.csv", header, columns)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(value) for value in row] for row in np.column_stack(columns).tolist())
+        assert (tmp_path / "out.csv").read_bytes() == expected.getvalue().encode()
+        # Every value reads back exactly, zeros with their signs (a NaN's sign is not written).
+        parsed = np.array([[float(v) for v in row] for row in list(csv.reader(io.StringIO(expected.getvalue())))[1:]])
+        stacked = np.column_stack(columns)
+        assert np.array_equal(parsed.reshape(stacked.shape), stacked, equal_nan=True)
+        assert np.array_equal(np.signbit(parsed.reshape(stacked.shape)), np.signbit(stacked) & ~np.isnan(stacked))
 
 
 class TestComparison:
