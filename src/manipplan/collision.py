@@ -99,10 +99,11 @@ def _box_terms(offsets: np.ndarray, half_extents) -> tuple[np.ndarray, np.ndarra
 
 
 def box_distance(points, center, half_extents) -> np.ndarray:
-    """Exact signed distance from points (k, 3) to an axis-aligned box."""
+    """Exact signed distance from points (..., 3) to an axis-aligned box."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    offsets = (points - np.asarray(center, dtype=float)).T
-    _, outside, inside = _box_terms(offsets, np.asarray(half_extents, dtype=float).reshape(3, 1))
+    offsets = np.moveaxis(points - np.asarray(center, dtype=float), -1, 0)
+    half_extents = np.asarray(half_extents, dtype=float).reshape((3,) + (1,) * (points.ndim - 1))
+    _, outside, inside = _box_terms(offsets, half_extents)
     return outside + inside
 
 

@@ -458,12 +458,11 @@ def _add_normal(normal: np.ndarray, factor: Factor, jac: np.ndarray, dim: int) -
         blocks[first + 1 : first + 1 + len(product), :dim] += product[:, dim:, dim:]
 
 
-def linearize(graph: FactorGraph, trajectory, scored: Scored | None = None):
+def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory | np.ndarray, scored: Scored | None = None):
     """Accumulate the Gauss-Newton normal equations factor by factor, from
     one evaluation of the graph (one forward-kinematics pass): ``scored``,
-    the :meth:`FactorGraph.score` of ``trajectory`` (a
-    :class:`~manipplan.gp_prior.SupportTrajectory` or its (N, 2n) states)
-    when the caller has it, else a new score.
+    the :meth:`FactorGraph.score` of ``trajectory`` when the caller has it
+    (``trajectory`` may then be its (N, 2n) states alone), else a new score.
 
     Returns ``(band, gradient, cost)``: ``J^T J`` in LAPACK lower banded
     storage (``band[a - b, b] = (J^T J)[a, b]``), ``J^T r`` and half the
@@ -479,8 +478,7 @@ def linearize(graph: FactorGraph, trajectory, scored: Scored | None = None):
     leading factors with constant Jacobians, added in the same order at
     construction, and one gather lays the blocks out as the band.
     """
-    if scored is None:
-        scored = graph.score(trajectory.x if isinstance(trajectory, gp.SupportTrajectory) else trajectory)
+    scored = graph.score(trajectory.x) if scored is None else scored
     cost = scored.cost
     if not math.isfinite(cost):
         return None, None, cost

@@ -498,6 +498,11 @@ class TestOptimize:
         assert len(points) == 2 and points[1][1:] == (1,)
 
     @staticmethod
+    def digests(*arrays):
+        """Shape and SHA-256 of each array's bytes."""
+        return [(np.shape(a), hashlib.sha256(np.asarray(a).tobytes()).hexdigest()) for a in arrays]
+
+    @staticmethod
     def perturbed_graph(name, singularity):
         """A shipped scenario's graph, its initial trajectory and 5 seeded perturbations of it."""
         scenario = replace(load_scenario(name), enable_singularity_factors=singularity)
@@ -553,23 +558,16 @@ class TestOptimize:
     @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
     @pytest.mark.parametrize("singularity", [True, False])
     def test_two_phase_linearization_hashes_like_an_immediate_one(self, name, singularity):
-        def digests(band, gradient, cost, residuals, jacobians):
-            arrays = [band, gradient, np.array(cost), *residuals, *jacobians]
-            return [(a.shape, hashlib.sha256(a.tobytes()).hexdigest()) for a in arrays]
-
         graph, trajectories = self.perturbed_graph(name, singularity)
         reference = self.immediate_graph(graph)
         for traj, rejected in zip(trajectories, trajectories[::-1]):
             scored = graph.score(traj.x)
             # Another candidate is scored between the score and the linearization.
             graph.score(rejected.x)
-            two_phase = digests(*fg.linearize(graph, traj, scored), scored.residuals, scored.jacobians())
-            immediate = digests(*fg.linearize(reference, traj), *zip(*reference.evaluate(traj.x)))
+            two_phase = self.digests(*fg.linearize(graph, traj, scored), *scored.residuals, *scored.jacobians())
+            residuals, jacobians = zip(*reference.evaluate(traj.x))
+            immediate = self.digests(*fg.linearize(reference, traj), *residuals, *jacobians)
             assert two_phase == immediate
-
-    @staticmethod
-    def digests(*arrays):
-        return [(np.shape(a), hashlib.sha256(np.asarray(a).tobytes()).hexdigest()) for a in arrays]
 
     @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
     @pytest.mark.parametrize("singularity", [True, False])
