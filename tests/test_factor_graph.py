@@ -642,7 +642,6 @@ class TestOptimize:
 
         init = gp.init_trajectory(np.linspace(0.3, -0.4, 6), 3.0, 8)
         traj = init.with_vector(init.as_vector() + 0.1 * np.sin(np.arange(init.as_vector().size)))
-        _, lam, psi = fg.interpolated_blends(traj.times, max(n_interp, 1))
         linearized = []
         for order in ("C", "F"):
             cost = residuals(order)
@@ -652,8 +651,9 @@ class TestOptimize:
                 fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, np.arange(8), cost, 22, 0.1),
             ]
             if n_interp:
-                blend = (lam, psi)
-                factors.append(fg.ConfigurationFactor(fg.FactorKind.INTERP_SINGULARITY, np.arange(7), cost, 44, 0.1, blend))
+                blend = fg.interpolated_blends(traj.times, n_interp)[1:]
+                kind = fg.FactorKind.INTERP_SINGULARITY
+                factors.append(fg.ConfigurationFactor(kind, np.arange(7), cost, 22 * n_interp, 0.1, blend))
             graph = fg.FactorGraph(factors=tuple(factors), num_states=8, state_dim=12)
             assert all(r.flags.c_contiguous for r in graph.score(traj.x).residuals)
             linearized.append(self.digests(*fg.linearize(graph, traj)))
