@@ -7,7 +7,6 @@ from .factor_graph import (
     FactorGraph,
     FactorKind,
     OptimizeReport,
-    SolverMethod,
     SolverSettings,
     build_graph,
     optimize,

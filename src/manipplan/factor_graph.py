@@ -21,9 +21,9 @@ later, and only when the solver asks for them.
 
 Because no block spans more than two consecutive states, ``J^T J`` is
 block tridiagonal (the exactly sparse GP structure).  The solver
-accumulates it straight into banded storage and runs Gauss-Newton or
-Levenberg-Marquardt on the banded Cholesky factorization, at a cost
-linear in the number of states.
+accumulates it straight into banded storage and runs Levenberg-Marquardt
+on the banded Cholesky factorization, at a cost linear in the number of
+states.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ __all__ = [
     "ConfigurationFactor",
     "interpolated_blends",
     "FactorGraph",
-    "SolverMethod",
     "SolverSettings",
     "OptimizeReport",
     "Scored",
@@ -469,8 +468,8 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory | np.ndarray,
     squared residual norm.  When the cost is not finite it returns
     ``(None, None, cost)`` before forming any ``J^T J``, whose products
     with infinite residuals would be NaN; a ``J^T J`` that overflows is
-    returned non-finite, for the solve to reject.  Every block touches one
-    state or two consecutive ones, and a factor's blocks start at
+    returned non-finite, which ends :func:`optimize`.  Every block touches
+    one state or two consecutive ones, and a factor's blocks start at
     consecutive states, so ``J^T J`` is block tridiagonal (lower
     half-bandwidth ``2 * state_dim - 1``) and each factor adds to two runs
     of its diagonal blocks, the blocks below them and the gradient (see
@@ -497,35 +496,23 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory | np.ndarray,
     return normal[graph._band_index], gradient.reshape(-1), cost
 
 
-class SolverMethod(Enum):
-    GAUSS_NEWTON = "gauss_newton"
-    LEVENBERG_MARQUARDT = "levenberg_marquardt"
-
-
 @dataclass(frozen=True)
 class SolverSettings:
-    method: SolverMethod = SolverMethod.LEVENBERG_MARQUARDT
     max_iterations: int = 100
     rel_cost_tol: float = 1e-6
     abs_grad_tol: float = 1e-8
-    lm_init_damping: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not all(0.0 < value < math.inf for value in (self.rel_cost_tol, self.abs_grad_tol, self.lm_init_damping)):
+        if not all(0.0 < value < math.inf for value in (self.rel_cost_tol, self.abs_grad_tol)):
             raise ValueError("solver tolerances must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
     @classmethod
     def from_dict(cls, spec: dict) -> "SolverSettings":
-        """Settings from a scenario's "solver" object; absent keys keep the defaults."""
-        casts = {
-            "method": SolverMethod,
-            "max_iterations": int,
-            "rel_cost_tol": float,
-            "abs_grad_tol": float,
-            "lm_init_damping": float,
-        }
+        """Settings from a scenario's "solver" object; absent keys keep the
+        defaults, and ``method`` (only ever "levenberg_marquardt") is ignored."""
+        casts = {"max_iterations": int, "rel_cost_tol": float, "abs_grad_tol": float}
         return cls(**{key: cast(spec[key]) for key, cast in casts.items() if key in spec})
 
 
@@ -537,7 +524,6 @@ class OptimizeReport:
     final_cost: float
     wall_time_s: float
     grad_inf_norm: float
-    method: str
     message: str = ""
 
     def as_dict(self) -> dict:
@@ -548,14 +534,13 @@ class OptimizeReport:
 (_pbsv,) = get_lapack_funcs(("pbsv",), dtype=np.float64)
 
 
-def _solve_normal(band: np.ndarray, damping: np.ndarray | None, g: np.ndarray) -> np.ndarray | None:
+def _solve_normal(band: np.ndarray, damping: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     """Solve ``(A + diag(damping)) x = -g`` for ``A`` in lower banded
     storage by banded Cholesky (LAPACK ``pbsv``); ``None`` when the matrix
     is not finite or not positive definite, or the step is not finite."""
     # A Fortran-ordered copy, which pbsv factors in place.
     band = np.array(band, order="F")
-    if damping is not None:
-        band[0] += damping
+    band[0] += damping
     if not np.all(np.isfinite(band)):
         return None
     _, step, info = _pbsv(band, -g, lower=1, overwrite_ab=1, overwrite_b=1)
@@ -571,6 +556,9 @@ def _damping_scale(diag: np.ndarray) -> np.ndarray:
     floor = max(1e-10 * top, 1e-12)
     return np.maximum(diag, floor)
 
+
+# Marquardt's damping mu at the start of a solve, relative to diag(A).
+LM_INIT_DAMPING = 1e-4
 
 # Cost-decrease convergence looks at the total relative decrease over this
 # many accepted steps, so a single cautious damped step cannot end a solve
@@ -595,19 +583,21 @@ def optimize(
     init: gp.SupportTrajectory,
     settings: SolverSettings | None = None,
 ) -> tuple[gp.SupportTrajectory, OptimizeReport]:
-    """Solve the MAP problem from an initial trajectory.
+    """Solve the MAP problem from an initial trajectory by
+    Levenberg-Marquardt.
 
-    Both methods run one loop, which solves the normal equations at the
-    current linearization and scores the candidate by its residuals alone.
-    Only an accepted candidate is linearized, from that same score (Madsen,
-    Nielsen & Tingleff 2004, Alg. 3.16), so a solve makes one
-    :func:`linearize` call per accepted step, plus one at the start.
-    Gauss-Newton solves them undamped and takes every step whose cost is
-    finite, and stops at the first step without one.  Levenberg-Marquardt
-    (default) adds Marquardt damping ``mu diag(A)`` and only accepts
-    cost-decreasing steps, so the reported ``cost_trace`` is non-increasing;
-    a rejected step raises ``mu`` until the damping runs out.  The result
-    is a local optimum; no global claim is made.
+    Each iteration solves the normal equations at the current
+    linearization with Marquardt damping ``mu diag(A)`` (``mu`` starts at
+    :data:`LM_INIT_DAMPING`) and scores the candidate by its residuals
+    alone.  A candidate is accepted only when its cost decreases, so the
+    reported ``cost_trace`` is non-increasing, and only an accepted
+    candidate is linearized, from that same score (Madsen, Nielsen &
+    Tingleff 2004, Alg. 3.16): a solve makes one :func:`linearize` call per
+    accepted step, plus one at the start.  A rejected step (a failed
+    factorization, a non-finite step or cost, or no decrease) raises ``mu``
+    until the damping runs out.  A linearization whose ``J^T J`` is not
+    finite, which no damping repairs, ends the solve unconverged.  The
+    result is a local optimum; no global claim is made.
     """
     settings = settings or SolverSettings()
     t_start = time.perf_counter()
@@ -626,31 +616,32 @@ def optimize(
     converged = False
     message = "max iterations reached"
     iterations = 0
-    lm = settings.method is SolverMethod.LEVENBERG_MARQUARDT
     # Marquardt (relative) damping: mu is dimensionless against diag(A).
-    mu, nu = settings.lm_init_damping, 2.0
+    mu, nu = LM_INIT_DAMPING, 2.0
 
     while iterations < settings.max_iterations:
         iterations += 1
         if float(np.abs(gradient).max()) < settings.abs_grad_tol:
             converged, message = True, "gradient tolerance"
             break
-        damping = mu * _damping_scale(band[0]) if lm else None
+        damping = mu * _damping_scale(band[0])
         delta = _solve_normal(band, damping, gradient)
+        if delta is None and not np.all(np.isfinite(band)):
+            message = "no finite step: normal equations not finite or not positive definite"
+            break
+        rho = 0.0
         if delta is not None:
             candidate = x + delta.reshape(x.shape)
             scored = graph.score(candidate)
             new_cost = scored.cost
-        accepted = delta is not None and math.isfinite(new_cost)
-        if lm and accepted:
-            # The gain ratio of the actual to the predicted decrease.
-            predicted = 0.5 * float(delta @ (damping * delta - gradient))
-            rho = (cost - new_cost) / predicted if new_cost < cost and predicted > 0.0 else 0.0
-            accepted = rho > 0.0
-        if accepted:
-            if lm:
-                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-                nu = 2.0
+            # A non-finite cost fails this test too.
+            if new_cost < cost:
+                # The gain ratio of the actual to the predicted decrease.
+                predicted = 0.5 * float(delta @ (damping * delta - gradient))
+                rho = (cost - new_cost) / predicted if predicted > 0.0 else 0.0
+        if rho > 0.0:
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
             x = candidate
             band, gradient, cost = linearize(graph, candidate, scored)
             trace.append(cost)
@@ -658,15 +649,10 @@ def optimize(
             if stop:
                 converged, message = True, stop
                 break
-        elif not lm:
-            if delta is None:
-                message = "no finite step: normal equations not finite or not positive definite"
-            else:
-                message = "no finite step: the cost after the step is not finite"
-            break
         else:
-            # A failed factorization or a non-finite step is a rejected
-            # step: more damping makes the system positive definite.
+            # A failed factorization, a non-finite step or no decrease is a
+            # rejected step: more damping makes the system positive definite
+            # and the step shorter.
             mu *= nu
             nu *= 2.0
             if mu > 1e20:
@@ -684,7 +670,6 @@ def optimize(
         final_cost=cost,
         wall_time_s=time.perf_counter() - t_start,
         grad_inf_norm=float(np.abs(gradient).max()),
-        method=settings.method.value,
         message=message,
     )
     return init.with_vector(x), report

@@ -24,7 +24,7 @@ from jsonschema.validators import validator_for
 from . import factor_graph as fg
 from . import gp_prior as gp
 from .collision import BoxObstacle, WorkspaceSdf, build_workspace_sdf, sphere_clearances
-from .kinematics import KinematicChain, _as_config, _fk_matrices, geometric_jacobian, load_chain
+from .kinematics import KinematicChain, _as_config, _check_task_dim, _fk_matrices, geometric_jacobian, load_chain
 from .manipulability import _checked, estimate_lambda_max
 
 __all__ = [
@@ -97,8 +97,7 @@ class Scenario:
             raise ValueError("num_support must be at least 2")
         if self.n_interp < 0:
             raise ValueError("n_interp cannot be negative")
-        if self.task_dim not in (2, 3, 6):
-            raise ValueError("task_dim must be 2, 3, or 6")
+        _check_task_dim(self.task_dim)
         if not 0.0 <= self.epsilon < math.inf:
             raise ValueError("epsilon must be non-negative and finite")
 

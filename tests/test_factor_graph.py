@@ -51,6 +51,14 @@ def single_state_graph(factors, n):
     return fg.FactorGraph(factors=tuple(factors), num_states=2, state_dim=2 * n)
 
 
+def undamped_step(graph, trajectory):
+    """The undamped (Gauss-Newton) step at ``trajectory``: the normal
+    equations from ``linearize``, solved by ``_solve_normal`` with zero
+    damping."""
+    band, gradient, _ = fg.linearize(graph, trajectory)
+    return fg._solve_normal(band, np.zeros(len(gradient)), gradient)
+
+
 def one_state_trajectory(q, extra_time=1.0):
     q = np.atleast_1d(np.asarray(q, dtype=float))
     zero = np.zeros_like(q)
@@ -152,10 +160,7 @@ class TestOptimize:
         graph, traj = self.linear_graph()
         jac, res = dense_linearization(graph, traj)
         closed_form = traj.as_vector() + np.linalg.solve(jac.T @ jac, -(jac.T @ res))
-        settings = fg.SolverSettings(method=fg.SolverMethod.GAUSS_NEWTON, max_iterations=1)
-        solution, report = fg.optimize(graph, traj, settings)
-        assert np.abs(solution.as_vector() - closed_form).max() < 1e-10
-        assert len(report.cost_trace) == 2
+        assert np.abs(traj.as_vector() + undamped_step(graph, traj) - closed_form).max() < 1e-10
 
     def test_one_joint_sine_map_converges_to_right_angle(self):
         factor = singularity_factor(0, sine_cost, 1e-2)
@@ -310,19 +315,8 @@ class TestOptimize:
         assert report.converged
         assert report.grad_inf_norm < 10.0 * settings.abs_grad_tol
 
-    def test_gauss_newton_on_rank_deficient_graph_reports_not_converged(self):
-        # Nothing references state 1, so J^T J is singular and the
-        # undamped banded Cholesky fails: the solve ends without raising.
-        factor = fg.StartPriorFactor(state=0, prior=np.ones(2), sigma=1.0)
-        graph = single_state_graph([factor], 1)
-        settings = fg.SolverSettings(method=fg.SolverMethod.GAUSS_NEWTON, max_iterations=5)
-        solution, report = fg.optimize(graph, one_state_trajectory([0.2]), settings)
-        assert not report.converged
-        assert report.iterations == 1
-        assert report.cost_trace == [fg.total_cost(graph, solution)]
-
     def test_large_banded_solve_matches_dense_oracle(self):
-        # 150 states of dim 4 = 600 variables, solved in one GN step.
+        # 150 states of dim 4 = 600 variables, solved in one undamped step.
         num = 150
         params = gp.GpPriorParams.isotropic(2, 2.0)
         traj = gp.init_trajectory(np.zeros(2), float(num - 1), num)
@@ -333,10 +327,7 @@ class TestOptimize:
         graph = fg.FactorGraph(factors=tuple(factors), num_states=num, state_dim=4)
         jac, res = dense_linearization(graph, traj)
         closed_form = traj.as_vector() + np.linalg.solve(jac.T @ jac, -(jac.T @ res))
-        solution, _ = fg.optimize(
-            graph, traj, fg.SolverSettings(method=fg.SolverMethod.GAUSS_NEWTON, max_iterations=1)
-        )
-        assert np.abs(solution.as_vector() - closed_form).max() < 1e-8
+        assert np.abs(traj.as_vector() + undamped_step(graph, traj) - closed_form).max() < 1e-8
 
     @pytest.mark.parametrize("n_interp", [1, 3])
     def test_linearize_band_matches_dense_oracle(self, n_interp):
@@ -375,8 +366,7 @@ class TestOptimize:
         with pytest.raises(ValueError, match="consecutive"):
             fg.FactorGraph(factors=(factor,), num_states=3, state_dim=2)
 
-    @pytest.mark.parametrize("method", list(fg.SolverMethod))
-    def test_non_finite_normal_equations_reject_the_step(self, method):
+    def test_non_finite_normal_equations_reject_the_step(self):
         def steep(q):
             # A finite residual whose Jacobian squares to infinity in J^T J.
             return np.ones((len(q), 1)), np.full((len(q), 1, 1), 1e200)
@@ -385,17 +375,14 @@ class TestOptimize:
         # Priors at the initial states make the rest of J^T J positive definite.
         priors = [fg.StartPriorFactor(state=s, prior=[0.1, 0.0], sigma=1.0) for s in (0, 1)]
         graph = fg.FactorGraph(factors=(singularity_factor(0, steep, 1.0), *priors), num_states=2, state_dim=2)
-        solution, report = fg.optimize(graph, init, fg.SolverSettings(method=method))
+        solution, report = fg.optimize(graph, init)
         np.testing.assert_array_equal(solution.as_vector(), init.as_vector())
         assert report.cost_trace == [0.5]
-        if method is fg.SolverMethod.GAUSS_NEWTON:
-            assert not report.converged and report.iterations == 1
-        else:
-            # Every step is rejected until the damping runs out.
-            assert report.message.startswith("damping exhausted")
+        # No damping makes the system finite: the solve ends at once.
+        assert not report.converged and report.iterations == 1
+        assert report.message == "no finite step: normal equations not finite or not positive definite"
 
-    @pytest.mark.parametrize("method", list(fg.SolverMethod))
-    def test_non_finite_candidate_cost_rejects_the_step(self, method):
+    def test_non_finite_candidate_cost_rejects_the_step(self):
         # A wall: no cost below q = 0.5 and an infinite one beyond it, while
         # the priors pull both states to q = 1.  The full step crosses the
         # wall; its linearization must stop at the cost, before J^T r forms
@@ -410,16 +397,12 @@ class TestOptimize:
             num_states=2,
             state_dim=2,
         )
-        solution, report = fg.optimize(graph, init, fg.SolverSettings(method=method))
+        solution, report = fg.optimize(graph, init)
         assert math.isfinite(report.final_cost)
         assert report.final_cost == fg.total_cost(graph, solution) == report.cost_trace[-1]
-        if method is fg.SolverMethod.GAUSS_NEWTON:
-            assert not report.converged and report.iterations == 1
-            np.testing.assert_array_equal(solution.as_vector(), init.as_vector())
-        else:
-            # Damped steps stop short of the wall and still descend.
-            assert np.all(solution.x[:, 0] < 0.5) and np.all(solution.x[:, 0] > 0.1)
-            assert report.final_cost < report.cost_trace[0]
+        # Damped steps stop short of the wall and still descend.
+        assert np.all(solution.x[:, 0] < 0.5) and np.all(solution.x[:, 0] > 0.1)
+        assert report.final_cost < report.cost_trace[0]
 
     @pytest.mark.parametrize("damped", [False, True])
     def test_banded_solve_matches_dense_solve(self, damped):
@@ -428,9 +411,9 @@ class TestOptimize:
         graph = fg.build_graph(scenario, init)
         band, gradient, _ = fg.linearize(graph, init)
         jac, res = dense_linearization(graph, init)
-        # Gauss-Newton's undamped system, and LM's first damped one.
-        damping = scenario.solver.lm_init_damping * fg._damping_scale(band[0]) if damped else None
-        normal = jac.T @ jac + np.diag(np.zeros(len(gradient)) if damping is None else damping)
+        # The undamped system, and LM's first damped one.
+        damping = (fg.LM_INIT_DAMPING if damped else 0.0) * fg._damping_scale(band[0])
+        normal = jac.T @ jac + np.diag(damping)
         expected = np.linalg.solve(normal, -(jac.T @ res))
         step = fg._solve_normal(band, damping, gradient)
         # Both solves are backward stable, so each is within about cond * eps
@@ -447,7 +430,7 @@ class TestOptimize:
         assert fg._solve_normal(indefinite, damping, gradient) is None
 
     def test_finite_normal_equations_with_an_infinite_step_give_no_step(self):
-        assert fg._solve_normal(np.array([[1e-300]]), None, np.array([1e10])) is None
+        assert fg._solve_normal(np.array([[1e-300]]), np.zeros(1), np.array([1e10])) is None
         assert fg._solve_normal(np.array([[1e-300]]), np.array([1.0]), np.array([1e10])) == pytest.approx([-1e10])
 
     @pytest.mark.parametrize("call", ["linearize", "total_cost"])
@@ -615,12 +598,11 @@ class TestOptimize:
         graph, trajectories = self.perturbed_graph(name, True)
         for traj in trajectories:
             band, gradient, _ = fg.linearize(graph, traj)
-            damping = 1e-3 * fg._damping_scale(band[0]) if damped else None
+            damping = (1e-3 if damped else 0.0) * fg._damping_scale(band[0])
             kept = band.copy()
             step = fg._solve_normal(band, damping, gradient)
             damped_band = band.copy()
-            if damped:
-                damped_band[0] += damping
+            damped_band[0] += damping
             expected = solveh_banded(damped_band, -gradient, lower=True, check_finite=False)
             assert step.tobytes() == expected.tobytes()
             # The caller's band is left as it was.
@@ -862,6 +844,5 @@ class TestBuildGraph:
             fg.SolverSettings(rel_cost_tol=0.0)
         with pytest.raises(ValueError):
             fg.SolverSettings(max_iterations=0)
-        settings = fg.SolverSettings.from_dict({"method": "gauss_newton", "max_iterations": 7})
-        assert settings.method is fg.SolverMethod.GAUSS_NEWTON
-        assert settings.max_iterations == 7
+        settings = fg.SolverSettings.from_dict({"method": "levenberg_marquardt", "max_iterations": 7})
+        assert settings == fg.SolverSettings(max_iterations=7)

@@ -154,13 +154,15 @@ class TestScenarioLoading:
                 assert spec["default"] == {}
             elif "default" in spec:
                 pinned[key] = (spec["default"], scenario_defaults[key])
-        for key, spec in properties["solver"]["properties"].items():
+        solver = dict(properties["solver"]["properties"])
+        # The one solver may be named, and has no setting behind the name.
+        assert solver.pop("method")["const"] == "levenberg_marquardt"
+        assert solver.keys() == solver_defaults.keys()
+        for key, spec in solver.items():
             pinned[f"solver.{key}"] = (spec["default"], solver_defaults[key])
-        assert len(pinned) == 19
+        assert len(pinned) == 17
         for key, (documented, default) in pinned.items():
-            if isinstance(default, fg.SolverMethod):
-                default = default.value
-            elif isinstance(default, tuple):
+            if isinstance(default, tuple):
                 default = list(default)
             assert documented == default, key
 
@@ -340,7 +342,7 @@ def test_a_plan_builds_no_trajectory_state(monkeypatch):
 
     monkeypatch.setattr(gp.TrajectoryState, "__post_init__", counted)
     result = run_scenario(load_scenario("ur10_unconstrained"))
-    assert result.report.iterations > 1 and result.report.method == fg.SolverMethod.LEVENBERG_MARQUARDT.value
+    assert result.report.iterations > 1
     assert built == []
     assert len(result.trajectory.states) == len(built) == result.trajectory.num_states
 
@@ -413,6 +415,37 @@ class TestCli:
         assert cli.main(["validate", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("INVALID: ") and "'sdf' was unexpected" in err
+
+    @pytest.mark.parametrize(
+        "solver, reason",
+        [
+            ({"method": "gauss_newton"}, "'levenberg_marquardt' was expected"),
+            ({"lm_init_damping": 1e-4}, "'lm_init_damping' was unexpected"),
+        ],
+        ids=["gauss_newton", "lm_init_damping"],
+    )
+    def test_validate_rejects_the_removed_solver_settings(self, solver, reason, tmp_path, capsys):
+        data = json.loads(builtin_scenario_path("ur10_table").read_text())
+        data["solver"] |= solver
+        bad = tmp_path / "removed_solver.json"
+        bad.write_text(json.dumps(data))
+        assert cli.main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("INVALID: ") and reason in err
+
+    def test_naming_the_solver_plans_bit_for_bit_like_leaving_it_out(self, tmp_path):
+        data = json.loads(builtin_scenario_path("planar2r_analytic").read_text())
+        assert "method" not in data["solver"]
+        runs = []
+        for label, extra in (("unnamed", {}), ("named", {"method": "levenberg_marquardt"})):
+            path = tmp_path / f"{label}.json"
+            path.write_text(json.dumps(data | {"solver": data["solver"] | extra}))
+            out = tmp_path / label
+            assert cli.main(["plan", str(path), "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            del report["convergence"]["wall_time_s"]
+            runs.append([(out / name).read_bytes() for name in ("trajectory.csv", "lambda_profile.csv")] + [report])
+        assert runs[0] == runs[1]
 
     def test_plan_writes_artifacts_and_exits_zero(self, tmp_path):
         out = tmp_path / "plan_out"
@@ -506,7 +539,6 @@ class TestCli:
             ("goal_position", 1),
             ("obstacles", 0, "center", 2),
             ("solver", "rel_cost_tol"),
-            ("solver", "lm_init_damping"),
         ],
         ids=lambda path: ".".join(map(str, path)),
     )
