@@ -627,6 +627,7 @@ def optimize(
         damping = mu * _damping_scale(band[0])
         delta = _solve_normal(band, damping, gradient)
         if delta is None and not np.all(np.isfinite(band)):
+            # No damping makes a non-finite band finite.
             message = "no finite step: normal equations not finite or not positive definite"
             break
         rho = 0.0

@@ -75,6 +75,13 @@ class TestScenarioLoading:
         with pytest.raises(ValidationError):
             scenario_from_dict(data)
 
+    def test_task_dims_are_the_kinematics_ones(self):
+        schema_path = builtin_scenario_path("planar2r_analytic").parent.parent / "scenario.schema.json"
+        assert json.loads(schema_path.read_text())["properties"]["task_dim"]["enum"] == list(kinematics.TASK_DIMS)
+        for task_dim in (1, 4):
+            with pytest.raises(ValueError, match="task_dim"):
+                planar_scenario(task_dim=task_dim)
+
     @pytest.mark.parametrize(
         "change, drop",
         [
