@@ -546,6 +546,7 @@ class TestCli:
             ("goal_position", 1),
             ("obstacles", 0, "center", 2),
             ("solver", "rel_cost_tol"),
+            ("solver", "abs_grad_tol"),
         ],
         ids=lambda path: ".".join(map(str, path)),
     )
