@@ -75,7 +75,10 @@ def _load(args) -> tuple[Scenario, Path, list[int]]:
         raise ValueError("--interp lists no counts")
     for count in counts:
         replace(scenario, n_interp=count)  # raises on an invalid count
-    return scenario, Path(getattr(args, "out", None) or Path("runs") / scenario.name / args.command), counts
+    out = Path(getattr(args, "out", None) or Path("runs") / scenario.name / args.command)
+    if args.command != "validate":
+        out.mkdir(parents=True, exist_ok=True)  # raises on an --out that cannot be a directory
+    return scenario, out, counts
 
 
 def build_parser() -> argparse.ArgumentParser:

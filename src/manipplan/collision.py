@@ -72,8 +72,8 @@ def build_workspace_sdf(boxes: Sequence[BoxObstacle]) -> WorkspaceSdf:
 class CollisionParams:
     """Safety margin epsilon (meters) and residual variance sigma_obs."""
 
-    epsilon: float = 0.1
-    sigma_obs: float = 1e-3
+    epsilon: float
+    sigma_obs: float
 
     def __post_init__(self) -> None:
         if self.epsilon < 0.0:
@@ -201,13 +201,7 @@ def _collision_terms(
     return residual, jacobian
 
 
-def collision_residual(
-    chain: KinematicChain,
-    q,
-    sdf: WorkspaceSdf,
-    params: CollisionParams,
-    frames: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def collision_residual(chain: KinematicChain, q, sdf: WorkspaceSdf, params: CollisionParams) -> tuple[np.ndarray, np.ndarray]:
     """Hinge costs of every body sphere and their joint-space Jacobian:
     shapes (S,) and (S, n), or (K, S) and (K, S, n) for a (K, n) stack of
     configurations.
@@ -215,11 +209,9 @@ def collision_residual(
     Each sphere contributes ``hinge(sdf(center) - radius, epsilon)``; the
     Jacobian row chains the hinge slope, the field gradient, and the
     linear Jacobian of the sphere center, formed only for the active
-    spheres (inside the margin; the other rows are zero).  ``frames`` are
-    the frames of ``q``, precomputed (see
-    :func:`manipplan.kinematics._frames`).
+    spheres (inside the margin; the other rows are zero).
     """
-    residual, jacobian = _collision_terms(chain, q, sdf, params, frames)
+    residual, jacobian = _collision_terms(chain, q, sdf, params)
     return residual, jacobian()
 
 

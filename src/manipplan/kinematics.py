@@ -55,14 +55,11 @@ class DhLink:
     alpha: float
     d: float
     theta_offset: float = 0.0
-    joint_kind: str = "revolute"
 
     def __post_init__(self) -> None:
         values = (self.a, self.alpha, self.d, self.theta_offset)
         if not all(math.isfinite(v) for v in values):
             raise ModelError(f"non-finite DH parameter in {values}")
-        if self.joint_kind != "revolute":
-            raise ModelError(f"unsupported joint kind {self.joint_kind!r}; only revolute joints are modeled")
 
     def transform(self, q: float) -> np.ndarray:
         """4x4 homogeneous transform of this link at joint angle ``q``."""
@@ -342,14 +339,15 @@ def _end_effector_jacobian(frames: np.ndarray) -> np.ndarray:
     return np.concatenate([linear, np.swapaxes(frames[..., :-1, :3, 2], -1, -2)], axis=-2)
 
 
-def _frames(chain: KinematicChain, q, frames: np.ndarray | None) -> np.ndarray:
+def _frames(chain: KinematicChain, q, frames: np.ndarray | None = None) -> np.ndarray:
     """``frames`` when the caller passes them, else one forward-kinematics
     pass over ``q`` after checking it with :func:`_as_config`.
 
-    Every function below that takes ``frames`` accepts the (..., n+1, 4, 4)
-    result of ``_fk_matrices(chain, q)`` for the ``q`` it is given, so one
-    pass over a checked stack serves several of them; ``q`` is then not
-    checked again.
+    :func:`geometric_jacobian`, :func:`_body_sphere_centers` and the
+    callers of the latter accept as ``frames`` the (..., n+1, 4, 4) result
+    of ``_fk_matrices(chain, q)`` for the ``q`` they are given, so one pass
+    over a checked stack serves several of them; ``q`` is then not checked
+    again.
     """
     return _fk_matrices(chain, _as_config(chain, q, stack=True)) if frames is None else frames
 
@@ -366,33 +364,30 @@ def geometric_jacobian(chain: KinematicChain, q, task_dim: int = 6, frames: np.n
     return _end_effector_jacobian(_frames(chain, q, frames))[..., :task_dim, :]
 
 
-def jacobian_partials(chain: KinematicChain, q, task_dim: int = 6, frames: np.ndarray | None = None) -> JacobianSet:
+def jacobian_partials(chain: KinematicChain, q, task_dim: int = 6) -> JacobianSet:
     """Jacobian plus analytic derivatives with respect to each joint.
 
     One FK pass gives the Jacobian; its derivatives (the geometric
     identities of a revolute chain, see :class:`JacobianSet`) are formed
     on access to ``partials`` or contracted by ``contract``.  ``q`` may be
-    a (K, n) stack; ``frames`` are its frames, precomputed (see :func:`_frames`).
+    a (K, n) stack.
     """
     _check_task_dim(task_dim)
-    frames = _frames(chain, q, frames)
+    frames = _frames(chain, q)
     jac = _end_effector_jacobian(frames)
     return JacobianSet(jacobian=jac[..., :task_dim, :], _frames=frames, _full=jac)
 
 
-def point_jacobian(
-    chain: KinematicChain, q, link_index: int, offset, frames: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def point_jacobian(chain: KinematicChain, q, link_index: int, offset) -> tuple[np.ndarray, np.ndarray]:
     """Position and 3 x n linear Jacobian of a point fixed in a link frame.
 
     The point is ``offset`` expressed in the frame after link
     ``link_index``; columns of joints that cannot move it are zero.  A
-    (K, n) stack of configurations gives (K, 3) and (K, 3, n).  ``frames``
-    are those of ``q``, precomputed (see :func:`_frames`).
+    (K, n) stack of configurations gives (K, 3) and (K, 3, n).
     """
     if not 0 <= link_index < chain.n:
         raise ModelError(f"link index {link_index} out of range")
-    frames = _frames(chain, q, frames)
+    frames = _frames(chain, q)
     frame = frames[..., link_index + 1, :, :]
     point = frame[..., :3, :3] @ np.asarray(offset, dtype=float) + frame[..., :3, 3]
     return point, _point_jacobians(frames, point[..., None, :], np.array([link_index]))[..., 0, :, :]
@@ -407,14 +402,13 @@ def _body_sphere_centers(chain: KinematicChain, q, frames: np.ndarray | None = N
     return frames, centers
 
 
-def body_sphere_states(chain: KinematicChain, q, frames: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def body_sphere_states(chain: KinematicChain, q) -> tuple[np.ndarray, np.ndarray]:
     """Centers and linear Jacobians of all S body spheres from one FK pass.
 
     Returns ``(centers, jacobians)`` with shapes (S, 3) and (S, 3, n), or
     (K, S, 3) and (K, S, 3, n) for a (K, n) stack of configurations.
-    ``frames`` are those of ``q``, precomputed (see :func:`_frames`).
     """
-    frames, centers = _body_sphere_centers(chain, q, frames)
+    frames, centers = _body_sphere_centers(chain, q)
     return centers, _point_jacobians(frames, centers, chain._sphere_links)
 
 
@@ -427,6 +421,13 @@ def planar_chain(lengths, name: str = "planar") -> KinematicChain:
 # ---------------------------------------------------------------------------
 # Model files
 # ---------------------------------------------------------------------------
+
+def _link_index(link) -> int:
+    """A body sphere's ``link`` as an int: a whole number, not a bool."""
+    if isinstance(link, bool) or not (isinstance(link, int) or (isinstance(link, float) and link.is_integer())):
+        raise ModelError(f"body-sphere link must be a whole number, got {link!r}")
+    return int(link)
+
 
 def chain_from_dict(spec: dict) -> KinematicChain:
     """Build a chain from the JSON model schema.
@@ -449,10 +450,13 @@ def chain_from_dict(spec: dict) -> KinematicChain:
         raise ModelError(f"model is missing DH field {exc}") from exc
     base = spec.get("base_pose", {})
     base_pose = Pose.from_rpy_xyz(base.get("rpy", (0, 0, 0)), base.get("xyz", (0, 0, 0)))
-    spheres = tuple(
-        BodySphere(link_index=int(row["link"]), offset=row["offset"], radius=float(row["radius"]))
-        for row in spec.get("body_spheres", ())
-    )
+    try:
+        spheres = tuple(
+            BodySphere(link_index=_link_index(row["link"]), offset=row["offset"], radius=float(row["radius"]))
+            for row in spec.get("body_spheres", ())
+        )
+    except KeyError as exc:
+        raise ModelError(f"model is missing body-sphere field {exc}") from exc
     lam_max = spec.get("lambda_max")
     return KinematicChain(
         links=links,

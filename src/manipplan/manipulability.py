@@ -70,7 +70,6 @@ class SingularityCostParams:
 
     lambda_max: float
     sigma_sbar: float
-    lambda_floor: float = LAMBDA_FLOOR
     near_singular_threshold: float | None = None
 
     def __post_init__(self) -> None:
@@ -80,8 +79,8 @@ class SingularityCostParams:
             raise ValueError("sigma_sbar must be positive")
         if self.near_singular_threshold is None:
             object.__setattr__(self, "near_singular_threshold", 0.01 * self.lambda_max)
-        if not self.lambda_floor < self.near_singular_threshold < self.lambda_max:
-            raise ValueError("require lambda_floor < near_singular_threshold < lambda_max")
+        if not LAMBDA_FLOOR < self.near_singular_threshold < self.lambda_max:
+            raise ValueError("require LAMBDA_FLOOR < near_singular_threshold < lambda_max")
 
 
 class ManipulabilityGradient(NamedTuple):
@@ -144,7 +143,7 @@ def _gram_traces(jset: JacobianSet, svd) -> np.ndarray:
     return 2.0 * jset.contract(weights)
 
 
-def _gram_terms(chain: KinematicChain, q, task_dim: int, frames: np.ndarray | None = None):
+def _gram_terms(chain: KinematicChain, q, task_dim: int):
     """SVD-side quantities shared by the gradient and the log cost.
 
     Returns ``(lam, traces, degenerate)`` where ``traces[k]`` is
@@ -152,9 +151,9 @@ def _gram_terms(chain: KinematicChain, q, task_dim: int, frames: np.ndarray | No
     values clamped at ``SIGMA_MIN`` inside the inverse: ``W = (JJ^T)^-1 J
     = U diag(s / max(s, SIGMA_MIN)^2) V^T`` from the SVD ``J = U S V^T``,
     contracted with the Jacobian derivatives in O(n); arrays over a (K, n)
-    stack ``q``, whose precomputed ``frames`` skip the forward kinematics.
+    stack ``q``.
     """
-    jset = jacobian_partials(chain, q, task_dim, frames)
+    jset = jacobian_partials(chain, q, task_dim)
     lam, degenerate, svd = _gram_lambda(jset)
     traces = _gram_traces(jset, svd)
     if lam.ndim == 0:
@@ -178,27 +177,20 @@ def manipulability_gradient(chain: KinematicChain, q, task_dim: int = 6) -> Mani
 def _log_ratio(lam, params: SingularityCostParams):
     """``ln(lambda_max / lambda)`` with ``lambda`` clamped at the floor: a
     float for one measure, an array for an array of them."""
-    h = np.log(params.lambda_max / np.maximum(lam, params.lambda_floor))
+    h = np.log(params.lambda_max / np.maximum(lam, LAMBDA_FLOOR))
     return float(h) if np.ndim(h) == 0 else h
 
 
-def singularity_cost(
-    chain: KinematicChain,
-    q,
-    params: SingularityCostParams,
-    task_dim: int = 6,
-    frames: np.ndarray | None = None,
-) -> SingularityCost:
+def singularity_cost(chain: KinematicChain, q, params: SingularityCostParams, task_dim: int = 6) -> SingularityCost:
     """Log-ratio avoidance cost ``h = ln(lambda_max / lambda)`` and its gradient.
 
     The gradient is ``-(1/2) Tr((JJ^T)^-1 (dJ_j J^T + J dJ_j^T))``: the
     ``lambda`` of the raw manipulability gradient cancels against the
     ``1/lambda`` of the log, so it is never multiplied in.  ``lambda`` is
-    clamped at ``params.lambda_floor`` inside the log.  Of a (K, n) stack
-    ``q``, every field is an array over the stack.  ``frames`` are the
-    frames of ``q``, precomputed (see :func:`manipplan.kinematics._frames`).
+    clamped at ``LAMBDA_FLOOR`` inside the log.  Of a (K, n) stack ``q``,
+    every field is an array over the stack.
     """
-    lam, traces, degenerate = _gram_terms(chain, q, task_dim, frames)
+    lam, traces, degenerate = _gram_terms(chain, q, task_dim)
     return SingularityCost(h=_log_ratio(lam, params), gradient=-0.5 * traces, degenerate=degenerate)
 
 

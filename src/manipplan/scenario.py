@@ -183,17 +183,13 @@ def _obstacle(index: int, box: dict) -> BoxObstacle:
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
     """Build a validated scenario from parsed JSON.
 
-    ``robot`` may be a built-in model name or a path, resolved relative
-    to ``base_dir`` (the scenario file's directory).
+    ``robot`` may be a built-in model name or a path; a relative path is
+    resolved against ``base_dir`` (the scenario file's directory) alone.
     """
     _validate(data)
     robot = str(data["robot"])
-    robot_path = Path(robot)
-    if robot_path.suffix:
-        if not robot_path.is_absolute() and base_dir is not None:
-            candidate = base_dir / robot_path
-            if candidate.is_file():
-                robot = str(candidate)
+    if Path(robot).suffix and not Path(robot).is_absolute() and base_dir is not None:
+        robot = str(base_dir / robot)
     fields = {key: cast(data[key]) for key, cast in _SCENARIO_CASTS.items() if key in data}
     if "obstacles" in data:
         fields["obstacles"] = tuple(_obstacle(i, box) for i, box in enumerate(data["obstacles"]))

@@ -547,12 +547,9 @@ class TestCollisionResidual:
     def test_precomputed_frames_give_the_same_bits(self, ur10, table_sdf, rng):
         configs = np.array([1.0, 1.7, 1.2, 0.0, 0.0, 0.0]) + rng.uniform(-0.4, 0.4, (30, 6))
         frames = _fk_matrices(ur10, configs)
-        r, jac = collision_residual(ur10, configs, table_sdf, self.params(), frames)
-        np.testing.assert_array_equal(r, collision_residual(ur10, configs, table_sdf, self.params())[0])
-        np.testing.assert_array_equal(jac, collision_residual(ur10, configs, table_sdf, self.params())[1])
-        np.testing.assert_array_equal(
-            sphere_clearances(ur10, configs, table_sdf, frames), sphere_clearances(ur10, configs, table_sdf)
-        )
+        clearances = sphere_clearances(ur10, configs, table_sdf)
+        np.testing.assert_array_equal(sphere_clearances(ur10, configs, table_sdf, frames), clearances)
+        r = collision_residual(ur10, configs, table_sdf, self.params())[0]
         assert np.count_nonzero(r) > 30
 
     def test_chain_without_spheres_gives_empty_rows(self, planar2r, table_sdf):

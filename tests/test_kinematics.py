@@ -21,7 +21,7 @@ from manipplan.kinematics import (
     planar_chain,
     point_jacobian,
 )
-from manipplan.kinematics import _as_config, _cross, _fk_matrices
+from manipplan.kinematics import TASK_DIMS, _as_config, _cross, _fk_matrices
 
 from .oracles import (
     contract_six_rows,
@@ -272,22 +272,14 @@ class TestStackedConfigurations:
 
     @pytest.mark.parametrize("name", ["ur10", "planar2r", "tilted"])
     def test_precomputed_frames_give_the_same_bits(self, name, rng):
-        # One forward-kinematics pass serves every function that takes frames.
+        # One forward-kinematics pass serves the Jacobian of the trajectory report.
         chain = tilted_chain() if name == "tilted" else load_chain(name)
         configs = rng.uniform(-np.pi, np.pi, (50, chain.n))
         frames = _fk_matrices(chain, configs)
-        calls = [
-            lambda **kw: geometric_jacobian(chain, configs, 3, **kw),
-            lambda **kw: jacobian_partials(chain, configs, 6, **kw).contract(np.ones((6, chain.n))),
-            lambda **kw: point_jacobian(chain, configs, chain.n - 1, [0.1, 0.2, 0.3], **kw),
-            lambda **kw: body_sphere_states(chain, configs, **kw),
-        ]
-        for call in calls:
-            own, shared = call(), call(frames=frames)
-            if not isinstance(own, tuple):
-                own, shared = (own,), (shared,)
-            for own_part, shared_part in zip(own, shared):
-                np.testing.assert_array_equal(shared_part, own_part)
+        for task_dim in TASK_DIMS:
+            np.testing.assert_array_equal(
+                geometric_jacobian(chain, configs, task_dim, frames), geometric_jacobian(chain, configs, task_dim)
+            )
 
     @pytest.mark.parametrize("name", ["ur10", "planar2r", "tilted"])
     def test_stack_equals_per_configuration_calls_bit_for_bit(self, name, rng):
@@ -428,10 +420,6 @@ class TestDerivativeProperties:
 
 
 class TestModelValidation:
-    def test_prismatic_rejected(self):
-        with pytest.raises(ModelError):
-            DhLink(a=1.0, alpha=0.0, d=0.0, joint_kind="prismatic")
-
     def test_non_finite_parameters_rejected(self):
         with pytest.raises(ModelError):
             DhLink(a=np.inf, alpha=0.0, d=0.0)
@@ -480,11 +468,35 @@ class TestModelFiles:
         pose = forward_kinematics(chain, [0.0])[-1]
         np.testing.assert_allclose(pose.position, [0.0, 1.0, 0.5], atol=1e-12)
 
-    def test_missing_field_raises_model_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "dh, sphere, message",
+        [
+            ({"a": 1.0}, None, "missing DH field 'alpha'"),
+            (None, {"offset": [0.0, 0.0, 0.0], "radius": 0.1}, "missing body-sphere field 'link'"),
+            (None, {"link": 0, "radius": 0.1}, "missing body-sphere field 'offset'"),
+            (None, {"link": 0, "offset": [0.0, 0.0, 0.0]}, "missing body-sphere field 'radius'"),
+            (None, {"link": 0.7, "offset": [0.0, 0.0, 0.0], "radius": 0.1}, "link must be a whole number, got 0.7"),
+            (None, {"link": True, "offset": [0.0, 0.0, 0.0], "radius": 0.1}, "link must be a whole number, got True"),
+            (None, {"link": "0", "offset": [0.0, 0.0, 0.0], "radius": 0.1}, "link must be a whole number, got '0'"),
+        ],
+        ids=["dh-alpha", "sphere-link", "sphere-offset", "sphere-radius", "link-fraction", "link-bool", "link-string"],
+    )
+    def test_missing_field_raises_model_error(self, dh, sphere, message, tmp_path):
+        # A body sphere used to raise a bare KeyError, and a fractional or
+        # boolean link was truncated by int() to a link index.
+        spec = {"name": "broken", "dh": [dh or {"a": 1.0, "alpha": 0.0, "d": 0.0}] * 2}
+        if sphere is not None:
+            spec["body_spheres"] = [sphere]
         path = tmp_path / "broken.json"
-        path.write_text(json.dumps({"name": "broken", "dh": [{"a": 1.0}]}))
-        with pytest.raises(ModelError):
+        path.write_text(json.dumps(spec))
+        with pytest.raises(ModelError, match=message):
             load_chain(path)
+
+    def test_whole_float_link_loads(self):
+        sphere = {"link": 1.0, "offset": [0.0, 0.0, 0.0], "radius": 0.1}
+        spec = {"dh": [{"a": 1.0, "alpha": 0.0, "d": 0.0}] * 2, "body_spheres": [sphere]}
+        (sphere,) = chain_from_dict(spec).body_spheres
+        assert sphere.link_index == 1 and type(sphere.link_index) is int
 
     def test_unknown_builtin_raises(self):
         with pytest.raises(ModelError):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from manipplan.kinematics import geometric_jacobian, load_chain, planar_chain
 from manipplan.manipulability import (
+    LAMBDA_FLOOR,
     SIGMA_MIN,
     Classification,
     SingularityCostParams,
@@ -221,7 +222,7 @@ class TestSingularityCost:
         params = self.params()
         cost = singularity_cost(planar2r, [0.0, 0.0], params, task_dim=2)
         assert cost.degenerate
-        assert cost.h == pytest.approx(math.log(1.0 / params.lambda_floor), rel=1e-9)
+        assert cost.h == pytest.approx(math.log(1.0 / LAMBDA_FLOOR), rel=1e-9)
         assert np.all(np.isfinite(cost.gradient))
 
     @pytest.mark.parametrize("name, task_dim", [("ur10", 6), ("ur10", 3), ("ur10", 2), ("planar2r", 2)])

@@ -133,15 +133,26 @@ class TestScenarioLoading:
         with pytest.raises(ValueError):
             scenario.load_chain()
 
-    def test_robot_path_resolved_relative_to_scenario_file(self, tmp_path):
+    @pytest.mark.parametrize("model_dir", ["scenario_dir", "cwd"])
+    def test_robot_path_resolved_relative_to_scenario_file(self, model_dir, tmp_path, monkeypatch):
+        # A model in the current directory alone used to be read from there.
         model = json.loads((builtin_scenario_path("planar2r_analytic").parent.parent / "models" / "planar2r.json").read_text())
-        (tmp_path / "robot.json").write_text(json.dumps(model))
+        (tmp_path / model_dir).mkdir()
+        (tmp_path / model_dir / "robot.json").write_text(json.dumps(model))
         data = json.loads(builtin_scenario_path("planar2r_analytic").read_text())
         data["robot"] = "robot.json"
-        scenario_path = tmp_path / "scenario.json"
+        scenario_path = tmp_path / "scenario_dir" / "scenario.json"
+        scenario_path.parent.mkdir(exist_ok=True)
         scenario_path.write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path / "cwd" if model_dir == "cwd" else tmp_path)
         scenario = load_scenario(scenario_path)
-        assert scenario.load_chain().n == 2
+        assert scenario.robot == str(scenario_path.parent / "robot.json")
+        if model_dir == "scenario_dir":
+            assert scenario.load_chain().n == 2
+        else:
+            with pytest.raises(kinematics.ModelError) as error:
+                scenario.load_chain()
+            assert repr(scenario.robot) in str(error.value)
 
     def test_lambda_max_resolution_order(self):
         scenario = planar_scenario(lambda_max=None)
@@ -598,6 +609,18 @@ class TestCli:
         assert cli.main(["validate", str(scenario_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("INVALID: ") and "finite" in err
+
+    @pytest.mark.parametrize("command", ["plan", "compare", "sweep"])
+    @pytest.mark.parametrize("below_a_file", [False, True], ids=["file", "below_file"])
+    def test_unusable_out_exits_2_before_any_solve(self, command, below_a_file, tmp_path, capsys, monkeypatch):
+        # Such an --out used to fail only when the artifacts were written, after the solve.
+        monkeypatch.setattr(sc, "_execute", self._no_solve)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if below_a_file else taken
+        assert cli.main([command, "planar2r_analytic", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("INVALID: ")
+        assert taken.read_text() == ""
 
     @staticmethod
     def _no_solve(*args, **kwargs):
