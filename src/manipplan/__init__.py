@@ -28,13 +28,10 @@ from .kinematics import (
     geometric_jacobian,
     jacobian_partials,
     load_chain,
-    planar_chain,
 )
 from .manipulability import (
-    ManipulabilityEllipsoid,
     SingularityCostParams,
     classify_configuration,
-    ellipsoid,
     likelihood,
     manipulability,
     manipulability_gradient,

@@ -23,7 +23,6 @@ __all__ = [
     "hinge_cost",
     "collision_residual",
     "sphere_clearances",
-    "box_distance",
     "build_workspace_sdf",
 ]
 
@@ -96,15 +95,6 @@ def _box_terms(offsets: np.ndarray, half_extents) -> tuple[np.ndarray, np.ndarra
     delta = np.abs(offsets) - half_extents
     x, y, z = np.maximum(delta, 0.0)
     return delta, np.sqrt((x * x + y * y) + z * z), np.minimum(delta.max(axis=0), 0.0)
-
-
-def box_distance(points, center, half_extents) -> np.ndarray:
-    """Exact signed distance from points (..., 3) to an axis-aligned box."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    offsets = np.moveaxis(points - np.asarray(center, dtype=float), -1, 0)
-    half_extents = np.asarray(half_extents, dtype=float).reshape((3,) + (1,) * (points.ndim - 1))
-    _, outside, inside = _box_terms(offsets, half_extents)
-    return outside + inside
 
 
 def _field_distances(sdf: WorkspaceSdf, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -180,7 +180,7 @@ class ConfigurationFactor(Factor):
     (1, 0)`` at a knot (the knot's position itself) and the kernels'
     position row otherwise, so its Jacobian is ``[c_s J]``.  A graph
     evaluates all its configuration factors from one stack (see
-    :meth:`FactorGraph.evaluate`); :meth:`evaluate` is that step over this
+    :meth:`FactorGraph.score`); :meth:`evaluate` is that step over this
     factor alone.
     """
 
@@ -388,11 +388,11 @@ class FactorGraph:
         object.__setattr__(self, "_band_index", index.reshape(2 * dim, num * dim))
 
     def score(self, x: np.ndarray) -> "Scored":
-        """The residual half of :meth:`evaluate` at the (N, 2n) states
-        ``x``, whose ``jacobians()`` forms the other half from the same
-        evaluation: the configuration factors share one stacked score, and
-        the other factors' Jacobians are constant, formed with their
-        residuals."""
+        """Every factor's whitened residuals (see :meth:`Factor.evaluate`)
+        at the (N, 2n) states ``x``, in factor order, whose ``jacobians()``
+        forms their Jacobians from the same evaluation: the configuration
+        factors share one stacked score, and the other factors' Jacobians
+        are constant, formed with their residuals."""
         stacked_residuals, stacked_jacobians = self._configurations.score(x)
         stacked = iter(stacked_residuals)
         others = [None if isinstance(f, ConfigurationFactor) else f.evaluate(x) for f in self.factors]
@@ -403,13 +403,6 @@ class FactorGraph:
             return [next(formed) if other is None else other[1] for other in others]
 
         return Scored(residuals, _cost(residuals), jacobians)
-
-    def evaluate(self, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Every factor's whitened residuals and Jacobians (see
-        :meth:`Factor.evaluate`) at the (N, 2n) states ``x``, in factor
-        order; the configuration factors share one stacked evaluation."""
-        scored = self.score(x)
-        return list(zip(scored.residuals, scored.jacobians()))
 
     @property
     def residual_dim(self) -> int:
@@ -724,6 +717,11 @@ class ChainGoalCost:
         return frames[:, -1, :3, 3] - self.goal, lambda: np.ascontiguousarray(jacobians[:, :3, :])
 
 
+# Covariances of the start prior (per state entry) and of the goal-position
+# residual (per axis): tight enough to act as constraints.
+SIGMA_GOAL = SIGMA_START = 1e-8
+
+
 def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> FactorGraph:
     """Wire a scenario into factors over the given support trajectory.
 
@@ -740,7 +738,7 @@ def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> Facto
     times = trajectory.times
 
     factors: list[Factor] = [
-        StartPriorFactor(state=0, prior=trajectory.x[0], sigma=scenario.sigma_start),
+        StartPriorFactor(state=0, prior=trajectory.x[0], sigma=SIGMA_START),
         GpPriorFactor(times=times, params=gp_params),
     ]
     _, lam, psi = interpolated_blends(times, scenario.n_interp)
@@ -777,7 +775,7 @@ def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> Facto
 
     factors.append(
         ConfigurationFactor(
-            FactorKind.GOAL_POSITION, num - 1, ChainGoalCost(chain, scenario.goal_position), 3, scenario.sigma_goal
+            FactorKind.GOAL_POSITION, num - 1, ChainGoalCost(chain, scenario.goal_position), 3, SIGMA_GOAL
         )
     )
     return FactorGraph(factors=tuple(factors), num_states=num, state_dim=2 * n)

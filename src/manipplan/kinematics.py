@@ -30,7 +30,6 @@ __all__ = [
     "geometric_jacobian",
     "jacobian_partials",
     "point_jacobian",
-    "planar_chain",
     "chain_from_dict",
     "load_chain",
     "builtin_model_path",
@@ -90,9 +89,10 @@ class BodySphere:
     radius: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float).reshape(3))
-        if not all(map(math.isfinite, self.offset.tolist())):
-            raise ModelError(f"sphere offset must be finite, got {self.offset}")
+        offset = np.asarray(self.offset, dtype=float)
+        if offset.shape != (3,) or not all(map(math.isfinite, offset.tolist())):
+            raise ModelError(f"sphere offset must be 3 finite numbers, got {self.offset!r}")
+        object.__setattr__(self, "offset", offset)
         if not 0.0 < self.radius < math.inf:
             raise ModelError(f"sphere radius must be positive and finite, got {self.radius}")
 
@@ -412,12 +412,6 @@ def body_sphere_states(chain: KinematicChain, q) -> tuple[np.ndarray, np.ndarray
     return centers, _point_jacobians(frames, centers, chain._sphere_links)
 
 
-def planar_chain(lengths, name: str = "planar") -> KinematicChain:
-    """All-revolute planar arm in the x-y plane with the given link lengths."""
-    links = tuple(DhLink(a=float(l), alpha=0.0, d=0.0) for l in lengths)
-    return KinematicChain(links=links, name=name)
-
-
 # ---------------------------------------------------------------------------
 # Model files
 # ---------------------------------------------------------------------------
@@ -425,8 +419,22 @@ def planar_chain(lengths, name: str = "planar") -> KinematicChain:
 def _link_index(link) -> int:
     """A body sphere's ``link`` as an int: a whole number, not a bool."""
     if isinstance(link, bool) or not (isinstance(link, int) or (isinstance(link, float) and link.is_integer())):
-        raise ModelError(f"body-sphere link must be a whole number, got {link!r}")
+        raise ModelError(f"link must be a whole number, got {link!r}")
     return int(link)
+
+
+def _body_sphere(index: int, row) -> BodySphere:
+    """Body sphere ``index`` of a model file; an invalid row raises a
+    ``ModelError`` that names ``body_spheres[index]`` and the field."""
+    where = f"body_spheres[{index}]"
+    if not isinstance(row, dict):
+        raise ModelError(f"{where} must be an object with fields 'link', 'offset' and 'radius', got {row!r}")
+    try:
+        return BodySphere(link_index=_link_index(row["link"]), offset=row["offset"], radius=float(row["radius"]))
+    except KeyError as exc:
+        raise ModelError(f"{where}: missing body-sphere field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"{where}: {exc}") from exc
 
 
 def chain_from_dict(spec: dict) -> KinematicChain:
@@ -450,13 +458,7 @@ def chain_from_dict(spec: dict) -> KinematicChain:
         raise ModelError(f"model is missing DH field {exc}") from exc
     base = spec.get("base_pose", {})
     base_pose = Pose.from_rpy_xyz(base.get("rpy", (0, 0, 0)), base.get("xyz", (0, 0, 0)))
-    try:
-        spheres = tuple(
-            BodySphere(link_index=_link_index(row["link"]), offset=row["offset"], radius=float(row["radius"]))
-            for row in spec.get("body_spheres", ())
-        )
-    except KeyError as exc:
-        raise ModelError(f"model is missing body-sphere field {exc}") from exc
+    spheres = tuple(_body_sphere(i, row) for i, row in enumerate(spec.get("body_spheres", ())))
     lam_max = spec.get("lambda_max")
     return KinematicChain(
         links=links,
@@ -476,11 +478,15 @@ def builtin_model_path(name: str) -> Path:
     return path
 
 
+def _is_builtin(source: str | Path) -> bool:
+    """Whether ``source`` names a built-in model or scenario, whatever files exist:
+    no suffix and one path component (``planar2r``, not ``./planar2r`` or ``planar2r.json``)."""
+    return not Path(source).suffix and Path(source).name == str(source)
+
+
 def load_chain(source: str | Path) -> KinematicChain:
-    """Load a robot model from a JSON file path or a built-in model name."""
-    path = Path(source)
-    if not path.is_file() and not path.suffix:
-        path = builtin_model_path(str(source))
+    """Load a robot model from a JSON file path or a built-in model name (see :func:`_is_builtin`)."""
+    path = builtin_model_path(str(source)) if _is_builtin(source) else Path(source)
     try:
         spec = json.loads(path.read_text())
     except OSError as exc:

@@ -1,4 +1,4 @@
-"""Manipulability measure, ellipsoid, and the singularity-avoidance cost.
+"""Manipulability measure and the singularity-avoidance cost.
 
 The measure is ``lambda = sqrt(det(J J^T))``, the product of the singular
 values of the task Jacobian; it is proportional to the volume of the
@@ -22,13 +22,11 @@ from .kinematics import JacobianSet, KinematicChain, geometric_jacobian, jacobia
 __all__ = [
     "SIGMA_MIN",
     "LAMBDA_FLOOR",
-    "ManipulabilityEllipsoid",
     "SingularityCostParams",
     "Classification",
     "ManipulabilityGradient",
     "SingularityCost",
     "manipulability",
-    "ellipsoid",
     "manipulability_gradient",
     "singularity_cost",
     "singularity_cost_value",
@@ -44,15 +42,6 @@ SIGMA_MIN = 1e-6
 LAMBDA_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class ManipulabilityEllipsoid:
-    """Principal axes of the task-velocity ellipsoid at one configuration."""
-
-    singular_values: np.ndarray  # descending, >= 0
-    axes: np.ndarray  # m x m, columns are the principal directions
-    volume_measure: float  # product of singular values
-
-
 class Classification(Enum):
     NEARLY_SINGULAR = "S"
     NOT_NEARLY_SINGULAR = "S_bar"
@@ -63,24 +52,22 @@ class SingularityCostParams:
     """Parameters of the log-ratio avoidance cost.
 
     ``sigma_sbar`` is the variance of the scalar residual (a covariance,
-    not a standard deviation).  ``near_singular_threshold`` defaults to
-    1% of ``lambda_max`` and only feeds the diagnostic classifier, never
-    the optimization.
+    not a standard deviation).
     """
 
     lambda_max: float
     sigma_sbar: float
-    near_singular_threshold: float | None = None
 
     def __post_init__(self) -> None:
-        if self.lambda_max <= 0.0:
-            raise ValueError("lambda_max must be positive")
         if self.sigma_sbar <= 0.0:
             raise ValueError("sigma_sbar must be positive")
-        if self.near_singular_threshold is None:
-            object.__setattr__(self, "near_singular_threshold", 0.01 * self.lambda_max)
         if not LAMBDA_FLOOR < self.near_singular_threshold < self.lambda_max:
-            raise ValueError("require LAMBDA_FLOOR < near_singular_threshold < lambda_max")
+            raise ValueError("lambda_max must be finite and exceed 100 * LAMBDA_FLOOR")
+
+    @property
+    def near_singular_threshold(self) -> float:
+        """1% of ``lambda_max``: the diagnostic classifier's, never the optimization's."""
+        return 0.01 * self.lambda_max
 
 
 class ManipulabilityGradient(NamedTuple):
@@ -118,13 +105,6 @@ def manipulability(J):
     J = _checked(J)
     lam = np.prod(np.linalg.svd(J, compute_uv=False), axis=-1)
     return float(lam) if J.ndim == 2 else lam
-
-
-def ellipsoid(J) -> ManipulabilityEllipsoid:
-    """Manipulability ellipsoid of ``J`` from its singular value decomposition."""
-    J = _checked(J)
-    u, s, _ = np.linalg.svd(J, full_matrices=False)
-    return ManipulabilityEllipsoid(singular_values=s, axes=u, volume_measure=float(np.prod(s)))
 
 
 def _gram_lambda(jset: JacobianSet):

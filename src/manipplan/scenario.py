@@ -24,7 +24,7 @@ from jsonschema.validators import validator_for
 from . import factor_graph as fg
 from . import gp_prior as gp
 from .collision import BoxObstacle, WorkspaceSdf, build_workspace_sdf, sphere_clearances
-from .kinematics import KinematicChain, _as_config, _check_task_dim, _fk_matrices, geometric_jacobian, load_chain
+from .kinematics import KinematicChain, _as_config, _check_task_dim, _fk_matrices, _is_builtin, geometric_jacobian, load_chain
 from .manipulability import _checked, estimate_lambda_max
 
 __all__ = [
@@ -65,8 +65,6 @@ class Scenario:
     sigma_sbar: float = 1e-4
     sigma_obs: float = 1e-3
     qc_scale: float = 1e3
-    sigma_goal: float = 1e-8
-    sigma_start: float = 1e-8
     epsilon: float = 0.1
     obstacles: tuple[BoxObstacle, ...] = ()
     lambda_max: float | None = None
@@ -86,8 +84,6 @@ class Scenario:
             (self.sigma_sbar, "sigma_sbar"),
             (self.sigma_obs, "sigma_obs"),
             (self.qc_scale, "qc_scale"),
-            (self.sigma_goal, "sigma_goal"),
-            (self.sigma_start, "sigma_start"),
         ):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{label} must be positive and finite")
@@ -163,8 +159,6 @@ _SCENARIO_CASTS = {
     "sigma_sbar": float,
     "sigma_obs": float,
     "qc_scale": float,
-    "sigma_goal": float,
-    "sigma_start": float,
     "epsilon": float,
     "lambda_max": lambda value: value,
     "enable_singularity_factors": bool,
@@ -183,12 +177,13 @@ def _obstacle(index: int, box: dict) -> BoxObstacle:
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
     """Build a validated scenario from parsed JSON.
 
-    ``robot`` may be a built-in model name or a path; a relative path is
-    resolved against ``base_dir`` (the scenario file's directory) alone.
+    ``robot`` is a built-in model name (no suffix, one path component) or
+    a path; a relative path is resolved against ``base_dir`` (the scenario
+    file's directory) alone.
     """
     _validate(data)
     robot = str(data["robot"])
-    if Path(robot).suffix and not Path(robot).is_absolute() and base_dir is not None:
+    if not _is_builtin(robot) and not Path(robot).is_absolute() and base_dir is not None:
         robot = str(base_dir / robot)
     fields = {key: cast(data[key]) for key, cast in _SCENARIO_CASTS.items() if key in data}
     if "obstacles" in data:
@@ -211,10 +206,9 @@ def builtin_scenario_path(name: str) -> Path:
 
 
 def load_scenario(source: str | Path) -> Scenario:
-    """Load a scenario from a JSON file path or a built-in scenario name."""
-    path = Path(source)
-    if not path.is_file() and not path.suffix:
-        path = builtin_scenario_path(str(source))
+    """Load a scenario from a JSON file path or a built-in scenario name
+    (no suffix, one path component, whatever the current directory holds)."""
+    path = builtin_scenario_path(str(source)) if _is_builtin(source) else Path(source)
     data = json.loads(path.read_text())
     return scenario_from_dict(data, base_dir=path.parent)
 
@@ -291,7 +285,6 @@ def _evaluate_states(
     # One forward-kinematics pass gives the Jacobians, end-effector and spheres.
     frames = _fk_matrices(chain, _as_config(chain, positions, stack=True))
     jacobians = geometric_jacobian(chain, positions, task_dim, frames)
-    # The SVD flavour of manipulability.ellipsoid, whose singular values it matches bit for bit.
     singular_values = np.linalg.svd(_checked(jacobians), full_matrices=False)[1]
     return EvaluatedProfile(
         times=times,
@@ -325,7 +318,6 @@ class RunResult:
     dense_profile: EvaluatedProfile  # fixed dense grid used for statistics
     goal_error: float
     collision_free: bool | None
-    out_dir: Path | None = None
 
     @property
     def stats(self) -> LambdaStats:
@@ -378,7 +370,6 @@ def _finalize_run(
         dense_profile=dense_profile,
         goal_error=goal_error,
         collision_free=collision_free,
-        out_dir=out_dir,
     )
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -420,7 +411,6 @@ class ComparisonResult:
     baseline: RunResult
     aware: RunResult
     normalization: float  # max lambda observed across the three runs
-    out_dir: Path | None
 
     def report_dict(self) -> dict:
         return {
@@ -446,7 +436,7 @@ def run_comparison(scenario: Scenario, out_dir: str | Path | None = None) -> Com
     aware = _execute(aware_scenario, None if out is None else out / "aware", optimize=True)
 
     normalization = max(run.dense_profile.lambdas.max() for run in (prior, baseline, aware))
-    result = ComparisonResult(prior=prior, baseline=baseline, aware=aware, normalization=normalization, out_dir=out)
+    result = ComparisonResult(prior=prior, baseline=baseline, aware=aware, normalization=normalization)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         kinds = ("prior", "baseline", "aware")
@@ -463,7 +453,6 @@ class SweepResult:
     counts: list[int]
     runs: list[RunResult]
     prior: RunResult
-    out_dir: Path | None
 
     def report_dict(self) -> dict:
         return {
@@ -488,7 +477,7 @@ def run_interp_sweep(
     for count in counts:
         sub = None if out is None else out / f"interp_{count}"
         runs.append(_execute(replace(scenario, n_interp=count), sub, optimize=True))
-    result = SweepResult(counts=counts, runs=runs, prior=prior, out_dir=out)
+    result = SweepResult(counts=counts, runs=runs, prior=prior)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         header = ["n_interp", "lambda_mean", "lambda_min", "final_cost", "converged", "iterations"]

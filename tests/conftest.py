@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from manipplan.kinematics import load_chain, planar_chain
+from manipplan.kinematics import load_chain
+
+from .oracles import planar_arm
 
 
 @pytest.fixture(scope="session")
@@ -11,7 +13,7 @@ def ur10():
 
 @pytest.fixture(scope="session")
 def planar2r():
-    return planar_chain([1.0, 1.0], name="planar2r")
+    return planar_arm([1.0, 1.0], name="planar2r")
 
 
 @pytest.fixture()

@@ -9,9 +9,15 @@ import mpmath
 import numpy as np
 
 from manipplan import gp_prior as gp
-from manipplan.collision import _field, hinge_cost, sdf_query, sphere_clearances
-from manipplan.kinematics import body_sphere_states, forward_kinematics, geometric_jacobian
-from manipplan.manipulability import ellipsoid, manipulability
+from manipplan.collision import _box_terms, _field, hinge_cost, sdf_query, sphere_clearances
+from manipplan.kinematics import body_sphere_states, chain_from_dict, forward_kinematics, geometric_jacobian
+from manipplan.manipulability import manipulability
+
+
+def planar_arm(lengths, name="planar"):
+    """All-revolute planar arm in the x-y plane with the given link
+    lengths, built from a model-file dict."""
+    return chain_from_dict({"name": name, "dh": [{"a": float(a), "alpha": 0.0, "d": 0.0} for a in lengths]})
 
 
 def dh_matrix(theta, d, a, alpha):
@@ -200,8 +206,9 @@ def lambda_max_loop(chain, task_dim, num_samples, seed, joint_range):
 
 def evaluate_profile_loop(chain, task_dim, trajectory, gp_params, per_segment, sdf):
     """Trajectory samples and their diagnostics one sample at a time: each
-    interpolated state from ``gp.interpolate``, then one Jacobian, ellipsoid,
-    forward-kinematics pass and clearance lookup per sample.
+    interpolated state from ``gp.interpolate``, then one Jacobian, singular
+    value decomposition, forward-kinematics pass and clearance lookup per
+    sample.
 
     Returns ``(times, positions, velocities, lambdas, sigma_mins,
     ee_positions, clearances)``, the last ``None`` without obstacles.
@@ -216,10 +223,10 @@ def evaluate_profile_loop(chain, task_dim, trajectory, gp_params, per_segment, s
     states.append(knots[-1])
     rows = []
     for state in states:
-        ell = ellipsoid(geometric_jacobian(chain, state.position, task_dim))
+        s = np.linalg.svd(geometric_jacobian(chain, state.position, task_dim), full_matrices=False)[1]
         ee = forward_kinematics(chain, state.position)[-1].position
         clearance = None if sdf is None else sphere_clearances(chain, state.position, sdf)
-        rows.append((state.time, state.position, state.velocity, ell.volume_measure, ell.singular_values[-1], ee, clearance))
+        rows.append((state.time, state.position, state.velocity, np.prod(s), s[-1], ee, clearance))
     columns = [np.array(column) for column in zip(*rows)]
     if sdf is None:
         columns[-1] = None
@@ -238,6 +245,17 @@ def manipulability_fd(chain, q, task_dim, step=1e-6):
         lam_m = manipulability(geometric_jacobian(chain, qm, task_dim))
         out[j] = (lam_p - lam_m) / (2.0 * step)
     return out
+
+
+def box_distance(points, center, half_extents):
+    """Exact signed distance from points (..., 3) to one axis-aligned box,
+    from the box terms of ``collision._box_terms``: the field's reference,
+    which its per-box evaluation must reproduce bit for bit."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    offsets = np.moveaxis(points - np.asarray(center, dtype=float), -1, 0)
+    half_extents = np.asarray(half_extents, dtype=float).reshape((3,) + (1,) * (points.ndim - 1))
+    _, outside, inside = _box_terms(offsets, half_extents)
+    return outside + inside
 
 
 def box_sdf_reference(point, center, half_extents):

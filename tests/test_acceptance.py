@@ -14,11 +14,11 @@ import pytest
 
 from manipplan import factor_graph as fg
 from manipplan import gp_prior as gp
-from manipplan.kinematics import geometric_jacobian, load_chain, planar_chain
+from manipplan.kinematics import geometric_jacobian, load_chain
 from manipplan.manipulability import manipulability, manipulability_gradient, singularity_cost
 from manipplan.scenario import load_scenario, run_comparison, run_interp_sweep, run_scenario
 
-from .oracles import dense_gp_conditional_mean, dense_linearization, manipulability_fd
+from .oracles import dense_gp_conditional_mean, dense_linearization, manipulability_fd, planar_arm
 
 SWEEP_COUNTS = (0, 2, 4, 8)
 
@@ -92,7 +92,7 @@ def test_criterion_2_log_cost_cancellation_identity(ur10_chain, random_ur10_conf
 
 
 def test_criterion_3_planar_analytic_oracle():
-    chain = planar_chain([1.0, 1.0])
+    chain = planar_arm([1.0, 1.0])
     worst = 0.0
     for q2 in np.linspace(0.001, np.pi - 0.001, 100):
         lam = manipulability(geometric_jacobian(chain, [0.7, q2], task_dim=2))

@@ -11,7 +11,6 @@ from manipplan.collision import (
     BOX_COORDINATE_LIMIT,
     BoxObstacle,
     CollisionParams,
-    box_distance,
     build_workspace_sdf,
     collision_residual,
     hinge_cost,
@@ -22,7 +21,13 @@ from manipplan.collision import _field, _field_distances, _field_gradients
 from manipplan.kinematics import _fk_matrices, body_sphere_states, chain_from_dict
 from manipplan.scenario import load_scenario, run_scenario
 
-from .oracles import box_sdf_reference, collision_residual_dense, collision_residual_loop, field_distances_broadcast
+from .oracles import (
+    box_distance,
+    box_sdf_reference,
+    collision_residual_dense,
+    collision_residual_loop,
+    field_distances_broadcast,
+)
 
 TABLE_CENTER = np.array([0.15, 0.65, -0.45])
 TABLE_HALF = np.array([0.5, 0.25, 0.05])

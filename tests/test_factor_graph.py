@@ -12,11 +12,17 @@ from manipplan import factor_graph as fg
 from manipplan import gp_prior as gp
 from manipplan import collision, kinematics
 from manipplan.collision import collision_residual
-from manipplan.kinematics import forward_kinematics, planar_chain, point_jacobian
+from manipplan.kinematics import forward_kinematics, point_jacobian
 from manipplan.manipulability import SingularityCostParams, singularity_cost
 from manipplan.scenario import BoxObstacle, Scenario, load_scenario
 
-from .oracles import contract_six_rows, dense_linearization, field_distances_broadcast, linearize_per_factor
+from .oracles import (
+    contract_six_rows,
+    dense_linearization,
+    field_distances_broadcast,
+    linearize_per_factor,
+    planar_arm,
+)
 
 LAMBDA_FLOOR = 1e-9
 
@@ -548,8 +554,8 @@ class TestOptimize:
             # Another candidate is scored between the score and the linearization.
             graph.score(rejected.x)
             two_phase = self.digests(*fg.linearize(graph, traj, scored), *scored.residuals, *scored.jacobians())
-            residuals, jacobians = zip(*reference.evaluate(traj.x))
-            immediate = self.digests(*fg.linearize(reference, traj), *residuals, *jacobians)
+            alone = reference.score(traj.x)
+            immediate = self.digests(*fg.linearize(reference, traj), *alone.residuals, *alone.jacobians())
             assert two_phase == immediate
 
     @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
@@ -576,7 +582,7 @@ class TestOptimize:
         params = gp.GpPriorParams.isotropic(2, 2.0)
         init = gp.init_trajectory([0.3, -0.4], 3.0, 4)
         goal_state = np.concatenate([[1.0, -0.5], np.zeros(2)])
-        cost = fg.ChainSingularityCost(planar_chain([1.0, 1.0]), SingularityCostParams(2.0, 1e-2), 2)
+        cost = fg.ChainSingularityCost(planar_arm([1.0, 1.0]), SingularityCostParams(2.0, 1e-2), 2)
         configuration = fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, np.arange(4), cost, 1, 1e-2)
         priors = [
             fg.StartPriorFactor(state=0, prior=init.x[0], sigma=1e-6),
@@ -671,7 +677,8 @@ class TestOptimize:
     def test_stacked_evaluation_equals_each_factor_alone(self, name, singularity):
         graph, trajectories = self.perturbed_graph(name, singularity)
         for traj in trajectories:
-            stacked = graph.evaluate(traj.x)
+            scored = graph.score(traj.x)
+            stacked = list(zip(scored.residuals, scored.jacobians()))
             assert len(stacked) == len(graph.factors)
             for factor, (r, jac) in zip(graph.factors, stacked):
                 r_alone, jac_alone = factor.evaluate(traj.x)
@@ -681,7 +688,7 @@ class TestOptimize:
     def test_a_cost_without_a_chain_shares_the_stack(self, monkeypatch):
         # sine_cost takes no frames; the goal cost of a one-link arm does.
         # Both read the same stack of 3 knots and 2 x 2 interpolated states.
-        chain = planar_chain([1.0])
+        chain = planar_arm([1.0])
         traj = gp.SupportTrajectory(times=[0.0, 1.0, 2.0], x=[[0.3, 0.1], [0.7, 0.2], [1.2, 0.0]])
         _, lam, psi = fg.interpolated_blends(traj.times, 2)
         kind = fg.FactorKind
@@ -703,7 +710,8 @@ class TestOptimize:
             return fk(chain, q)
 
         monkeypatch.setattr(fg, "_fk_matrices", counted)
-        stacked = graph.evaluate(traj.x)
+        scored = graph.score(traj.x)
+        stacked = list(zip(scored.residuals, scored.jacobians()))
         assert calls == [(7, 1)]
         for factor, (r, jac) in zip(graph.factors, stacked):
             r_alone, jac_alone = factor.evaluate(traj.x)
@@ -829,7 +837,7 @@ class TestBuildGraph:
 
     def test_costs_of_two_chains_rejected(self, planar2r):
         # One stack gets one forward-kinematics pass, so one chain.
-        goals = [fg.ChainGoalCost(chain, [1.0, 1.0, 0.0]) for chain in (planar2r, planar_chain([1.0, 1.0]))]
+        goals = [fg.ChainGoalCost(chain, [1.0, 1.0, 0.0]) for chain in (planar2r, planar_arm([1.0, 1.0]))]
         factors = [fg.ConfigurationFactor(fg.FactorKind.GOAL_POSITION, [s], goals[s], 3, 1e-4) for s in (0, 1)]
         with pytest.raises(ValueError, match="one kinematic chain"):
             fg.FactorGraph(factors=tuple(factors), num_states=2, state_dim=4)

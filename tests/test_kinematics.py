@@ -18,7 +18,6 @@ from manipplan.kinematics import (
     geometric_jacobian,
     jacobian_partials,
     load_chain,
-    planar_chain,
     point_jacobian,
 )
 from manipplan.kinematics import TASK_DIMS, _as_config, _cross, _fk_matrices
@@ -30,6 +29,7 @@ from .oracles import (
     jacobian_fd,
     jacobian_partials_fd,
     jacobian_partials_loop,
+    planar_arm,
     point_jacobian_loop,
 )
 
@@ -133,7 +133,7 @@ class TestJacobianPartials:
         # One revolute joint: the position column rotates on a circle of
         # radius equal to the link length, so its derivative has that norm.
         length = 0.7
-        chain = planar_chain([length])
+        chain = planar_arm([length])
         for q in (0.0, 0.4, 2.2):
             jset = jacobian_partials(chain, [q], task_dim=3)
             assert np.linalg.norm(jset.partials[0]) == pytest.approx(length, abs=1e-12)
@@ -478,12 +478,26 @@ class TestModelFiles:
             (None, {"link": 0.7, "offset": [0.0, 0.0, 0.0], "radius": 0.1}, "link must be a whole number, got 0.7"),
             (None, {"link": True, "offset": [0.0, 0.0, 0.0], "radius": 0.1}, "link must be a whole number, got True"),
             (None, {"link": "0", "offset": [0.0, 0.0, 0.0], "radius": 0.1}, "link must be a whole number, got '0'"),
+            (None, {"link": 0, "offset": [0.0, 0.0], "radius": 0.1}, r"body_spheres\[0\]: sphere offset must be 3"),
+            (None, [0, [0.0, 0.0, 0.0], 0.1], r"body_spheres\[0\] must be an object with fields 'link', 'offset'"),
         ],
-        ids=["dh-alpha", "sphere-link", "sphere-offset", "sphere-radius", "link-fraction", "link-bool", "link-string"],
+        ids=[
+            "dh-alpha",
+            "sphere-link",
+            "sphere-offset",
+            "sphere-radius",
+            "link-fraction",
+            "link-bool",
+            "link-string",
+            "offset-length",
+            "sphere-not-object",
+        ],
     )
     def test_missing_field_raises_model_error(self, dh, sphere, message, tmp_path):
-        # A body sphere used to raise a bare KeyError, and a fractional or
-        # boolean link was truncated by int() to a link index.
+        # A body sphere used to raise a bare KeyError, a fractional or
+        # boolean link was truncated by int() to a link index, and a short
+        # offset or a row that is not an object raised a ValueError or
+        # TypeError that named no field.
         spec = {"name": "broken", "dh": [dh or {"a": 1.0, "alpha": 0.0, "d": 0.0}] * 2}
         if sphere is not None:
             spec["body_spheres"] = [sphere]

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from manipplan.kinematics import geometric_jacobian, load_chain, planar_chain
+from manipplan.kinematics import geometric_jacobian, load_chain
 from manipplan.manipulability import (
     LAMBDA_FLOOR,
     SIGMA_MIN,
     Classification,
     SingularityCostParams,
     classify_configuration,
-    ellipsoid,
     estimate_lambda_max,
     likelihood,
     manipulability,
@@ -22,7 +21,7 @@ from manipplan.manipulability import (
     singularity_cost_value,
 )
 
-from .oracles import lambda_max_loop, manipulability_fd, singularity_gradient_mp
+from .oracles import lambda_max_loop, manipulability_fd, planar_arm, singularity_gradient_mp
 
 # The module itself: the package attribute of the same name is the function.
 manip_module = importlib.import_module("manipplan.manipulability")
@@ -115,35 +114,6 @@ class TestEstimateLambdaMax:
         assert estimate_lambda_max(ur10, num_samples=0) == 0.0
 
 
-class TestEllipsoid:
-    def test_diagonal_jacobian(self):
-        ell = ellipsoid(np.diag([3.0, 2.0, 1.0]))
-        np.testing.assert_allclose(ell.singular_values, [3.0, 2.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(ell.axes), np.eye(3), atol=1e-14)
-        assert ell.volume_measure == pytest.approx(6.0, rel=1e-12)
-
-    def test_rank_deficient_axis_degenerates(self, rng):
-        jac = np.outer(rng.standard_normal(3), rng.standard_normal(4))
-        ell = ellipsoid(jac)
-        assert ell.singular_values[-1] == pytest.approx(0.0, abs=1e-12)
-        assert ell.volume_measure == pytest.approx(0.0, abs=1e-12)
-
-    def test_svd_reconstruction(self, rng):
-        for _ in range(20):
-            jac = rng.standard_normal((3, 6))
-            ell = ellipsoid(jac)
-            # Recover the right factor from U and sigma; the reconstruction
-            # must reproduce J and the axes must be orthonormal.
-            vt = (ell.axes / ell.singular_values).T @ jac
-            np.testing.assert_allclose(ell.axes @ np.diag(ell.singular_values) @ vt, jac, atol=1e-10)
-            np.testing.assert_allclose(vt @ vt.T, np.eye(3), atol=1e-10)
-            np.testing.assert_allclose(ell.axes.T @ ell.axes, np.eye(3), atol=1e-9)
-
-    def test_sorted_descending(self, rng):
-        sv = ellipsoid(rng.standard_normal((4, 7))).singular_values
-        assert np.all(np.diff(sv) <= 0.0)
-
-
 class TestManipulabilityGradient:
     def test_planar_stationary_at_right_angle(self, planar2r):
         grad = manipulability_gradient(planar2r, [0.2, np.pi / 2], task_dim=2)
@@ -227,7 +197,7 @@ class TestSingularityCost:
 
     @pytest.mark.parametrize("name, task_dim", [("ur10", 6), ("ur10", 3), ("ur10", 2), ("planar2r", 2)])
     def test_value_equals_full_cost_bit_for_bit(self, name, task_dim, rng):
-        chain = load_chain("ur10") if name == "ur10" else planar_chain([1.0, 1.0])
+        chain = load_chain("ur10") if name == "ur10" else planar_arm([1.0, 1.0])
         params = SingularityCostParams(lambda_max=4.0, sigma_sbar=1e-4)
         configs = rng.uniform(-np.pi, np.pi, (2000, chain.n))
         configs[:200, 1:] = rng.uniform(0.0, 2e-3, (200, chain.n - 1))  # near-singular rows
@@ -238,7 +208,7 @@ class TestSingularityCost:
 
     @pytest.mark.parametrize("name, task_dim", [("ur10", 6), ("ur10", 3), ("planar2r", 2)])
     def test_stack_equals_per_configuration_calls_bit_for_bit(self, name, task_dim, rng):
-        chain = load_chain("ur10") if name == "ur10" else planar_chain([1.0, 1.0])
+        chain = load_chain("ur10") if name == "ur10" else planar_arm([1.0, 1.0])
         params = SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4)
         configs = rng.uniform(-np.pi, np.pi, (46, chain.n))
         configs[:10, 1:] = rng.uniform(0.0, 2e-3, (10, chain.n - 1))  # near-singular rows
@@ -257,12 +227,17 @@ class TestSingularityCost:
         np.testing.assert_array_equal(gradient.values, [manipulability_gradient(chain, q, task_dim).values for q in configs])
 
     def test_params_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4, near_singular_threshold=2.0)
-        with pytest.raises(ValueError):
-            SingularityCostParams(lambda_max=-1.0, sigma_sbar=1e-4)
+        # The near-singular threshold, 1% of lambda_max, must exceed LAMBDA_FLOOR.
+        for lambda_max in (-1.0, 0.0, 50 * LAMBDA_FLOOR, math.inf, math.nan):
+            with pytest.raises(ValueError, match="exceed 100 \\* LAMBDA_FLOOR"):
+                SingularityCostParams(lambda_max=lambda_max, sigma_sbar=1e-4)
         with pytest.raises(ValueError):
             SingularityCostParams(lambda_max=1.0, sigma_sbar=0.0)
+
+    def test_threshold_is_one_percent_of_lambda_max(self):
+        assert SingularityCostParams(lambda_max=2.0, sigma_sbar=1e-4).near_singular_threshold == 0.02
+        with pytest.raises(TypeError):
+            SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4, near_singular_threshold=0.5)
 
 
 class TestClassifier:

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import importlib
 import io
 import json
 import math
+import pkgutil
 import sys
 
 import jsonschema
@@ -10,13 +12,14 @@ import numpy as np
 import pytest
 from jsonschema import ValidationError
 
+import manipplan
 from manipplan import cli
 from manipplan import factor_graph as fg
 from manipplan import gp_prior as gp
 from manipplan import kinematics
 from manipplan import scenario as sc
 from manipplan.kinematics import forward_kinematics, geometric_jacobian, load_chain
-from manipplan.manipulability import ellipsoid, manipulability
+from manipplan.manipulability import manipulability
 from manipplan.scenario import (
     BoxObstacle,
     Scenario,
@@ -133,20 +136,22 @@ class TestScenarioLoading:
         with pytest.raises(ValueError):
             scenario.load_chain()
 
+    @pytest.mark.parametrize("robot", ["robot.json", "models/robot"])
     @pytest.mark.parametrize("model_dir", ["scenario_dir", "cwd"])
-    def test_robot_path_resolved_relative_to_scenario_file(self, model_dir, tmp_path, monkeypatch):
-        # A model in the current directory alone used to be read from there.
-        model = json.loads((builtin_scenario_path("planar2r_analytic").parent.parent / "models" / "planar2r.json").read_text())
-        (tmp_path / model_dir).mkdir()
-        (tmp_path / model_dir / "robot.json").write_text(json.dumps(model))
+    def test_robot_path_resolved_relative_to_scenario_file(self, model_dir, robot, tmp_path, monkeypatch):
+        # A model in the current directory alone used to be read from there,
+        # and a path with no suffix was never resolved against the scenario's.
+        model = json.loads(kinematics.builtin_model_path("planar2r").read_text())
+        (tmp_path / model_dir / robot).parent.mkdir(parents=True)
+        (tmp_path / model_dir / robot).write_text(json.dumps(model))
         data = json.loads(builtin_scenario_path("planar2r_analytic").read_text())
-        data["robot"] = "robot.json"
+        data["robot"] = robot
         scenario_path = tmp_path / "scenario_dir" / "scenario.json"
         scenario_path.parent.mkdir(exist_ok=True)
         scenario_path.write_text(json.dumps(data))
         monkeypatch.chdir(tmp_path / "cwd" if model_dir == "cwd" else tmp_path)
         scenario = load_scenario(scenario_path)
-        assert scenario.robot == str(scenario_path.parent / "robot.json")
+        assert scenario.robot == str(scenario_path.parent / robot)
         if model_dir == "scenario_dir":
             assert scenario.load_chain().n == 2
         else:
@@ -178,7 +183,7 @@ class TestScenarioLoading:
         assert solver.keys() == solver_defaults.keys()
         for key, spec in solver.items():
             pinned[f"solver.{key}"] = (spec["default"], solver_defaults[key])
-        assert len(pinned) == 17
+        assert len(pinned) == 15
         for key, (documented, default) in pinned.items():
             if isinstance(default, tuple):
                 default = list(default)
@@ -388,24 +393,33 @@ class TestStackedProfile:
         scenario = load_scenario("ur10_table")
         chain = scenario.load_chain()
         trajectory = wandering_trajectory(scenario, rng)
-        for fn in (forward_kinematics, gp.interpolate, ellipsoid):
+        for fn in (forward_kinematics, gp.interpolate):
             forbid_calls(monkeypatch, fn)
-        passes = []
-        fk_matrices = kinematics._fk_matrices
+        passes, svds = [], []
+        fk_matrices, svd = kinematics._fk_matrices, np.linalg.svd
 
         def counted(chain, q):
             passes.append(q.shape)
             return fk_matrices(chain, q)
 
+        def counted_svd(a, *args, **kwargs):
+            svds.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
         monkeypatch.setattr(kinematics, "_fk_matrices", counted)
         monkeypatch.setattr(sc, "_fk_matrices", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
         for n_interp in (1, 6):
             passes.clear()
+            svds.clear()
             run = sc._finalize_run(dataclasses.replace(scenario, n_interp=n_interp), trajectory, None, tmp_path)
             assert (tmp_path / "lambda_profile.csv").is_file()
-            # One stacked pass per profile (Jacobian, end-effector, spheres), whatever the sample count.
+            # One stacked pass per profile (Jacobian, end-effector, spheres)
+            # and one stacked SVD, whatever the sample count.
             factor_rows, dense_rows = run.factor_profile.times.shape[0], run.dense_profile.times.shape[0]
             assert sorted(passes) == sorted([(factor_rows, chain.n), (dense_rows, chain.n)])
+            jacobian_shape = (scenario.task_dim, chain.n)
+            assert sorted(svds) == sorted([(factor_rows, *jacobian_shape), (dense_rows, *jacobian_shape)])
 
     def test_non_finite_state_rejected_once_on_the_stack(self):
         trajectory = gp.init_trajectory(np.zeros(2), 1.0, 3)
@@ -450,6 +464,32 @@ class TestCli:
         assert cli.main(["validate", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("INVALID: ") and reason in err
+
+    @pytest.mark.parametrize("key", ["sigma_goal", "sigma_start"])
+    def test_validate_rejects_the_removed_covariance_settings(self, key, tmp_path, capsys):
+        # The start and goal covariances are the constants of build_graph.
+        data = json.loads(builtin_scenario_path("ur10_table").read_text())
+        data[key] = 1e-8
+        bad = tmp_path / "removed_covariance.json"
+        bad.write_text(json.dumps(data))
+        assert cli.main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("INVALID: ") and f"'{key}' was unexpected" in err
+
+    def test_builtin_names_are_not_shadowed_by_files_in_the_current_directory(self, tmp_path, capsys, monkeypatch):
+        # A decoy file named like a built-in model or scenario used to be read instead of it.
+        model = json.loads(kinematics.builtin_model_path("planar2r").read_text())
+        (tmp_path / "planar2r").write_text(json.dumps(model | {"name": "from_cwd"}))
+        data = json.loads(builtin_scenario_path("planar2r_analytic").read_text())
+        (tmp_path / "ur10_table").write_text(json.dumps(data | {"name": "from_cwd"}))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["validate", "planar2r_analytic"]) == 0
+        assert "robot 'planar2r'" in capsys.readouterr().out
+        assert cli.main(["validate", "ur10_table"]) == 0
+        assert "scenario 'ur10_table'" in capsys.readouterr().out
+        # A path with a directory still reads the file.
+        assert load_chain("./planar2r").name == "from_cwd"
+        assert load_scenario("./ur10_table").name == "from_cwd"
 
     def test_naming_the_solver_plans_bit_for_bit_like_leaving_it_out(self, tmp_path):
         data = json.loads(builtin_scenario_path("planar2r_analytic").read_text())
@@ -635,3 +675,14 @@ class TestCli:
         scenario_path.write_text(json.dumps(data))
         code = cli.main(["plan", str(scenario_path), "--out", str(tmp_path / "out")])
         assert code == 1
+
+
+def test_every_public_name_resolves():
+    # Each module's __all__ lists only names it defines; cli has none.
+    names = [info.name for info in pkgutil.iter_modules(manipplan.__path__)]
+    assert len(names) == 7
+    for name in names:
+        module = importlib.import_module(f"manipplan.{name}")
+        listed = getattr(module, "__all__", [])
+        assert name == "cli" or listed, name
+        assert [entry for entry in listed if not hasattr(module, entry)] == [], name
