@@ -2,7 +2,7 @@
 manipulators, solved as MAP inference over a Gaussian-process trajectory
 prior on a factor graph."""
 
-from .collision import BoxObstacle, CollisionParams, WorkspaceSdf, build_workspace_sdf, hinge_cost, sdf_query
+from .collision import BoxObstacle, WorkspaceSdf, build_workspace_sdf, hinge_cost, sdf_query
 from .factor_graph import (
     FactorGraph,
     FactorKind,

@@ -7,6 +7,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from jsonschema.exceptions import ValidationError
+
 from .scenario import (
     GOAL_TOLERANCE,
     Scenario,
@@ -107,8 +109,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         loaded = _load(args)
-    except Exception as exc:  # jsonschema/model/value errors all end up here
-        print(f"INVALID: {exc}", file=sys.stderr)
+    except Exception as exc:  # schema, model and value errors, one line each
+        # A schema error's str() appends the schema and the instance.
+        message = f"{exc.json_path}: {exc.message}" if isinstance(exc, ValidationError) else exc
+        print(f"INVALID: {message}", file=sys.stderr)
         return 2
     return args.func(*loaded)
 

@@ -17,7 +17,6 @@ __all__ = [
     "BOX_COORDINATE_LIMIT",
     "BoxObstacle",
     "WorkspaceSdf",
-    "CollisionParams",
     "SdfQuery",
     "sdf_query",
     "hinge_cost",
@@ -65,20 +64,6 @@ def build_workspace_sdf(boxes: Sequence[BoxObstacle]) -> WorkspaceSdf:
     if not boxes:
         raise ValueError("need at least one obstacle box")
     return WorkspaceSdf(np.array([box.center for box in boxes]), np.array([box.half_extents for box in boxes]))
-
-
-@dataclass(frozen=True)
-class CollisionParams:
-    """Safety margin epsilon (meters) and residual variance sigma_obs."""
-
-    epsilon: float
-    sigma_obs: float
-
-    def __post_init__(self) -> None:
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon cannot be negative")
-        if self.sigma_obs <= 0.0:
-            raise ValueError("sigma_obs must be positive")
 
 
 class SdfQuery(NamedTuple):
@@ -163,7 +148,7 @@ def _collision_terms(
     chain: KinematicChain,
     q,
     sdf: WorkspaceSdf,
-    params: CollisionParams,
+    epsilon: float,
     frames: np.ndarray | None = None,
 ) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """The hinge costs of :func:`collision_residual`, and a function that
@@ -174,7 +159,7 @@ def _collision_terms(
     active (configuration, sphere) pairs, inside the margin."""
     frames, centers = _body_sphere_centers(chain, q, frames)
     distances, nearest = _field_distances(sdf, centers.reshape(-1, 3))
-    residual, slopes = hinge_cost(distances.reshape(centers.shape[:-1]) - chain._sphere_radii, params.epsilon)
+    residual, slopes = hinge_cost(distances.reshape(centers.shape[:-1]) - chain._sphere_radii, epsilon)
 
     def jacobian() -> np.ndarray:
         active = slopes != 0.0
@@ -191,17 +176,18 @@ def _collision_terms(
     return residual, jacobian
 
 
-def collision_residual(chain: KinematicChain, q, sdf: WorkspaceSdf, params: CollisionParams) -> tuple[np.ndarray, np.ndarray]:
+def collision_residual(chain: KinematicChain, q, sdf: WorkspaceSdf, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Hinge costs of every body sphere and their joint-space Jacobian:
     shapes (S,) and (S, n), or (K, S) and (K, S, n) for a (K, n) stack of
     configurations.
 
-    Each sphere contributes ``hinge(sdf(center) - radius, epsilon)``; the
-    Jacobian row chains the hinge slope, the field gradient, and the
-    linear Jacobian of the sphere center, formed only for the active
-    spheres (inside the margin; the other rows are zero).
+    Each sphere contributes ``hinge(sdf(center) - radius, epsilon)``, the
+    margin ``epsilon`` in meters; the Jacobian row chains the hinge slope,
+    the field gradient, and the linear Jacobian of the sphere center,
+    formed only for the active spheres (inside the margin; the other rows
+    are zero).
     """
-    residual, jacobian = _collision_terms(chain, q, sdf, params)
+    residual, jacobian = _collision_terms(chain, q, sdf, epsilon)
     return residual, jacobian()
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from . import gp_prior as gp
-from .collision import CollisionParams, WorkspaceSdf, _collision_terms
+from .collision import WorkspaceSdf, _collision_terms
 
 # point_jacobian and singularity_cost are re-exported, not called: perfbench's
 # tracer tests wrap them under this module's name.
@@ -683,7 +683,7 @@ class ChainSingularityCost:
         _check_task_dim(self.task_dim)
 
     def score(self, q: np.ndarray, frames: np.ndarray, jacobians: np.ndarray):
-        jset = JacobianSet(jacobian=jacobians[..., : self.task_dim, :], _frames=frames, _full=jacobians)
+        jset = JacobianSet(jacobian=jacobians[..., : self.task_dim, :], _full=jacobians)
         lam, _, svd = _gram_lambda(jset)
         return _log_ratio(lam, self.params)[:, None], lambda: (-0.5 * _gram_traces(jset, svd))[:, None, :]
 
@@ -691,15 +691,15 @@ class ChainSingularityCost:
 @dataclass(frozen=True)
 class ChainCollisionCost:
     """The hinge collision residuals of the chain's body spheres in
-    ``sdf``, one entry per sphere (see
+    ``sdf`` with margin ``epsilon``, one entry per sphere (see
     :func:`manipplan.collision.collision_residual`)."""
 
     chain: KinematicChain
     sdf: WorkspaceSdf
-    params: CollisionParams
+    epsilon: float
 
     def score(self, q: np.ndarray, frames: np.ndarray, jacobians: np.ndarray):
-        return _collision_terms(self.chain, q, self.sdf, self.params, frames)
+        return _collision_terms(self.chain, q, self.sdf, self.epsilon, frames)
 
 
 @dataclass(frozen=True)
@@ -764,13 +764,12 @@ def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> Facto
         )
 
     if scenario.obstacles:
-        col_params = CollisionParams(epsilon=scenario.epsilon, sigma_obs=scenario.sigma_obs)
         add_cost(
             FactorKind.COLLISION,
             FactorKind.INTERP_COLLISION,
-            ChainCollisionCost(chain, scenario.build_sdf(), col_params),
+            ChainCollisionCost(chain, scenario.build_sdf(), scenario.epsilon),
             len(chain.body_spheres),
-            col_params.sigma_obs,
+            scenario.sigma_obs,
         )
 
     factors.append(

@@ -243,10 +243,6 @@ class SupportTrajectory:
         """The support states as :class:`TrajectoryState` views, built on each access."""
         return tuple(TrajectoryState(row[: self.n], row[self.n :], float(t)) for t, row in zip(self.times, self.x))
 
-    def as_vector(self) -> np.ndarray:
-        """All states as one flat, read-only decision vector."""
-        return self.x.reshape(-1)
-
     def with_vector(self, x: np.ndarray) -> "SupportTrajectory":
         """Same knot times and n_interp, states replaced from a flat vector."""
         return replace(self, x=np.reshape(x, self.x.shape))

@@ -4,8 +4,8 @@ Robots are described by standard (distal) Denavit-Hartenberg parameters:
 the transform of link ``i`` at joint angle ``q`` is
 ``Rz(q + theta_offset) @ Tz(d) @ Tx(a) @ Rx(alpha)``.  Only revolute
 joints are supported.  On top of the plain forward kinematics this module
-provides the geometric Jacobian and its analytic derivative with respect
-to every joint angle, which downstream cost functions need.
+provides the geometric Jacobian and the contraction of its joint-angle
+derivatives, which the singularity cost needs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -46,6 +45,11 @@ class ModelError(ValueError):
     """Invalid robot model or joint configuration."""
 
 
+def _is_number(value) -> bool:
+    """Whether a model-file value is a JSON number: not a bool, not a string."""
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class DhLink:
     """One standard-DH link: ``Rz(q + theta_offset) Tz(d) Tx(a) Rx(alpha)``."""
@@ -59,20 +63,6 @@ class DhLink:
         values = (self.a, self.alpha, self.d, self.theta_offset)
         if not all(math.isfinite(v) for v in values):
             raise ModelError(f"non-finite DH parameter in {values}")
-
-    def transform(self, q: float) -> np.ndarray:
-        """4x4 homogeneous transform of this link at joint angle ``q``."""
-        th = q + self.theta_offset
-        ct, st = math.cos(th), math.sin(th)
-        ca, sa = math.cos(self.alpha), math.sin(self.alpha)
-        return np.array(
-            [
-                [ct, -st * ca, st * sa, self.a * ct],
-                [st, ct * ca, -ct * sa, self.a * st],
-                [0.0, sa, ca, self.d],
-                [0.0, 0.0, 0.0, 1.0],
-            ]
-        )
 
 
 @dataclass(frozen=True)
@@ -145,16 +135,16 @@ class Pose:
 class KinematicChain:
     """Serial manipulator: DH links, base pose, and attached collision spheres.
 
-    ``lambda_max`` optionally caches the robot's manipulability ceiling
-    (see :func:`manipplan.manipulability.estimate_lambda_max`); model
-    files ship it precomputed.
+    ``lambda_max`` caches the robot's manipulability ceiling per task
+    dimension (see :func:`manipplan.manipulability.estimate_lambda_max`);
+    model files ship it precomputed.
     """
 
     links: tuple[DhLink, ...]
     base_pose: Pose = field(default_factory=Pose.identity)
     body_spheres: tuple[BodySphere, ...] = ()
     name: str = ""
-    lambda_max: float | None = None
+    lambda_max: dict[int, float] = field(default_factory=dict)
     # Links as arrays for _fk_matrices: the base matrix, theta offsets (n,)
     # and the factors of every link transform's entries (n, 4, 4).
     _base_matrix: np.ndarray = field(init=False, repr=False, compare=False)
@@ -170,15 +160,18 @@ class KinematicChain:
         object.__setattr__(self, "body_spheres", tuple(self.body_spheres))
         if len(self.links) < 1:
             raise ModelError("chain needs at least one link")
-        if self.lambda_max is not None and not 0.0 < self.lambda_max < math.inf:
-            raise ModelError(f"model lambda_max must be positive and finite, got {self.lambda_max}")
+        for task_dim, value in self.lambda_max.items():
+            if task_dim not in TASK_DIMS:
+                raise ModelError(f"model lambda_max is keyed by task dimension {TASK_DIMS}, got key {task_dim!r}")
+            if not (_is_number(value) and 0.0 < value < math.inf):
+                raise ModelError(f"model lambda_max[{task_dim}] must be a positive finite number, got {value!r}")
         for sphere in self.body_spheres:
             if not 0 <= sphere.link_index < self.n:
                 raise ModelError(f"sphere link index {sphere.link_index} out of range for {self.n} links")
         dh = [(link.a, link.d, math.cos(link.alpha), math.sin(link.alpha)) for link in self.links]
         a, d, ca, sa = np.array(dh).T
         zero, one = np.zeros(self.n), np.ones(self.n)
-        # Negating one factor negates a product exactly: st * (-ca) is DhLink.transform's -st * ca.
+        # Negating one factor negates a product exactly: st * (-ca) is the DH matrix's -st * ca.
         factors = [[one, -ca, sa, a], [one, ca, -sa, a], [zero, sa, ca, d], [zero, zero, zero, one]]
         object.__setattr__(self, "_base_matrix", self.base_pose.as_matrix())
         object.__setattr__(self, "_dh_offsets", np.array([link.theta_offset for link in self.links]))
@@ -197,45 +190,19 @@ class KinematicChain:
 class JacobianSet:
     """Geometric Jacobian together with its joint-angle derivatives.
 
-    ``jacobian`` is the m x n task Jacobian.  ``partials`` is an (n, m, n)
-    array: ``partials[k]`` is the elementwise derivative of ``jacobian``
-    with respect to joint ``k``; it is built on first access.
-    :meth:`contract` pairs a weight matrix with every ``partials[k]``
-    without forming them.  Of a stack of configurations, all carry the
-    stack's leading axis.
+    ``jacobian`` is the m x n task Jacobian.  :meth:`contract` pairs a
+    weight matrix with the derivative of ``jacobian`` with respect to every
+    joint without forming those derivatives.  Of a stack of
+    configurations, both carry the stack's leading axis.
     """
 
     jacobian: np.ndarray
-    # The frames (..., n+1, 4, 4) and the full six-row Jacobian behind ``jacobian``.
-    _frames: np.ndarray = field(repr=False, compare=False)
+    # The full six-row Jacobian behind ``jacobian``.
     _full: np.ndarray = field(repr=False, compare=False)
 
-    @cached_property
-    def partials(self) -> np.ndarray:
-        """Rotating joint k turns every downstream axis (``d z_j / d theta_k
-        = z_k x z_j`` for j > k) and sweeps every downstream point about the
-        joint k axis line; the linear rows follow by the product rule."""
-        frames, jac = self._frames, self._full
-        n = jac.shape[-1]
-        axes = frames[..., :-1, :3, 2]
-        rel = frames[..., -1:, :3, 3] - frames[..., :-1, :3, 3]
-        dpe = np.swapaxes(jac[..., :3, :], -1, -2)  # row k = d p_e / d theta_k
-
-        # Entry [k, j] of each array below is the derivative of column j with
-        # respect to joint k.  Joints j <= k sit upstream of joint k: their
-        # axis and origin do not move, only the end-effector point does.
-        upstream = (np.arange(n) <= np.arange(n)[:, None])[..., None]
-        axes_k, axes_j, rel_j = axes[..., :, None, :], axes[..., None, :, :], rel[..., None, :, :]
-        d_axes = _cross(axes_k, axes_j)
-        d_linear = _cross(d_axes, rel_j) + _cross(axes_j, _cross(axes_k, rel_j))
-        partials = np.empty(jac.shape[:-2] + (n, 6, n))
-        partials[..., :3, :] = np.swapaxes(np.where(upstream, _cross(axes_j, dpe[..., :, None, :]), d_linear), -1, -2)
-        partials[..., 3:, :] = np.swapaxes(np.where(upstream, 0.0, d_axes), -1, -2)
-        return partials[..., : self.jacobian.shape[-2], :]
-
     def contract(self, weights: np.ndarray) -> np.ndarray:
-        """``<weights, partials[k]>`` (the sum of their elementwise
-        products) for every joint k, in O(n) per configuration.
+        """``<weights, d jacobian / d theta_k>`` (the sum of their
+        elementwise products) for every joint k, in O(n) per configuration.
 
         ``weights`` has the shape of ``jacobian``; the result is (..., n).
         Column j's derivative is ``z_k x J_j`` for j > k and ``[z_j x
@@ -368,14 +335,12 @@ def jacobian_partials(chain: KinematicChain, q, task_dim: int = 6) -> JacobianSe
     """Jacobian plus analytic derivatives with respect to each joint.
 
     One FK pass gives the Jacobian; its derivatives (the geometric
-    identities of a revolute chain, see :class:`JacobianSet`) are formed
-    on access to ``partials`` or contracted by ``contract``.  ``q`` may be
-    a (K, n) stack.
+    identities of a revolute chain) are contracted by
+    :meth:`JacobianSet.contract`.  ``q`` may be a (K, n) stack.
     """
     _check_task_dim(task_dim)
-    frames = _frames(chain, q)
-    jac = _end_effector_jacobian(frames)
-    return JacobianSet(jacobian=jac[..., :task_dim, :], _frames=frames, _full=jac)
+    jac = _end_effector_jacobian(_frames(chain, q))
+    return JacobianSet(jacobian=jac[..., :task_dim, :], _full=jac)
 
 
 def point_jacobian(chain: KinematicChain, q, link_index: int, offset) -> tuple[np.ndarray, np.ndarray]:
@@ -416,6 +381,13 @@ def body_sphere_states(chain: KinematicChain, q) -> tuple[np.ndarray, np.ndarray
 # Model files
 # ---------------------------------------------------------------------------
 
+def _numbers(values, where: str) -> list:
+    """Model-file field ``where``, a list of JSON numbers."""
+    if not (isinstance(values, list) and all(map(_is_number, values))):
+        raise ModelError(f"{where} must be a list of numbers, got {values!r}")
+    return values
+
+
 def _link_index(link) -> int:
     """A body sphere's ``link`` as an int: a whole number, not a bool."""
     if isinstance(link, bool) or not (isinstance(link, int) or (isinstance(link, float) and link.is_integer())):
@@ -430,42 +402,54 @@ def _body_sphere(index: int, row) -> BodySphere:
     if not isinstance(row, dict):
         raise ModelError(f"{where} must be an object with fields 'link', 'offset' and 'radius', got {row!r}")
     try:
-        return BodySphere(link_index=_link_index(row["link"]), offset=row["offset"], radius=float(row["radius"]))
+        link, offset, radius = row["link"], row["offset"], row["radius"]
     except KeyError as exc:
         raise ModelError(f"{where}: missing body-sphere field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    offset = _numbers(offset, f"{where}.offset")
+    if not _is_number(radius):
+        raise ModelError(f"{where}.radius must be a number, got {radius!r}")
+    try:
+        return BodySphere(link_index=_link_index(link), offset=offset, radius=float(radius))
+    except ModelError as exc:
         raise ModelError(f"{where}: {exc}") from exc
+
+
+# Model-file lambda_max keys: task dimensions as JSON object keys.
+_TASK_DIM_KEYS = {str(task_dim): task_dim for task_dim in TASK_DIMS}
 
 
 def chain_from_dict(spec: dict) -> KinematicChain:
     """Build a chain from the JSON model schema.
 
     Schema: ``{name, dh: [{a, alpha, d, theta_offset}], base_pose: {rpy,
-    xyz}, body_spheres: [{link, offset, radius}], lambda_max?}``; angles
-    in radians, lengths in meters.
+    xyz}, body_spheres: [{link, offset, radius}], lambda_max?: {task_dim:
+    value}}``; angles in radians, lengths in meters.  Every value is a
+    JSON number, else a ``ModelError`` names its field.
     """
     try:
-        links = tuple(
-            DhLink(
-                a=float(row["a"]),
-                alpha=float(row["alpha"]),
-                d=float(row["d"]),
-                theta_offset=float(row.get("theta_offset", 0.0)),
-            )
-            for row in spec["dh"]
-        )
+        dh = [(row["a"], row["alpha"], row["d"], row.get("theta_offset", 0.0)) for row in spec["dh"]]
     except KeyError as exc:
         raise ModelError(f"model is missing DH field {exc}") from exc
+    for i, values in enumerate(dh):
+        for key, value in zip(("a", "alpha", "d", "theta_offset"), values):
+            if not _is_number(value):
+                raise ModelError(f"dh[{i}].{key} must be a number, got {value!r}")
+    links = tuple(DhLink(*map(float, values)) for values in dh)
     base = spec.get("base_pose", {})
-    base_pose = Pose.from_rpy_xyz(base.get("rpy", (0, 0, 0)), base.get("xyz", (0, 0, 0)))
+    base_pose = Pose.from_rpy_xyz(
+        _numbers(base.get("rpy", [0.0, 0.0, 0.0]), "base_pose.rpy"),
+        _numbers(base.get("xyz", [0.0, 0.0, 0.0]), "base_pose.xyz"),
+    )
     spheres = tuple(_body_sphere(i, row) for i, row in enumerate(spec.get("body_spheres", ())))
-    lam_max = spec.get("lambda_max")
+    cache = spec.get("lambda_max", {})
+    if not isinstance(cache, dict):
+        raise ModelError(f"model lambda_max must be an object keyed by task dimension, got {cache!r}")
     return KinematicChain(
         links=links,
         base_pose=base_pose,
         body_spheres=spheres,
         name=str(spec.get("name", "")),
-        lambda_max=None if lam_max is None else float(lam_max),
+        lambda_max={_TASK_DIM_KEYS.get(key, key): value for key, value in cache.items()},
     )
 
 

@@ -117,13 +117,13 @@ class Scenario:
         return build_workspace_sdf(self.obstacles) if self.obstacles else None
 
     def resolve_lambda_max(self, chain: KinematicChain | None = None) -> float:
-        """Scenario override, else the model-file cache, else a fresh estimate."""
+        """Scenario override, else the model-file cache for the scenario's
+        task dimension, else a fresh estimate."""
         if self.lambda_max is not None:
             return self.lambda_max
         chain = chain or self.load_chain()
-        if chain.lambda_max is not None:
-            return chain.lambda_max
-        return estimate_lambda_max(chain, task_dim=self.task_dim)
+        cached = chain.lambda_max.get(self.task_dim)
+        return estimate_lambda_max(chain, task_dim=self.task_dim) if cached is None else cached
 
 
 def _schema() -> dict:

@@ -47,11 +47,11 @@ def dh_product(dh_rows, q, base=None):
 
 def fk_matrices_loop(chain, q):
     """(n+1, 4, 4) frames of one configuration, composed one
-    ``DhLink.transform`` at a time: the loop reference for batched forward
+    :func:`dh_matrix` at a time: the loop reference for batched forward
     kinematics, with the same arithmetic, so results agree bit for bit."""
     out = [chain.base_pose.as_matrix()]
     for link, qk in zip(chain.links, q):
-        out.append(out[-1] @ link.transform(qk))
+        out.append(out[-1] @ dh_matrix(qk + link.theta_offset, link.d, link.a, link.alpha))
     return np.array(out)
 
 
@@ -125,6 +125,22 @@ def jacobian_partials_loop(chain, q, task_dim):
     return out[:, :task_dim]
 
 
+def partials_from_contract(jset):
+    """(..., n, m, n) Jacobian derivatives ``partials[..., k, i, j] =
+    d J[i, j] / d theta_k``, read off ``JacobianSet.contract`` with one
+    unit weight matrix ``E_ij`` per entry.  Not independent: it lays the
+    production contraction out densely, for checks against
+    :func:`jacobian_partials_loop` and finite differences."""
+    m, n = jset.jacobian.shape[-2:]
+    out = np.empty(jset.jacobian.shape[:-2] + (n, m, n))
+    for i in range(m):
+        for j in range(n):
+            unit = np.zeros(jset.jacobian.shape)
+            unit[..., i, j] = 1.0
+            out[..., :, i, j] = jset.contract(unit)
+    return out
+
+
 def singularity_gradient_mp(chain, q, task_dim, sigma_min, digits=60):
     """Gradient of ``ln(lambda_max / lambda)``, ``-(1/2) Tr(G^-1 (dJ_k J^T
     + J dJ_k^T))`` with ``G = J J^T`` and its eigenvalues clamped at
@@ -167,7 +183,7 @@ def singularity_gradient_mp(chain, q, task_dim, sigma_min, digits=60):
     return out
 
 
-def collision_residual_loop(chain, q, sdf, params):
+def collision_residual_loop(chain, q, sdf, epsilon):
     """Hinge residual and Jacobian one body sphere at a time, from
     :func:`point_jacobian_loop` and single-point ``sdf_query`` lookups."""
     count = len(chain.body_spheres)
@@ -176,19 +192,19 @@ def collision_residual_loop(chain, q, sdf, params):
         center, center_jac = point_jacobian_loop(chain, q, sphere.link_index, sphere.offset)
         query = sdf_query(sdf, center)
         clearance = query.distance - sphere.radius
-        if clearance <= params.epsilon:
-            residual[row] = params.epsilon - clearance
+        if clearance <= epsilon:
+            residual[row] = epsilon - clearance
             jac[row] = -(query.gradient @ center_jac)
     return residual, jac
 
 
-def collision_residual_dense(chain, q, sdf, params):
+def collision_residual_dense(chain, q, sdf, epsilon):
     """Hinge residual and Jacobian from the field's distance and gradient
     (``_field``) and the centre Jacobian at every body sphere, active or
     not; the rows outside the margin are then set to zero."""
     centers, center_jacs = body_sphere_states(chain, q)
     distances, gradients = _field(sdf, centers.reshape(-1, 3))
-    residual, slopes = hinge_cost(distances.reshape(centers.shape[:-1]) - chain._sphere_radii, params.epsilon)
+    residual, slopes = hinge_cost(distances.reshape(centers.shape[:-1]) - chain._sphere_radii, epsilon)
     rows = slopes[..., None] * (gradients.reshape(centers.shape)[..., None, :] @ center_jacs)[..., 0, :]
     return residual, np.where(slopes[..., None] != 0.0, rows, 0.0)
 
@@ -364,7 +380,7 @@ def dense_linearization(graph, trajectory):
     block after another from ``Factor.evaluate`` (never the solver's own
     banded assembly)."""
     dim = graph.state_dim
-    x = trajectory.as_vector().reshape(graph.num_states, dim)
+    x = trajectory.x
     jac = np.zeros((graph.residual_dim, graph.num_states * dim))
     res = np.zeros(graph.residual_dim)
     row = 0

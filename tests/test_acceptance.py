@@ -80,7 +80,7 @@ def test_criterion_1_gradient_matches_finite_differences(ur10_chain, random_ur10
 def test_criterion_2_log_cost_cancellation_identity(ur10_chain, random_ur10_configs):
     from manipplan.manipulability import SingularityCostParams
 
-    params = SingularityCostParams(lambda_max=ur10_chain.lambda_max, sigma_sbar=1e-4)
+    params = SingularityCostParams(lambda_max=ur10_chain.lambda_max[6], sigma_sbar=1e-4)
     worst = 0.0
     for q in random_ur10_configs:
         lam = manipulability(geometric_jacobian(ur10_chain, q, 6))
@@ -159,11 +159,11 @@ def test_criterion_5_solver_sanity(unconstrained_comparison, table_comparison):
     factors.append(fg.StartPriorFactor(state=3, prior=goal_state, sigma=1e-6))
     graph = fg.FactorGraph(factors=tuple(factors), num_states=4, state_dim=4)
     jac, res = dense_linearization(graph, trajectory)
-    closed_form = trajectory.as_vector() + np.linalg.solve(jac.T @ jac, -(jac.T @ res))
+    closed_form = trajectory.x.ravel() + np.linalg.solve(jac.T @ jac, -(jac.T @ res))
     # One undamped step: the normal equations solved with zero damping.
     band, gradient, _ = fg.linearize(graph, trajectory)
     step = fg._solve_normal(band, np.zeros(len(gradient)), gradient)
-    linear_err = float(np.abs(trajectory.as_vector() + step - closed_form).max())
+    linear_err = float(np.abs(trajectory.x.ravel() + step - closed_form).max())
 
     def monotone(run):
         trace = run.report.cost_trace

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from manipplan.collision import (
     BOX_COORDINATE_LIMIT,
     BoxObstacle,
-    CollisionParams,
     build_workspace_sdf,
     collision_residual,
     hinge_cost,
@@ -421,12 +420,11 @@ class TestHinge:
 
 
 class TestCollisionResidual:
-    def params(self):
-        return CollisionParams(epsilon=0.1, sigma_obs=1e-3)
+    EPSILON = 0.1
 
     def test_far_configuration_is_zero(self, ur10, table_sdf):
         q = np.array([np.pi, -np.pi / 2, 0.3, 0.2, 0.1, 0.0])  # arm folded away
-        r, jac = collision_residual(ur10, q, table_sdf, self.params())
+        r, jac = collision_residual(ur10, q, table_sdf, self.EPSILON)
         np.testing.assert_array_equal(r, np.zeros(len(ur10.body_spheres)))
         np.testing.assert_array_equal(jac, np.zeros_like(jac))
 
@@ -435,17 +433,16 @@ class TestCollisionResidual:
         q = np.array([1.0, 1.7, 1.2, 0.0, 0.0, 0.0])
         clear = sphere_clearances(ur10, q, table_sdf)
         assert clear.min() < 0.0  # actually penetrating
-        r, _ = collision_residual(ur10, q, table_sdf, self.params())
-        assert r.max() >= self.params().epsilon
+        r, _ = collision_residual(ur10, q, table_sdf, self.EPSILON)
+        assert r.max() >= self.EPSILON
 
     def test_jacobian_matches_finite_differences_near_contact(self, ur10, table_sdf, rng):
         # Sample configurations with at least one active sphere.
-        params = self.params()
         checked = 0
         worst = 0.0
         while checked < 10:
             q = rng.uniform(-np.pi, np.pi, 6)
-            r, jac = collision_residual(ur10, q, table_sdf, params)
+            r, jac = collision_residual(ur10, q, table_sdf, self.EPSILON)
             if r.max() == 0.0:
                 continue
             checked += 1
@@ -454,8 +451,8 @@ class TestCollisionResidual:
                 qp, qm = q.copy(), q.copy()
                 qp[j] += step
                 qm[j] -= step
-                rp, _ = collision_residual(ur10, qp, table_sdf, params)
-                rm, _ = collision_residual(ur10, qm, table_sdf, params)
+                rp, _ = collision_residual(ur10, qp, table_sdf, self.EPSILON)
+                rm, _ = collision_residual(ur10, qm, table_sdf, self.EPSILON)
                 fd = (rp - rm) / (2 * step)
                 active = (r > 1e-4) & (rp > 0) & (rm > 0)  # stay off the hinge kink
                 worst = max(worst, np.abs(jac[active, j] - fd[active]).max(initial=0.0))
@@ -465,8 +462,8 @@ class TestCollisionResidual:
         active = 0
         for _ in range(40):
             q = rng.uniform(-np.pi, np.pi, 6)
-            r, jac = collision_residual(ur10, q, table_sdf, self.params())
-            ref_r, ref_jac = collision_residual_loop(ur10, q, table_sdf, self.params())
+            r, jac = collision_residual(ur10, q, table_sdf, self.EPSILON)
+            ref_r, ref_jac = collision_residual_loop(ur10, q, table_sdf, self.EPSILON)
             np.testing.assert_array_equal(r, ref_r)
             np.testing.assert_array_equal(jac, ref_jac)
             active += int(np.count_nonzero(r))
@@ -486,7 +483,7 @@ class TestCollisionResidual:
             }
         )
         sdf = box_field([((0.0, -4.0, 0.0), (8.0, 4.0, 8.0))])
-        params = CollisionParams(epsilon=0.125, sigma_obs=1e-3)
+        epsilon = 0.125
         # At q = 0 every value is a dyadic fraction: sphere 0's centre is
         # (0.5, 0.25, 0), its clearance 0.25 - 0.125 is exactly epsilon.
         configs = np.array(
@@ -498,15 +495,15 @@ class TestCollisionResidual:
                 [0.3, 0.2, 0.1],  # none
             ]
         )
-        r, jac = collision_residual(chain, configs, sdf, params)
-        loops = [collision_residual_loop(chain, q, sdf, params) for q in configs]
+        r, jac = collision_residual(chain, configs, sdf, epsilon)
+        loops = [collision_residual_loop(chain, q, sdf, epsilon) for q in configs]
         np.testing.assert_array_equal(r, [r_k for r_k, _ in loops])
         np.testing.assert_array_equal(jac, [jac_k for _, jac_k in loops])
         active = np.any(jac != 0.0, axis=-1)
         assert active.astype(int).tolist() == [[1, 0, 0], [0, 0, 0], [1, 1, 1], [0, 1, 1], [0, 0, 0]]
         assert r[0, 0] == 0.0 and active[0, 0]  # on the margin: zero cost, slope -1
         assert jac[0, 0, 0] != 0.0 and not jac[0, 0, 1:].any()
-        single_r, single_jac = collision_residual(chain, configs[0], sdf, params)
+        single_r, single_jac = collision_residual(chain, configs[0], sdf, epsilon)
         np.testing.assert_array_equal(single_r, loops[0][0])
         np.testing.assert_array_equal(single_jac, loops[0][1])
 
@@ -528,10 +525,10 @@ class TestCollisionResidual:
     )
     def test_active_only_jacobian_equals_the_dense_field_bit_for_bit(self, ur10, rng, shift, epsilon, active):
         boxes = [(np.add(center, shift), half) for center, half in BOXES["three_boxes"] + [(TABLE_CENTER, TABLE_HALF)]]
-        sdf, params = box_field(boxes), CollisionParams(epsilon=epsilon, sigma_obs=1e-3)
+        sdf = box_field(boxes)
         configs = np.array([1.0, 1.7, 1.2, 0.0, 0.0, 0.0]) + rng.uniform(-1.5, 1.5, (40, 6))
-        r, jac = collision_residual(ur10, configs, sdf, params)
-        ref_r, ref_jac = collision_residual_dense(ur10, configs, sdf, params)
+        r, jac = collision_residual(ur10, configs, sdf, epsilon)
+        ref_r, ref_jac = collision_residual_dense(ur10, configs, sdf, epsilon)
         assert r.tobytes() == ref_r.tobytes() and jac.tobytes() == ref_jac.tobytes()
         pairs = np.count_nonzero(r)
         assert {"none": pairs == 0 and not jac.any(), "all": pairs == r.size, "some": 0 < pairs < r.size}[active]
@@ -539,14 +536,14 @@ class TestCollisionResidual:
     def test_stack_equals_per_configuration_calls_bit_for_bit(self, ur10, planar2r, table_sdf, rng):
         # Configurations driven into the tabletop, so many rows are active.
         configs = np.array([1.0, 1.7, 1.2, 0.0, 0.0, 0.0]) + rng.uniform(-0.4, 0.4, (60, 6))
-        r, jac = collision_residual(ur10, configs, table_sdf, self.params())
+        r, jac = collision_residual(ur10, configs, table_sdf, self.EPSILON)
         assert r.shape == (60, len(ur10.body_spheres))
         assert jac.shape == (60, len(ur10.body_spheres), 6)
-        singles = [collision_residual(ur10, q, table_sdf, self.params()) for q in configs]
+        singles = [collision_residual(ur10, q, table_sdf, self.EPSILON) for q in configs]
         np.testing.assert_array_equal(r, [r_k for r_k, _ in singles])
         np.testing.assert_array_equal(jac, [jac_k for _, jac_k in singles])
         assert np.count_nonzero(r) > 60
-        r, jac = collision_residual(planar2r, np.zeros((4, 2)), table_sdf, self.params())
+        r, jac = collision_residual(planar2r, np.zeros((4, 2)), table_sdf, self.EPSILON)
         assert r.shape == (4, 0) and jac.shape == (4, 0, 2)
 
     def test_precomputed_frames_give_the_same_bits(self, ur10, table_sdf, rng):
@@ -554,23 +551,22 @@ class TestCollisionResidual:
         frames = _fk_matrices(ur10, configs)
         clearances = sphere_clearances(ur10, configs, table_sdf)
         np.testing.assert_array_equal(sphere_clearances(ur10, configs, table_sdf, frames), clearances)
-        r = collision_residual(ur10, configs, table_sdf, self.params())[0]
+        r = collision_residual(ur10, configs, table_sdf, self.EPSILON)[0]
         assert np.count_nonzero(r) > 30
 
     def test_chain_without_spheres_gives_empty_rows(self, planar2r, table_sdf):
         q = [0.3, -0.4]
-        r, jac = collision_residual(planar2r, q, table_sdf, self.params())
+        r, jac = collision_residual(planar2r, q, table_sdf, self.EPSILON)
         assert r.shape == (0,)
         assert jac.shape == (0, planar2r.n)
 
     def test_zero_residual_implies_margin_clearance(self, ur10, table_sdf, rng):
-        params = self.params()
         for _ in range(50):
             q = rng.uniform(-np.pi, np.pi, 6)
-            r, _ = collision_residual(ur10, q, table_sdf, params)
+            r, _ = collision_residual(ur10, q, table_sdf, self.EPSILON)
             if r.max() == 0.0:
                 clear = sphere_clearances(ur10, q, table_sdf)
-                assert clear.min() > params.epsilon
+                assert clear.min() > self.EPSILON
 
     def test_clearances_of_a_stack_equal_per_configuration_calls(self, ur10, planar2r, table_sdf, rng):
         configs = rng.uniform(-np.pi, np.pi, (150, 6))
@@ -579,22 +575,16 @@ class TestCollisionResidual:
         np.testing.assert_array_equal(stacked, [sphere_clearances(ur10, q, table_sdf) for q in configs])
         assert sphere_clearances(planar2r, np.zeros((4, 2)), table_sdf).shape == (4, 0)
 
-    def test_params_validated(self):
-        with pytest.raises(ValueError):
-            CollisionParams(epsilon=-0.1, sigma_obs=1e-3)
-        with pytest.raises(ValueError):
-            CollisionParams(epsilon=0.1, sigma_obs=0.0)
 
-
-def residual_fd(chain, q, sdf, params, step=1e-6):
+def residual_fd(chain, q, sdf, epsilon, step=1e-6):
     """Collision residual Jacobian from central differences."""
     cols = []
     for j in range(chain.n):
         qp, qm = q.copy(), q.copy()
         qp[j] += step
         qm[j] -= step
-        rp, _ = collision_residual(chain, qp, sdf, params)
-        rm, _ = collision_residual(chain, qm, sdf, params)
+        rp, _ = collision_residual(chain, qp, sdf, epsilon)
+        rm, _ = collision_residual(chain, qm, sdf, epsilon)
         cols.append((rp - rm) / (2 * step))
     return np.stack(cols, axis=1)
 
@@ -605,12 +595,12 @@ class TestResidualJacobian:
         # where the grid the field replaced was clamped.
         q = np.array([2.45, -1.73, -0.07, -2.07, -1.65, 0.71])
         sdf = box_field([(np.zeros(3), np.full(3, 0.3))])
-        params = CollisionParams(epsilon=2.0, sigma_obs=1e-3)
-        r, jac = collision_residual(ur10, q, sdf, params)
+        epsilon = 2.0
+        r, jac = collision_residual(ur10, q, sdf, epsilon)
         centers, _ = body_sphere_states(ur10, q)
         assert (np.abs(centers).max(axis=1) > 1.2).sum() >= 3 and np.all(r > 0.0)
         assert min(kink_distance(center, [(np.zeros(3), np.full(3, 0.3))]) for center in centers) > 1e-3
-        np.testing.assert_allclose(jac, residual_fd(ur10, q, sdf, params), rtol=0.0, atol=1e-7)
+        np.testing.assert_allclose(jac, residual_fd(ur10, q, sdf, epsilon), rtol=0.0, atol=1e-7)
 
     @given(
         q=st.tuples(*[st.floats(-np.pi, np.pi)] * 6).map(np.array),
@@ -622,10 +612,10 @@ class TestResidualJacobian:
         # Every sphere is active at this margin, so the residual is smooth
         # except where a centre crosses a kink of the field.
         sdf = box_field([(center, half_extents)])
-        params = CollisionParams(epsilon=10.0, sigma_obs=1e-3)
+        epsilon = 10.0
         centers, _ = body_sphere_states(ur10, q)
         checked = np.array([kink_distance(c, [(center, half_extents)]) > 1e-3 for c in centers])
         assume(checked.any())
-        _, jac = collision_residual(ur10, q, sdf, params)
-        fd = residual_fd(ur10, q, sdf, params)
+        _, jac = collision_residual(ur10, q, sdf, epsilon)
+        fd = residual_fd(ur10, q, sdf, epsilon)
         np.testing.assert_allclose(jac[checked], fd[checked], rtol=0.0, atol=1e-7)

@@ -45,11 +45,6 @@ def goal_factor(state, chain, goal, sigma):
     return fg.ConfigurationFactor(fg.FactorKind.GOAL_POSITION, [state], fg.ChainGoalCost(chain, goal), 3, sigma)
 
 
-def state_array(trajectory):
-    """The (N, 2n) support states that Factor.evaluate takes."""
-    return trajectory.as_vector().reshape(trajectory.num_states, -1)
-
-
 def single_state_graph(factors, n):
     # The trajectory container always carries two knots, so toy graphs
     # over "one" state declare both and leave the second unreferenced
@@ -77,7 +72,7 @@ class TestFactorResiduals:
         cost_fn = fg.ChainSingularityCost(planar2r, params, task_dim=2)
         factor = singularity_factor(0, cost_fn, 1e-4)
         traj = one_state_trajectory([0.4, np.pi / 2])
-        r, jac = factor.evaluate(state_array(traj))
+        r, jac = factor.evaluate(traj.x)
         assert abs(r[0, 0]) < 1e-10
         assert jac.shape == (1, 1, 4)
 
@@ -85,7 +80,7 @@ class TestFactorResiduals:
         q = rng.uniform(-np.pi, np.pi, 6)
         goal = forward_kinematics(ur10, q)[-1].position
         factor = goal_factor(0, ur10, goal, 1e-8)
-        r, _ = factor.evaluate(state_array(one_state_trajectory(q)))
+        r, _ = factor.evaluate(one_state_trajectory(q).x)
         np.testing.assert_allclose(r, np.zeros((1, 3)), atol=1e-9)
 
     def test_interpolated_singularity_midpoint_identity(self, planar2r):
@@ -100,8 +95,8 @@ class TestFactorResiduals:
         taus, lam, psi = fg.interpolated_blends(traj.times, 1)
         assert taus.tolist() == [[1.0]] and lam.shape == psi.shape == (1, 1, 2, 2)
         interp = fg.ConfigurationFactor(fg.FactorKind.INTERP_SINGULARITY, [0], cost_fn, 1, 1e-4, (lam, psi))
-        r_plain, jac_plain = plain.evaluate(state_array(traj))
-        r_interp, jac_interp = interp.evaluate(state_array(traj))
+        r_plain, jac_plain = plain.evaluate(traj.x)
+        r_interp, jac_interp = interp.evaluate(traj.x)
         jac_i, jac_j = jac_interp[0, :, :4], jac_interp[0, :, 4:]
         assert r_interp[0, 0] == pytest.approx(r_plain[0, 0], rel=1e-12)
         np.testing.assert_allclose(jac_i[0, :2], 0.5 * jac_plain[0, 0, :2], rtol=1e-12)
@@ -110,7 +105,7 @@ class TestFactorResiduals:
     def test_residual_function_returns_whitened_values(self, planar2r):
         factor = fg.StartPriorFactor(state=0, prior=np.zeros(4), sigma=1e-4)
         traj = one_state_trajectory([0.2, -0.1])
-        r, jac = factor.evaluate(state_array(traj))
+        r, jac = factor.evaluate(traj.x)
         np.testing.assert_allclose(r[0], 100.0 * traj.states[0].as_vector(), rtol=1e-12)
         np.testing.assert_allclose(jac[0], 100.0 * np.eye(4), rtol=1e-12)
 
@@ -165,8 +160,8 @@ class TestOptimize:
     def test_gauss_newton_solves_linear_graph_in_one_step(self):
         graph, traj = self.linear_graph()
         jac, res = dense_linearization(graph, traj)
-        closed_form = traj.as_vector() + np.linalg.solve(jac.T @ jac, -(jac.T @ res))
-        assert np.abs(traj.as_vector() + undamped_step(graph, traj) - closed_form).max() < 1e-10
+        closed_form = traj.x.ravel() + np.linalg.solve(jac.T @ jac, -(jac.T @ res))
+        assert np.abs(traj.x.ravel() + undamped_step(graph, traj) - closed_form).max() < 1e-10
 
     def test_one_joint_sine_map_converges_to_right_angle(self):
         factor = singularity_factor(0, sine_cost, 1e-2)
@@ -252,7 +247,7 @@ class TestOptimize:
         sol_a, rep_a = fg.optimize(graph, init, settings)
         sol_b, rep_b = fg.optimize(graph, init, settings)
         assert rep_a.cost_trace == rep_b.cost_trace
-        np.testing.assert_array_equal(sol_a.as_vector(), sol_b.as_vector())
+        np.testing.assert_array_equal(sol_a.x.ravel(), sol_b.x.ravel())
         assert all(a >= b for a, b in zip(rep_a.cost_trace, rep_a.cost_trace[1:]))
 
     @pytest.mark.parametrize("problem", ["planar2r_analytic", "ur10_table", "steep"])
@@ -332,8 +327,8 @@ class TestOptimize:
         factors.append(fg.StartPriorFactor(state=num - 1, prior=goal_state, sigma=1e-6))
         graph = fg.FactorGraph(factors=tuple(factors), num_states=num, state_dim=4)
         jac, res = dense_linearization(graph, traj)
-        closed_form = traj.as_vector() + np.linalg.solve(jac.T @ jac, -(jac.T @ res))
-        assert np.abs(traj.as_vector() + undamped_step(graph, traj) - closed_form).max() < 1e-8
+        closed_form = traj.x.ravel() + np.linalg.solve(jac.T @ jac, -(jac.T @ res))
+        assert np.abs(traj.x.ravel() + undamped_step(graph, traj) - closed_form).max() < 1e-8
 
     @pytest.mark.parametrize("n_interp", [1, 3])
     def test_linearize_band_matches_dense_oracle(self, n_interp):
@@ -347,12 +342,12 @@ class TestOptimize:
             obstacles=(BoxObstacle(center=[-0.1, 0.0, 0.3], half_extents=[0.2, 0.2, 0.2]),),
         )
         traj = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, n_interp=n_interp)
-        traj = traj.with_vector(traj.as_vector() + 0.05 * np.sin(np.arange(traj.as_vector().size)))
+        traj = traj.with_vector(traj.x.ravel() + 0.05 * np.sin(np.arange(traj.x.size)))
         graph = fg.build_graph(scenario, traj)
         band, gradient, cost = fg.linearize(graph, traj)
         jac, res = dense_linearization(graph, traj)
         (collision,) = [f for f in graph.factors if f.kind is fg.FactorKind.INTERP_COLLISION]
-        assert np.all(np.count_nonzero(collision.evaluate(state_array(traj))[0], axis=1))
+        assert np.all(np.count_nonzero(collision.evaluate(traj.x)[0], axis=1))
         normal = jac.T @ jac
         size = normal.shape[0]
         assert band.shape == (2 * graph.state_dim, size)
@@ -382,7 +377,7 @@ class TestOptimize:
         priors = [fg.StartPriorFactor(state=s, prior=[0.1, 0.0], sigma=1.0) for s in (0, 1)]
         graph = fg.FactorGraph(factors=(singularity_factor(0, steep, 1.0), *priors), num_states=2, state_dim=2)
         solution, report = fg.optimize(graph, init)
-        np.testing.assert_array_equal(solution.as_vector(), init.as_vector())
+        np.testing.assert_array_equal(solution.x.ravel(), init.x.ravel())
         assert report.cost_trace == [0.5]
         # No damping makes the system finite: the solve ends at once.
         assert not report.converged and report.iterations == 1
@@ -498,7 +493,7 @@ class TestOptimize:
         init = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, scenario.n_interp)
         rng = np.random.default_rng(7)
         trajectories = [init] + [
-            init.with_vector(init.as_vector() + rng.normal(0.0, 0.05, init.as_vector().size)) for _ in range(5)
+            init.with_vector(init.x.ravel() + rng.normal(0.0, 0.05, init.x.size)) for _ in range(5)
         ]
         return fg.build_graph(scenario, init), trajectories
 
@@ -525,7 +520,7 @@ class TestOptimize:
             elif isinstance(cost, fg.ChainCollisionCost):
 
                 def evaluate(q):
-                    return collision_residual(cost.chain, q, cost.sdf, cost.params)
+                    return collision_residual(cost.chain, q, cost.sdf, cost.epsilon)
 
             else:
 
@@ -594,7 +589,7 @@ class TestOptimize:
         assert graph._constant_count == (2 if order == "priors_first" else 0)
         rng = np.random.default_rng(5)
         for _ in range(5):
-            traj = init.with_vector(init.as_vector() + rng.normal(0.0, 0.3, init.as_vector().size))
+            traj = init.with_vector(init.x.ravel() + rng.normal(0.0, 0.3, init.x.size))
             expected = linearize_per_factor(graph, graph.score(traj.x))
             assert self.digests(*fg.linearize(graph, traj)) == self.digests(*expected)
 
@@ -629,7 +624,7 @@ class TestOptimize:
             return cost
 
         init = gp.init_trajectory(np.linspace(0.3, -0.4, 6), 3.0, 8)
-        traj = init.with_vector(init.as_vector() + 0.1 * np.sin(np.arange(init.as_vector().size)))
+        traj = init.with_vector(init.x.ravel() + 0.1 * np.sin(np.arange(init.x.size)))
         linearized = []
         for order in ("C", "F"):
             cost = residuals(order)
@@ -831,8 +826,8 @@ class TestBuildGraph:
         kept = [f for f in with_s.factors if f.kind not in singular_kinds]
         assert [f.kind for f in kept] == [f.kind for f in without.factors]
         for a, b in zip(kept, without.factors):
-            r_a, _ = a.evaluate(state_array(traj))
-            r_b, _ = b.evaluate(state_array(traj))
+            r_a, _ = a.evaluate(traj.x)
+            r_b, _ = b.evaluate(traj.x)
             np.testing.assert_array_equal(r_a, r_b)
 
     def test_costs_of_two_chains_rejected(self, planar2r):

@@ -214,7 +214,7 @@ class TestSupportTrajectory:
             SupportTrajectory(times=[0.0, 1.0, bad], x=np.zeros((3, 4)))
         traj = init_trajectory([0.1, 0.2], horizon=1.0, num_states=3)
         for index in (0, 3, 11):
-            x = traj.as_vector().copy()
+            x = traj.x.ravel().copy()
             x[index] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 traj.with_vector(x)
@@ -223,7 +223,7 @@ class TestSupportTrajectory:
         traj = init_trajectory([0.0, 0.0, 0.0], horizon=1.0, num_states=4, n_interp=3)
         x = rng.standard_normal(4 * 6)
         new = traj.with_vector(x)
-        np.testing.assert_allclose(new.as_vector(), x, atol=0)
+        np.testing.assert_allclose(new.x.ravel(), x, atol=0)
         np.testing.assert_array_equal(new.times, traj.times)
         assert new.n_interp == 3
 

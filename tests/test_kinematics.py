@@ -24,11 +24,13 @@ from manipplan.kinematics import TASK_DIMS, _as_config, _cross, _fk_matrices
 
 from .oracles import (
     contract_six_rows,
+    dh_matrix,
     dh_product,
     fk_matrices_loop,
     jacobian_fd,
     jacobian_partials_fd,
     jacobian_partials_loop,
+    partials_from_contract,
     planar_arm,
     point_jacobian_loop,
 )
@@ -83,7 +85,7 @@ class TestForwardKinematics:
         poses = forward_kinematics(ur10, q)
         direct = np.eye(4)
         for k, link in enumerate(ur10.links):
-            direct = direct @ link.transform(q[k])
+            direct = direct @ dh_matrix(q[k] + link.theta_offset, link.d, link.a, link.alpha)
             np.testing.assert_array_equal(poses[k + 1].as_matrix(), direct)
 
     def test_frames_stay_orthonormal(self, ur10, rng):
@@ -129,50 +131,52 @@ class TestGeometricJacobian:
 
 
 class TestJacobianPartials:
+    # The derivatives are read off JacobianSet.contract, the planner's path.
     def test_single_link_partial_norm_is_link_length(self):
         # One revolute joint: the position column rotates on a circle of
         # radius equal to the link length, so its derivative has that norm.
         length = 0.7
         chain = planar_arm([length])
         for q in (0.0, 0.4, 2.2):
-            jset = jacobian_partials(chain, [q], task_dim=3)
-            assert np.linalg.norm(jset.partials[0]) == pytest.approx(length, abs=1e-12)
+            partials = partials_from_contract(jacobian_partials(chain, [q], task_dim=3))
+            assert np.linalg.norm(partials[0]) == pytest.approx(length, abs=1e-12)
 
     def test_structural_zeros_of_angular_rows(self, ur10, rng):
         # The axis of joint j only turns with joints strictly upstream, so
         # the angular rows of column j have zero derivative w.r.t. any
         # joint k >= j; finite differences agree.
         q = rng.uniform(-np.pi, np.pi, 6)
-        jset = jacobian_partials(ur10, q, task_dim=6)
+        partials = partials_from_contract(jacobian_partials(ur10, q, task_dim=6))
         fd = jacobian_partials_fd(ur10, q, 6)
         for k in range(6):
-            np.testing.assert_array_equal(jset.partials[k][3:, : k + 1], np.zeros((3, k + 1)))
+            np.testing.assert_array_equal(partials[k][3:, : k + 1], np.zeros((3, k + 1)))
             assert np.abs(fd[k][3:, : k + 1]).max() < 1e-9
 
     def test_last_joint_cannot_change_ur10_jacobian(self, ur10, rng):
         # The UR-10 end-effector point lies on the final joint axis, so
         # rotating that joint moves nothing the Jacobian can see.
         q = rng.uniform(-np.pi, np.pi, 6)
-        jset = jacobian_partials(ur10, q, task_dim=6)
-        assert np.abs(jset.partials[5]).max() < 1e-12
+        partials = partials_from_contract(jacobian_partials(ur10, q, task_dim=6))
+        assert np.abs(partials[5]).max() < 1e-12
 
     def test_matches_finite_differences_over_random_configs(self, ur10, rng):
         worst = 0.0
         for _ in range(100):
             q = rng.uniform(-np.pi, np.pi, 6)
-            jset = jacobian_partials(ur10, q, task_dim=6)
+            partials = partials_from_contract(jacobian_partials(ur10, q, task_dim=6))
             fd = jacobian_partials_fd(ur10, q, 6, step=1e-6)
-            for analytic, numeric in zip(jset.partials, fd):
+            for analytic, numeric in zip(partials, fd):
                 worst = max(worst, np.abs(analytic - numeric).max())
         assert worst < 1e-4
 
-    def test_equals_loop_reference_bit_for_bit(self, ur10, planar2r, rng):
+    def test_equals_loop_reference(self, ur10, planar2r, rng):
+        # Within rounding: the contraction sums the terms in another order.
         for chain, task_dims in ((ur10, (6, 3, 2)), (planar2r, (3, 2))):
             for _ in range(20):
                 q = rng.uniform(-np.pi, np.pi, chain.n)
                 for task_dim in task_dims:
-                    partials = jacobian_partials(chain, q, task_dim).partials
-                    np.testing.assert_array_equal(partials, jacobian_partials_loop(chain, q, task_dim))
+                    partials = partials_from_contract(jacobian_partials(chain, q, task_dim))
+                    np.testing.assert_allclose(partials, jacobian_partials_loop(chain, q, task_dim), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("task_dim", [2, 3, 6])
     def test_contract_equals_the_six_row_formula_bit_for_bit(self, ur10, planar2r, task_dim, rng):
@@ -297,15 +301,17 @@ class TestStackedConfigurations:
         np.testing.assert_array_equal(jacs, np.array([j for _, j in singles]).reshape(jacs.shape))
 
     @pytest.mark.parametrize("name", ["ur10", "planar2r", "tilted"])
-    def test_partials_and_point_jacobians_of_a_stack_equal_per_configuration_calls(self, name, rng):
+    def test_contractions_and_point_jacobians_of_a_stack_equal_per_configuration_calls(self, name, rng):
         chain = tilted_chain() if name == "tilted" else load_chain(name)
         configs = rng.uniform(-np.pi, np.pi, (120, chain.n))
         for task_dim in (2, 3, 6):
             stacked = jacobian_partials(chain, configs, task_dim)
-            assert stacked.partials.shape == (120, chain.n, task_dim, chain.n)
+            weights = rng.normal(size=stacked.jacobian.shape)
+            contracted = stacked.contract(weights)
+            assert contracted.shape == (120, chain.n)
             singles = [jacobian_partials(chain, q, task_dim) for q in configs]
             np.testing.assert_array_equal(stacked.jacobian, [s.jacobian for s in singles])
-            np.testing.assert_array_equal(stacked.partials, [s.partials for s in singles])
+            np.testing.assert_array_equal(contracted, [s.contract(w) for s, w in zip(singles, weights)])
         offset = np.array([0.05, -0.1, 0.2])
         for link in range(chain.n):
             points, jacs = point_jacobian(chain, configs, link, offset)
@@ -373,10 +379,10 @@ def degenerate_chains(draw):
 
 
 def assert_partials_match_fd(chain, q):
-    jset = jacobian_partials(chain, q, task_dim=6)
+    partials = partials_from_contract(jacobian_partials(chain, q, task_dim=6))
     fd = jacobian_partials_fd(chain, q, 6, step=1e-6)
-    assert jset.partials.shape == (chain.n, 6, chain.n)
-    for analytic, numeric in zip(jset.partials, fd):
+    assert partials.shape == (chain.n, 6, chain.n)
+    for analytic, numeric in zip(partials, fd):
         assert np.abs(analytic - numeric).max() < 1e-4
 
 
@@ -448,7 +454,7 @@ class TestModelFiles:
     def test_builtin_ur10_loads(self, ur10):
         assert ur10.n == 6
         assert ur10.name == "ur10"
-        assert ur10.lambda_max is not None
+        assert ur10.lambda_max == {3: 0.46615604255863863, 6: 0.35605122329376215}
         assert len(ur10.body_spheres) == 14
 
     def test_load_by_path_equals_load_by_name(self):
@@ -469,17 +475,28 @@ class TestModelFiles:
         np.testing.assert_allclose(pose.position, [0.0, 1.0, 0.5], atol=1e-12)
 
     @pytest.mark.parametrize(
-        "dh, sphere, message",
+        "dh, sphere, model, message",
         [
-            ({"a": 1.0}, None, "missing DH field 'alpha'"),
-            (None, {"offset": [0.0, 0.0, 0.0], "radius": 0.1}, "missing body-sphere field 'link'"),
-            (None, {"link": 0, "radius": 0.1}, "missing body-sphere field 'offset'"),
-            (None, {"link": 0, "offset": [0.0, 0.0, 0.0]}, "missing body-sphere field 'radius'"),
-            (None, {"link": 0.7, "offset": [0.0, 0.0, 0.0], "radius": 0.1}, "link must be a whole number, got 0.7"),
-            (None, {"link": True, "offset": [0.0, 0.0, 0.0], "radius": 0.1}, "link must be a whole number, got True"),
-            (None, {"link": "0", "offset": [0.0, 0.0, 0.0], "radius": 0.1}, "link must be a whole number, got '0'"),
-            (None, {"link": 0, "offset": [0.0, 0.0], "radius": 0.1}, r"body_spheres\[0\]: sphere offset must be 3"),
-            (None, [0, [0.0, 0.0, 0.0], 0.1], r"body_spheres\[0\] must be an object with fields 'link', 'offset'"),
+            ({"a": 1.0}, None, None, "missing DH field 'alpha'"),
+            (None, {"offset": [0.0, 0.0, 0.0], "radius": 0.1}, None, "missing body-sphere field 'link'"),
+            (None, {"link": 0, "radius": 0.1}, None, "missing body-sphere field 'offset'"),
+            (None, {"link": 0, "offset": [0.0, 0.0, 0.0]}, None, "missing body-sphere field 'radius'"),
+            (None, {"link": 0.7, "offset": [0.0, 0.0, 0.0], "radius": 0.1}, None, "link must be a whole number, got 0.7"),
+            (None, {"link": True, "offset": [0.0, 0.0, 0.0], "radius": 0.1}, None, "link must be a whole number, got True"),
+            (None, {"link": "0", "offset": [0.0, 0.0, 0.0], "radius": 0.1}, None, "link must be a whole number, got '0'"),
+            (None, {"link": 0, "offset": [0.0, 0.0], "radius": 0.1}, None, r"body_spheres\[0\]: sphere offset must be 3"),
+            (None, [0, [0.0, 0.0, 0.0], 0.1], None, r"body_spheres\[0\] must be an object with fields 'link', 'offset'"),
+            ({"a": "1.0", "alpha": 0.0, "d": 0.0}, None, None, r"dh\[0\]\.a must be a number, got '1.0'"),
+            ({"a": 1.0, "alpha": 0.0, "d": True}, None, None, r"dh\[0\]\.d must be a number, got True"),
+            (None, {"link": 0, "offset": [0.0, 0.0, 0.0], "radius": "0.1"}, None, r"body_spheres\[0\]\.radius must be a number"),
+            (None, {"link": 0, "offset": [0.0, 0.0, 0.0], "radius": [0.1]}, None, r"body_spheres\[0\]\.radius must be a number"),
+            (None, {"link": 0, "offset": ["0", 0, 0], "radius": 0.1}, None, r"body_spheres\[0\]\.offset must be a list of numbers"),
+            (None, None, {"base_pose": {"rpy": [0.0, "0", 0.0]}}, r"base_pose\.rpy must be a list of numbers"),
+            (None, None, {"base_pose": {"xyz": [0.0, 0.0, False]}}, r"base_pose\.xyz must be a list of numbers"),
+            (None, None, {"lambda_max": {"2": "2"}}, r"lambda_max\[2\] must be a positive finite number, got '2'"),
+            (None, None, {"lambda_max": "2"}, "lambda_max must be an object keyed by task dimension"),
+            (None, None, {"lambda_max": 1.0}, "lambda_max must be an object keyed by task dimension"),
+            (None, None, {"lambda_max": {"4": 1.0}}, r"keyed by task dimension \(2, 3, 6\), got key '4'"),
         ],
         ids=[
             "dh-alpha",
@@ -491,14 +508,26 @@ class TestModelFiles:
             "link-string",
             "offset-length",
             "sphere-not-object",
+            "dh-string",
+            "dh-bool",
+            "radius-string",
+            "radius-list",
+            "offset-string",
+            "rpy-string",
+            "xyz-bool",
+            "lambda-max-string",
+            "lambda-max-bare-string",
+            "lambda-max-bare-number",
+            "lambda-max-key",
         ],
     )
-    def test_missing_field_raises_model_error(self, dh, sphere, message, tmp_path):
+    def test_missing_field_raises_model_error(self, dh, sphere, model, message, tmp_path):
         # A body sphere used to raise a bare KeyError, a fractional or
-        # boolean link was truncated by int() to a link index, and a short
+        # boolean link was truncated by int() to a link index, a short
         # offset or a row that is not an object raised a ValueError or
-        # TypeError that named no field.
-        spec = {"name": "broken", "dh": [dh or {"a": 1.0, "alpha": 0.0, "d": 0.0}] * 2}
+        # TypeError that named no field, and float() read strings and
+        # bools as numbers.
+        spec = {"name": "broken", "dh": [dh or {"a": 1.0, "alpha": 0.0, "d": 0.0}] * 2} | (model or {})
         if sphere is not None:
             spec["body_spheres"] = [sphere]
         path = tmp_path / "broken.json"

@@ -102,7 +102,8 @@ class TestManipulabilityMeasure:
 class TestEstimateLambdaMax:
     def test_reproduces_the_shipped_ur10_value(self):
         chain = load_chain("ur10")
-        assert estimate_lambda_max(chain) == 0.35605122329376215 == chain.lambda_max
+        assert estimate_lambda_max(chain) == 0.35605122329376215 == chain.lambda_max[6]
+        assert estimate_lambda_max(chain, task_dim=3) == 0.46615604255863863 == chain.lambda_max[3]
 
     @pytest.mark.parametrize("task_dim", [3, 6])
     def test_chunked_draw_equals_per_sample_loop(self, monkeypatch, ur10, task_dim):
@@ -160,7 +161,7 @@ class TestSingularityCost:
     def test_cancellation_identity_on_ur10(self, ur10, rng):
         # The log-cost Jacobian equals -(1/lambda) * d lambda / dq without
         # ever multiplying by lambda; both paths must agree to 1e-10.
-        params = SingularityCostParams(lambda_max=ur10.lambda_max, sigma_sbar=1e-4)
+        params = SingularityCostParams(lambda_max=ur10.lambda_max[6], sigma_sbar=1e-4)
         checked = 0
         worst = 0.0
         while checked < 100:

@@ -120,6 +120,11 @@ class TestScenarioLoading:
     def test_negative_covariance_rejected(self):
         with pytest.raises(ValueError):
             planar_scenario(sigma_sbar=-1.0)
+        # The collision cost's margin and covariance are checked here alone.
+        with pytest.raises(ValueError, match="sigma_obs"):
+            planar_scenario(sigma_obs=0.0)
+        with pytest.raises(ValueError, match="epsilon"):
+            planar_scenario(epsilon=-0.1)
 
     def test_obstacles_need_body_spheres(self):
         scenario = planar_scenario(obstacles=(BoxObstacle(center=[1.0, 1.0, 0.0], half_extents=[0.1, 0.1, 0.1]),))
@@ -161,8 +166,24 @@ class TestScenarioLoading:
 
     def test_lambda_max_resolution_order(self):
         scenario = planar_scenario(lambda_max=None)
-        assert scenario.resolve_lambda_max() == 1.0  # model-file cache
+        assert scenario.resolve_lambda_max() == 1.0  # model-file cache for task_dim 2
         assert planar_scenario(lambda_max=0.5).resolve_lambda_max() == 0.5
+        # The UR-10 model caches no task_dim 2 ceiling: a fresh estimate.
+        ur10 = Scenario(robot="ur10", start_config=np.zeros(6), goal_position=[0.5, 0.5, 0.5], task_dim=2)
+        assert ur10.resolve_lambda_max() == sc.estimate_lambda_max(load_chain("ur10"), task_dim=2)
+
+    def test_model_lambda_max_is_read_for_the_task_dimension(self, tmp_path):
+        # The UR-10 model used to cache only the task_dim 6 ceiling, which a
+        # task_dim 3 scenario without a lambda_max of its own then read.
+        data = json.loads(builtin_scenario_path("ur10_table").read_text())
+        shipped = scenario_from_dict(data)
+        del data["lambda_max"]
+        keyed = scenario_from_dict(data)
+        assert keyed.resolve_lambda_max() == shipped.resolve_lambda_max() == 0.46615604255863863
+        run_scenario(shipped, tmp_path / "shipped")
+        run_scenario(keyed, tmp_path / "keyed")
+        for name in ("trajectory.csv", "lambda_profile.csv"):
+            assert (tmp_path / "keyed" / name).read_bytes() == (tmp_path / "shipped" / name).read_bytes()
 
     def test_schema_defaults_match_dataclass_defaults(self):
         # A scenario file that leaves a key out gets the dataclass default,
@@ -335,7 +356,7 @@ def wandering_trajectory(scenario, rng):
     """The scenario's support times with random positions around its start
     and random velocities, so every profile column varies."""
     trajectory = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support)
-    x = trajectory.as_vector() + rng.uniform(-0.6, 0.6, trajectory.as_vector().shape)
+    x = trajectory.x.ravel() + rng.uniform(-0.6, 0.6, trajectory.x.size)
     return trajectory.with_vector(x)
 
 
@@ -423,7 +444,7 @@ class TestStackedProfile:
 
     def test_non_finite_state_rejected_once_on_the_stack(self):
         trajectory = gp.init_trajectory(np.zeros(2), 1.0, 3)
-        x = trajectory.as_vector().copy()
+        x = trajectory.x.ravel().copy()
         x[5] = 1e308  # a finite velocity whose blends overflow
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
             sc._sampled_states(trajectory.with_vector(x), 4)
@@ -475,6 +496,17 @@ class TestCli:
         assert cli.main(["validate", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("INVALID: ") and f"'{key}' was unexpected" in err
+
+    @pytest.mark.parametrize("change, field", [(None, "'robot'"), ({"horizon": -1}, "$.horizon")], ids=["empty", "horizon"])
+    def test_schema_error_is_one_stderr_line(self, change, field, tmp_path, capsys):
+        # A jsonschema error's str() adds the schema and the instance: 176
+        # lines for {}, 10 for a negative horizon.
+        data = {} if change is None else json.loads(builtin_scenario_path("planar2r_analytic").read_text()) | change
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert cli.main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("INVALID: ") and field in err
 
     def test_builtin_names_are_not_shadowed_by_files_in_the_current_directory(self, tmp_path, capsys, monkeypatch):
         # A decoy file named like a built-in model or scenario used to be read instead of it.
@@ -625,9 +657,9 @@ class TestCli:
             (("body_spheres", 0, "radius"), math.nan),
             (("body_spheres", 0, "radius"), math.inf),
             (("body_spheres", 0, "offset", 1), math.nan),
-            (("lambda_max",), 0.0),
-            (("lambda_max",), math.nan),
-            (("lambda_max",), math.inf),
+            (("lambda_max", "6"), 0.0),
+            (("lambda_max", "6"), math.nan),
+            (("lambda_max", "6"), math.inf),
         ],
         ids=lambda item: ".".join(map(str, item)) if isinstance(item, tuple) else str(item),
     )
