@@ -13,7 +13,6 @@ from .factor_graph import (
     total_cost,
 )
 from .gp_prior import (
-    GpPriorParams,
     SupportTrajectory,
     TrajectoryState,
     gp_prior_error,

@@ -145,24 +145,25 @@ class StartPriorFactor(Factor):
 
 @dataclass
 class GpPriorFactor(Factor):
-    """Constant-velocity GP prior ``W (Phi x_i - x_j)`` over every segment
-    between support states at ``times``, linear with Jacobian ``[W~ Phi~, -W~] ⊗ Lc^-1``."""
+    """Constant-velocity GP prior ``W (Phi x_i - x_j)``, ``Qc = qc I_n``, over every segment
+    between support states at ``times``, linear with Jacobian ``[W~ Phi~, -W~] ⊗ I_n/√qc``."""
 
     times: np.ndarray
-    params: gp.GpPriorParams
+    n: int
+    qc: float
 
     def __post_init__(self) -> None:
         self.kind = FactorKind.GP_PRIOR
         self.states = np.arange(len(self.times) - 1)[:, None] + np.arange(2)
-        self.dim = self.params.state_dim
+        self.dim = 2 * self.n
         phi, w = gp.segment_kernels(np.diff(self.times))
         self._kernel = np.concatenate([w @ phi, -w], axis=-1)
-        self._whitening = self.params.whitening
-        self.constant_jacobian = np.kron(self._kernel, self._whitening)
+        self._w = _weight(self.qc)
+        self.constant_jacobian = np.kron(self._kernel, self._w * np.eye(self.n))
 
     def evaluate(self, x):
         halves = x[self.states].reshape(len(self.states), 1, 4, -1)
-        r = gp.blend(self._kernel, halves) @ self._whitening.T
+        r = gp.blend(self._kernel, halves) * self._w
         return r.reshape(len(self.states), -1), self.constant_jacobian
 
 
@@ -733,13 +734,12 @@ def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> Facto
     """
     chain = scenario.load_chain()
     n = chain.n
-    gp_params = gp.GpPriorParams.isotropic(n, scenario.qc_scale)
     num = trajectory.num_states
     times = trajectory.times
 
     factors: list[Factor] = [
         StartPriorFactor(state=0, prior=trajectory.x[0], sigma=SIGMA_START),
-        GpPriorFactor(times=times, params=gp_params),
+        GpPriorFactor(times=times, n=n, qc=scenario.qc_scale),
     ]
     _, lam, psi = interpolated_blends(times, scenario.n_interp)
 

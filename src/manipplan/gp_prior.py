@@ -14,8 +14,8 @@ back-propagate their gradients to the optimized ones.
 
 Both are Kronecker products of 2x2 kernels, ``Phi~ ⊗ I_n`` and ``Q~ ⊗ Qc``
 (Barfoot, Tong & Särkkä, RSS 2014), so ``Qc`` cancels from the blends,
-``Lambda = Lambda~ ⊗ I_n`` and ``Psi = Psi~ ⊗ I_n``, and the whitening is
-``W~ ⊗ Lc^-1`` with ``Qc = Lc Lc^T``: a trajectory is one (N, 2n) array
+``Lambda = Lambda~ ⊗ I_n`` and ``Psi = Psi~ ⊗ I_n``, and with ``Qc = qc I_n``
+the whitening is ``W~ ⊗ I_n/√qc``: a trajectory is one (N, 2n) array
 whose rows the kernels act on as (2, n) position and velocity halves.
 """
 
@@ -28,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "TrajectoryState",
-    "GpPriorParams",
     "SupportTrajectory",
     "GpPriorError",
     "transition",
@@ -64,42 +63,6 @@ class TrajectoryState:
     def as_vector(self) -> np.ndarray:
         """Stacked ``[theta; theta_dot]`` of length 2n."""
         return np.concatenate([self.position, self.velocity])
-
-
-@dataclass(frozen=True)
-class GpPriorParams:
-    """Power-spectral density ``Qc`` (n x n, symmetric positive definite)."""
-
-    qc: np.ndarray
-
-    def __post_init__(self) -> None:
-        qc = np.asarray(self.qc, dtype=float)
-        if qc.ndim != 2 or qc.shape[0] != qc.shape[1]:
-            raise ValueError(f"Qc must be square, got {qc.shape}")
-        if np.abs(qc - qc.T).max() > 1e-12:
-            raise ValueError("Qc must be symmetric")
-        try:
-            np.linalg.cholesky(qc)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("Qc must be positive definite") from exc
-        object.__setattr__(self, "qc", qc)
-
-    @classmethod
-    def isotropic(cls, n: int, scale: float) -> "GpPriorParams":
-        return cls(qc=scale * np.eye(n))
-
-    @property
-    def n(self) -> int:
-        return self.qc.shape[0]
-
-    @property
-    def state_dim(self) -> int:
-        return 2 * self.qc.shape[0]
-
-    @property
-    def whitening(self) -> np.ndarray:
-        """``Lc^-1`` for ``Qc = Lc Lc^T``, the n x n block of every whitening."""
-        return np.linalg.inv(np.linalg.cholesky(self.qc))
 
 
 class GpPriorError(NamedTuple):
@@ -158,35 +121,34 @@ def blend(weights: np.ndarray, halves: np.ndarray) -> np.ndarray:
     return out
 
 
-def whitened_transition(dt: float, params: GpPriorParams) -> tuple[np.ndarray, np.ndarray]:
-    """``Phi(dt)`` and the whitening ``W = W~ ⊗ Lc^-1``, so that ``W^T W = Q(dt)^-1``."""
-    return transition(dt, params.n), np.kron(segment_kernels(dt)[1], params.whitening)
+def whitened_transition(dt: float, n: int, qc: float) -> tuple[np.ndarray, np.ndarray]:
+    """``Phi(dt)`` and the whitening ``W = W~ ⊗ I_n/√qc``, so that ``W^T W = Q(dt)^-1``."""
+    return transition(dt, n), np.kron(segment_kernels(dt)[1], np.eye(n) / np.sqrt(qc))
 
 
-def gp_prior_error(x_i: TrajectoryState, x_j: TrajectoryState, params: GpPriorParams) -> GpPriorError:
+def gp_prior_error(x_i: TrajectoryState, x_j: TrajectoryState, qc: float) -> GpPriorError:
     """Prior residual between consecutive support states.
 
     The residual ``Phi(dt) x_i - x_j`` vanishes exactly on constant
     velocity motion; ``info_sqrt`` whitens it by the square root of
     ``Q(dt)^-1`` so the squared norm is the Mahalanobis distance.
     """
-    phi, info_sqrt = whitened_transition(x_j.time - x_i.time, params)
+    n = len(x_i.position)
+    phi, info_sqrt = whitened_transition(x_j.time - x_i.time, n, qc)
     residual = phi @ x_i.as_vector() - x_j.as_vector()
-    return GpPriorError(residual=residual, jac_i=phi, jac_j=-np.eye(params.state_dim), info_sqrt=info_sqrt)
+    return GpPriorError(residual=residual, jac_i=phi, jac_j=-np.eye(2 * n), info_sqrt=info_sqrt)
 
 
-def interpolation_matrices(
-    t_i: float, t_j: float, tau: float, params: GpPriorParams
-) -> tuple[np.ndarray, np.ndarray]:
+def interpolation_matrices(t_i: float, t_j: float, tau: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Blend matrices ``(Lambda, Psi)`` with ``x_tau = Lambda x_i + Psi x_j``:
     the Kronecker products of :func:`blend_kernels` with ``I_n``."""
     lam, psi = blend_kernels(t_i, t_j, tau)
-    eye = np.eye(params.n)
+    eye = np.eye(n)
     return np.kron(lam, eye), np.kron(psi, eye)
 
 
 def interpolate(
-    x_i: TrajectoryState, x_j: TrajectoryState, tau: float, params: GpPriorParams
+    x_i: TrajectoryState, x_j: TrajectoryState, tau: float
 ) -> tuple[TrajectoryState, np.ndarray, np.ndarray]:
     """Posterior mean state at ``tau`` given the two bracketing support states.
 
@@ -196,7 +158,7 @@ def interpolate(
     lam, psi = blend_kernels(x_i.time, x_j.time, tau)
     halves = np.stack([x_i.position, x_i.velocity, x_j.position, x_j.velocity])
     position, velocity = blend(np.concatenate([lam, psi], axis=-1), halves)
-    return TrajectoryState(position, velocity, tau), *interpolation_matrices(x_i.time, x_j.time, tau, params)
+    return TrajectoryState(position, velocity, tau), *interpolation_matrices(x_i.time, x_j.time, tau, len(x_i.position))
 
 
 @dataclass(frozen=True)

@@ -381,10 +381,12 @@ def body_sphere_states(chain: KinematicChain, q) -> tuple[np.ndarray, np.ndarray
 # Model files
 # ---------------------------------------------------------------------------
 
-def _numbers(values, where: str) -> list:
-    """Model-file field ``where``, a list of JSON numbers."""
+def _numbers(values, where: str, size: int | None = None) -> list:
+    """Model-file field ``where``, a list of JSON numbers, ``size`` of them if given."""
     if not (isinstance(values, list) and all(map(_is_number, values))):
         raise ModelError(f"{where} must be a list of numbers, got {values!r}")
+    if size is not None and len(values) != size:
+        raise ModelError(f"{where} must be {size} numbers, got {values!r}")
     return values
 
 
@@ -426,8 +428,16 @@ def chain_from_dict(spec: dict) -> KinematicChain:
     value}}``; angles in radians, lengths in meters.  Every value is a
     JSON number, else a ``ModelError`` names its field.
     """
+    if not isinstance(spec, dict):
+        raise ModelError(f"model must be an object, got {spec!r}")
+    rows = spec.get("dh")
+    if not (isinstance(rows, list) and rows):
+        raise ModelError(f"dh must be a non-empty list, got {rows!r}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ModelError(f"dh[{i}] must be an object, got {row!r}")
     try:
-        dh = [(row["a"], row["alpha"], row["d"], row.get("theta_offset", 0.0)) for row in spec["dh"]]
+        dh = [(row["a"], row["alpha"], row["d"], row.get("theta_offset", 0.0)) for row in rows]
     except KeyError as exc:
         raise ModelError(f"model is missing DH field {exc}") from exc
     for i, values in enumerate(dh):
@@ -436,11 +446,19 @@ def chain_from_dict(spec: dict) -> KinematicChain:
                 raise ModelError(f"dh[{i}].{key} must be a number, got {value!r}")
     links = tuple(DhLink(*map(float, values)) for values in dh)
     base = spec.get("base_pose", {})
+    if not isinstance(base, dict):
+        raise ModelError(f"base_pose must be an object, got {base!r}")
     base_pose = Pose.from_rpy_xyz(
-        _numbers(base.get("rpy", [0.0, 0.0, 0.0]), "base_pose.rpy"),
-        _numbers(base.get("xyz", [0.0, 0.0, 0.0]), "base_pose.xyz"),
+        _numbers(base.get("rpy", [0.0, 0.0, 0.0]), "base_pose.rpy", 3),
+        _numbers(base.get("xyz", [0.0, 0.0, 0.0]), "base_pose.xyz", 3),
     )
-    spheres = tuple(_body_sphere(i, row) for i, row in enumerate(spec.get("body_spheres", ())))
+    sphere_rows = spec.get("body_spheres", [])
+    if not isinstance(sphere_rows, list):
+        raise ModelError(f"body_spheres must be a list, got {sphere_rows!r}")
+    spheres = tuple(_body_sphere(i, row) for i, row in enumerate(sphere_rows))
+    name = spec.get("name", "")
+    if not isinstance(name, str):
+        raise ModelError(f"name must be a string, got {name!r}")
     cache = spec.get("lambda_max", {})
     if not isinstance(cache, dict):
         raise ModelError(f"model lambda_max must be an object keyed by task dimension, got {cache!r}")
@@ -448,7 +466,7 @@ def chain_from_dict(spec: dict) -> KinematicChain:
         links=links,
         base_pose=base_pose,
         body_spheres=spheres,
-        name=str(spec.get("name", "")),
+        name=name,
         lambda_max={_TASK_DIM_KEYS.get(key, key): value for key, value in cache.items()},
     )
 

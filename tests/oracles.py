@@ -220,7 +220,7 @@ def lambda_max_loop(chain, task_dim, num_samples, seed, joint_range):
     return best
 
 
-def evaluate_profile_loop(chain, task_dim, trajectory, gp_params, per_segment, sdf):
+def evaluate_profile_loop(chain, task_dim, trajectory, per_segment, sdf):
     """Trajectory samples and their diagnostics one sample at a time: each
     interpolated state from ``gp.interpolate``, then one Jacobian, singular
     value decomposition, forward-kinematics pass and clearance lookup per
@@ -235,7 +235,7 @@ def evaluate_profile_loop(chain, task_dim, trajectory, gp_params, per_segment, s
         states.append(knots[i])
         for k in range(1, per_segment + 1):
             tau = knots[i].time + (knots[i + 1].time - knots[i].time) * k / (per_segment + 1)
-            states.append(gp.interpolate(knots[i], knots[i + 1], tau, gp_params)[0])
+            states.append(gp.interpolate(knots[i], knots[i + 1], tau)[0])
     states.append(knots[-1])
     rows = []
     for state in states:
@@ -328,6 +328,11 @@ def wnoa_covariance_inv(dt, qc):
     """Closed-form ``Q(dt)^-1``, the block inverse of the dt-polynomial kernel."""
     qc_inv = np.linalg.inv(qc)
     return np.block([[12.0 / dt**3 * qc_inv, -6.0 / dt**2 * qc_inv], [-6.0 / dt**2 * qc_inv, 4.0 / dt * qc_inv]])
+
+
+def whitening_matrix(qc, n):
+    """``Lc^-1`` for ``qc I_n = Lc Lc^T``, the n x n block of the dense whitening."""
+    return np.linalg.inv(np.linalg.cholesky(qc * np.eye(n)))
 
 
 def dense_blend_matrices(t_i, t_j, tau, qc):

@@ -127,7 +127,6 @@ def test_criterion_3_planar_analytic_oracle():
 def test_criterion_4_gp_interpolation_matches_dense_conditioning():
     rng = np.random.default_rng(11)
     qc = np.array([[1.2, 0.2], [0.2, 0.8]])
-    params = gp.GpPriorParams(qc=qc)
     times = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     values = rng.standard_normal((5, 4))
     worst_dense = 0.0
@@ -135,13 +134,13 @@ def test_criterion_4_gp_interpolation_matches_dense_conditioning():
         expected = dense_gp_conditional_mean(times, values, tau, qc, initial_cov=np.eye(4))
         x_i = gp.TrajectoryState(values[left, :2], values[left, 2:], times[left])
         x_j = gp.TrajectoryState(values[left + 1, :2], values[left + 1, 2:], times[left + 1])
-        x_tau, _, _ = gp.interpolate(x_i, x_j, tau, params)
+        x_tau, _, _ = gp.interpolate(x_i, x_j, tau)
         worst_dense = max(worst_dense, np.abs(x_tau.as_vector() - expected).max())
 
     x_i = gp.TrajectoryState(values[0, :2], values[0, 2:], 0.0)
     x_j = gp.TrajectoryState(values[1, :2], values[1, 2:], 1.0)
-    left_err = np.abs(gp.interpolate(x_i, x_j, 0.0, params)[0].as_vector() - x_i.as_vector()).max()
-    right_err = np.abs(gp.interpolate(x_i, x_j, 1.0, params)[0].as_vector() - x_j.as_vector()).max()
+    left_err = np.abs(gp.interpolate(x_i, x_j, 0.0)[0].as_vector() - x_i.as_vector()).max()
+    right_err = np.abs(gp.interpolate(x_i, x_j, 1.0)[0].as_vector() - x_j.as_vector()).max()
     knot_err = max(left_err, right_err)
     report(
         4,
@@ -151,11 +150,10 @@ def test_criterion_4_gp_interpolation_matches_dense_conditioning():
 
 
 def test_criterion_5_solver_sanity(unconstrained_comparison, table_comparison):
-    params = gp.GpPriorParams.isotropic(2, 2.0)
     trajectory = gp.init_trajectory(np.zeros(2), 3.0, 4)
     goal_state = np.concatenate([[1.0, -0.5], np.zeros(2)])
     factors = [fg.StartPriorFactor(state=0, prior=trajectory.states[0].as_vector(), sigma=1e-6)]
-    factors.append(fg.GpPriorFactor(times=trajectory.times, params=params))
+    factors.append(fg.GpPriorFactor(times=trajectory.times, n=2, qc=2.0))
     factors.append(fg.StartPriorFactor(state=3, prior=goal_state, sigma=1e-6))
     graph = fg.FactorGraph(factors=tuple(factors), num_states=4, state_dim=4)
     jac, res = dense_linearization(graph, trajectory)

@@ -117,9 +117,8 @@ class TestFactorResiduals:
 
 class TestTotalCost:
     def test_stationary_prior_graph_costs_nothing(self):
-        params = gp.GpPriorParams.isotropic(2, 1e3)
         traj = gp.init_trajectory([0.3, -0.7], horizon=5.0, num_states=6)
-        graph = fg.FactorGraph(factors=(fg.GpPriorFactor(times=traj.times, params=params),), num_states=6, state_dim=4)
+        graph = fg.FactorGraph(factors=(fg.GpPriorFactor(times=traj.times, n=2, qc=1e3),), num_states=6, state_dim=4)
         assert fg.total_cost(graph, traj) == 0.0
 
     def test_adding_factors_never_decreases_cost(self, planar2r):
@@ -149,11 +148,10 @@ class TestTotalCost:
 
 class TestOptimize:
     def linear_graph(self):
-        params = gp.GpPriorParams.isotropic(2, 2.0)
         traj = gp.init_trajectory(np.zeros(2), 3.0, 4)
         goal_state = np.concatenate([[1.0, -0.5], np.zeros(2)])
         factors = [fg.StartPriorFactor(state=0, prior=traj.states[0].as_vector(), sigma=1e-6)]
-        factors.append(fg.GpPriorFactor(times=traj.times, params=params))
+        factors.append(fg.GpPriorFactor(times=traj.times, n=2, qc=2.0))
         factors.append(fg.StartPriorFactor(state=3, prior=goal_state, sigma=1e-6))
         return fg.FactorGraph(factors=tuple(factors), num_states=4, state_dim=4), traj
 
@@ -319,11 +317,10 @@ class TestOptimize:
     def test_large_banded_solve_matches_dense_oracle(self):
         # 150 states of dim 4 = 600 variables, solved in one undamped step.
         num = 150
-        params = gp.GpPriorParams.isotropic(2, 2.0)
         traj = gp.init_trajectory(np.zeros(2), float(num - 1), num)
         goal_state = np.concatenate([[1.0, -0.5], np.zeros(2)])
         factors = [fg.StartPriorFactor(state=0, prior=traj.states[0].as_vector(), sigma=1e-6)]
-        factors.append(fg.GpPriorFactor(times=traj.times, params=params))
+        factors.append(fg.GpPriorFactor(times=traj.times, n=2, qc=2.0))
         factors.append(fg.StartPriorFactor(state=num - 1, prior=goal_state, sigma=1e-6))
         graph = fg.FactorGraph(factors=tuple(factors), num_states=num, state_dim=4)
         jac, res = dense_linearization(graph, traj)
@@ -574,14 +571,13 @@ class TestOptimize:
         # Criterion 5's linear graph, with a planar arm's singularity factor
         # before its goal prior at state 3: only a leading run of constant
         # Jacobians is summed at construction.
-        params = gp.GpPriorParams.isotropic(2, 2.0)
         init = gp.init_trajectory([0.3, -0.4], 3.0, 4)
         goal_state = np.concatenate([[1.0, -0.5], np.zeros(2)])
         cost = fg.ChainSingularityCost(planar_arm([1.0, 1.0]), SingularityCostParams(2.0, 1e-2), 2)
         configuration = fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, np.arange(4), cost, 1, 1e-2)
         priors = [
             fg.StartPriorFactor(state=0, prior=init.x[0], sigma=1e-6),
-            fg.GpPriorFactor(times=init.times, params=params),
+            fg.GpPriorFactor(times=init.times, n=2, qc=2.0),
         ]
         leading = [*priors, configuration] if order == "priors_first" else [configuration, *priors]
         factors = (*leading, fg.StartPriorFactor(state=3, prior=goal_state, sigma=1e-6))
@@ -630,7 +626,7 @@ class TestOptimize:
             cost = residuals(order)
             factors = [
                 fg.StartPriorFactor(state=0, prior=traj.x[0], sigma=1e-4),
-                fg.GpPriorFactor(times=traj.times, params=gp.GpPriorParams.isotropic(6, 1.0)),
+                fg.GpPriorFactor(times=traj.times, n=6, qc=1.0),
                 fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, np.arange(8), cost, 22, 0.1),
             ]
             if n_interp:
@@ -690,7 +686,7 @@ class TestOptimize:
         graph = fg.FactorGraph(
             factors=(
                 fg.StartPriorFactor(state=0, prior=traj.x[0], sigma=1e-4),
-                fg.GpPriorFactor(times=traj.times, params=gp.GpPriorParams.isotropic(1, 1.0)),
+                fg.GpPriorFactor(times=traj.times, n=1, qc=1.0),
                 fg.ConfigurationFactor(kind.SINGULARITY, [0, 1, 2], sine_cost, 1, 1e-2),
                 fg.ConfigurationFactor(kind.INTERP_SINGULARITY, [0, 1], sine_cost, 2, 1e-2, (lam, psi)),
                 fg.ConfigurationFactor(kind.GOAL_POSITION, [2], fg.ChainGoalCost(chain, [0.0, 1.0, 0.0]), 3, 1e-4),

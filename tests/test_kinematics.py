@@ -497,6 +497,14 @@ class TestModelFiles:
             (None, None, {"lambda_max": "2"}, "lambda_max must be an object keyed by task dimension"),
             (None, None, {"lambda_max": 1.0}, "lambda_max must be an object keyed by task dimension"),
             (None, None, {"lambda_max": {"4": 1.0}}, r"keyed by task dimension \(2, 3, 6\), got key '4'"),
+            (None, None, {"base_pose": {"xyz": [0, 0]}}, r"base_pose\.xyz must be 3 numbers, got \[0, 0\]"),
+            (None, None, {"base_pose": {"rpy": [0.0, 0.0]}}, r"base_pose\.rpy must be 3 numbers, got \[0\.0, 0\.0\]"),
+            ([1.0, 0.0, 0.0], None, None, r"dh\[0\] must be an object, got \[1\.0, 0\.0, 0\.0\]"),
+            (None, None, {"base_pose": [0.0, 0.0, 0.0]}, r"base_pose must be an object, got \[0\.0, 0\.0, 0\.0\]"),
+            (None, None, {"dh": {"a": 1.0, "alpha": 0.0, "d": 0.0}}, "dh must be a non-empty list, got {'a'"),
+            (None, None, {"dh": []}, r"dh must be a non-empty list, got \[\]"),
+            (None, None, {"name": ["x"]}, r"name must be a string, got \['x'\]"),
+            (None, None, {"body_spheres": 3}, "body_spheres must be a list, got 3"),
         ],
         ids=[
             "dh-alpha",
@@ -519,6 +527,14 @@ class TestModelFiles:
             "lambda-max-bare-string",
             "lambda-max-bare-number",
             "lambda-max-key",
+            "xyz-length",
+            "rpy-length",
+            "dh-row-list",
+            "base-pose-list",
+            "dh-object",
+            "dh-empty",
+            "name-list",
+            "spheres-number",
         ],
     )
     def test_missing_field_raises_model_error(self, dh, sphere, model, message, tmp_path):
@@ -526,13 +542,23 @@ class TestModelFiles:
         # boolean link was truncated by int() to a link index, a short
         # offset or a row that is not an object raised a ValueError or
         # TypeError that named no field, and float() read strings and
-        # bools as numbers.
+        # bools as numbers.  A short base_pose entry, and a dh, DH row,
+        # base_pose or body_spheres of the wrong JSON type, raised errors
+        # that named no field, and a name that is not a string was kept as
+        # its repr.
         spec = {"name": "broken", "dh": [dh or {"a": 1.0, "alpha": 0.0, "d": 0.0}] * 2} | (model or {})
         if sphere is not None:
             spec["body_spheres"] = [sphere]
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(spec))
         with pytest.raises(ModelError, match=message):
+            load_chain(path)
+
+    def test_model_that_is_not_an_object_raises_model_error(self, tmp_path):
+        # It used to raise an AttributeError on spec.get.
+        path = tmp_path / "broken.json"
+        path.write_text("[1.0]")
+        with pytest.raises(ModelError, match=r"model must be an object, got \[1\.0\]"):
             load_chain(path)
 
     def test_whole_float_link_loads(self):

@@ -125,6 +125,9 @@ class TestScenarioLoading:
             planar_scenario(sigma_obs=0.0)
         with pytest.raises(ValueError, match="epsilon"):
             planar_scenario(epsilon=-0.1)
+        # A singular GP prior, Qc = qc_scale * I with qc_scale = 0, is rejected here.
+        with pytest.raises(ValueError, match="qc_scale"):
+            planar_scenario(qc_scale=0.0)
 
     def test_obstacles_need_body_spheres(self):
         scenario = planar_scenario(obstacles=(BoxObstacle(center=[1.0, 1.0, 0.0], half_extents=[0.1, 0.1, 0.1]),))
@@ -398,11 +401,10 @@ class TestStackedProfile:
         scenario = load_scenario(name)
         chain, sdf = scenario.load_chain(), scenario.build_sdf()
         trajectory = wandering_trajectory(scenario, rng)
-        gp_params = gp.GpPriorParams.isotropic(chain.n, scenario.qc_scale)
         profile = sc._evaluate_states(
             chain, scenario.task_dim, *sc._sampled_states(trajectory, per_segment), sdf
         )
-        expected = evaluate_profile_loop(chain, scenario.task_dim, trajectory, gp_params, per_segment, sdf)
+        expected = evaluate_profile_loop(chain, scenario.task_dim, trajectory, per_segment, sdf)
         assert profile.times.shape == ((scenario.num_support - 1) * (per_segment + 1) + 1,)
         for field, reference in zip(PROFILE_FIELDS, expected):
             if reference is None:
