@@ -275,12 +275,15 @@ def forward_kinematics(chain: KinematicChain, q) -> list[Pose]:
     return [Pose(T[:3, :3], T[:3, 3]) for T in frames]
 
 
+# Cyclic component orders (1, 2, 0) and (2, 0, 1) of a 3-vector.
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross products of broadcast 3-vectors along the last axis: NumPy's
-    per-component ``cross`` formula without its argument handling."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    per-component ``cross`` formula, ``a1 b2 - a2 b1`` and its cyclic
+    shifts, as two gathers per operand without its argument handling."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 def _point_jacobians(frames: np.ndarray, points: np.ndarray, links: np.ndarray) -> np.ndarray:
@@ -295,7 +298,9 @@ def _point_jacobians(frames: np.ndarray, points: np.ndarray, links: np.ndarray) 
     n = frames.shape[-3] - 1
     axes, origins = frames[..., None, :-1, :3, 2], frames[..., None, :-1, :3, 3]
     cols = _cross(axes, points[..., :, None, :] - origins)
-    cols[..., np.arange(n) > links[..., None], :] = 0.0
+    past = np.arange(n) > links[..., None]
+    if past.any():  # none for the end effector, on link n - 1
+        cols[..., past, :] = 0.0
     return np.ascontiguousarray(np.swapaxes(cols, -1, -2))
 
 
@@ -362,8 +367,8 @@ def _body_sphere_centers(chain: KinematicChain, q, frames: np.ndarray | None = N
     """Frames (..., n+1, 4, 4) and body-sphere centres (..., S, 3) of a
     configuration (n,) or a stack of them (K, n)."""
     frames = _frames(chain, q, frames)
-    sphere_frames = frames[..., chain._sphere_links + 1, :, :]
-    centers = (sphere_frames[..., :3, :3] @ chain._sphere_offsets[:, :, None])[..., 0] + sphere_frames[..., :3, 3]
+    tops = frames[..., chain._sphere_links + 1, :3, :]  # [R | p] of every sphere's frame
+    centers = np.einsum("...ij,...j->...i", tops[..., :3], chain._sphere_offsets) + tops[..., 3]
     return frames, centers
 
 

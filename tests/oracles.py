@@ -411,11 +411,31 @@ def field_distances_broadcast(sdf, points):
     return distances[np.arange(len(points)), nearest], nearest
 
 
-def _cross3(a, b):
-    """Cross products along the last axis, one component at a time."""
+def cross_per_component(a, b):
+    """Cross products along the last axis, one component at a time: the
+    formula ``kinematics._cross`` must reproduce bit for bit."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def point_jacobians_masked(frames, points, links):
+    """``kinematics._point_jacobians`` with the columns past each point's
+    link always set to zero by a mask, even when the mask is empty: the
+    form the point Jacobians must reproduce bit for bit."""
+    n = frames.shape[-3] - 1
+    axes, origins = frames[..., None, :-1, :3, 2], frames[..., None, :-1, :3, 3]
+    cols = cross_per_component(axes, points[..., :, None, :] - origins)
+    cols[..., np.arange(n) > links[..., None], :] = 0.0
+    return np.swapaxes(cols, -1, -2)
+
+
+def body_sphere_centers_matmul(chain, frames):
+    """Body-sphere centres ``R @ offset + p`` from every sphere's full
+    frame, by ``matmul``: the form the sphere centres must reproduce bit
+    for bit."""
+    sphere_frames = frames[..., chain._sphere_links + 1, :, :]
+    return (sphere_frames[..., :3, :3] @ chain._sphere_offsets[:, :, None])[..., 0] + sphere_frames[..., :3, 3]
 
 
 def contract_six_rows(jset, weights):
@@ -426,10 +446,10 @@ def contract_six_rows(jset, weights):
     w[..., : weights.shape[-2], :] = weights
     w, cols = np.swapaxes(w, -1, -2), np.swapaxes(jset._full, -1, -2)
     lin, axes = cols[..., :3], cols[..., 3:]
-    downstream = _cross3(lin, w[..., :3]) + _cross3(axes, w[..., 3:])
+    downstream = cross_per_component(lin, w[..., :3]) + cross_per_component(axes, w[..., 3:])
     suffix = np.zeros_like(downstream)
     suffix[..., :-1, :] = np.cumsum(downstream[..., :0:-1, :], axis=-2)[..., ::-1, :]
-    prefix = np.cumsum(_cross3(w[..., :3], axes), axis=-2)
+    prefix = np.cumsum(cross_per_component(w[..., :3], axes), axis=-2)
     return np.sum(axes * suffix, axis=-1) + np.sum(lin * prefix, axis=-1)
 
 

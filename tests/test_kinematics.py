@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from manipplan.kinematics import (
     load_chain,
     point_jacobian,
 )
-from manipplan.kinematics import TASK_DIMS, _as_config, _cross, _fk_matrices
+from manipplan.kinematics import TASK_DIMS, _as_config, _body_sphere_centers, _cross, _fk_matrices, _point_jacobians
 
 from .oracles import (
+    body_sphere_centers_matmul,
     contract_six_rows,
+    cross_per_component,
     dh_matrix,
     dh_product,
     fk_matrices_loop,
@@ -33,6 +36,7 @@ from .oracles import (
     partials_from_contract,
     planar_arm,
     point_jacobian_loop,
+    point_jacobians_masked,
 )
 
 # DH rows (a, alpha, d, theta_offset) of the shipped UR-10 model, used to
@@ -357,6 +361,52 @@ class TestCross:
         ours = _cross(a, b)
         assert ours.shape == np.cross(a, b).shape
         np.testing.assert_array_equal(ours, np.cross(a, b))
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [((3,), (3,)), ((5, 3), (3,)), ((4, 1, 3), (6, 3)), ((46, 6, 3), (46, 6, 3)), ((46, 1, 6, 3), (46, 14, 1, 3))],
+    )
+    def test_equals_per_component_formula_bit_for_bit(self, rng, shape_a, shape_b):
+        a = rng.standard_normal(shape_a) * 10.0 ** rng.integers(-8, 8, shape_a)
+        b = rng.standard_normal(shape_b) * 10.0 ** rng.integers(-8, 8, shape_b)
+        np.testing.assert_array_equal(_cross(a, b), cross_per_component(a, b))
+
+
+class TestPointKernels:
+    @pytest.mark.parametrize("name", ["ur10", "planar2r", "tilted"])
+    def test_point_jacobians_equal_the_masked_form_bit_for_bit(self, name, rng):
+        chain = tilted_chain() if name == "tilted" else load_chain(name)
+        frames = _fk_matrices(chain, rng.uniform(-np.pi, np.pi, (46, chain.n)))
+        points = rng.uniform(-1.0, 1.0, (46, chain.n, 3))
+        cases = [
+            (points[:, :1], np.array([chain.n - 1])),  # the end effector's link: no column masked
+            (points[:, :1], np.array([0])),  # every column past the first masked
+            (points, np.arange(chain.n)),  # one point per link
+            (points, rng.integers(0, chain.n, (46, chain.n))),  # one link per point, as the collision pairs pass
+        ]
+        for at, links in cases:
+            expected = point_jacobians_masked(frames, at, links)
+            np.testing.assert_array_equal(_point_jacobians(frames, at, links), expected)
+
+    @pytest.mark.parametrize("name", ["ur10", "tilted"])
+    def test_sphere_centers_equal_the_matmul_form(self, name, rng):
+        # Bit for bit when each offset has one nonzero component (the shipped
+        # models); three nonzero components may round differently in the last
+        # bit, since matmul may fuse the multiply-adds.
+        chain = tilted_chain() if name == "tilted" else load_chain(name)
+        spheres = [replace(s, offset=s.offset * (np.arange(3) == k % 3)) for k, s in enumerate(chain.body_spheres)]
+        one_axis = replace(chain, body_spheres=spheres)
+        for scale in (1e-3, 1.0, 1e3):
+            configs = rng.uniform(-np.pi, np.pi, (200, chain.n)) * scale
+            frames = _fk_matrices(chain, configs)
+            np.testing.assert_array_equal(
+                _body_sphere_centers(one_axis, configs, frames)[1], body_sphere_centers_matmul(one_axis, frames)
+            )
+            np.testing.assert_array_equal(
+                _body_sphere_centers(one_axis, configs[0])[1], body_sphere_centers_matmul(one_axis, frames[0])
+            )
+            centers = _body_sphere_centers(chain, configs, frames)[1]
+            np.testing.assert_allclose(centers, body_sphere_centers_matmul(chain, frames), rtol=0.0, atol=1e-15)
 
 
 # Near-singular UR-10 configurations: shoulder joints anywhere, the other
