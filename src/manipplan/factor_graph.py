@@ -15,9 +15,9 @@ variables.  A graph stacks every configuration its cost factors use once
 kinematics once over that stack, and each cost once over its rows.
 
 An evaluation has two phases: a *score* forms every residual and keeps the
-intermediates the Jacobians need (frames, singular value decompositions,
-the collision pairs inside the margin); the Jacobians are formed from them
-later, and only when the solver asks for them.
+intermediates the Jacobians need (frames, the QR factors of the task
+Jacobians, the collision pairs inside the margin); the Jacobians are
+formed from them later, and only when the solver asks for them.
 
 Because no block spans more than two consecutive states, ``J^T J`` is
 block tridiagonal (the exactly sparse GP structure).  The solver
@@ -685,8 +685,8 @@ class ChainSingularityCost:
 
     def score(self, q: np.ndarray, frames: np.ndarray, jacobians: np.ndarray):
         jset = JacobianSet(jacobian=jacobians[..., : self.task_dim, :], _full=jacobians)
-        lam, _, svd = _gram_lambda(jset)
-        return _log_ratio(lam, self.params)[:, None], lambda: (-0.5 * _gram_traces(jset, svd))[:, None, :]
+        lam, _, qr = _gram_lambda(jset.jacobian)
+        return _log_ratio(lam, self.params)[:, None], lambda: (-0.5 * _gram_traces(jset, qr))[:, None, :]
 
 
 @dataclass(frozen=True)

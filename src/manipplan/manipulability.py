@@ -6,6 +6,9 @@ velocity ellipsoid traced by unit joint rates.  The avoidance cost is the
 log-ratio ``ln(lambda_max / lambda)`` whose Jacobian, conveniently, drops
 the leading ``lambda`` factor of the raw gradient and therefore stays
 well scaled across the orders of magnitude lambda spans on a trajectory.
+The cost takes ``lambda = |prod(diag R)|`` and its gradient from one QR
+``J^T = Q R`` (``J J^T = R^T R``); only :func:`manipulability` takes an
+SVD.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ __all__ = [
     "estimate_lambda_max",
 ]
 
-# Singular values are clamped at SIGMA_MIN inside (J J^T)^-1 and lambda at
-# LAMBDA_FLOOR inside the log, so cost and gradient stay finite at (and
-# can pull away from) exact singularities.
+# The diagonal of R in J^T = Q R is clamped at SIGMA_MIN in magnitude inside
+# (J J^T)^-1 = R^-1 R^-T, and lambda at LAMBDA_FLOOR inside the log, so
+# cost and gradient stay finite at (and can pull away from) exact
+# singularities.
 SIGMA_MIN = 1e-6
 LAMBDA_FLOOR = 1e-9
 
@@ -72,7 +76,7 @@ class SingularityCostParams:
 
 class ManipulabilityGradient(NamedTuple):
     values: np.ndarray  # d lambda / d theta, length n
-    degenerate: bool  # True when singular values were clamped
+    degenerate: bool  # True when a diagonal entry of R was clamped
 
 
 class SingularityCost(NamedTuple):
@@ -107,35 +111,46 @@ def manipulability(J):
     return float(lam) if J.ndim == 2 else lam
 
 
-def _gram_lambda(jset: JacobianSet):
-    """The λ half of :func:`_gram_terms`: ``(lam, degenerate, svd)``, the
-    measure and the degeneracy flag from the SVD ``svd = (U, s, V^T)`` of
-    ``jset.jacobian``, which :func:`_gram_traces` continues from."""
-    u, s, vh = np.linalg.svd(jset.jacobian, full_matrices=False)
-    return np.prod(s, axis=-1), s[..., -1] < SIGMA_MIN, (u, s, vh)
+def _gram_lambda(jacobian: np.ndarray):
+    """The λ half of :func:`_gram_terms`: ``(lam, degenerate, qr)``, the
+    measure ``|prod(diag R)|`` and the degeneracy flag ``min |r_ii| <
+    SIGMA_MIN`` from the reduced QR ``qr = (Q, R)`` of ``jacobian^T``,
+    which :func:`_gram_traces` continues from."""
+    qr = np.linalg.qr(np.swapaxes(jacobian, -1, -2))
+    diagonal = np.abs(np.diagonal(qr[1], axis1=-2, axis2=-1))
+    return np.prod(diagonal, axis=-1), diagonal.min(axis=-1) < SIGMA_MIN, qr
 
 
-def _gram_traces(jset: JacobianSet, svd) -> np.ndarray:
-    """The trace half of :func:`_gram_terms`, from the SVD that
-    :func:`_gram_lambda` took of ``jset.jacobian``."""
-    u, s, vh = svd
-    weights = (u * (s / np.maximum(s, SIGMA_MIN) ** 2)[..., None, :]) @ vh
+def _gram_traces(jset: JacobianSet, qr) -> np.ndarray:
+    """The trace half of :func:`_gram_terms`, from the QR ``J^T = Q R``
+    that :func:`_gram_lambda` took of ``jset.jacobian``: ``W = R'^-1 Q^T``
+    by back substitution over the rows, where ``R'`` is ``R`` with each
+    diagonal entry's magnitude raised to at least ``SIGMA_MIN``.  A sign
+    flip of a column of Q and the matching row of R leaves W unchanged."""
+    q, r = qr
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    diagonal = np.copysign(np.maximum(np.abs(diagonal), SIGMA_MIN), diagonal)
+    q_t = np.swapaxes(q, -1, -2)
+    weights = np.empty_like(q_t)
+    for i in reversed(range(r.shape[-1])):  # W_i = (Q^T_i - sum_{j>i} r_ij W_j) / r'_ii
+        solved = (r[..., i, None, i + 1 :] @ weights[..., i + 1 :, :])[..., 0, :]
+        weights[..., i, :] = (q_t[..., i, :] - solved) / diagonal[..., i, None]
     return 2.0 * jset.contract(weights)
 
 
 def _gram_terms(chain: KinematicChain, q, task_dim: int):
-    """SVD-side quantities shared by the gradient and the log cost.
+    """Factorization-side quantities shared by the gradient and the log cost.
 
     Returns ``(lam, traces, degenerate)`` where ``traces[k]`` is
-    ``Tr((JJ^T)^-1 (dJ_k J^T + J dJ_k^T)) = 2 <W, dJ_k>`` with singular
-    values clamped at ``SIGMA_MIN`` inside the inverse: ``W = (JJ^T)^-1 J
-    = U diag(s / max(s, SIGMA_MIN)^2) V^T`` from the SVD ``J = U S V^T``,
+    ``Tr((JJ^T)^-1 (dJ_k J^T + J dJ_k^T)) = 2 <W, dJ_k>`` with ``W =
+    (JJ^T)^-1 J = R^-1 Q^T`` from the QR ``J^T = Q R`` (``J J^T = R^T
+    R``), each ``|r_ii|`` clamped at ``SIGMA_MIN`` inside the inverse,
     contracted with the Jacobian derivatives in O(n); arrays over a (K, n)
     stack ``q``.
     """
     jset = jacobian_partials(chain, q, task_dim)
-    lam, degenerate, svd = _gram_lambda(jset)
-    traces = _gram_traces(jset, svd)
+    lam, degenerate, qr = _gram_lambda(jset.jacobian)
+    traces = _gram_traces(jset, qr)
     if lam.ndim == 0:
         return float(lam), traces, bool(degenerate)
     return lam, traces, degenerate
@@ -182,10 +197,9 @@ def singularity_cost_value(
 ):
     """The cost of :func:`singularity_cost` without its gradient (skips
     the Jacobian joint derivatives): a float for one configuration, a (K,)
-    array for a (K, n) stack.  ``lambda`` comes from the same SVD call as
-    in :func:`singularity_cost`, so the two costs agree bit for bit."""
-    s = np.linalg.svd(_checked(geometric_jacobian(chain, q, task_dim)), full_matrices=False)[1]
-    return _log_ratio(np.prod(s, axis=-1), params)
+    array for a (K, n) stack.  ``lambda`` comes from the same QR as in
+    :func:`singularity_cost`, so the two costs agree bit for bit."""
+    return _log_ratio(_gram_lambda(_checked(geometric_jacobian(chain, q, task_dim)))[0], params)
 
 
 def classify_configuration(lam: float, params: SingularityCostParams) -> Classification:

@@ -141,45 +141,86 @@ def partials_from_contract(jset):
     return out
 
 
+def _jacobian_mp(chain, q, task_dim, partials=False):
+    """The task Jacobian ``J`` of configuration ``q`` as an ``mpmath``
+    matrix in the working precision, from forward kinematics alone; with
+    ``partials``, also its joint derivatives ``[dJ/dq_k]`` by the product
+    rule."""
+    cross = lambda a, b: [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    frames = [mpmath.matrix(chain.base_pose.as_matrix().tolist())]
+    for link, qk in zip(chain.links, q):
+        th, al = mpmath.mpf(float(qk)) + link.theta_offset, mpmath.mpf(link.alpha)
+        ct, st, ca, sa = mpmath.cos(th), mpmath.sin(th), mpmath.cos(al), mpmath.sin(al)
+        frames.append(
+            frames[-1]
+            * mpmath.matrix([[ct, -st * ca, st * sa, link.a * ct], [st, ct * ca, -ct * sa, link.a * st],
+                             [0, sa, ca, link.d], [0, 0, 0, 1]])
+        )
+    n = chain.n
+    axes = [[frame[i, 2] for i in range(3)] for frame in frames[:-1]]
+    rel = [[frames[-1][i, 3] - frame[i, 3] for i in range(3)] for frame in frames[:-1]]
+    lin = [cross(axes[j], rel[j]) for j in range(n)]
+    jac = mpmath.matrix([[(lin[j] + axes[j])[i] for j in range(n)] for i in range(task_dim)])
+    if not partials:
+        return jac
+    derivatives = []
+    for k in range(n):
+        cols = []
+        for j in range(n):
+            if j <= k:
+                cols.append(cross(axes[j], lin[k]) + [0, 0, 0])
+            else:
+                d_axis = cross(axes[k], axes[j])
+                d_lin = [a + b for a, b in zip(cross(d_axis, rel[j]), cross(axes[j], cross(axes[k], rel[j])))]
+                cols.append(d_lin + d_axis)
+        derivatives.append(mpmath.matrix([[cols[j][i] for j in range(n)] for i in range(task_dim)]))
+    return jac, derivatives
+
+
+def manipulability_mp(chain, q, task_dim, digits=60):
+    """``sqrt(det(J J^T))`` of configuration ``q`` in ``digits``-digit
+    arithmetic, from the Jacobian of :func:`_jacobian_mp`."""
+    with mpmath.workdps(digits):
+        jac = _jacobian_mp(chain, q, task_dim)
+        return float(mpmath.sqrt(mpmath.det(jac * jac.T)))
+
+
 def singularity_gradient_mp(chain, q, task_dim, sigma_min, digits=60):
     """Gradient of ``ln(lambda_max / lambda)``, ``-(1/2) Tr(G^-1 (dJ_k J^T
     + J dJ_k^T))`` with ``G = J J^T`` and its eigenvalues clamped at
-    ``sigma_min^2`` inside the inverse, evaluated in ``digits``-digit
-    arithmetic: forward kinematics, the Jacobian and its derivatives by
-    the product rule, and the eigen-decomposition of ``G``."""
+    ``sigma_min^2`` inside the inverse (the singular values of ``J``
+    clamped at ``sigma_min``), evaluated in ``digits``-digit arithmetic:
+    forward kinematics, the Jacobian and its derivatives by the product
+    rule, and the eigen-decomposition of ``G``."""
     with mpmath.workdps(digits):
-        cross = lambda a, b: [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-        frames = [mpmath.matrix(chain.base_pose.as_matrix().tolist())]
-        for link, qk in zip(chain.links, q):
-            th, al = mpmath.mpf(float(qk)) + link.theta_offset, mpmath.mpf(link.alpha)
-            ct, st, ca, sa = mpmath.cos(th), mpmath.sin(th), mpmath.cos(al), mpmath.sin(al)
-            frames.append(
-                frames[-1]
-                * mpmath.matrix([[ct, -st * ca, st * sa, link.a * ct], [st, ct * ca, -ct * sa, link.a * st],
-                                 [0, sa, ca, link.d], [0, 0, 0, 1]])
-            )
-        n = chain.n
-        axes = [[frame[i, 2] for i in range(3)] for frame in frames[:-1]]
-        rel = [[frames[-1][i, 3] - frame[i, 3] for i in range(3)] for frame in frames[:-1]]
-        lin = [cross(axes[j], rel[j]) for j in range(n)]
-        jac = mpmath.matrix([[(lin[j] + axes[j])[i] for j in range(n)] for i in range(task_dim)])
+        jac, partials = _jacobian_mp(chain, q, task_dim, partials=True)
         evals, evecs = mpmath.eigsy(jac * jac.T)
         clamped = mpmath.diag([1 / max(e, mpmath.mpf(sigma_min) ** 2) for e in evals])
         inv_gram = evecs * clamped * evecs.T
-        out = np.empty(n)
-        for k in range(n):
-            cols = []
-            for j in range(n):
-                if j <= k:
-                    cols.append(cross(axes[j], lin[k]) + [0, 0, 0])
-                else:
-                    d_axis = cross(axes[k], axes[j])
-                    d_lin = [a + b for a, b in zip(cross(d_axis, rel[j]), cross(axes[j], cross(axes[k], rel[j])))]
-                    cols.append(d_lin + d_axis)
-            d_jac = mpmath.matrix([[cols[j][i] for j in range(n)] for i in range(task_dim)])
+        out = np.empty(chain.n)
+        for k, d_jac in enumerate(partials):
             sym = d_jac * jac.T
             product = inv_gram * (sym + sym.T)
             out[k] = float(-sum(product[i, i] for i in range(task_dim)) / 2)
+    return out
+
+
+def singularity_gradient_qr_mp(chain, q, task_dim, sigma_min, digits=60):
+    """Gradient of ``ln(lambda_max / lambda)``, ``-<W, dJ_k>`` with ``W =
+    R'^-1 Q^T`` from the QR ``J^T = Q R`` in ``digits``-digit arithmetic
+    (``mpmath.qr``), where ``R'`` is ``R`` with each diagonal entry's
+    magnitude raised to at least ``sigma_min``.  Without a raised entry
+    ``W = (J J^T)^-1 J``, and this equals :func:`singularity_gradient_mp`."""
+    with mpmath.workdps(digits):
+        jac, partials = _jacobian_mp(chain, q, task_dim, partials=True)
+        q_factor, r_factor = mpmath.qr(jac.T, mode="skinny")
+        for i in range(task_dim):
+            r = r_factor[i, i]
+            r_factor[i, i] = max(abs(r), mpmath.mpf(sigma_min)) * (-1 if r < 0 else 1)
+        weights = mpmath.inverse(r_factor) * q_factor.T
+        out = np.empty(chain.n)
+        for k, d_jac in enumerate(partials):
+            out[k] = float(-sum(weights[i, j] * d_jac[i, j] for i in range(task_dim) for j in range(chain.n)))
     return out
 
 

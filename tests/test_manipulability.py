@@ -21,10 +21,26 @@ from manipplan.manipulability import (
     singularity_cost_value,
 )
 
-from .oracles import lambda_max_loop, manipulability_fd, planar_arm, singularity_gradient_mp
+from .oracles import (
+    lambda_max_loop,
+    manipulability_fd,
+    manipulability_mp,
+    planar_arm,
+    singularity_gradient_mp,
+    singularity_gradient_qr_mp,
+)
 
 # The module itself: the package attribute of the same name is the function.
 manip_module = importlib.import_module("manipplan.manipulability")
+
+
+# A configuration at which the UR-10's position (3-row) Jacobian is
+# singular, found by minimizing its smallest singular value (lambda about
+# 4e-18 there), and a wrist singularity of the full twist (joint 5 at zero).
+UR10_POSITION_SINGULAR = [
+    0.2901564873239588, 3.0996420952210917, -2.991168764453745, -0.48484382157791983, -2.5248033773426057e-17, 2.930871062822196
+]
+UR10_WRIST_SINGULAR = [0.3, -1.1, 1.4, 0.6, 0.0, -0.8]
 
 
 def planar_xy_jacobian(chain, q):
@@ -179,15 +195,46 @@ class TestSingularityCost:
     @pytest.mark.parametrize("task_dim", [6, 3])
     def test_gradient_matches_high_precision_reference(self, ur10, rng, task_dim):
         # 30 configurations, the last 15 near the wrist and elbow
-        # singularities, against the clamped trace formula in 60 digits.
+        # singularities, against the formula in 60 digits with the same QR
+        # clamp. Where no singular value is below SIGMA_MIN, neither the QR
+        # clamp nor the SVD clamp acts, so the SVD-clamped trace formula in
+        # 60 digits must agree as well.
         params = SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4)
+        unclamped = 0
         for index in range(30):
             q = rng.uniform(-np.pi, np.pi, 6)
             if index >= 15:
                 q[2:] = rng.uniform(0.0, 2e-3, 4)
-            expected = singularity_gradient_mp(ur10, q, task_dim, SIGMA_MIN)
             gradient = singularity_cost(ur10, q, params, task_dim=task_dim).gradient
+            expected = singularity_gradient_qr_mp(ur10, q, task_dim, SIGMA_MIN)
             assert np.abs(gradient - expected).max() <= 1e-7 * np.abs(expected).max()
+            if np.linalg.svd(geometric_jacobian(ur10, q, task_dim), compute_uv=False)[-1] >= SIGMA_MIN:
+                unclamped += 1
+                expected = singularity_gradient_mp(ur10, q, task_dim, SIGMA_MIN)
+                assert np.abs(gradient - expected).max() <= 1e-7 * np.abs(expected).max()
+        assert unclamped >= 15
+
+    @pytest.mark.parametrize(
+        "task_dim, singular, smallest", [(3, UR10_POSITION_SINGULAR, 1.7e-10), (6, UR10_WRIST_SINGULAR, 3e-16)]
+    )
+    def test_lambda_into_a_singularity_matches_high_precision_determinant(self, ur10, rng, task_dim, singular, smallest):
+        # 33 configurations along a random line into a singular configuration,
+        # lambda falling from about 1.7e-2 to `smallest`, against sqrt(det(J
+        # J^T)) in 60 digits. The score's QR and the SVD of manipulability()
+        # are held to the same bound: the change in lambda when every singular
+        # value moves by 4 eps ||J|| (Weyl), which covers the rounding of J.
+        singular, direction = np.array(singular), rng.standard_normal(6)
+        direction /= np.linalg.norm(direction)
+        slope = manipulability_mp(ur10, singular + 1e-6 * direction, task_dim) / 1e-6  # lambda grows linearly
+        expected = []
+        for step in np.geomspace(1.7e-2, smallest, 33) / slope:
+            jacobian = geometric_jacobian(ur10, singular + step * direction, task_dim)
+            expected.append(manipulability_mp(ur10, singular + step * direction, task_dim))
+            s = np.linalg.svd(jacobian, compute_uv=False)
+            bound = 4.0 * np.finfo(float).eps * s[0] * sum(np.prod(np.delete(s, i)) for i in range(task_dim))
+            assert abs(manip_module._gram_lambda(jacobian)[0] - expected[-1]) <= bound
+            assert abs(manipulability(jacobian) - expected[-1]) <= bound
+        assert expected[0] > 1e-2 and expected[-1] == pytest.approx(smallest, rel=1e-3)
 
     def test_clamped_at_singularity(self, planar2r):
         params = self.params()
