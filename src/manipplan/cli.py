@@ -75,8 +75,10 @@ def _load(args) -> tuple[Scenario, Path, list[int]]:
     counts = [int(v) for v in getattr(args, "interp", "").split(",") if v.strip() != ""]
     if args.command == "sweep" and not counts:
         raise ValueError("--interp lists no counts")
-    for count in counts:
+    for index, count in enumerate(counts):
         replace(scenario, n_interp=count)  # raises on an invalid count
+        if count in counts[:index]:  # a second plan would overwrite the first's interp_<count>/
+            raise ValueError(f"--interp lists {count} more than once")
     out = Path(getattr(args, "out", None) or Path("runs") / scenario.name / args.command)
     if args.command != "validate":
         out.mkdir(parents=True, exist_ok=True)  # raises on an --out that cannot be a directory

@@ -579,6 +579,14 @@ class TestCli:
         assert capsys.readouterr().err.startswith("INVALID: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("interp, repeated", [("1,1", 1), ("0,2,4,2,0", 2)])
+    def test_sweep_rejects_a_repeated_count_before_any_solve(self, interp, repeated, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sc, "_execute", self._no_solve)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "planar2r_analytic", "--interp", interp, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"INVALID: --interp lists {repeated} more than once\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["plan", "validate"])
     def test_obstacles_on_a_robot_without_body_spheres_exit_2(self, command, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(sc, "_execute", self._no_solve)
