@@ -149,7 +149,7 @@ def _gram_terms(chain: KinematicChain, q, task_dim: int):
     stack ``q``.
     """
     jset = jacobian_partials(chain, q, task_dim)
-    lam, degenerate, qr = _gram_lambda(jset.jacobian)
+    lam, degenerate, qr = _gram_lambda(_checked(jset.jacobian))
     traces = _gram_traces(jset, qr)
     if lam.ndim == 0:
         return float(lam), traces, bool(degenerate)

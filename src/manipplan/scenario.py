@@ -104,6 +104,8 @@ class Scenario:
                 raise ValueError(
                     f"start_config has {self.start_config.shape[0]} entries, robot has {chain.n} joints"
                 )
+            if self.task_dim > chain.n:
+                raise ValueError(f"task_dim {self.task_dim} exceeds the robot's {chain.n} joints")
             base = chain.base_pose.position
             if float(np.linalg.norm(self.goal_position - base)) > 2.0:
                 raise ValueError("goal_position lies more than 2 m from the robot base")

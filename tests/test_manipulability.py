@@ -243,6 +243,14 @@ class TestSingularityCost:
         assert cost.h == pytest.approx(math.log(1.0 / LAMBDA_FLOOR), rel=1e-9)
         assert np.all(np.isfinite(cost.gradient))
 
+    def test_task_dim_beyond_the_joint_count_rejected(self, planar2r):
+        # A 3 x 2 Jacobian has a singular J J^T whatever the configuration.
+        for cost in (singularity_cost, singularity_cost_value):
+            with pytest.raises(ValueError, match="task dimension 3 exceeds joint count 2"):
+                cost(planar2r, [0.3, 0.5], self.params(), task_dim=3)
+        with pytest.raises(ValueError, match="task dimension 3 exceeds joint count 2"):
+            manipulability_gradient(planar2r, [0.3, 0.5], task_dim=3)
+
     @pytest.mark.parametrize("name, task_dim", [("ur10", 6), ("ur10", 3), ("ur10", 2), ("planar2r", 2)])
     def test_value_equals_full_cost_bit_for_bit(self, name, task_dim, rng):
         chain = load_chain("ur10") if name == "ur10" else planar_arm([1.0, 1.0])

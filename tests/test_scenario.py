@@ -588,6 +588,18 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["plan", "validate"])
+    @pytest.mark.parametrize("task_dim, lambda_max", [(3, None), (6, 1.0)])
+    def test_task_dim_beyond_the_joint_count_exits_2(self, command, task_dim, lambda_max, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sc, "_execute", self._no_solve)
+        data = json.loads(builtin_scenario_path("planar2r_analytic").read_text()) | {"task_dim": task_dim}
+        if lambda_max is not None:
+            data["lambda_max"] = lambda_max
+        path = tmp_path / "planar_task_dim.json"
+        path.write_text(json.dumps(data))
+        assert cli.main([command, str(path)] + (["--out", str(tmp_path / "out")] if command == "plan" else [])) == 2
+        assert capsys.readouterr().err == f"INVALID: task_dim {task_dim} exceeds the robot's 2 joints\n"
+
+    @pytest.mark.parametrize("command", ["plan", "validate"])
     def test_obstacles_on_a_robot_without_body_spheres_exit_2(self, command, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(sc, "_execute", self._no_solve)
         data = json.loads(builtin_scenario_path("planar2r_analytic").read_text())
