@@ -5,23 +5,32 @@ states are consecutive.  Each block is a whitened residual
 (premultiplied by the square root of its inverse covariance) over one
 state or two consecutive states, with its Jacobian with respect to them,
 so the MAP problem is the standard sum of squared residuals.  Besides the
-start prior and the GP prior over all segments there is one cost factor
-type, :class:`ConfigurationFactor`: a residual of joint configurations,
-one block per knot, or one per segment stacking its P GP-interpolated
-states, whose Jacobian is chained through the interpolation blend
-matrices so gradient information from extra states reaches the decision
-variables.  A graph stacks every configuration its cost factors use once
-(the knots, then the interpolated states of every segment), runs forward
-kinematics once over that stack, and each cost once over its rows.
+start prior and the GP prior over all segments, whose Jacobians are
+constant, there is one cost factor type, :class:`ConfigurationFactor`: a
+residual of joint configurations, one block per knot, or one per segment
+stacking its P GP-interpolated states, whose Jacobian is chained through
+the interpolation blend coefficients (``c ⊗ J``) so gradient information
+from extra states reaches the decision variables.  A graph stacks every
+configuration its cost factors use once (the knots, then the
+interpolated states of every segment), runs forward kinematics once over
+that stack, and each cost once over its rows.
 
-An evaluation has two phases: a *score* forms every residual and keeps the
-intermediates the Jacobians need (frames, the QR factors of the task
-Jacobians, the collision pairs inside the margin); the Jacobians are
-formed from them later, and only when the solver asks for them.
+An evaluation has two phases.  A *score* forms the cost: each distinct
+configuration cost's squared residuals per stacked row, weighted by the
+summed squared weights of the factors that read the row, plus the
+priors' whitened residuals.  It keeps the intermediates the Jacobians
+need (frames, the QR factors of the task Jacobians, the collision pairs
+inside the margin).  The *Jacobian half* runs later, and only when the
+solver asks for it: one weighted Gram ``sum w^2 J^T J`` and one
+``sum w^2 J^T r`` per stacked configuration, over all its costs.  No
+factor's whitened Jacobian is formed on the solver's path.
 
 Because no block spans more than two consecutive states, ``J^T J`` is
-block tridiagonal (the exactly sparse GP structure).  The solver
-accumulates it straight into banded storage and runs Levenberg-Marquardt
+block tridiagonal (the exactly sparse GP structure).  The solver adds
+each knot's Gram to the position corner of its diagonal block, spreads
+each interpolated configuration's over the two states it blends with the
+products ``c c^T`` of its blend coefficients, starts from the priors'
+constant ``J^T J`` summed at construction, and runs Levenberg-Marquardt
 on the banded Cholesky factorization, at a cost linear in the number of
 states.
 """
@@ -102,7 +111,8 @@ class Factor:
     support-state indices, width 1 or 2, on consecutive rows), ``dim``
     (residual length per block), and implement :meth:`evaluate`.  A factor
     whose Jacobians do not depend on the states sets ``constant_jacobian``
-    to them, and :meth:`evaluate` returns that array.
+    to them, and :meth:`evaluate` returns that array; every factor of a
+    graph but a :class:`ConfigurationFactor` must.
     """
 
     kind: FactorKind
@@ -179,10 +189,10 @@ class ConfigurationFactor(Factor):
     so its length ``dim`` is P d.  A configuration is ``sum_s c_s h_s``
     over its states' halves ``h = (q_i, q_dot_i[, q_j, q_dot_j])``, ``c =
     (1, 0)`` at a knot (the knot's position itself) and the kernels'
-    position row otherwise, so its Jacobian is ``[c_s J]``.  A graph
-    evaluates all its configuration factors from one stack (see
-    :meth:`FactorGraph.score`); :meth:`evaluate` is that step over this
-    factor alone.
+    position row otherwise, so its Jacobian is ``[c_s J]``.
+    :meth:`evaluate` forms this factor's whitened blocks alone, the
+    definition a graph's stacked score and Jacobian half reproduce without
+    forming them (see :meth:`FactorGraph.score`).
     """
 
     kind: FactorKind
@@ -200,27 +210,40 @@ class ConfigurationFactor(Factor):
         self._w = _weight(self.sigma)
 
     def evaluate(self, x):
-        residuals, jacobians = _ConfigurationStack((self,)).score(x)
-        return residuals[0], jacobians()[0]
-
-    def _whiten_residuals(self, r: np.ndarray) -> np.ndarray:
-        """Whitened blocks from the cost's residuals (K P, d) at this
-        factor's configurations, in block order."""
-        return self._w * r.reshape(len(self.knots), -1)
-
-    def _whiten_jacobians(self, jac_q: np.ndarray) -> np.ndarray:
-        """Whitened block Jacobians from the cost's Jacobians (K P, d, n)
-        at this factor's configurations, in block order."""
-        num, n = len(self.knots), jac_q.shape[-1]
+        num, n = len(self.knots), x.shape[1] // 2
+        if self.blend is None:
+            q = x[self.knots, :n]
+        else:
+            q = gp.blend(self._coef, x[self.states].reshape(num, 1, -1, n)).reshape(-1, n)
+        chain = getattr(self.cost, "chain", None)
+        ((r, jacobian),) = _score_costs(q, chain, [(self.cost, slice(None), chain is not None)])
+        jac_q = jacobian()
         jac_q = jac_q.reshape((num, -1) + jac_q.shape[1:-1] + (1, n))  # (K, P, d, 1, n)
         jac = self._coef[..., None, :, None] * jac_q  # (K, P, d, 2 width, n)
-        return self._w * jac.reshape(num, -1, 2 * self.states.shape[1] * n)
+        r = np.ascontiguousarray(self._w * r.reshape(num, -1))
+        return r, self._w * jac.reshape(num, -1, 2 * self.states.shape[1] * n)
 
 
 def _formed(r: np.ndarray, jac: np.ndarray):
     """A one-phase cost's output in the form of a score: its residuals and
     a function that returns its Jacobians, formed already."""
     return r, lambda: jac
+
+
+def _score_costs(q: np.ndarray, chain: KinematicChain | None, costs):
+    """Each cost ``(cost, rows, framed)`` scored over its rows of the
+    configurations ``q``: its residuals and a function that forms their
+    Jacobians.  The costs that take frames (``framed``) read one
+    forward-kinematics pass of ``chain`` over all of ``q``."""
+    frames = jacobians = None
+    if chain is not None:
+        q = _as_config(chain, q, stack=True)
+        frames = _fk_matrices(chain, q)
+        jacobians = _end_effector_jacobian(frames)
+    return [
+        cost.score(q[rows], frames[rows], jacobians[rows]) if framed else _formed(*cost(q[rows]))
+        for cost, rows, framed in costs
+    ]
 
 
 def _distinct(arrays) -> np.ndarray:
@@ -237,6 +260,22 @@ def _index(rows: np.ndarray) -> slice | np.ndarray:
     return rows
 
 
+class _Interpolation(NamedTuple):
+    """The P configurations per segment that interpolation factors share:
+    the segments' (K, 2) states, the blend coefficients (K, P, 4) of the
+    halves ``(q_i, q_dot_i, q_j, q_dot_j)``, their rows of the stack, and,
+    for :func:`linearize`, the coefficients transposed (K, 4, P) and the
+    products ``c_a c_b`` (K, 12, P) of the half pairs ``(a, b)`` that
+    ``J^T J``'s lower blocks hold (see :func:`_add_normal`): ``a`` = 0-3
+    with ``b`` = 0, 1, then ``a``, ``b`` = 2, 3."""
+
+    states: np.ndarray
+    coef: np.ndarray
+    rows: slice
+    coef_t: np.ndarray
+    outer: np.ndarray
+
+
 class _ConfigurationStack:
     """Configuration factors evaluated from one stack of configurations.
 
@@ -248,19 +287,22 @@ class _ConfigurationStack:
     checks the stack with ``_as_config`` and, when a cost has a ``chain``
     (all such costs must share it), runs ``_fk_matrices`` over it once and
     forms its end-effector Jacobians once; it scores each distinct cost
-    once over the rows its factors use, and lets each factor whiten its own
-    rows.  The Jacobians are formed later, on request, from that same
-    score.  The layout is fixed here, at construction.
+    once over the rows its factors use.  Each of those rows carries the
+    summed squared weights of the factors that read it, so the factors'
+    whitened blocks are never formed: the score weighs each row's squared
+    residuals, and the Jacobian half forms each row's weighted Gram.  The
+    layout, the weights and the blend products are fixed here, at
+    construction.
     """
 
     def __init__(self, factors) -> None:
-        self.factors = tuple(factors)
-        knots = _distinct(f.knots for f in self.factors if f.blend is None)
-        self.knots = _index(knots)
-        self.interpolations: list[tuple[np.ndarray, np.ndarray]] = []  # (states, blend coefficients)
+        factors = tuple(factors)
+        knots = _distinct(f.knots for f in factors if f.blend is None)
+        self.knots = _index(knots)  # the knot rows' states; they lead the stack
+        self.interpolations: list[_Interpolation] = []
         placements: dict[tuple, np.ndarray] = {}
         rows = []  # per factor: its configurations' rows of the stack
-        for factor in self.factors:
+        for factor in factors:
             if factor.blend is None:
                 rows.append(np.searchsorted(knots, factor.knots))
                 continue
@@ -268,55 +310,60 @@ class _ConfigurationStack:
             if key not in placements:
                 start = len(knots) + sum(len(r) for r in placements.values())
                 placements[key] = start + np.arange(len(factor.knots) * factor._coef.shape[1])
-                self.interpolations.append((factor.states, factor._coef))
+                coef_t = np.ascontiguousarray(factor._coef.swapaxes(1, 2))
+                outer = coef_t[:, :, None, :] * coef_t[:, None, :, :]  # (K, 4, 4, P)
+                outer = np.concatenate([outer[:, :, :2], outer[:, 2:, 2:]], axis=1).reshape(len(coef_t), 12, -1)
+                self.interpolations.append(
+                    _Interpolation(factor.states, factor._coef, _index(placements[key]), coef_t, outer)
+                )
             rows.append(placements[key])
+        self.knot_rows = len(knots)
+        self.size = len(knots) + sum(len(r) for r in placements.values())
         members: dict[int, list[int]] = {}
-        for i, factor in enumerate(self.factors):
+        for i, factor in enumerate(factors):
             members.setdefault(id(factor.cost), []).append(i)
-        # Per distinct cost: (cost, its rows of the stack, whether it takes frames);
-        # per factor: (its cost's position, its rows of that cost's output).
+        # Per distinct cost: (cost, its rows of the stack, whether it takes frames),
+        # and each of those rows' summed squared weights.
         self.costs: list[tuple[ConfigCost, slice | np.ndarray, bool]] = []
-        self.picks: list[tuple[int, slice | np.ndarray]] = [None] * len(self.factors)
+        self.weights: list[np.ndarray] = []
         for group in members.values():
-            cost = self.factors[group[0]].cost
+            cost = factors[group[0]].cost
             used = _distinct(rows[i] for i in group)
+            weights = np.zeros(len(used))
             for i in group:
-                self.picks[i] = (len(self.costs), _index(np.searchsorted(used, rows[i])))
+                np.add.at(weights, np.searchsorted(used, rows[i]), factors[i]._w ** 2)
             self.costs.append((cost, _index(used), hasattr(cost, "chain")))
+            self.weights.append(weights)
         chains = {id(cost.chain): cost.chain for cost, _, framed in self.costs if framed}
         if len(chains) > 1:
             raise ValueError("the configuration costs of one graph must share one kinematic chain")
         self.chain = next(iter(chains.values()), None)
 
-    def score(self, x: np.ndarray) -> tuple[list[np.ndarray], Callable[[], list[np.ndarray]]]:
-        """Each factor's whitened residuals at the (N, 2n) states ``x``, in
-        factor order, and a function that forms their whitened Jacobians
-        from the same evaluation."""
+    def score(self, x: np.ndarray) -> tuple[float, Callable[[], tuple[np.ndarray, np.ndarray]]]:
+        """Half the weighted squared residuals of every cost at the (N, 2n)
+        states ``x``, and a function that forms, from the same evaluation,
+        each stacked configuration's weighted Gram ``sum w^2 J^T J``
+        (M, n, n) and ``sum w^2 J^T r`` (M, n) over all its costs."""
         n = x.shape[1] // 2
         q = np.concatenate(
             [x[self.knots, :n]]
-            + [gp.blend(coef, x[states].reshape(len(states), 1, -1, n)).reshape(-1, n) for states, coef in self.interpolations]
+            + [gp.blend(i.coef, x[i.states].reshape(len(i.states), 1, -1, n)).reshape(-1, n) for i in self.interpolations]
         )
-        frames = jacobians = None
-        if self.chain is not None:
-            q = _as_config(self.chain, q, stack=True)
-            frames = _fk_matrices(self.chain, q)
-            jacobians = _end_effector_jacobian(frames)
-        scored = [
-            cost.score(q[rows], frames[rows], jacobians[rows]) if framed else _formed(*cost(q[rows]))
-            for cost, rows, framed in self.costs
-        ]
-        # C order fixes how linearize's J^T r rounds, whatever order a cost returns.
-        residuals = [
-            np.ascontiguousarray(factor._whiten_residuals(scored[at][0][pick]))
-            for factor, (at, pick) in zip(self.factors, self.picks)
-        ]
+        scored = _score_costs(q, self.chain, self.costs)
+        # C order fixes how the products below round, whatever order a cost returns.
+        residuals = [np.ascontiguousarray(r) for r, _ in scored]
+        cost = 0.5 * sum(float(np.einsum("i,ij,ij->", w, r, r)) for w, r in zip(self.weights, residuals))
 
-        def whitened_jacobians() -> list[np.ndarray]:
-            formed = [jacobian() for _, jacobian in scored]
-            return [factor._whiten_jacobians(formed[at][pick]) for factor, (at, pick) in zip(self.factors, self.picks)]
+        def normal() -> tuple[np.ndarray, np.ndarray]:
+            gram, jac_r = np.zeros((self.size, n, n)), np.zeros((self.size, n))
+            for (_, rows, _), weights, r, (_, jacobian) in zip(self.costs, self.weights, residuals, scored):
+                jac = jacobian()
+                jac_t = jac.swapaxes(1, 2)
+                gram[rows] += weights[:, None, None] * (jac_t @ jac)
+                jac_r[rows] += (jac_t @ (weights[:, None] * r)[..., None])[..., 0]
+            return gram, jac_r
 
-        return residuals, whitened_jacobians
+        return cost, normal
 
 
 def interpolated_blends(times: np.ndarray, n_interp: int):
@@ -338,17 +385,19 @@ class FactorGraph:
 
     At construction the graph fixes what every :func:`linearize` call
     shares: the stack of its configuration factors, the ``J^T J`` block
-    sums of its leading run of factors with constant Jacobians (see
-    :func:`_add_normal`), and the gather that lays the blocks out as a band.
+    sums of its factors with constant Jacobians, wherever they sit (see
+    :func:`_add_normal`), and the gather that lays the blocks out as a
+    band.  Every factor but a :class:`ConfigurationFactor` must have a
+    constant Jacobian.
     """
 
     factors: tuple[Factor, ...]
     num_states: int
     state_dim: int
     _configurations: _ConfigurationStack = field(init=False, repr=False, compare=False)
-    # How many leading factors have constant Jacobians, and their J^T J
-    # blocks as linearize's flat accumulator (see _add_normal).
-    _constant_count: int = field(init=False, repr=False, compare=False)
+    # The factors with constant Jacobians, in factor order, and the sum of
+    # their J^T J blocks as linearize's flat accumulator (see _add_normal).
+    _constants: tuple[Factor, ...] = field(init=False, repr=False, compare=False)
     _constant_normal: np.ndarray = field(init=False, repr=False, compare=False)
     # Indices into that accumulator of every band entry (see linearize).
     _band_index: np.ndarray = field(init=False, repr=False, compare=False)
@@ -370,40 +419,37 @@ class FactorGraph:
                 )
             if not np.all((0 <= states) & (states < self.num_states)):
                 raise ValueError(f"factor {factor.kind} references a state outside 0..{self.num_states - 1}")
+            if not isinstance(factor, ConfigurationFactor) and factor.constant_jacobian is None:
+                raise ValueError(f"factor {factor.kind} must have a constant Jacobian or be a ConfigurationFactor")
         configurations = [f for f in self.factors if isinstance(f, ConfigurationFactor)]
+        constants = tuple(f for f in self.factors if not isinstance(f, ConfigurationFactor))
         object.__setattr__(self, "_configurations", _ConfigurationStack(configurations))
         dim, num = self.state_dim, self.num_states
-        count = 0
-        while count < len(self.factors) and self.factors[count].constant_jacobian is not None:
-            count += 1
+        n = dim // 2
         normal = np.zeros(num * 2 * dim * dim + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            for factor in self.factors[:count]:
-                _add_normal(normal, factor, factor.constant_jacobian, dim)
+            for factor in constants:
+                _add_normal(normal, factor, factor.constant_jacobian, n)
         # Band entry (i, s dim + j) is J^T J's (s dim + i + j, s dim + j):
-        # block entry (s, i + j, j) while i + j < 2 dim, else a zero.
+        # half block (s, a, b) entry (u, v) for i + j = a n + u and j = b n + v
+        # while i + j < 2 dim, else a zero.
         i, s, j = np.ogrid[: 2 * dim, :num, :dim]
-        index = np.where(i + j < 2 * dim, (s * 2 * dim + i + j) * dim + j, normal.size - 1)
-        object.__setattr__(self, "_constant_count", count)
+        (a, u), (b, v) = divmod(i + j, n), divmod(j, n)
+        index = np.where(i + j < 2 * dim, (((s * 4 + a) * 2 + b) * n + u) * n + v, normal.size - 1)
+        object.__setattr__(self, "_constants", constants)
         object.__setattr__(self, "_constant_normal", normal)
         object.__setattr__(self, "_band_index", index.reshape(2 * dim, num * dim))
 
     def score(self, x: np.ndarray) -> "Scored":
-        """Every factor's whitened residuals (see :meth:`Factor.evaluate`)
-        at the (N, 2n) states ``x``, in factor order, whose ``jacobians()``
-        forms their Jacobians from the same evaluation: the configuration
-        factors share one stacked score, and the other factors' Jacobians
-        are constant, formed with their residuals."""
-        stacked_residuals, stacked_jacobians = self._configurations.score(x)
-        stacked = iter(stacked_residuals)
-        others = [None if isinstance(f, ConfigurationFactor) else f.evaluate(x) for f in self.factors]
-        residuals = [next(stacked) if other is None else other[0] for other in others]
-
-        def jacobians() -> list[np.ndarray]:
-            formed = iter(stacked_jacobians())
-            return [next(formed) if other is None else other[1] for other in others]
-
-        return Scored(residuals, _cost(residuals), jacobians)
+        """The cost at the (N, 2n) states ``x``, half the squared norm of
+        every factor's whitened residuals (see :meth:`Factor.evaluate`),
+        with what :func:`linearize` needs from the same evaluation: the
+        residuals of the factors with constant Jacobians, and the stacked
+        configurations' Jacobian half (see :class:`_ConfigurationStack`)."""
+        residuals = [factor.evaluate(x)[0] for factor in self._constants]
+        configuration_cost, normal = self._configurations.score(x)
+        cost = 0.5 * sum(float(np.einsum("ij,ij->", r, r)) for r in residuals) + configuration_cost
+        return Scored(cost, residuals, normal)
 
     @property
     def residual_dim(self) -> int:
@@ -412,21 +458,15 @@ class FactorGraph:
 
 class Scored(NamedTuple):
     """The residual half of one evaluation of a graph (see
-    :meth:`FactorGraph.score`): every factor's whitened residuals in factor
-    order, their cost (half the squared norm), and ``jacobians()``, which
-    forms every factor's whitened Jacobians from the same evaluation."""
+    :meth:`FactorGraph.score`): its cost (half the squared norm of every
+    whitened residual), the whitened residuals of its factors with
+    constant Jacobians in factor order, and ``normal()``, which forms the
+    stacked configurations' weighted Grams ``sum w^2 J^T J`` (M, n, n) and
+    ``sum w^2 J^T r`` (M, n) from the same evaluation."""
 
-    residuals: list[np.ndarray]
     cost: float
-    jacobians: Callable[[], list[np.ndarray]]
-
-
-def _cost(residuals) -> float:
-    """Half the squared norm of residual blocks (K, dim), added up one
-    block at a time in factor and block order."""
-    halves = [0.5 * (r[:, None, :] @ r[:, :, None]).ravel() for r in residuals]
-    # cumsum adds sequentially, unlike the pairwise np.sum.
-    return float(np.cumsum(np.concatenate([[0.0], *halves]))[-1])
+    residuals: list[np.ndarray]
+    normal: Callable[[], tuple[np.ndarray, np.ndarray]]
 
 
 def total_cost(graph: FactorGraph, trajectory: gp.SupportTrajectory) -> float:
@@ -436,25 +476,29 @@ def total_cost(graph: FactorGraph, trajectory: gp.SupportTrajectory) -> float:
     return graph.score(trajectory.x).cost
 
 
-def _add_normal(normal: np.ndarray, factor: Factor, jac: np.ndarray, dim: int) -> None:
+def _add_normal(normal: np.ndarray, factor: Factor, jac: np.ndarray, n: int) -> None:
     """Add a factor's ``J^T J`` to the flat accumulator ``normal``: the
-    column blocks (N, 2 dim, dim) of ``J^T J``, column block s holding the
-    diagonal block (s, s) over the block (s + 1, s), then one zero for the
-    band's entries outside them.  A factor adds to two runs of diagonal
-    blocks and the blocks below them, since its blocks start at consecutive
-    states."""
-    blocks = normal[:-1].reshape(-1, 2 * dim, dim)
+    column blocks of ``J^T J`` as (N, 4, 2, n, n) half blocks, then one
+    zero for the band's entries outside them.  Half block (s, a, b) is the
+    n x n block of ``J^T J`` whose rows are half a of states s and s + 1
+    (their positions and velocities, in that order) and whose columns are
+    half b of state s: column block s holds the diagonal block (s, s) over
+    the block (s + 1, s).  A factor adds to two runs of diagonal blocks and
+    the blocks below them, since its blocks start at consecutive states."""
+    halves = normal[:-1].reshape(-1, 4, 2, n, n)
     product = jac.swapaxes(1, 2) @ jac
+    width = product.shape[1] // n  # halves per block: 2 or 4
+    product = product.reshape(len(product), width, n, width, n).swapaxes(2, 3)
     first = factor.states[0, 0]
-    blocks[first : first + len(product), : product.shape[1]] += product[..., :dim]
-    if product.shape[1] > dim:
-        blocks[first + 1 : first + 1 + len(product), :dim] += product[:, dim:, dim:]
+    halves[first : first + len(product), :width] += product[:, :, :2]
+    if width > 2:
+        halves[first + 1 : first + 1 + len(product), :2] += product[:, 2:, 2:]
 
 
 def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory | np.ndarray, scored: Scored | None = None):
-    """Accumulate the Gauss-Newton normal equations factor by factor, from
-    one evaluation of the graph (one forward-kinematics pass): ``scored``,
-    the :meth:`FactorGraph.score` of ``trajectory`` when the caller has it
+    """Accumulate the Gauss-Newton normal equations from one evaluation of
+    the graph (one forward-kinematics pass): ``scored``, the
+    :meth:`FactorGraph.score` of ``trajectory`` when the caller has it
     (``trajectory`` may then be its (N, 2n) states alone), else a new score.
 
     Returns ``(band, gradient, cost)``: ``J^T J`` in LAPACK lower banded
@@ -463,30 +507,45 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory | np.ndarray,
     ``(None, None, cost)`` before forming any ``J^T J``, whose products
     with infinite residuals would be NaN; a ``J^T J`` that overflows is
     returned non-finite, which ends :func:`optimize`.  Every block touches
-    one state or two consecutive ones, and a factor's blocks start at
-    consecutive states, so ``J^T J`` is block tridiagonal (lower
-    half-bandwidth ``2 * state_dim - 1``) and each factor adds to two runs
-    of its diagonal blocks, the blocks below them and the gradient (see
-    :func:`_add_normal`).  The sum starts from the graph's blocks of its
-    leading factors with constant Jacobians, added in the same order at
-    construction, and one gather lays the blocks out as the band.
+    one state or two consecutive ones, so ``J^T J`` is block tridiagonal
+    (lower half-bandwidth ``2 * state_dim - 1``).  The sum starts from the
+    graph's constant ``J^T J`` blocks, summed at construction, and adds
+    the score's weighted Grams: a knot's to the position corner of its
+    diagonal block, and an interpolated configuration's to the two states
+    it blends, as ``(c c^T) ⊗ G`` for its blend coefficients ``c``, with
+    one batched matmul per interpolation.  One gather lays the blocks out
+    as the band.
     """
     scored = graph.score(trajectory.x) if scored is None else scored
     cost = scored.cost
     if not math.isfinite(cost):
         return None, None, cost
-    dim = graph.state_dim
+    dim, num = graph.state_dim, graph.num_states
+    n = dim // 2
     normal = graph._constant_normal.copy()
-    gradient = np.zeros((graph.num_states, dim))
+    halves = normal[:-1].reshape(num, 4, 2, n, n)  # see _add_normal
+    gradient = np.zeros((num, dim))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (factor, r, jac) in enumerate(zip(graph.factors, scored.residuals, scored.jacobians())):
-            jac_r = (jac.swapaxes(1, 2) @ r[..., None])[..., 0]
+        for factor, r in zip(graph._constants, scored.residuals):
+            jac_r = (factor.constant_jacobian.swapaxes(1, 2) @ r[..., None])[..., 0]
             first = factor.states[0, 0]
             gradient[first : first + len(r)] += jac_r[:, :dim]
             if jac_r.shape[1] > dim:
                 gradient[first + 1 : first + 1 + len(r)] += jac_r[:, dim:]
-            if i >= graph._constant_count:
-                _add_normal(normal, factor, jac, dim)
+        gram, jac_r = scored.normal()
+        stack = graph._configurations
+        halves[stack.knots, 0, 0] += gram[: stack.knot_rows]
+        gradient[stack.knots, :n] += jac_r[: stack.knot_rows]
+        for interpolation in stack.interpolations:
+            segments, per_segment = interpolation.coef.shape[:2]
+            first, rows = interpolation.states[0, 0], interpolation.rows
+            # Each lower half pair's c_a c_b G summed over a segment's configurations.
+            spread = interpolation.outer @ gram[rows].reshape(segments, per_segment, n * n)
+            halves[first : first + segments] += spread[:, :8].reshape(segments, 4, 2, n, n)
+            halves[first + 1 : first + 1 + segments, :2] += spread[:, 8:].reshape(segments, 2, 2, n, n)
+            pulled = interpolation.coef_t @ jac_r[rows].reshape(segments, per_segment, n)
+            gradient[first : first + segments] += pulled[:, :2].reshape(segments, dim)
+            gradient[first + 1 : first + 1 + segments] += pulled[:, 2:].reshape(segments, dim)
     return normal[graph._band_index], gradient.reshape(-1), cost
 
 

@@ -5,12 +5,21 @@ matrix products, finite differences, quadrature, dense kernels) and never
 calls back into the code paths it checks.
 """
 
+import math
+
 import mpmath
 import numpy as np
 
 from manipplan import gp_prior as gp
 from manipplan.collision import _box_terms, _field, hinge_cost, sdf_query, sphere_clearances
-from manipplan.kinematics import body_sphere_states, chain_from_dict, forward_kinematics, geometric_jacobian
+from manipplan.kinematics import (
+    _end_effector_jacobian,
+    _fk_matrices,
+    body_sphere_states,
+    chain_from_dict,
+    forward_kinematics,
+    geometric_jacobian,
+)
 from manipplan.manipulability import manipulability
 
 
@@ -494,26 +503,71 @@ def contract_six_rows(jset, weights):
     return np.sum(axes * suffix, axis=-1) + np.sum(lin * prefix, axis=-1)
 
 
-def linearize_per_factor(graph, scored):
-    """``(band, gradient, cost)`` of ``factor_graph.linearize`` from a
-    graph's score, with every factor's ``J^T J`` and ``J^T r`` added to
-    zeroed column blocks in factor order, and the band laid out one column
-    slice at a time: the assembly the solver must reproduce bit for bit."""
+def _one_configuration(cost, q):
+    """A configuration cost's residuals (d,) and Jacobian (d, n) at the one
+    configuration ``q`` (n,), its frames from a forward-kinematics pass over
+    that configuration alone."""
+    if hasattr(cost, "chain"):
+        frames = _fk_matrices(cost.chain, q[None])
+        r, jacobian = cost.score(q[None], frames, _end_effector_jacobian(frames))
+        return r[0], jacobian()[0]
+    r, jac = cost(q[None])
+    return r[0], jac[0]
+
+
+def blend_coefficients(factor):
+    """A configuration factor's blend coefficients (K, P, 2 width) of its
+    blocks' state halves ``(q_i, q_dot_i[, q_j, q_dot_j])``: ``(1, 0)`` at
+    a knot, else the position rows of its kernels ``Lambda~`` and ``Psi~``."""
+    if factor.blend is None:
+        return np.broadcast_to([[[1.0, 0.0]]], (len(factor.knots), 1, 2))
+    lam, psi = factor.blend
+    return np.concatenate([lam[..., 0, :], psi[..., 0, :]], axis=-1)
+
+
+def linearize_per_row(graph, x):
+    """``(band, gradient, cost)`` of ``factor_graph.linearize`` at the
+    (N, 2n) states ``x``, and ``(band_scale, gradient_scale)``: the same
+    sums over the absolute values of their terms, which bound how far the
+    rounding of either sum can move it.  Written as plain loops into a
+    dense ``J^T J``: a factor with a constant Jacobian adds ``J^T J`` and
+    ``J^T r`` block by block; a configuration factor evaluates its cost at
+    one configuration ``q = sum_s c_s h_s`` at a time and adds that row's
+    Gram ``(c c^T) ⊗ w^2 J^T J`` and ``c ⊗ w^2 J^T r``, ``w^2 = 1 /
+    sigma``.  The cost is the exactly rounded sum of every block's and
+    row's half squared norm."""
     dim, num = graph.state_dim, graph.num_states
-    blocks = np.zeros((num, 2 * dim, dim))
-    gradient = np.zeros((num, dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for factor, r, jac in zip(graph.factors, scored.residuals, scored.jacobians()):
-            jac_t = jac.swapaxes(1, 2)
-            normal, jac_r = jac_t @ jac, (jac_t @ r[..., None])[..., 0]
-            first = factor.states[0, 0]
-            at, below = slice(first, first + len(r)), slice(first + 1, first + 1 + len(r))
-            blocks[at, : normal.shape[1]] += normal[..., :dim]
-            gradient[at] += jac_r[:, :dim]
-            if normal.shape[1] > dim:
-                blocks[below, :dim] += normal[:, dim:, dim:]
-                gradient[below] += jac_r[:, dim:]
-    band = np.zeros((2 * dim, num, dim))
-    for j in range(dim):
-        band[: 2 * dim - j, :, j] = blocks[:, j:, j].T
-    return band.reshape(2 * dim, num * dim), gradient.reshape(-1), scored.cost
+    n, size = dim // 2, graph.num_states * graph.state_dim
+    normal, normal_scale = np.zeros((size, size)), np.zeros((size, size))
+    gradient, gradient_scale = np.zeros(size), np.zeros(size)
+    halves = []
+    for factor in graph.factors:
+        if factor.constant_jacobian is not None:
+            r, jac = factor.evaluate(x)
+            for states, r_k, jac_k in zip(factor.states, r, jac):
+                cols = slice(states[0] * dim, (states[-1] + 1) * dim)
+                normal[cols, cols] += jac_k.T @ jac_k
+                normal_scale[cols, cols] += np.abs(jac_k).T @ np.abs(jac_k)
+                gradient[cols] += jac_k.T @ r_k
+                gradient_scale[cols] += np.abs(jac_k).T @ np.abs(r_k)
+                halves.append(0.5 * (r_k @ r_k))
+            continue
+        weight = 1.0 / factor.sigma
+        for states, block in zip(factor.states, blend_coefficients(factor)):
+            cols = slice(states[0] * dim, (states[-1] + 1) * dim)
+            state_halves = x[states].reshape(-1, n)
+            for c in block:
+                q = np.zeros(n)
+                for c_s, h_s in zip(c, state_halves):
+                    q = q + c_s * h_s
+                r, jac = _one_configuration(factor.cost, q)
+                normal[cols, cols] += np.kron(np.outer(c, c), weight * (jac.T @ jac))
+                normal_scale[cols, cols] += np.kron(np.abs(np.outer(c, c)), weight * (np.abs(jac).T @ np.abs(jac)))
+                gradient[cols] += np.kron(c, weight * (jac.T @ r))
+                gradient_scale[cols] += np.kron(np.abs(c), weight * (np.abs(jac).T @ np.abs(r)))
+                halves.append(0.5 * weight * (r @ r))
+    band, band_scale = np.zeros((2 * dim, size)), np.zeros((2 * dim, size))
+    for offset in range(2 * dim):
+        band[offset, : size - offset] = np.diag(normal, -offset)
+        band_scale[offset, : size - offset] = np.diag(normal_scale, -offset)
+    return (band, gradient, math.fsum(halves)), (band_scale, gradient_scale)

@@ -20,11 +20,34 @@ from .oracles import (
     contract_six_rows,
     dense_linearization,
     field_distances_broadcast,
-    linearize_per_factor,
+    linearize_per_row,
     planar_arm,
 )
 
 LAMBDA_FLOOR = 1e-9
+
+EPS = np.finfo(float).eps
+
+
+def assert_equal_to_rounding(graph, linearized, reference, scales):
+    """``linearize``'s ``(band, gradient, cost)`` equal a reference's to
+    rounding.  Either side sums each band or gradient entry from a few
+    dozen rounded products, so each is within about 30 eps of the exact sum
+    of its terms' magnitudes ``scales`` (the solver's own measured 2 eps at
+    most against :func:`linearize_per_row`); a cost, a sum of positive
+    terms, rounds by about one eps per residual entry."""
+    band, gradient, cost = linearized
+    ref_band, ref_gradient, ref_cost = reference
+    band_scale, gradient_scale = scales
+    assert np.all(np.abs(band - ref_band) <= 64 * EPS * band_scale)
+    assert np.all(np.abs(gradient - ref_gradient) <= 64 * EPS * gradient_scale)
+    assert abs(cost - ref_cost) <= (graph.residual_dim + 4) * EPS * ref_cost
+
+
+def assert_linearizes_like_per_row(graph, x, linearized):
+    """``linearize``'s output at the (N, 2n) states ``x`` equals the
+    per-row reference's (:func:`linearize_per_row`) to rounding."""
+    assert_equal_to_rounding(graph, linearized, *linearize_per_row(graph, x))
 
 
 def sine_cost(q):
@@ -327,24 +350,43 @@ class TestOptimize:
         closed_form = traj.x.ravel() + np.linalg.solve(jac.T @ jac, -(jac.T @ res))
         assert np.abs(traj.x.ravel() + undamped_step(graph, traj) - closed_form).max() < 1e-8
 
-    @pytest.mark.parametrize("n_interp", [1, 3])
-    def test_linearize_band_matches_dense_oracle(self, n_interp):
+    @pytest.mark.parametrize("case", [1, 3, 0, 2, "task_dim_3", "interp_sigma", "repeated_factor", "prior_after_configuration"])
+    def test_linearize_band_matches_dense_oracle(self, case):
+        # An integer case is n_interp, with the 6-row task; the others have
+        # n_interp 2 and change the graph so each row's weights must be
+        # merged right: a 3-row task, the knot and interpolated factors of
+        # each cost with other sigmas, a second factor of one cost over the
+        # same rows (their weights add), and a constant prior after the
+        # configuration factors.
+        n_interp = case if isinstance(case, int) else 2
         scenario = Scenario(
             robot="ur10",
             start_config=np.array([0.3, -1.2, 1.1, 0.4, 0.2, 0.1]),
             goal_position=np.array([0.5, 0.5, 0.5]),
             num_support=4,
             n_interp=n_interp,
+            task_dim=3 if case == "task_dim_3" else 6,
             # The box swallows the lower arm, so collision rows are active.
             obstacles=(BoxObstacle(center=[-0.1, 0.0, 0.3], half_extents=[0.2, 0.2, 0.2]),),
         )
         traj = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, n_interp=n_interp)
         traj = traj.with_vector(traj.x.ravel() + 0.05 * np.sin(np.arange(traj.x.size)))
         graph = fg.build_graph(scenario, traj)
+        kind = fg.FactorKind
+        factors = list(graph.factors)
+        if case == "interp_sigma":
+            interpolated = (kind.INTERP_SINGULARITY, kind.INTERP_COLLISION)
+            factors = [replace(f, sigma=7.0 * f.sigma) if f.kind in interpolated else f for f in factors]
+        elif case == "repeated_factor":
+            (knot_collision,) = [f for f in factors if f.kind is kind.COLLISION]
+            factors.append(replace(knot_collision, sigma=0.3))
+        elif case == "prior_after_configuration":
+            factors.append(fg.StartPriorFactor(state=3, prior=traj.x[3] + 0.1, sigma=1e-2))
+        graph = fg.FactorGraph(factors=tuple(factors), num_states=graph.num_states, state_dim=graph.state_dim)
         band, gradient, cost = fg.linearize(graph, traj)
         jac, res = dense_linearization(graph, traj)
-        (collision,) = [f for f in graph.factors if f.kind is fg.FactorKind.INTERP_COLLISION]
-        assert np.all(np.count_nonzero(collision.evaluate(traj.x)[0], axis=1))
+        collision = [f for f in graph.factors if f.kind is (kind.INTERP_COLLISION if n_interp else kind.COLLISION)]
+        assert all(np.all(np.count_nonzero(f.evaluate(traj.x)[0], axis=1)) for f in collision)
         normal = jac.T @ jac
         size = normal.shape[0]
         assert band.shape == (2 * graph.state_dim, size)
@@ -363,6 +405,14 @@ class TestOptimize:
         factor.states = np.array(states)
         with pytest.raises(ValueError, match="consecutive"):
             fg.FactorGraph(factors=(factor,), num_states=3, state_dim=2)
+
+    def test_graph_rejects_a_factor_with_state_dependent_jacobians_outside_the_stack(self):
+        # Only configuration factors are linearized per evaluation; every
+        # other factor's J^T J is summed once, at construction.
+        factor = fg.StartPriorFactor(state=0, prior=np.zeros(2), sigma=1.0)
+        factor.constant_jacobian = None
+        with pytest.raises(ValueError, match="constant Jacobian"):
+            fg.FactorGraph(factors=(factor,), num_states=2, state_dim=2)
 
     def test_non_finite_normal_equations_reject_the_step(self):
         def steep(q):
@@ -545,32 +595,36 @@ class TestOptimize:
             scored = graph.score(traj.x)
             # Another candidate is scored between the score and the linearization.
             graph.score(rejected.x)
-            two_phase = self.digests(*fg.linearize(graph, traj, scored), *scored.residuals, *scored.jacobians())
+            two_phase = self.digests(*fg.linearize(graph, traj, scored), *scored.residuals, *scored.normal())
             alone = reference.score(traj.x)
-            immediate = self.digests(*fg.linearize(reference, traj), *alone.residuals, *alone.jacobians())
+            immediate = self.digests(*fg.linearize(reference, traj), *alone.residuals, *alone.normal())
             assert two_phase == immediate
 
     @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
     @pytest.mark.parametrize("singularity", [True, False])
     def test_linearization_equals_the_reference_formulas_bit_for_bit(self, monkeypatch, name, singularity):
-        # The reference scores with the broadcast box field and the six-row
-        # contraction, and assembles J^T J factor by factor from zero.
+        # Scored with the broadcast box field and the six-row contraction, the
+        # linearization keeps every bit, and it is the per-row reference's to
+        # rounding: each configuration's cost evaluated alone, and each row's
+        # Gram added in a plain loop.
         graph, trajectories = self.perturbed_graph(name, singularity)
-        # The start prior and the GP prior lead, with constant Jacobians.
-        assert graph._constant_count == 2
+        # The start prior and the GP prior have constant Jacobians.
+        assert [f.kind for f in graph._constants] == [fg.FactorKind.START_PRIOR, fg.FactorKind.GP_PRIOR]
         for traj in trajectories:
-            band, gradient, cost = fg.linearize(graph, traj)
+            linearized = fg.linearize(graph, traj)
             with monkeypatch.context() as patched:
                 patched.setattr(kinematics.JacobianSet, "contract", contract_six_rows)
                 patched.setattr(collision, "_field_distances", field_distances_broadcast)
-                expected = linearize_per_factor(graph, graph.score(traj.x))
-            assert self.digests(band, gradient, cost) == self.digests(*expected)
+                reference = fg.linearize(graph, traj)
+                assert_linearizes_like_per_row(graph, traj.x, reference)
+            assert self.digests(*linearized) == self.digests(*reference)
 
     @pytest.mark.parametrize("order", ["priors_first", "configuration_first"])
     def test_constant_factors_after_a_configuration_factor_keep_their_order(self, order):
         # Criterion 5's linear graph, with a planar arm's singularity factor
-        # before its goal prior at state 3: only a leading run of constant
-        # Jacobians is summed at construction.
+        # before its goal prior at state 3.  Every constant Jacobian's J^T J
+        # is summed at construction in factor order, wherever it sits, so the
+        # place of the configuration factor changes no bit.
         init = gp.init_trajectory([0.3, -0.4], 3.0, 4)
         goal_state = np.concatenate([[1.0, -0.5], np.zeros(2)])
         cost = fg.ChainSingularityCost(planar_arm([1.0, 1.0]), SingularityCostParams(2.0, 1e-2), 2)
@@ -579,15 +633,19 @@ class TestOptimize:
             fg.StartPriorFactor(state=0, prior=init.x[0], sigma=1e-6),
             fg.GpPriorFactor(times=init.times, n=2, qc=2.0),
         ]
-        leading = [*priors, configuration] if order == "priors_first" else [configuration, *priors]
-        factors = (*leading, fg.StartPriorFactor(state=3, prior=goal_state, sigma=1e-6))
-        graph = fg.FactorGraph(factors=factors, num_states=4, state_dim=4)
-        assert graph._constant_count == (2 if order == "priors_first" else 0)
+        goal = fg.StartPriorFactor(state=3, prior=goal_state, sigma=1e-6)
+        graphs = [
+            fg.FactorGraph(factors=(*leading, goal), num_states=4, state_dim=4)
+            for leading in ([*priors, configuration], [configuration, *priors])
+        ]
+        graph = graphs[order == "configuration_first"]
+        assert graph._constants == (*priors, goal)
         rng = np.random.default_rng(5)
         for _ in range(5):
             traj = init.with_vector(init.x.ravel() + rng.normal(0.0, 0.3, init.x.size))
-            expected = linearize_per_factor(graph, graph.score(traj.x))
-            assert self.digests(*fg.linearize(graph, traj)) == self.digests(*expected)
+            linearized = fg.linearize(graph, traj)
+            assert self.digests(*linearized) == self.digests(*fg.linearize(graphs[0], traj))
+            assert_linearizes_like_per_row(graph, traj.x, linearized)
 
     @pytest.mark.parametrize("name", ["ur10_unconstrained", "ur10_table"])
     @pytest.mark.parametrize("damped", [False, True])
@@ -634,7 +692,6 @@ class TestOptimize:
                 kind = fg.FactorKind.INTERP_SINGULARITY
                 factors.append(fg.ConfigurationFactor(kind, np.arange(7), cost, 22 * n_interp, 0.1, blend))
             graph = fg.FactorGraph(factors=tuple(factors), num_states=8, state_dim=12)
-            assert all(r.flags.c_contiguous for r in graph.score(traj.x).residuals)
             linearized.append(self.digests(*fg.linearize(graph, traj)))
         assert linearized[0] == linearized[1]
 
@@ -655,7 +712,7 @@ class TestOptimize:
         graph, trajectories = self.perturbed_graph(name, singularity)
         for traj in trajectories[:2]:
             scored = graph.score(traj.x)
-            outputs.extend(scored.residuals + scored.jacobians())
+            outputs.extend([*scored.residuals, *scored.normal()])
             outputs.extend(array for factor in graph.factors for array in factor.evaluate(traj.x))
             outputs.extend(fg.linearize(graph, traj)[:2])
         # Every configuration cost's residuals and Jacobians were recorded.
@@ -666,15 +723,23 @@ class TestOptimize:
     @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
     @pytest.mark.parametrize("singularity", [True, False])
     def test_stacked_evaluation_equals_each_factor_alone(self, name, singularity):
+        # Every factor's own whitened blocks (Factor.evaluate) in one dense
+        # Jacobian: the stacked score and per-row Grams give its J^T J, J^T r
+        # and cost to rounding.
         graph, trajectories = self.perturbed_graph(name, singularity)
         for traj in trajectories:
-            scored = graph.score(traj.x)
-            stacked = list(zip(scored.residuals, scored.jacobians()))
-            assert len(stacked) == len(graph.factors)
-            for factor, (r, jac) in zip(graph.factors, stacked):
-                r_alone, jac_alone = factor.evaluate(traj.x)
-                np.testing.assert_array_equal(r, r_alone, err_msg=str(factor.kind))
-                np.testing.assert_array_equal(jac, jac_alone, err_msg=str(factor.kind))
+            jac, res = dense_linearization(graph, traj)
+            normal, scale = jac.T @ jac, np.abs(jac).T @ np.abs(jac)
+            size = len(normal)
+            offsets = range(2 * graph.state_dim)
+            band, band_scale = (
+                np.array([np.pad(np.diag(m, -offset), (0, offset)) for offset in offsets]) for m in (normal, scale)
+            )
+            reference = (band, jac.T @ res, 0.5 * (res @ res))
+            assert band.shape == (2 * graph.state_dim, size)
+            assert_equal_to_rounding(
+                graph, fg.linearize(graph, traj), reference, (band_scale, np.abs(jac).T @ np.abs(res))
+            )
 
     def test_a_cost_without_a_chain_shares_the_stack(self, monkeypatch):
         # sine_cost takes no frames; the goal cost of a one-link arm does.
@@ -702,14 +767,11 @@ class TestOptimize:
 
         monkeypatch.setattr(fg, "_fk_matrices", counted)
         scored = graph.score(traj.x)
-        stacked = list(zip(scored.residuals, scored.jacobians()))
         assert calls == [(7, 1)]
-        for factor, (r, jac) in zip(graph.factors, stacked):
-            r_alone, jac_alone = factor.evaluate(traj.x)
-            np.testing.assert_array_equal(r, r_alone)
-            np.testing.assert_array_equal(jac, jac_alone)
-        np.testing.assert_allclose(stacked[2][0].ravel(), -10.0 * np.log(np.sin(traj.x[:, 0])), rtol=1e-14)
-        np.testing.assert_allclose(stacked[4][0][0], 100.0 * np.array([math.cos(1.2), math.sin(1.2) - 1.0, 0.0]))
+        assert_linearizes_like_per_row(graph, traj.x, fg.linearize(graph, traj, scored))
+        residuals = [factor.evaluate(traj.x)[0] for factor in graph.factors]
+        np.testing.assert_allclose(residuals[2].ravel(), -10.0 * np.log(np.sin(traj.x[:, 0])), rtol=1e-14)
+        np.testing.assert_allclose(residuals[4][0], 100.0 * np.array([math.cos(1.2), math.sin(1.2) - 1.0, 0.0]))
         assert fg.total_cost(graph, traj) == fg.linearize(graph, traj)[2]
         _, report = fg.optimize(graph, traj)
         assert report.final_cost < report.cost_trace[0]
