@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from jsonschema.exceptions import ValidationError
@@ -16,6 +15,7 @@ from .scenario import (
     run_comparison,
     run_interp_sweep,
     run_scenario,
+    sweep_counts,
 )
 
 
@@ -72,13 +72,9 @@ def _load(args) -> tuple[Scenario, Path, list[int]]:
     all checked before any solve starts."""
     scenario = load_scenario(args.scenario)
     scenario.load_chain()
-    counts = [int(v) for v in getattr(args, "interp", "").split(",") if v.strip() != ""]
-    if args.command == "sweep" and not counts:
-        raise ValueError("--interp lists no counts")
-    for index, count in enumerate(counts):
-        replace(scenario, n_interp=count)  # raises on an invalid count
-        if count in counts[:index]:  # a second plan would overwrite the first's interp_<count>/
-            raise ValueError(f"--interp lists {count} more than once")
+    counts = []
+    if args.command == "sweep":
+        counts = sweep_counts(scenario, [v for v in args.interp.split(",") if v.strip() != ""])
     out = Path(getattr(args, "out", None) or Path("runs") / scenario.name / args.command)
     if args.command != "validate":
         out.mkdir(parents=True, exist_ok=True)  # raises on an --out that cannot be a directory

@@ -41,6 +41,7 @@ __all__ = [
     "run_scenario",
     "run_comparison",
     "run_interp_sweep",
+    "sweep_counts",
 ]
 
 # A converged run must place the end-effector this close to the goal (m).
@@ -465,14 +466,28 @@ class SweepResult:
         }
 
 
+def sweep_counts(scenario: Scenario, interp_counts) -> list[int]:
+    """The interpolated-state counts of a sweep of ``scenario`` as integers,
+    checked before any solve: at least one, each a valid ``n_interp``, and
+    none twice, since a second plan would overwrite the first's
+    ``interp_<count>/``."""
+    counts = [int(c) for c in interp_counts]
+    if not counts:
+        raise ValueError("the sweep lists no n_interp counts")
+    for index, count in enumerate(counts):
+        replace(scenario, n_interp=count)  # raises on an invalid count
+        if count in counts[:index]:
+            raise ValueError(f"the sweep lists n_interp {count} more than once")
+    return counts
+
+
 def run_interp_sweep(
     scenario: Scenario, interp_counts, out_dir: str | Path | None = None
 ) -> SweepResult:
     """Re-plan the scenario for each interpolated-state count and report
-    the manipulability statistics per count (plus the prior's)."""
-    counts = [int(c) for c in interp_counts]
-    if not counts:
-        raise ValueError("interp_counts must not be empty")
+    the manipulability statistics per count (plus the prior's).  The
+    counts are checked (see :func:`sweep_counts`) before any solve."""
+    counts = sweep_counts(scenario, interp_counts)
     out = Path(out_dir) if out_dir is not None else None
     prior = _execute(scenario, None, optimize=False)
     runs = []

@@ -333,6 +333,19 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_interp_sweep(planar_scenario(), [])
 
+    @pytest.mark.parametrize("counts, error", [([1, 1], "more than once"), ([2, -1], "negative"), ([0, 2, 4, 2], "more than once")])
+    def test_repeated_or_invalid_counts_rejected_before_any_solve(self, counts, error, tmp_path, monkeypatch):
+        # A second plan of one count would overwrite the first's interp_<count>/
+        # and repeat its sweep.csv row; an invalid count must not wait for the
+        # plans before it.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started on invalid counts")
+
+        monkeypatch.setattr(sc, "_execute", no_solve)
+        with pytest.raises(ValueError, match=error):
+            run_interp_sweep(load_scenario("planar2r_analytic"), counts, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 class TestObstacleScenario:
     def test_clearance_columns_exported(self, tmp_path):
@@ -584,7 +597,7 @@ class TestCli:
         monkeypatch.setattr(sc, "_execute", self._no_solve)
         out = tmp_path / "out"
         assert cli.main(["sweep", "planar2r_analytic", "--interp", interp, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"INVALID: --interp lists {repeated} more than once\n"
+        assert capsys.readouterr().err == f"INVALID: the sweep lists n_interp {repeated} more than once\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["plan", "validate"])
