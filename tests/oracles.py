@@ -515,7 +515,7 @@ def _one_configuration(cost, q):
     return r[0], jac[0]
 
 
-def blend_coefficients(factor):
+def _blend_coefficients(factor):
     """A configuration factor's blend coefficients (K, P, 2 width) of its
     blocks' state halves ``(q_i, q_dot_i[, q_j, q_dot_j])``: ``(1, 0)`` at
     a knot, else the position rows of its kernels ``Lambda~`` and ``Psi~``."""
@@ -553,7 +553,7 @@ def linearize_per_row(graph, x):
                 halves.append(0.5 * (r_k @ r_k))
             continue
         weight = 1.0 / factor.sigma
-        for states, block in zip(factor.states, blend_coefficients(factor)):
+        for states, block in zip(factor.states, _blend_coefficients(factor)):
             cols = slice(states[0] * dim, (states[-1] + 1) * dim)
             state_halves = x[states].reshape(-1, n)
             for c in block:
