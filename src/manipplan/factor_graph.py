@@ -13,7 +13,8 @@ the interpolation blend coefficients (``c ⊗ J``) so gradient information
 from extra states reaches the decision variables.  A graph stacks every
 configuration its cost factors use once (the knots, then the
 interpolated states of every segment), runs forward kinematics once over
-that stack, and each cost once over its rows.
+that stack, and each cost once over its rows.  One blend of each run of
+segments gives both the interpolated states and the GP prior's residuals.
 
 An evaluation has two phases.  A *score* forms the cost: each distinct
 configuration cost's squared residuals per stacked row, weighted by the
@@ -283,8 +284,10 @@ class _ConfigurationStack:
     the knot factors in state order, then, for each distinct interpolation
     (the same first states and blend kernels), its P configurations per
     segment in segment order.  So singularity and collision factors over
-    the same states share rows, and the goal's knot is a knot row.  A score
-    checks the stack with ``_as_config`` and, when a cost has a ``chain``
+    the same states share rows, and the goal's knot is a knot row.  The
+    graph forms the stack from its states (see :meth:`FactorGraph.score`),
+    blending the interpolated rows together with the GP priors' residuals.
+    A score checks the stack with ``_as_config`` and, when a cost has a ``chain``
     (all such costs must share it), runs ``_fk_matrices`` over it once and
     forms its end-effector Jacobians once; it scores each distinct cost
     once over the rows its factors use.  Each of those rows carries the
@@ -339,16 +342,13 @@ class _ConfigurationStack:
             raise ValueError("the configuration costs of one graph must share one kinematic chain")
         self.chain = next(iter(chains.values()), None)
 
-    def score(self, x: np.ndarray) -> tuple[float, Callable[[], tuple[np.ndarray, np.ndarray]]]:
-        """Half the weighted squared residuals of every cost at the (N, 2n)
-        states ``x``, and a function that forms, from the same evaluation,
-        each stacked configuration's weighted Gram ``sum w^2 J^T J``
-        (M, n, n) and ``sum w^2 J^T r`` (M, n) over all its costs."""
-        n = x.shape[1] // 2
-        q = np.concatenate(
-            [x[self.knots, :n]]
-            + [gp.blend(i.coef, x[i.states].reshape(len(i.states), 1, -1, n)).reshape(-1, n) for i in self.interpolations]
-        )
+    def score(self, q: np.ndarray) -> tuple[float, Callable[[], tuple[np.ndarray, np.ndarray]]]:
+        """Half the weighted squared residuals of every cost at the stacked
+        configurations ``q`` (M, n), and a function that forms, from the
+        same evaluation, each stacked configuration's weighted Gram ``sum
+        w^2 J^T J`` (M, n, n) and ``sum w^2 J^T r`` (M, n) over all its
+        costs."""
+        n = q.shape[1]
         scored = _score_costs(q, self.chain, self.costs)
         # C order fixes how the products below round, whatever order a cost returns.
         residuals = [np.ascontiguousarray(r) for r, _ in scored]
@@ -383,8 +383,9 @@ def interpolated_blends(times: np.ndarray, n_interp: int):
 class FactorGraph:
     """The MAP problem: factors over ``num_states`` states of size ``state_dim``.
 
-    At construction the graph fixes what every :func:`linearize` call
-    shares: the stack of its configuration factors, the ``J^T J`` block
+    At construction the graph fixes what every :meth:`score` and
+    :func:`linearize` call shares: the stack of its configuration factors,
+    the segment blends that feed it and the GP priors, the ``J^T J`` block
     sums of its factors with constant Jacobians, wherever they sit (see
     :func:`_add_normal`), and the gather that lays the blocks out as a
     band.  Every factor but a :class:`ConfigurationFactor` must have a
@@ -395,6 +396,15 @@ class FactorGraph:
     num_states: int
     state_dim: int
     _configurations: _ConfigurationStack = field(init=False, repr=False, compare=False)
+    # Per distinct run of segments, its (K, 2) states and the kernel rows
+    # (K, R, 4) over their halves of every interpolation and GP prior on it,
+    # stacked: a score gathers each run once and blends it once.
+    _blends: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False, compare=False)
+    # Where a score reads each interpolation's configurations, and each
+    # constant factor's residuals (None: from its own evaluate), from those
+    # blends: the blend's index and its rows.
+    _interpolation_rows: tuple[tuple[int, slice], ...] = field(init=False, repr=False, compare=False)
+    _constant_rows: tuple[tuple[int, slice] | None, ...] = field(init=False, repr=False, compare=False)
     # The factors with constant Jacobians, in factor order, and the sum of
     # their J^T J blocks as linearize's flat accumulator (see _add_normal).
     _constants: tuple[Factor, ...] = field(init=False, repr=False, compare=False)
@@ -423,7 +433,22 @@ class FactorGraph:
                 raise ValueError(f"factor {factor.kind} must have a constant Jacobian or be a ConfigurationFactor")
         configurations = [f for f in self.factors if isinstance(f, ConfigurationFactor)]
         constants = tuple(f for f in self.factors if not isinstance(f, ConfigurationFactor))
-        object.__setattr__(self, "_configurations", _ConfigurationStack(configurations))
+        stack = _ConfigurationStack(configurations)
+        runs: dict[bytes, tuple[np.ndarray, list[np.ndarray]]] = {}
+
+        def place(states: np.ndarray, kernels: np.ndarray) -> tuple[int, slice]:
+            run = runs.setdefault(states.tobytes(), (states, []))
+            start = sum(k.shape[1] for k in run[1])
+            run[1].append(kernels)
+            return list(runs).index(states.tobytes()), slice(start, start + kernels.shape[1])
+
+        interpolation_rows = tuple(place(i.states, i.coef) for i in stack.interpolations)
+        constant_rows = tuple(place(f.states, f._kernel) if isinstance(f, GpPriorFactor) else None for f in constants)
+        blends = tuple((states, np.concatenate(kernels, axis=1)) for states, kernels in runs.values())
+        object.__setattr__(self, "_configurations", stack)
+        object.__setattr__(self, "_blends", blends)
+        object.__setattr__(self, "_interpolation_rows", interpolation_rows)
+        object.__setattr__(self, "_constant_rows", constant_rows)
         dim, num = self.state_dim, self.num_states
         n = dim // 2
         normal = np.zeros(num * 2 * dim * dim + 1)
@@ -445,9 +470,25 @@ class FactorGraph:
         every factor's whitened residuals (see :meth:`Factor.evaluate`),
         with what :func:`linearize` needs from the same evaluation: the
         residuals of the factors with constant Jacobians, and the stacked
-        configurations' Jacobian half (see :class:`_ConfigurationStack`)."""
-        residuals = [factor.evaluate(x)[0] for factor in self._constants]
-        configuration_cost, normal = self._configurations.score(x)
+        configurations' Jacobian half (see :class:`_ConfigurationStack`).
+
+        Each run of segments is gathered once and blended once, with the
+        interpolations' position rows and the GP priors' kernel rows
+        stacked: the interpolated configurations and the GP priors'
+        residuals come from that one blend, with the bits of
+        :meth:`ConfigurationFactor.evaluate` and :meth:`GpPriorFactor.evaluate`
+        (a blend is elementwise per kernel row)."""
+        n = x.shape[1] // 2
+        stack = self._configurations
+        blended = [gp.blend(kernels, x[states].reshape(len(states), 1, 4, n)) for states, kernels in self._blends]
+        q = np.concatenate(
+            [x[stack.knots, :n]] + [blended[run][:, rows].reshape(-1, n) for run, rows in self._interpolation_rows]
+        )
+        residuals = [
+            factor.evaluate(x)[0] if at is None else (blended[at[0]][:, at[1]] * factor._w).reshape(len(factor.states), -1)
+            for factor, at in zip(self._constants, self._constant_rows)
+        ]
+        configuration_cost, normal = stack.score(q)
         cost = 0.5 * sum(float(np.einsum("ij,ij->", r, r)) for r in residuals) + configuration_cost
         return Scored(cost, residuals, normal)
 
@@ -588,18 +629,27 @@ class OptimizeReport:
 
 
 def _solve_normal(band: np.ndarray, damping: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-    """Solve ``(A + diag(damping)) x = -g`` for ``A`` in lower banded
-    storage by banded Cholesky (LAPACK ``pbsv``); ``None`` when the matrix
-    is not finite or not positive definite, or the step is not finite."""
+    """Solve ``(A + diag(damping)) x = -g`` for a finite ``A`` in lower
+    banded storage by banded Cholesky (LAPACK ``pbsv``); ``None`` when the
+    damped diagonal is not finite, the matrix is not positive definite, or
+    the step is not finite.  :func:`optimize` checks ``A`` once per
+    linearization."""
     # A Fortran-ordered copy, which pbsv factors in place.
     band = np.array(band, order="F")
     band[0] += damping
-    if not np.all(np.isfinite(band)):
+    if not np.all(np.isfinite(band[0])):
         return None
     _, step, info = _pbsv(band, -g, lower=1, overwrite_ab=1, overwrite_b=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK pbsv")
     return step if info == 0 and np.all(np.isfinite(step)) else None
+
+
+def _summary(band: np.ndarray, gradient: np.ndarray) -> tuple[float, np.ndarray, bool]:
+    """What :func:`optimize` reads of a linearization besides the band and
+    the gradient, taken once per linearization: ``‖g‖∞``, the Marquardt
+    scale of the band's diagonal, and whether every band entry is finite."""
+    return float(np.abs(gradient).max()), _damping_scale(band[0]), bool(np.all(np.isfinite(band)))
 
 
 def _damping_scale(diag: np.ndarray) -> np.ndarray:
@@ -665,6 +715,7 @@ def optimize(
     band, gradient, cost = linearize(graph, init)
     if band is None:
         raise ValueError("initial trajectory has non-finite cost")
+    grad_inf, scale, finite = _summary(band, gradient)
     trace = [cost]
     converged = False
     message = "max iterations reached"
@@ -674,15 +725,15 @@ def optimize(
 
     while iterations < settings.max_iterations:
         iterations += 1
-        if float(np.abs(gradient).max()) < settings.abs_grad_tol:
+        if grad_inf < settings.abs_grad_tol:
             converged, message = True, "gradient tolerance"
             break
-        damping = mu * _damping_scale(band[0])
-        delta = _solve_normal(band, damping, gradient)
-        if delta is None and not np.all(np.isfinite(band)):
+        if not finite:
             # No damping makes a non-finite band finite.
             message = "no finite step: normal equations not finite or not positive definite"
             break
+        damping = mu * scale
+        delta = _solve_normal(band, damping, gradient)
         rho = 0.0
         if delta is not None:
             candidate = x + delta.reshape(x.shape)
@@ -698,8 +749,9 @@ def optimize(
             nu = 2.0
             x = candidate
             band, gradient, cost = linearize(graph, candidate, scored)
+            grad_inf, scale, finite = _summary(band, gradient)
             trace.append(cost)
-            stop = _stop_after_step(trace, float(np.abs(gradient).max()), settings)
+            stop = _stop_after_step(trace, grad_inf, settings)
             if stop:
                 converged, message = True, stop
                 break
@@ -723,7 +775,7 @@ def optimize(
         cost_trace=trace,
         final_cost=cost,
         wall_time_s=time.perf_counter() - t_start,
-        grad_inf_norm=float(np.abs(gradient).max()),
+        grad_inf_norm=grad_inf,
         message=message,
     )
     return init.with_vector(x), report

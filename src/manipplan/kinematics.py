@@ -210,11 +210,14 @@ class JacobianSet:
         product is ``z_k . sum_{j>k} (J_lin,j x w_lin,j + z_j x w_ang,j)
         + J_lin,k . sum_{j<=k} (w_lin,j x z_j)``: one suffix and one prefix
         sum over the joints.  Weights without angular rows (a task
-        dimension up to 3) skip the ``z_j x w_ang,j`` terms, which are zero.
+        dimension up to 3) skip the ``z_j x w_ang,j`` terms, which are zero;
+        only 2-row (planar) weights are padded, with a zero third row.
         """
         angular = weights.shape[-2] > 3
-        w = np.zeros(self._full.shape[:-2] + (6 if angular else 3, self._full.shape[-1]))
-        w[..., : weights.shape[-2], :] = weights
+        w = weights
+        if weights.shape[-2] == 2:
+            w = np.zeros(weights.shape[:-2] + (3, weights.shape[-1]))
+            w[..., :2, :] = weights
         w, cols = np.swapaxes(w, -1, -2), np.swapaxes(self._full, -1, -2)
         lin, axes = cols[..., :3], cols[..., 3:]
         downstream = _cross(lin, w[..., :3])
@@ -368,7 +371,8 @@ def _body_sphere_centers(chain: KinematicChain, q, frames: np.ndarray | None = N
     configuration (n,) or a stack of them (K, n)."""
     frames = _frames(chain, q, frames)
     tops = frames[..., chain._sphere_links + 1, :3, :]  # [R | p] of every sphere's frame
-    centers = np.einsum("...ij,...j->...i", tops[..., :3], chain._sphere_offsets) + tops[..., 3]
+    offsets = chain._sphere_offsets[:, :, None]  # (S, 3, 1): each component against a column of R
+    centers = tops[..., 0] * offsets[:, 0] + tops[..., 1] * offsets[:, 1] + tops[..., 2] * offsets[:, 2] + tops[..., 3]
     return frames, centers
 
 

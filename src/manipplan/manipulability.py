@@ -132,7 +132,8 @@ def _gram_traces(jset: JacobianSet, qr) -> np.ndarray:
     diagonal = np.copysign(np.maximum(np.abs(diagonal), SIGMA_MIN), diagonal)
     q_t = np.swapaxes(q, -1, -2)
     weights = np.empty_like(q_t)
-    for i in reversed(range(r.shape[-1])):  # W_i = (Q^T_i - sum_{j>i} r_ij W_j) / r'_ii
+    weights[..., -1, :] = q_t[..., -1, :] / diagonal[..., -1, None]
+    for i in reversed(range(r.shape[-1] - 1)):  # W_i = (Q^T_i - sum_{j>i} r_ij W_j) / r'_ii
         solved = (r[..., i, None, i + 1 :] @ weights[..., i + 1 :, :])[..., 0, :]
         weights[..., i, :] = (q_t[..., i, :] - solved) / diagonal[..., i, None]
     return 2.0 * jset.contract(weights)

@@ -20,7 +20,7 @@ from manipplan.kinematics import (
     forward_kinematics,
     geometric_jacobian,
 )
-from manipplan.manipulability import manipulability
+from manipplan.manipulability import SIGMA_MIN, manipulability
 
 
 def planar_arm(lengths, name="planar"):
@@ -486,6 +486,47 @@ def body_sphere_centers_matmul(chain, frames):
     for bit."""
     sphere_frames = frames[..., chain._sphere_links + 1, :, :]
     return (sphere_frames[..., :3, :3] @ chain._sphere_offsets[:, :, None])[..., 0] + sphere_frames[..., :3, 3]
+
+
+def body_sphere_centers_einsum(chain, frames):
+    """Body-sphere centres ``R @ offset + p`` by one ``einsum`` over every
+    sphere's rotation, the form the explicit products replaced: equal to
+    them bit for bit when each offset has one nonzero component."""
+    tops = frames[..., chain._sphere_links + 1, :3, :]
+    return np.einsum("...ij,...j->...i", tops[..., :3], chain._sphere_offsets) + tops[..., 3]
+
+
+def contract_zero_padded(jset, weights):
+    """``JacobianSet.contract`` reading a zero-padded copy of the weights,
+    three rows for up to three and six otherwise, the form it had before it
+    read 3- and 6-row weights in place: equal to it bit for bit."""
+    angular = weights.shape[-2] > 3
+    w = np.zeros(jset._full.shape[:-2] + (6 if angular else 3, jset._full.shape[-1]))
+    w[..., : weights.shape[-2], :] = weights
+    w, cols = np.swapaxes(w, -1, -2), np.swapaxes(jset._full, -1, -2)
+    lin, axes = cols[..., :3], cols[..., 3:]
+    downstream = cross_per_component(lin, w[..., :3])
+    if angular:
+        downstream += cross_per_component(axes, w[..., 3:])
+    suffix = np.zeros_like(downstream)
+    suffix[..., :-1, :] = np.cumsum(downstream[..., :0:-1, :], axis=-2)[..., ::-1, :]
+    prefix = np.cumsum(cross_per_component(w[..., :3], axes), axis=-2)
+    return np.sum(axes * suffix, axis=-1) + np.sum(lin * prefix, axis=-1)
+
+
+def gram_traces_empty_product(jset, qr):
+    """``manipulability._gram_traces`` with its back substitution run over
+    every row, the last one subtracting an empty product (zeros), the form
+    that solves the last row directly must reproduce bit for bit."""
+    q, r = qr
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    diagonal = np.copysign(np.maximum(np.abs(diagonal), SIGMA_MIN), diagonal)
+    q_t = np.swapaxes(q, -1, -2)
+    weights = np.empty_like(q_t)
+    for i in reversed(range(r.shape[-1])):
+        solved = (r[..., i, None, i + 1 :] @ weights[..., i + 1 :, :])[..., 0, :]
+        weights[..., i, :] = (q_t[..., i, :] - solved) / diagonal[..., i, None]
+    return 2.0 * jset.contract(weights)
 
 
 def contract_six_rows(jset, weights):

@@ -544,6 +544,31 @@ class TestOptimize:
         ]
         return fg.build_graph(scenario, init), trajectories
 
+    @pytest.mark.parametrize("name, n_interp", [("ur10_unconstrained", 2), ("ur10_table", 2), ("ur10_unconstrained", 0)])
+    def test_a_score_blends_the_segments_once(self, monkeypatch, name, n_interp):
+        # One gather of the segment halves and one blend give the interpolated
+        # configurations (P rows per segment) and the GP prior's residuals (2 rows).
+        scenario = replace(load_scenario(name), n_interp=n_interp)
+        init = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, n_interp)
+        graph = fg.build_graph(scenario, init)
+        calls = []
+
+        def counted(weights, halves, original=gp.blend):
+            calls.append(weights.shape)
+            return original(weights, halves)
+
+        monkeypatch.setattr(gp, "blend", counted)
+        graph.score(init.x)
+        assert calls == [(scenario.num_support - 1, n_interp + 2, 4)]
+
+    @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
+    def test_the_gp_prior_residual_from_the_shared_blend_is_its_evaluate(self, name):
+        graph, trajectories = self.perturbed_graph(name, True)
+        (at,) = [i for i, factor in enumerate(graph._constants) if isinstance(factor, fg.GpPriorFactor)]
+        for traj in trajectories:
+            residual, expected = graph.score(traj.x).residuals[at], graph._constants[at].evaluate(traj.x)[0]
+            assert residual.shape == expected.shape and residual.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
     @pytest.mark.parametrize("singularity", [True, False])
     def test_total_cost_is_the_linearized_cost(self, name, singularity):

@@ -24,8 +24,10 @@ from manipplan.kinematics import (
 from manipplan.kinematics import TASK_DIMS, _as_config, _body_sphere_centers, _cross, _fk_matrices, _point_jacobians
 
 from .oracles import (
+    body_sphere_centers_einsum,
     body_sphere_centers_matmul,
     contract_six_rows,
+    contract_zero_padded,
     cross_per_component,
     dh_matrix,
     dh_product,
@@ -197,6 +199,7 @@ class TestJacobianPartials:
             for weights in (random, sparse, np.zeros_like(random)):
                 expected = contract_six_rows(jset, weights)
                 assert jset.contract(weights).tobytes() == expected.tobytes()
+                assert jset.contract(weights).tobytes() == contract_zero_padded(jset, weights).tobytes()
 
     def test_jacobian_field_matches_geometric_jacobian(self, ur10, rng):
         q = rng.uniform(-np.pi, np.pi, 6)
@@ -407,6 +410,26 @@ class TestPointKernels:
             )
             centers = _body_sphere_centers(chain, configs, frames)[1]
             np.testing.assert_allclose(centers, body_sphere_centers_matmul(chain, frames), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["ur10", "tilted"])
+    def test_sphere_centers_equal_the_einsum_form(self, name, rng):
+        # Bit for bit with one-axis offsets (the shipped models), where the
+        # zero terms make any order of the three products exact; within
+        # 1e-15 m with the tilted chain's three-axis offsets.
+        chain = tilted_chain() if name == "tilted" else load_chain(name)
+        spheres = [replace(s, offset=s.offset * (np.arange(3) == k % 3)) for k, s in enumerate(chain.body_spheres)]
+        one_axis = replace(chain, body_spheres=spheres)
+        for scale in (1e-3, 1.0, 1e3):
+            configs = rng.uniform(-np.pi, np.pi, (200, chain.n)) * scale
+            frames = _fk_matrices(chain, configs)
+            np.testing.assert_array_equal(
+                _body_sphere_centers(one_axis, configs, frames)[1], body_sphere_centers_einsum(one_axis, frames)
+            )
+            np.testing.assert_array_equal(
+                _body_sphere_centers(one_axis, configs[0])[1], body_sphere_centers_einsum(one_axis, frames[0])
+            )
+            centers = _body_sphere_centers(chain, configs, frames)[1]
+            np.testing.assert_allclose(centers, body_sphere_centers_einsum(chain, frames), rtol=0.0, atol=1e-15)
 
 
 # Near-singular UR-10 configurations: shoulder joints anywhere, the other

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from manipplan.kinematics import geometric_jacobian, load_chain
+from manipplan.kinematics import geometric_jacobian, jacobian_partials, load_chain
 from manipplan.manipulability import (
     LAMBDA_FLOOR,
     SIGMA_MIN,
@@ -22,6 +22,7 @@ from manipplan.manipulability import (
 )
 
 from .oracles import (
+    gram_traces_empty_product,
     lambda_max_loop,
     manipulability_fd,
     manipulability_mp,
@@ -281,6 +282,22 @@ class TestSingularityCost:
         np.testing.assert_array_equal(values, [singularity_cost_value(chain, q, params, task_dim) for q in configs])
         gradient = manipulability_gradient(chain, configs, task_dim)
         np.testing.assert_array_equal(gradient.values, [manipulability_gradient(chain, q, task_dim).values for q in configs])
+
+    @pytest.mark.parametrize("name, task_dim", [("ur10", 6), ("ur10", 3), ("ur10", 2), ("planar2r", 2)])
+    def test_traces_equal_the_back_substitution_with_the_empty_product(self, name, task_dim, rng):
+        # Random, near-singular and singular rows (clamped diagonals), as a
+        # stack and one configuration at a time.
+        chain = load_chain("ur10") if name == "ur10" else planar_arm([1.0, 1.0])
+        configs = rng.uniform(-np.pi, np.pi, (200, chain.n))
+        configs[:20, 1:] = rng.uniform(0.0, 2e-3, (20, chain.n - 1))
+        configs[20] = 0.0
+        if name == "ur10":
+            configs[21:23] = UR10_POSITION_SINGULAR, UR10_WRIST_SINGULAR
+        for q in (configs, configs[0], configs[20]):
+            jset = jacobian_partials(chain, q, task_dim)
+            qr = manip_module._gram_lambda(jset.jacobian)[2]
+            expected = gram_traces_empty_product(jset, qr)
+            assert manip_module._gram_traces(jset, qr).tobytes() == expected.tobytes()
 
     def test_params_ordering_enforced(self):
         # The near-singular threshold, 1% of lambda_max, must exceed LAMBDA_FLOOR.
