@@ -326,7 +326,7 @@ class _ConfigurationStack:
         for i, factor in enumerate(factors):
             members.setdefault(id(factor.cost), []).append(i)
         # Per distinct cost: (cost, its rows of the stack, whether it takes frames),
-        # and each of those rows' summed squared weights.
+        # and each of those rows' summed squared weights, as a (rows, 1) column.
         self.costs: list[tuple[ConfigCost, slice | np.ndarray, bool]] = []
         self.weights: list[np.ndarray] = []
         for group in members.values():
@@ -336,7 +336,7 @@ class _ConfigurationStack:
             for i in group:
                 np.add.at(weights, np.searchsorted(used, rows[i]), factors[i]._w ** 2)
             self.costs.append((cost, _index(used), hasattr(cost, "chain")))
-            self.weights.append(weights)
+            self.weights.append(weights[:, None])
         chains = {id(cost.chain): cost.chain for cost, _, framed in self.costs if framed}
         if len(chains) > 1:
             raise ValueError("the configuration costs of one graph must share one kinematic chain")
@@ -352,15 +352,16 @@ class _ConfigurationStack:
         scored = _score_costs(q, self.chain, self.costs)
         # C order fixes how the products below round, whatever order a cost returns.
         residuals = [np.ascontiguousarray(r) for r, _ in scored]
-        cost = 0.5 * sum(float(np.einsum("i,ij,ij->", w, r, r)) for w, r in zip(self.weights, residuals))
+        weighted = [weights * r for weights, r in zip(self.weights, residuals)]
+        cost = 0.5 * sum(float(np.vdot(w_r, r)) for w_r, r in zip(weighted, residuals))
 
         def normal() -> tuple[np.ndarray, np.ndarray]:
             gram, jac_r = np.zeros((self.size, n, n)), np.zeros((self.size, n))
-            for (_, rows, _), weights, r, (_, jacobian) in zip(self.costs, self.weights, residuals, scored):
+            for (_, rows, _), weights, w_r, (_, jacobian) in zip(self.costs, self.weights, weighted, scored):
                 jac = jacobian()
                 jac_t = jac.swapaxes(1, 2)
-                gram[rows] += weights[:, None, None] * (jac_t @ jac)
-                jac_r[rows] += (jac_t @ (weights[:, None] * r)[..., None])[..., 0]
+                gram[rows] += weights[..., None] * (jac_t @ jac)
+                jac_r[rows] += (jac_t @ w_r[..., None])[..., 0]
             return gram, jac_r
 
         return cost, normal
@@ -489,7 +490,7 @@ class FactorGraph:
             for factor, at in zip(self._constants, self._constant_rows)
         ]
         configuration_cost, normal = stack.score(q)
-        cost = 0.5 * sum(float(np.einsum("ij,ij->", r, r)) for r in residuals) + configuration_cost
+        cost = 0.5 * sum(float(np.vdot(r, r)) for r in residuals) + configuration_cost
         return Scored(cost, residuals, normal)
 
     @property

@@ -8,7 +8,7 @@ the leading ``lambda`` factor of the raw gradient and therefore stays
 well scaled across the orders of magnitude lambda spans on a trajectory.
 The cost takes ``lambda = |prod(diag R)|`` and its gradient from one QR
 ``J^T = Q R`` (``J J^T = R^T R``); only :func:`manipulability` takes an
-SVD.
+SVD, of singular values without vectors, as the trajectory report does.
 """
 
 from __future__ import annotations
@@ -103,7 +103,9 @@ def manipulability(J):
     an array of measures for a (..., m, n) stack.
 
     Computed as the product of singular values (never through the
-    determinant of the Gram matrix, which underflows near singularities).
+    determinant of the Gram matrix, which underflows near singularities),
+    taken without singular vectors; the trajectory report takes them the
+    same way, so its lambda recomputes from its configuration bit for bit.
     Returns 0 for rank-deficient ``J``.
     """
     J = _checked(J)

@@ -288,7 +288,9 @@ def _evaluate_states(
     # One forward-kinematics pass gives the Jacobians, end-effector and spheres.
     frames = _fk_matrices(chain, _as_config(chain, positions, stack=True))
     jacobians = geometric_jacobian(chain, positions, task_dim, frames)
-    singular_values = np.linalg.svd(_checked(jacobians), full_matrices=False)[1]
+    # Without vectors, as manipulability() takes them, so an exported lambda
+    # recomputes from its exported configuration bit for bit.
+    singular_values = np.linalg.svd(_checked(jacobians), compute_uv=False)
     return EvaluatedProfile(
         times=times,
         positions=positions,

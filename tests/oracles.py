@@ -273,8 +273,8 @@ def lambda_max_loop(chain, task_dim, num_samples, seed, joint_range):
 def evaluate_profile_loop(chain, task_dim, trajectory, per_segment, sdf):
     """Trajectory samples and their diagnostics one sample at a time: each
     interpolated state from ``gp.interpolate``, then one Jacobian, singular
-    value decomposition, forward-kinematics pass and clearance lookup per
-    sample.
+    values (without vectors, as ``manipulability`` takes them),
+    forward-kinematics pass and clearance lookup per sample.
 
     Returns ``(times, positions, velocities, lambdas, sigma_mins,
     ee_positions, clearances)``, the last ``None`` without obstacles.
@@ -289,7 +289,7 @@ def evaluate_profile_loop(chain, task_dim, trajectory, per_segment, sdf):
     states.append(knots[-1])
     rows = []
     for state in states:
-        s = np.linalg.svd(geometric_jacobian(chain, state.position, task_dim), full_matrices=False)[1]
+        s = np.linalg.svd(geometric_jacobian(chain, state.position, task_dim), compute_uv=False)
         ee = forward_kinematics(chain, state.position)[-1].position
         clearance = None if sdf is None else sphere_clearances(chain, state.position, sdf)
         rows.append((state.time, state.position, state.velocity, np.prod(s), s[-1], ee, clearance))

@@ -239,6 +239,16 @@ class TestRunScenario:
             lam = manipulability(geometric_jacobian(chain, row[1 : 1 + n], scenario.task_dim))
             assert lam == pytest.approx(row[1 + 2 * n], abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["ur10_table", "ur10_unconstrained", "planar2r_analytic"])
+    def test_exported_lambda_is_manipulability_of_the_exported_q_bit_for_bit(self, tmp_path, name):
+        # The report takes its singular values as manipulability() does, without vectors.
+        scenario = load_scenario(name)
+        run_scenario(scenario, tmp_path)
+        _, data = read_csv(tmp_path / "trajectory.csv")
+        chain = scenario.load_chain()
+        recomputed = [manipulability(geometric_jacobian(chain, row[1 : 1 + chain.n], scenario.task_dim)) for row in data]
+        assert np.asarray(recomputed).tobytes() == data[:, -1].tobytes()
+
     def test_trajectory_rows_are_supports_plus_interpolated(self, tmp_path):
         scenario = planar_scenario(num_support=6, n_interp=3)
         result = run_scenario(scenario, tmp_path / "rows")
