@@ -486,7 +486,9 @@ class FactorGraph:
             [x[stack.knots, :n]] + [blended[run][:, rows].reshape(-1, n) for run, rows in self._interpolation_rows]
         )
         residuals = [
-            factor.evaluate(x)[0] if at is None else (blended[at[0]][:, at[1]] * factor._w).reshape(len(factor.states), -1)
+            factor.evaluate(x)[0]
+            if at is None
+            else (blended[at[0]][:, at[1]] * factor._w).reshape(len(factor.states), -1)
             for factor, at in zip(self._constants, self._constant_rows)
         ]
         configuration_cost, normal = stack.score(q)

@@ -496,18 +496,19 @@ def body_sphere_centers_einsum(chain, frames):
     return np.einsum("...ij,...j->...i", tops[..., :3], chain._sphere_offsets) + tops[..., 3]
 
 
-def contract_zero_padded(jset, weights):
-    """``JacobianSet.contract`` reading a zero-padded copy of the weights,
-    three rows for up to three and six otherwise, the form it had before it
-    read 3- and 6-row weights in place: equal to it bit for bit."""
-    angular = weights.shape[-2] > 3
-    w = np.zeros(jset._full.shape[:-2] + (6 if angular else 3, jset._full.shape[-1]))
+def contract_zero_padded(jset, weights, rows=None):
+    """``JacobianSet.contract`` reading a copy of the weights zero-padded to
+    ``rows`` rows: by default three for up to three rows and six otherwise,
+    the form it had before it read 3- and 6-row weights in place, equal to
+    it bit for bit."""
+    rows = rows or (6 if weights.shape[-2] > 3 else 3)
+    w = np.zeros(jset._full.shape[:-2] + (rows, jset._full.shape[-1]))
     w[..., : weights.shape[-2], :] = weights
     w, cols = np.swapaxes(w, -1, -2), np.swapaxes(jset._full, -1, -2)
     lin, axes = cols[..., :3], cols[..., 3:]
     downstream = cross_per_component(lin, w[..., :3])
-    if angular:
-        downstream += cross_per_component(axes, w[..., 3:])
+    if rows == 6:
+        downstream = downstream + cross_per_component(axes, w[..., 3:])
     suffix = np.zeros_like(downstream)
     suffix[..., :-1, :] = np.cumsum(downstream[..., :0:-1, :], axis=-2)[..., ::-1, :]
     prefix = np.cumsum(cross_per_component(w[..., :3], axes), axis=-2)
@@ -533,15 +534,7 @@ def contract_six_rows(jset, weights):
     """``JacobianSet.contract`` with the weights padded to all six rows of
     the full Jacobian, so the angular cross products are always formed:
     the formula the contraction must reproduce bit for bit."""
-    w = np.zeros(jset._full.shape)
-    w[..., : weights.shape[-2], :] = weights
-    w, cols = np.swapaxes(w, -1, -2), np.swapaxes(jset._full, -1, -2)
-    lin, axes = cols[..., :3], cols[..., 3:]
-    downstream = cross_per_component(lin, w[..., :3]) + cross_per_component(axes, w[..., 3:])
-    suffix = np.zeros_like(downstream)
-    suffix[..., :-1, :] = np.cumsum(downstream[..., :0:-1, :], axis=-2)[..., ::-1, :]
-    prefix = np.cumsum(cross_per_component(w[..., :3], axes), axis=-2)
-    return np.sum(axes * suffix, axis=-1) + np.sum(lin * prefix, axis=-1)
+    return contract_zero_padded(jset, weights, 6)
 
 
 def _one_configuration(cost, q):

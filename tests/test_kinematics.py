@@ -391,45 +391,32 @@ class TestPointKernels:
             expected = point_jacobians_masked(frames, at, links)
             np.testing.assert_array_equal(_point_jacobians(frames, at, links), expected)
 
-    @pytest.mark.parametrize("name", ["ur10", "tilted"])
-    def test_sphere_centers_equal_the_matmul_form(self, name, rng):
-        # Bit for bit when each offset has one nonzero component (the shipped
-        # models); three nonzero components may round differently in the last
-        # bit, since matmul may fuse the multiply-adds.
+    @staticmethod
+    def assert_sphere_centers_equal(reference, name, rng):
+        """``_body_sphere_centers`` equals ``reference(chain, frames)`` bit
+        for bit when each offset has one nonzero component (the shipped
+        models), where the zero terms make any order of the products exact,
+        and within 1e-15 m with three nonzero components."""
         chain = tilted_chain() if name == "tilted" else load_chain(name)
         spheres = [replace(s, offset=s.offset * (np.arange(3) == k % 3)) for k, s in enumerate(chain.body_spheres)]
         one_axis = replace(chain, body_spheres=spheres)
         for scale in (1e-3, 1.0, 1e3):
             configs = rng.uniform(-np.pi, np.pi, (200, chain.n)) * scale
             frames = _fk_matrices(chain, configs)
-            np.testing.assert_array_equal(
-                _body_sphere_centers(one_axis, configs, frames)[1], body_sphere_centers_matmul(one_axis, frames)
-            )
-            np.testing.assert_array_equal(
-                _body_sphere_centers(one_axis, configs[0])[1], body_sphere_centers_matmul(one_axis, frames[0])
-            )
+            np.testing.assert_array_equal(_body_sphere_centers(one_axis, configs, frames)[1], reference(one_axis, frames))
+            np.testing.assert_array_equal(_body_sphere_centers(one_axis, configs[0])[1], reference(one_axis, frames[0]))
             centers = _body_sphere_centers(chain, configs, frames)[1]
-            np.testing.assert_allclose(centers, body_sphere_centers_matmul(chain, frames), rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(centers, reference(chain, frames), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["ur10", "tilted"])
+    def test_sphere_centers_equal_the_matmul_form(self, name, rng):
+        # matmul may fuse the multiply-adds of three-axis offsets.
+        self.assert_sphere_centers_equal(body_sphere_centers_matmul, name, rng)
 
     @pytest.mark.parametrize("name", ["ur10", "tilted"])
     def test_sphere_centers_equal_the_einsum_form(self, name, rng):
-        # Bit for bit with one-axis offsets (the shipped models), where the
-        # zero terms make any order of the three products exact; within
-        # 1e-15 m with the tilted chain's three-axis offsets.
-        chain = tilted_chain() if name == "tilted" else load_chain(name)
-        spheres = [replace(s, offset=s.offset * (np.arange(3) == k % 3)) for k, s in enumerate(chain.body_spheres)]
-        one_axis = replace(chain, body_spheres=spheres)
-        for scale in (1e-3, 1.0, 1e3):
-            configs = rng.uniform(-np.pi, np.pi, (200, chain.n)) * scale
-            frames = _fk_matrices(chain, configs)
-            np.testing.assert_array_equal(
-                _body_sphere_centers(one_axis, configs, frames)[1], body_sphere_centers_einsum(one_axis, frames)
-            )
-            np.testing.assert_array_equal(
-                _body_sphere_centers(one_axis, configs[0])[1], body_sphere_centers_einsum(one_axis, frames[0])
-            )
-            centers = _body_sphere_centers(chain, configs, frames)[1]
-            np.testing.assert_allclose(centers, body_sphere_centers_einsum(chain, frames), rtol=0.0, atol=1e-15)
+        # The form the explicit products replaced.
+        self.assert_sphere_centers_equal(body_sphere_centers_einsum, name, rng)
 
 
 # Near-singular UR-10 configurations: shoulder joints anywhere, the other
