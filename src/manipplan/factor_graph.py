@@ -5,11 +5,11 @@ states are consecutive.  Each block is a whitened residual
 (premultiplied by the square root of its inverse covariance) over one
 state or two consecutive states, with its Jacobian with respect to them,
 so the MAP problem is the standard sum of squared residuals.  Besides the
-start prior and the GP prior over all segments, whose Jacobians are
-constant, there is one cost factor type, :class:`ConfigurationFactor`: a
-residual of joint configurations, one block per knot, or one per segment
-stacking its P GP-interpolated states, whose Jacobian is chained through
-the interpolation blend coefficients (``c ⊗ J``) so gradient information
+GP prior over all segments, whose Jacobian is constant, there is one
+cost factor type, :class:`ConfigurationFactor`: a residual of joint
+configurations, one block per knot, or one per segment stacking its P
+GP-interpolated states, whose Jacobian is chained through the
+interpolation blend coefficients (``c ⊗ J``) so gradient information
 from extra states reaches the decision variables.  A graph stacks every
 configuration its cost factors use once (the knots, then the
 interpolated states of every segment), runs forward kinematics once over
@@ -18,8 +18,8 @@ segments gives both the interpolated states and the GP prior's residuals.
 
 An evaluation has two phases.  A *score* forms the cost: each distinct
 configuration cost's squared residuals per stacked row, weighted by the
-summed squared weights of the factors that read the row, plus the
-priors' whitened residuals.  It keeps the intermediates the Jacobians
+summed squared weights of the factors that read the row, plus the GP
+prior's whitened residuals.  It keeps the intermediates the Jacobians
 need (frames, the QR factors of the task Jacobians, the collision pairs
 inside the margin).  The *Jacobian half* runs later, and only when the
 solver asks for it: one weighted Gram ``sum w^2 J^T J`` and one
@@ -30,10 +30,11 @@ Because no block spans more than two consecutive states, ``J^T J`` is
 block tridiagonal (the exactly sparse GP structure).  The solver adds
 each knot's Gram to the position corner of its diagonal block, spreads
 each interpolated configuration's over the two states it blends with the
-products ``c c^T`` of its blend coefficients, starts from the priors'
-constant ``J^T J`` summed at construction, and runs Levenberg-Marquardt
-on the banded Cholesky factorization, at a cost linear in the number of
-states.
+products ``c c^T`` of its blend coefficients, starts from the GP
+prior's constant ``J^T J`` summed at construction, and runs
+Levenberg-Marquardt on the banded Cholesky factorization, at a cost
+linear in the number of states.  State 0 is the start, data rather than
+a decision variable: the solver moves states 1..N-1 only.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ if TYPE_CHECKING:
 __all__ = [
     "FactorKind",
     "Factor",
-    "StartPriorFactor",
     "GpPriorFactor",
     "ConfigurationFactor",
     "interpolated_blends",
@@ -95,7 +95,6 @@ ConfigCost = Callable[..., tuple[np.ndarray, np.ndarray]]
 
 
 class FactorKind(Enum):
-    START_PRIOR = "start_prior"
     GP_PRIOR = "gp_prior"
     SINGULARITY = "singularity"
     INTERP_SINGULARITY = "interpolated_singularity"
@@ -110,16 +109,14 @@ class Factor:
 
     Subclasses set ``kind``, ``states`` (a (K, width) array of consecutive
     support-state indices, width 1 or 2, on consecutive rows), ``dim``
-    (residual length per block), and implement :meth:`evaluate`.  A factor
-    whose Jacobians do not depend on the states sets ``constant_jacobian``
-    to them, and :meth:`evaluate` returns that array; every factor of a
-    graph but a :class:`ConfigurationFactor` must.
+    (residual length per block), and implement :meth:`evaluate`.  A graph
+    takes two subclasses: :class:`GpPriorFactor`, whose Jacobian does not
+    depend on the states, and :class:`ConfigurationFactor`.
     """
 
     kind: FactorKind
     states: np.ndarray
     dim: int
-    constant_jacobian: np.ndarray | None = None
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Whitened residuals (K, dim) and Jacobians (K, dim, width * 2n)
@@ -131,27 +128,6 @@ def _weight(sigma: float) -> float:
     if sigma <= 0.0:
         raise ValueError("covariance must be positive")
     return 1.0 / math.sqrt(sigma)
-
-
-@dataclass
-class StartPriorFactor(Factor):
-    """Pins the first state (position and velocity) with a tight prior."""
-
-    state: int
-    prior: np.ndarray
-    sigma: float
-
-    def __post_init__(self) -> None:
-        self.kind = FactorKind.START_PRIOR
-        self.states = np.array([[self.state]])
-        self.prior = np.asarray(self.prior, dtype=float)
-        self.dim = self.prior.shape[0]
-        self._w = _weight(self.sigma)
-        self.constant_jacobian = self._w * np.eye(self.dim)[None]
-
-    def evaluate(self, x):
-        r = self._w * (x[self.states[0]] - self.prior)
-        return r, self.constant_jacobian
 
 
 @dataclass
@@ -386,11 +362,11 @@ class FactorGraph:
 
     At construction the graph fixes what every :meth:`score` and
     :func:`linearize` call shares: the stack of its configuration factors,
-    the segment blends that feed it and the GP priors, the ``J^T J`` block
-    sums of its factors with constant Jacobians, wherever they sit (see
+    the segment blends that feed it and the GP priors, the GP priors'
+    constant ``J^T J`` block sums, wherever they sit (see
     :func:`_add_normal`), and the gather that lays the blocks out as a
-    band.  Every factor but a :class:`ConfigurationFactor` must have a
-    constant Jacobian.
+    band.  Every factor is a :class:`GpPriorFactor` or a
+    :class:`ConfigurationFactor`.
     """
 
     factors: tuple[Factor, ...]
@@ -401,15 +377,14 @@ class FactorGraph:
     # (K, R, 4) over their halves of every interpolation and GP prior on it,
     # stacked: a score gathers each run once and blends it once.
     _blends: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False, compare=False)
-    # Where a score reads each interpolation's configurations, and each
-    # constant factor's residuals (None: from its own evaluate), from those
-    # blends: the blend's index and its rows.
+    # Where a score reads each interpolation's configurations, and each GP
+    # prior's residuals, from those blends: the blend's index and its rows.
     _interpolation_rows: tuple[tuple[int, slice], ...] = field(init=False, repr=False, compare=False)
-    _constant_rows: tuple[tuple[int, slice] | None, ...] = field(init=False, repr=False, compare=False)
-    # The factors with constant Jacobians, in factor order, and the sum of
-    # their J^T J blocks as linearize's flat accumulator (see _add_normal).
-    _constants: tuple[Factor, ...] = field(init=False, repr=False, compare=False)
-    _constant_normal: np.ndarray = field(init=False, repr=False, compare=False)
+    _prior_rows: tuple[tuple[int, slice], ...] = field(init=False, repr=False, compare=False)
+    # The GP priors, in factor order, and the sum of their J^T J blocks as
+    # linearize's flat accumulator (see _add_normal).
+    _priors: tuple[GpPriorFactor, ...] = field(init=False, repr=False, compare=False)
+    _prior_normal: np.ndarray = field(init=False, repr=False, compare=False)
     # Indices into that accumulator of every band entry (see linearize).
     _band_index: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -430,10 +405,10 @@ class FactorGraph:
                 )
             if not np.all((0 <= states) & (states < self.num_states)):
                 raise ValueError(f"factor {factor.kind} references a state outside 0..{self.num_states - 1}")
-            if not isinstance(factor, ConfigurationFactor) and factor.constant_jacobian is None:
-                raise ValueError(f"factor {factor.kind} must have a constant Jacobian or be a ConfigurationFactor")
+            if not isinstance(factor, (GpPriorFactor, ConfigurationFactor)):
+                raise ValueError(f"factor {factor.kind} must be a GpPriorFactor or a ConfigurationFactor")
         configurations = [f for f in self.factors if isinstance(f, ConfigurationFactor)]
-        constants = tuple(f for f in self.factors if not isinstance(f, ConfigurationFactor))
+        priors = tuple(f for f in self.factors if isinstance(f, GpPriorFactor))
         stack = _ConfigurationStack(configurations)
         runs: dict[bytes, tuple[np.ndarray, list[np.ndarray]]] = {}
 
@@ -444,34 +419,34 @@ class FactorGraph:
             return list(runs).index(states.tobytes()), slice(start, start + kernels.shape[1])
 
         interpolation_rows = tuple(place(i.states, i.coef) for i in stack.interpolations)
-        constant_rows = tuple(place(f.states, f._kernel) if isinstance(f, GpPriorFactor) else None for f in constants)
+        prior_rows = tuple(place(f.states, f._kernel) for f in priors)
         blends = tuple((states, np.concatenate(kernels, axis=1)) for states, kernels in runs.values())
         object.__setattr__(self, "_configurations", stack)
         object.__setattr__(self, "_blends", blends)
         object.__setattr__(self, "_interpolation_rows", interpolation_rows)
-        object.__setattr__(self, "_constant_rows", constant_rows)
+        object.__setattr__(self, "_prior_rows", prior_rows)
         dim, num = self.state_dim, self.num_states
         n = dim // 2
         normal = np.zeros(num * 2 * dim * dim + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            for factor in constants:
-                _add_normal(normal, factor, factor.constant_jacobian, n)
+            for prior in priors:
+                _add_normal(normal, prior, n)
         # Band entry (i, s dim + j) is J^T J's (s dim + i + j, s dim + j):
         # half block (s, a, b) entry (u, v) for i + j = a n + u and j = b n + v
         # while i + j < 2 dim, else a zero.
         i, s, j = np.ogrid[: 2 * dim, :num, :dim]
         (a, u), (b, v) = divmod(i + j, n), divmod(j, n)
         index = np.where(i + j < 2 * dim, (((s * 4 + a) * 2 + b) * n + u) * n + v, normal.size - 1)
-        object.__setattr__(self, "_constants", constants)
-        object.__setattr__(self, "_constant_normal", normal)
+        object.__setattr__(self, "_priors", priors)
+        object.__setattr__(self, "_prior_normal", normal)
         object.__setattr__(self, "_band_index", index.reshape(2 * dim, num * dim))
 
     def score(self, x: np.ndarray) -> "Scored":
         """The cost at the (N, 2n) states ``x``, half the squared norm of
         every factor's whitened residuals (see :meth:`Factor.evaluate`),
-        with what :func:`linearize` needs from the same evaluation: the
-        residuals of the factors with constant Jacobians, and the stacked
-        configurations' Jacobian half (see :class:`_ConfigurationStack`).
+        with what :func:`linearize` needs from the same evaluation: the GP
+        priors' residuals, and the stacked configurations' Jacobian half
+        (see :class:`_ConfigurationStack`).
 
         Each run of segments is gathered once and blended once, with the
         interpolations' position rows and the GP priors' kernel rows
@@ -486,10 +461,8 @@ class FactorGraph:
             [x[stack.knots, :n]] + [blended[run][:, rows].reshape(-1, n) for run, rows in self._interpolation_rows]
         )
         residuals = [
-            factor.evaluate(x)[0]
-            if at is None
-            else (blended[at[0]][:, at[1]] * factor._w).reshape(len(factor.states), -1)
-            for factor, at in zip(self._constants, self._constant_rows)
+            (blended[run][:, rows] * prior._w).reshape(len(prior.states), -1)
+            for prior, (run, rows) in zip(self._priors, self._prior_rows)
         ]
         configuration_cost, normal = stack.score(q)
         cost = 0.5 * sum(float(np.vdot(r, r)) for r in residuals) + configuration_cost
@@ -503,10 +476,10 @@ class FactorGraph:
 class Scored(NamedTuple):
     """The residual half of one evaluation of a graph (see
     :meth:`FactorGraph.score`): its cost (half the squared norm of every
-    whitened residual), the whitened residuals of its factors with
-    constant Jacobians in factor order, and ``normal()``, which forms the
-    stacked configurations' weighted Grams ``sum w^2 J^T J`` (M, n, n) and
-    ``sum w^2 J^T r`` (M, n) from the same evaluation."""
+    whitened residual), the whitened residuals of its GP priors in factor
+    order, and ``normal()``, which forms the stacked configurations'
+    weighted Grams ``sum w^2 J^T J`` (M, n, n) and ``sum w^2 J^T r`` (M, n)
+    from the same evaluation."""
 
     cost: float
     residuals: list[np.ndarray]
@@ -520,23 +493,22 @@ def total_cost(graph: FactorGraph, trajectory: gp.SupportTrajectory) -> float:
     return graph.score(trajectory.x).cost
 
 
-def _add_normal(normal: np.ndarray, factor: Factor, jac: np.ndarray, n: int) -> None:
-    """Add a factor's ``J^T J`` to the flat accumulator ``normal``: the
-    column blocks of ``J^T J`` as (N, 4, 2, n, n) half blocks, then one
-    zero for the band's entries outside them.  Half block (s, a, b) is the
-    n x n block of ``J^T J`` whose rows are half a of states s and s + 1
-    (their positions and velocities, in that order) and whose columns are
-    half b of state s: column block s holds the diagonal block (s, s) over
-    the block (s + 1, s).  A factor adds to two runs of diagonal blocks and
-    the blocks below them, since its blocks start at consecutive states."""
+def _add_normal(normal: np.ndarray, prior: GpPriorFactor, n: int) -> None:
+    """Add a GP prior's constant ``J^T J`` to the flat accumulator
+    ``normal``: the column blocks of ``J^T J`` as (N, 4, 2, n, n) half
+    blocks, then one zero for the band's entries outside them.  Half block
+    (s, a, b) is the n x n block of ``J^T J`` whose rows are half a of
+    states s and s + 1 (their positions and velocities, in that order) and
+    whose columns are half b of state s: column block s holds the diagonal
+    block (s, s) over the block (s + 1, s).  A prior's blocks span
+    consecutive segments, so it adds to two runs of diagonal blocks and
+    the blocks below the first run."""
     halves = normal[:-1].reshape(-1, 4, 2, n, n)
-    product = jac.swapaxes(1, 2) @ jac
-    width = product.shape[1] // n  # halves per block: 2 or 4
-    product = product.reshape(len(product), width, n, width, n).swapaxes(2, 3)
-    first = factor.states[0, 0]
-    halves[first : first + len(product), :width] += product[:, :, :2]
-    if width > 2:
-        halves[first + 1 : first + 1 + len(product), :2] += product[:, 2:, 2:]
+    jac = prior.constant_jacobian
+    product = (jac.swapaxes(1, 2) @ jac).reshape(len(jac), 4, n, 4, n).swapaxes(2, 3)
+    first = prior.states[0, 0]
+    halves[first : first + len(product)] += product[:, :, :2]
+    halves[first + 1 : first + 1 + len(product), :2] += product[:, 2:, 2:]
 
 
 def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory | np.ndarray, scored: Scored | None = None):
@@ -553,7 +525,7 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory | np.ndarray,
     returned non-finite, which ends :func:`optimize`.  Every block touches
     one state or two consecutive ones, so ``J^T J`` is block tridiagonal
     (lower half-bandwidth ``2 * state_dim - 1``).  The sum starts from the
-    graph's constant ``J^T J`` blocks, summed at construction, and adds
+    GP priors' constant ``J^T J`` blocks, summed at construction, and adds
     the score's weighted Grams: a knot's to the position corner of its
     diagonal block, and an interpolated configuration's to the two states
     it blends, as ``(c c^T) ⊗ G`` for its blend coefficients ``c``, with
@@ -566,16 +538,15 @@ def linearize(graph: FactorGraph, trajectory: gp.SupportTrajectory | np.ndarray,
         return None, None, cost
     dim, num = graph.state_dim, graph.num_states
     n = dim // 2
-    normal = graph._constant_normal.copy()
+    normal = graph._prior_normal.copy()
     halves = normal[:-1].reshape(num, 4, 2, n, n)  # see _add_normal
     gradient = np.zeros((num, dim))
     with np.errstate(over="ignore", invalid="ignore"):
-        for factor, r in zip(graph._constants, scored.residuals):
-            jac_r = (factor.constant_jacobian.swapaxes(1, 2) @ r[..., None])[..., 0]
-            first = factor.states[0, 0]
+        for prior, r in zip(graph._priors, scored.residuals):
+            jac_r = (prior.constant_jacobian.swapaxes(1, 2) @ r[..., None])[..., 0]
+            first = prior.states[0, 0]
             gradient[first : first + len(r)] += jac_r[:, :dim]
-            if jac_r.shape[1] > dim:
-                gradient[first + 1 : first + 1 + len(r)] += jac_r[:, dim:]
+            gradient[first + 1 : first + 1 + len(r)] += jac_r[:, dim:]
         gram, jac_r = scored.normal()
         stack = graph._configurations
         halves[stack.knots, 0, 0] += gram[: stack.knot_rows]
@@ -649,9 +620,10 @@ def _solve_normal(band: np.ndarray, damping: np.ndarray, g: np.ndarray) -> np.nd
 
 
 def _summary(band: np.ndarray, gradient: np.ndarray) -> tuple[float, np.ndarray, bool]:
-    """What :func:`optimize` reads of a linearization besides the band and
-    the gradient, taken once per linearization: ``‖g‖∞``, the Marquardt
-    scale of the band's diagonal, and whether every band entry is finite."""
+    """What :func:`optimize` reads of a linearization's decision band and
+    gradient besides themselves, taken once per linearization: ``‖g‖∞``,
+    the Marquardt scale of the band's diagonal, and whether every band
+    entry is finite."""
     return float(np.abs(gradient).max()), _damping_scale(band[0]), bool(np.all(np.isfinite(band)))
 
 
@@ -690,7 +662,8 @@ def optimize(
     settings: SolverSettings | None = None,
 ) -> tuple[gp.SupportTrajectory, OptimizeReport]:
     """Solve the MAP problem from an initial trajectory by
-    Levenberg-Marquardt.
+    Levenberg-Marquardt over states 1..N-1; state 0, the start, is
+    returned exactly as given.
 
     Each iteration solves the normal equations at the current
     linearization with Marquardt damping ``mu diag(A)`` (``mu`` starts at
@@ -714,10 +687,14 @@ def optimize(
         )
     # The states (N, 2n) of the current trajectory; the candidates are
     # scored as arrays, and only the solution is returned as a trajectory.
-    x = init.x
+    # The decision variables are states 1..N-1: in lower band storage the
+    # columns from state_dim on reference rows from state_dim on only, so
+    # the band and the gradient from there on are their normal equations.
+    x, dim = init.x, graph.state_dim
     band, gradient, cost = linearize(graph, init)
     if band is None:
         raise ValueError("initial trajectory has non-finite cost")
+    band, gradient = band[:, dim:], gradient[dim:]
     grad_inf, scale, finite = _summary(band, gradient)
     trace = [cost]
     converged = False
@@ -739,7 +716,8 @@ def optimize(
         delta = _solve_normal(band, damping, gradient)
         rho = 0.0
         if delta is not None:
-            candidate = x + delta.reshape(x.shape)
+            candidate = x.copy()
+            candidate[1:] += delta.reshape(-1, dim)
             scored = graph.score(candidate)
             new_cost = scored.cost
             # A non-finite cost fails this test too.
@@ -752,6 +730,7 @@ def optimize(
             nu = 2.0
             x = candidate
             band, gradient, cost = linearize(graph, candidate, scored)
+            band, gradient = band[:, dim:], gradient[dim:]
             grad_inf, scale, finite = _summary(band, gradient)
             trace.append(cost)
             stop = _stop_after_step(trace, grad_inf, settings)
@@ -832,29 +811,27 @@ class ChainGoalCost:
         return frames[:, -1, :3, 3] - self.goal, lambda: np.ascontiguousarray(jacobians[:, :3, :])
 
 
-# Covariances of the start prior (per state entry) and of the goal-position
-# residual (per axis): tight enough to act as constraints.
-SIGMA_GOAL = SIGMA_START = 1e-8
+# Covariance of the goal-position residual (per axis): tight enough to act
+# as a constraint.
+SIGMA_GOAL = 1e-8
 
 
 def build_graph(scenario: "Scenario", trajectory: gp.SupportTrajectory) -> FactorGraph:
     """Wire a scenario into factors over the given support trajectory.
 
-    Layout: a tight prior on state 0, the GP prior over all segments, and
-    (when enabled / present) singularity and collision costs on all
-    support states and on all ``n_interp`` interpolated evaluation points
-    per segment (one factor each, an interpolated one with one block per
-    segment), then the goal position on the final state.
+    Layout: the GP prior over all segments, and (when enabled / present)
+    singularity and collision costs on all support states and on all
+    ``n_interp`` interpolated evaluation points per segment (one factor
+    each, an interpolated one with one block per segment), then the goal
+    position on the final state.  State 0 is the trajectory's start, which
+    :func:`optimize` holds; knot 0's cost blocks add a constant.
     """
     chain = scenario.load_chain()
     n = chain.n
     num = trajectory.num_states
     times = trajectory.times
 
-    factors: list[Factor] = [
-        StartPriorFactor(state=0, prior=trajectory.x[0], sigma=SIGMA_START),
-        GpPriorFactor(times=times, n=n, qc=scenario.qc_scale),
-    ]
+    factors: list[Factor] = [GpPriorFactor(times=times, n=n, qc=scenario.qc_scale)]
     _, lam, psi = interpolated_blends(times, scenario.n_interp)
 
     def add_cost(knot_kind, interp_kind, cost, dim, sigma):

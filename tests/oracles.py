@@ -430,6 +430,18 @@ def dense_gp_conditional_mean(times, values, tau, qc, initial_cov):
     return k_ts @ np.linalg.solve(k_ss, values.reshape(-1))
 
 
+def position_cost(goal):
+    """The linear configuration cost ``q -> (q - goal, I)``: a
+    :class:`ConfigurationFactor` over it is a Gaussian prior on the
+    positions of its states."""
+    goal = np.asarray(goal, dtype=float)
+
+    def cost(q):
+        return q - goal, np.broadcast_to(np.eye(len(goal)), (len(q), len(goal), len(goal))).copy()
+
+    return cost
+
+
 def dense_linearization(graph, trajectory):
     """Dense whitened Jacobian and residual of a factor graph, stacked one
     block after another from ``Factor.evaluate`` (never the solver's own
@@ -564,8 +576,8 @@ def linearize_per_row(graph, x):
     (N, 2n) states ``x``, and ``(band_scale, gradient_scale)``: the same
     sums over the absolute values of their terms, which bound how far the
     rounding of either sum can move it.  Written as plain loops into a
-    dense ``J^T J``: a factor with a constant Jacobian adds ``J^T J`` and
-    ``J^T r`` block by block; a configuration factor evaluates its cost at
+    dense ``J^T J``: a GP prior, whose Jacobian is constant, adds ``J^T J``
+    and ``J^T r`` block by block; a configuration factor evaluates its cost at
     one configuration ``q = sum_s c_s h_s`` at a time and adds that row's
     Gram ``(c c^T) ⊗ w^2 J^T J`` and ``c ⊗ w^2 J^T r``, ``w^2 = 1 /
     sigma``.  The cost is the exactly rounded sum of every block's and
@@ -576,7 +588,7 @@ def linearize_per_row(graph, x):
     gradient, gradient_scale = np.zeros(size), np.zeros(size)
     halves = []
     for factor in graph.factors:
-        if factor.constant_jacobian is not None:
+        if hasattr(factor, "constant_jacobian"):
             r, jac = factor.evaluate(x)
             for states, r_k, jac_k in zip(factor.states, r, jac):
                 cols = slice(states[0] * dim, (states[-1] + 1) * dim)

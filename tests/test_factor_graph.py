@@ -22,6 +22,7 @@ from .oracles import (
     field_distances_broadcast,
     linearize_per_row,
     planar_arm,
+    position_cost,
 )
 
 LAMBDA_FLOOR = 1e-9
@@ -68,19 +69,46 @@ def goal_factor(state, chain, goal, sigma):
     return fg.ConfigurationFactor(fg.FactorKind.GOAL_POSITION, [state], fg.ChainGoalCost(chain, goal), 3, sigma)
 
 
+def position_factor(states, goal, sigma):
+    """A Gaussian prior on the positions of ``states``: a linear
+    configuration factor."""
+    goal = np.atleast_1d(np.asarray(goal, dtype=float))
+    kind = fg.FactorKind.GOAL_POSITION
+    return fg.ConfigurationFactor(kind, np.atleast_1d(states), position_cost(goal), len(goal), sigma)
+
+
 def single_state_graph(factors, n):
-    # The trajectory container always carries two knots, so toy graphs
-    # over "one" state declare both and leave the second unreferenced
-    # (zero curvature there is absorbed by the clamped LM damping).
+    # The trajectory container always carries two knots, and the solver
+    # holds state 0, so toy graphs over "one" state declare both and put
+    # their factors on state 1 (zero curvature in its unreferenced
+    # velocity is absorbed by the clamped LM damping).
     return fg.FactorGraph(factors=tuple(factors), num_states=2, state_dim=2 * n)
 
 
-def undamped_step(graph, trajectory):
-    """The undamped (Gauss-Newton) step at ``trajectory``: the normal
-    equations from ``linearize``, solved by ``_solve_normal`` with zero
-    damping."""
+def decision_system(graph, trajectory):
+    """``linearize``'s band and gradient restricted to the decision
+    variables, states 1..N-1, and the dense Jacobian's columns and the
+    residual of the same states from ``dense_linearization``."""
     band, gradient, _ = fg.linearize(graph, trajectory)
+    jac, res = dense_linearization(graph, trajectory)
+    dim = graph.state_dim
+    return band[:, dim:], gradient[dim:], jac[:, dim:], res
+
+
+def undamped_step(graph, trajectory):
+    """The undamped (Gauss-Newton) step of states 1..N-1 at
+    ``trajectory``: the decision band and gradient from ``linearize``,
+    solved by ``_solve_normal`` with zero damping."""
+    band, gradient, _, _ = decision_system(graph, trajectory)
     return fg._solve_normal(band, np.zeros(len(gradient)), gradient)
+
+
+def last_segment_prior(times, n, qc):
+    """A GP prior over the last segment of ``times`` alone: one over the
+    last two times, its states moved to the last two states."""
+    prior = fg.GpPriorFactor(times=times[-2:], n=n, qc=qc)
+    prior.states = prior.states + len(times) - 2
+    return prior
 
 
 def one_state_trajectory(q, extra_time=1.0):
@@ -126,11 +154,11 @@ class TestFactorResiduals:
         np.testing.assert_allclose(jac_j[0, :2], 0.5 * jac_plain[0, 0, :2], rtol=1e-12)
 
     def test_residual_function_returns_whitened_values(self, planar2r):
-        factor = fg.StartPriorFactor(state=0, prior=np.zeros(4), sigma=1e-4)
+        factor = position_factor(0, np.zeros(2), sigma=1e-4)
         traj = one_state_trajectory([0.2, -0.1])
         r, jac = factor.evaluate(traj.x)
-        np.testing.assert_allclose(r[0], 100.0 * traj.states[0].as_vector(), rtol=1e-12)
-        np.testing.assert_allclose(jac[0], 100.0 * np.eye(4), rtol=1e-12)
+        np.testing.assert_allclose(r[0], 100.0 * traj.states[0].position, rtol=1e-12)
+        np.testing.assert_allclose(jac[0], 100.0 * np.eye(2, 4), rtol=1e-12)
 
     def test_interpolated_factor_requires_interior_tau(self):
         # A one-ulp segment: its midpoint rounds onto the first knot.
@@ -146,8 +174,8 @@ class TestTotalCost:
 
     def test_adding_factors_never_decreases_cost(self, planar2r):
         traj = one_state_trajectory([0.5, 0.5])
-        goal = goal_factor(0, planar2r, [1.0, 1.0, 0.0], 1e-2)
-        prior = fg.StartPriorFactor(state=0, prior=np.ones(4), sigma=1e-2)
+        goal = goal_factor(1, planar2r, [1.0, 1.0, 0.0], 1e-2)
+        prior = position_factor(1, np.ones(2), sigma=1e-2)
         g1 = single_state_graph([goal], 2)
         g2 = single_state_graph([goal, prior], 2)
         assert fg.total_cost(g2, traj) >= fg.total_cost(g1, traj)
@@ -157,10 +185,8 @@ class TestTotalCost:
         sigma = 1e-2
         prior_theta = 0.4
         prior_sigma = 0.5
-        factor = singularity_factor(0, sine_cost, sigma)
-        prior = fg.StartPriorFactor(
-            state=0, prior=np.array([prior_theta, 0.0]), sigma=prior_sigma
-        )
+        factor = singularity_factor(1, sine_cost, sigma)
+        prior = position_factor(1, prior_theta, sigma=prior_sigma)
         graph = single_state_graph([factor, prior], 1)
         for theta in np.linspace(0.05, 3.1, 40):
             traj = one_state_trajectory([theta])
@@ -170,36 +196,61 @@ class TestTotalCost:
 
 
 class TestOptimize:
-    def linear_graph(self):
-        traj = gp.init_trajectory(np.zeros(2), 3.0, 4)
-        goal_state = np.concatenate([[1.0, -0.5], np.zeros(2)])
-        factors = [fg.StartPriorFactor(state=0, prior=traj.states[0].as_vector(), sigma=1e-6)]
-        factors.append(fg.GpPriorFactor(times=traj.times, n=2, qc=2.0))
-        factors.append(fg.StartPriorFactor(state=3, prior=goal_state, sigma=1e-6))
-        return fg.FactorGraph(factors=tuple(factors), num_states=4, state_dim=4), traj
+    def linear_graph(self, num=4):
+        """The GP prior from a held start at the origin to a position goal
+        at the last state: a linear least-squares problem in states 1..N-1."""
+        traj = gp.init_trajectory(np.zeros(2), float(num - 1), num)
+        factors = (fg.GpPriorFactor(times=traj.times, n=2, qc=2.0), position_factor(num - 1, [1.0, -0.5], sigma=1e-6))
+        return fg.FactorGraph(factors=factors, num_states=num, state_dim=4), traj
+
+    def closed_form(self, graph, traj):
+        """States 1..N-1 after the dense Gauss-Newton step from ``traj``."""
+        _, _, jac, res = decision_system(graph, traj)
+        return traj.x[1:].ravel() + np.linalg.solve(jac.T @ jac, -(jac.T @ res))
 
     def test_gauss_newton_solves_linear_graph_in_one_step(self):
         graph, traj = self.linear_graph()
-        jac, res = dense_linearization(graph, traj)
-        closed_form = traj.x.ravel() + np.linalg.solve(jac.T @ jac, -(jac.T @ res))
-        assert np.abs(traj.x.ravel() + undamped_step(graph, traj) - closed_form).max() < 1e-10
+        assert np.abs(traj.x[1:].ravel() + undamped_step(graph, traj) - self.closed_form(graph, traj)).max() < 1e-10
 
     def test_one_joint_sine_map_converges_to_right_angle(self):
-        factor = singularity_factor(0, sine_cost, 1e-2)
-        factor2 = singularity_factor(1, sine_cost, 1e-2)
-        graph = fg.FactorGraph(factors=(factor, factor2), num_states=2, state_dim=2)
+        # The factor is on the free state alone: a held state's constant
+        # cost would hide any decrease below that constant's ulp.
+        graph = single_state_graph([singularity_factor(1, sine_cost, 1e-2)], 1)
         traj = one_state_trajectory([0.3])
         settings = fg.SolverSettings(max_iterations=200, rel_cost_tol=1e-30, abs_grad_tol=1e-30)
         solution, report = fg.optimize(graph, traj, settings)
-        assert abs(solution.states[0].position[0] - math.pi / 2) < 1e-6
+        assert abs(solution.states[1].position[0] - math.pi / 2) < 1e-6
         assert report.converged
+        assert solution.x[0].tobytes() == traj.x[0].tobytes()
+
+    def test_the_start_is_held_and_left_out_of_the_gradient_norm(self, monkeypatch):
+        # The linear graph with a prior that pulls state 0 far from where it
+        # is: no candidate moves state 0, and the reported gradient norm
+        # reads states 1..N-1 alone, though state 0's gradient dwarfs theirs.
+        graph, init = self.linear_graph()
+        graph = fg.FactorGraph(
+            factors=(*graph.factors, position_factor(0, [5.0, 5.0], sigma=1e-4)), num_states=4, state_dim=4
+        )
+        starts = []
+
+        def score(graph, x, original=fg.FactorGraph.score):
+            starts.append(x[0].tobytes())
+            return original(graph, x)
+
+        monkeypatch.setattr(fg.FactorGraph, "score", score)
+        solution, report = fg.optimize(graph, init)
+        assert len(starts) > 2 and set(starts) == {init.x[0].tobytes()}
+        assert solution.x[0].tobytes() == init.x[0].tobytes()
+        _, gradient, _ = fg.linearize(graph, solution)
+        assert report.grad_inf_norm == np.abs(gradient[4:]).max()
+        assert np.abs(gradient[:4]).max() > 1e4 * max(report.grad_inf_norm, 1.0)
 
     def test_two_joint_toy_matches_grid_search(self, planar2r):
         params = SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-2)
         cost_fn = fg.ChainSingularityCost(planar2r, params, task_dim=2)
         factors = (
-            singularity_factor(0, cost_fn, 1e-2),
-            goal_factor(0, planar2r, [1.2, 0.8, 0.0], 1e-2),
+            singularity_factor(1, cost_fn, 1e-2),
+            goal_factor(1, planar2r, [1.2, 0.8, 0.0], 1e-2),
         )
         graph = single_state_graph(factors, 2)
         init = one_state_trajectory([0.4, 0.7])
@@ -242,8 +293,8 @@ class TestOptimize:
         params = SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4)
         cost_fn = fg.ChainSingularityCost(planar2r, params, task_dim=2)
         factors = (
-            singularity_factor(0, cost_fn, 1e-4),
-            goal_factor(0, planar2r, [1.0, 1.0, 0.0], 1e-8),
+            singularity_factor(1, cost_fn, 1e-4),
+            goal_factor(1, planar2r, [1.0, 1.0, 0.0], 1e-8),
         )
         graph = single_state_graph(factors, 2)
         solution, report = fg.optimize(
@@ -258,9 +309,9 @@ class TestOptimize:
         params = SingularityCostParams(lambda_max=1.0, sigma_sbar=1e-4)
         cost_fn = fg.ChainSingularityCost(planar2r, params, task_dim=2)
         factors = (
-            singularity_factor(0, cost_fn, 1e-4),
-            goal_factor(0, planar2r, [1.0, 1.0, 0.0], 1e-8),
-            fg.StartPriorFactor(state=1, prior=np.array([0.0, 0.9, 0.0, 0.0]), sigma=1e2),
+            singularity_factor(1, cost_fn, 1e-4),
+            goal_factor(1, planar2r, [1.0, 1.0, 0.0], 1e-8),
+            position_factor(1, [0.0, 0.9], sigma=1e2),
         )
         graph = fg.FactorGraph(factors=factors, num_states=2, state_dim=4)
         init = one_state_trajectory([0.4, 0.7])
@@ -278,8 +329,7 @@ class TestOptimize:
             def steep(q):
                 return np.ones((len(q), 1)), np.full((len(q), 1, 1), 1e200)
 
-            priors = [fg.StartPriorFactor(state=s, prior=[0.1, 0.0], sigma=1.0) for s in (0, 1)]
-            graph = fg.FactorGraph(factors=(singularity_factor(0, steep, 1.0), *priors), num_states=2, state_dim=2)
+            graph = single_state_graph([singularity_factor(1, steep, 1.0), position_factor(1, 0.1, sigma=1.0)], 1)
             init, settings = one_state_trajectory([0.1]), fg.SolverSettings(max_iterations=150)
         else:
             scenario = load_scenario(problem)
@@ -338,17 +388,9 @@ class TestOptimize:
         assert report.grad_inf_norm < 10.0 * settings.abs_grad_tol
 
     def test_large_banded_solve_matches_dense_oracle(self):
-        # 150 states of dim 4 = 600 variables, solved in one undamped step.
-        num = 150
-        traj = gp.init_trajectory(np.zeros(2), float(num - 1), num)
-        goal_state = np.concatenate([[1.0, -0.5], np.zeros(2)])
-        factors = [fg.StartPriorFactor(state=0, prior=traj.states[0].as_vector(), sigma=1e-6)]
-        factors.append(fg.GpPriorFactor(times=traj.times, n=2, qc=2.0))
-        factors.append(fg.StartPriorFactor(state=num - 1, prior=goal_state, sigma=1e-6))
-        graph = fg.FactorGraph(factors=tuple(factors), num_states=num, state_dim=4)
-        jac, res = dense_linearization(graph, traj)
-        closed_form = traj.x.ravel() + np.linalg.solve(jac.T @ jac, -(jac.T @ res))
-        assert np.abs(traj.x.ravel() + undamped_step(graph, traj) - closed_form).max() < 1e-8
+        # 149 free states of dim 4 = 596 variables, solved in one undamped step.
+        graph, traj = self.linear_graph(150)
+        assert np.abs(traj.x[1:].ravel() + undamped_step(graph, traj) - self.closed_form(graph, traj)).max() < 1e-8
 
     @pytest.mark.parametrize("case", [1, 3, 0, 2, "task_dim_3", "interp_sigma", "repeated_factor", "prior_after_configuration"])
     def test_linearize_band_matches_dense_oracle(self, case):
@@ -356,8 +398,8 @@ class TestOptimize:
         # n_interp 2 and change the graph so each row's weights must be
         # merged right: a 3-row task, the knot and interpolated factors of
         # each cost with other sigmas, a second factor of one cost over the
-        # same rows (their weights add), and a constant prior after the
-        # configuration factors.
+        # same rows (their weights add), and a second GP prior, over the last
+        # segment alone, after the configuration factors.
         n_interp = case if isinstance(case, int) else 2
         scenario = Scenario(
             robot="ur10",
@@ -381,7 +423,7 @@ class TestOptimize:
             (knot_collision,) = [f for f in factors if f.kind is kind.COLLISION]
             factors.append(replace(knot_collision, sigma=0.3))
         elif case == "prior_after_configuration":
-            factors.append(fg.StartPriorFactor(state=3, prior=traj.x[3] + 0.1, sigma=1e-2))
+            factors.append(last_segment_prior(traj.times, 6, 0.5))
         graph = fg.FactorGraph(factors=tuple(factors), num_states=graph.num_states, state_dim=graph.state_dim)
         band, gradient, cost = fg.linearize(graph, traj)
         jac, res = dense_linearization(graph, traj)
@@ -401,18 +443,23 @@ class TestOptimize:
         "states", [[[0, 2]], [[1, 0]], [[0, 1, 2]], [0, 1], [[2], [0]], [[0], [0]], [[0], [2]], np.zeros((0, 1))]
     )
     def test_graph_rejects_blocks_over_other_than_consecutive_states(self, states):
-        factor = fg.StartPriorFactor(state=0, prior=np.zeros(2), sigma=1.0)
+        factor = fg.GpPriorFactor(times=np.arange(3.0), n=1, qc=1.0)
         factor.states = np.array(states)
         with pytest.raises(ValueError, match="consecutive"):
             fg.FactorGraph(factors=(factor,), num_states=3, state_dim=2)
 
-    def test_graph_rejects_a_factor_with_state_dependent_jacobians_outside_the_stack(self):
-        # Only configuration factors are linearized per evaluation; every
-        # other factor's J^T J is summed once, at construction.
-        factor = fg.StartPriorFactor(state=0, prior=np.zeros(2), sigma=1.0)
-        factor.constant_jacobian = None
-        with pytest.raises(ValueError, match="constant Jacobian"):
-            fg.FactorGraph(factors=(factor,), num_states=2, state_dim=2)
+    def test_graph_rejects_a_factor_of_another_type(self):
+        # Configuration factors are linearized per evaluation and the GP
+        # priors' J^T J is summed once, at construction; a graph has no
+        # path for any other factor, even one as simple as a pin on a state.
+        class Pin(fg.Factor):
+            kind, states, dim = fg.FactorKind.GOAL_POSITION, np.array([[1]]), 2
+
+            def evaluate(self, x):
+                return x[1:2], np.eye(2)[None]
+
+        with pytest.raises(ValueError, match="must be a GpPriorFactor or a ConfigurationFactor"):
+            fg.FactorGraph(factors=(Pin(),), num_states=2, state_dim=2)
 
     def test_non_finite_normal_equations_reject_the_step(self):
         def steep(q):
@@ -420,9 +467,8 @@ class TestOptimize:
             return np.ones((len(q), 1)), np.full((len(q), 1, 1), 1e200)
 
         init = one_state_trajectory([0.1])
-        # Priors at the initial states make the rest of J^T J positive definite.
-        priors = [fg.StartPriorFactor(state=s, prior=[0.1, 0.0], sigma=1.0) for s in (0, 1)]
-        graph = fg.FactorGraph(factors=(singularity_factor(0, steep, 1.0), *priors), num_states=2, state_dim=2)
+        # A prior at the free state's initial position gives it curvature of its own.
+        graph = single_state_graph([singularity_factor(1, steep, 1.0), position_factor(1, 0.1, sigma=1.0)], 1)
         solution, report = fg.optimize(graph, init)
         np.testing.assert_array_equal(solution.x.ravel(), init.x.ravel())
         assert report.cost_trace == [0.5]
@@ -432,24 +478,20 @@ class TestOptimize:
 
     def test_non_finite_candidate_cost_rejects_the_step(self):
         # A wall: no cost below q = 0.5 and an infinite one beyond it, while
-        # the priors pull both states to q = 1.  The full step crosses the
+        # a prior pulls the free state to q = 1.  The full step crosses the
         # wall; its linearization must stop at the cost, before J^T r forms
         # 0 * inf (a RuntimeWarning, an error under -W error).
         def wall(q):
             return np.where(q < 0.5, 0.0, np.inf), np.zeros(q.shape + (1,))
 
         init = one_state_trajectory([0.1])
-        priors = [fg.StartPriorFactor(state=s, prior=[1.0, 0.0], sigma=1.0) for s in (0, 1)]
-        graph = fg.FactorGraph(
-            factors=(fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, [0, 1], wall, 1, 1.0), *priors),
-            num_states=2,
-            state_dim=2,
-        )
+        wall_factor = fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, [1], wall, 1, 1.0)
+        graph = single_state_graph([wall_factor, position_factor(1, 1.0, sigma=1.0)], 1)
         solution, report = fg.optimize(graph, init)
         assert math.isfinite(report.final_cost)
         assert report.final_cost == fg.total_cost(graph, solution) == report.cost_trace[-1]
         # Damped steps stop short of the wall and still descend.
-        assert np.all(solution.x[:, 0] < 0.5) and np.all(solution.x[:, 0] > 0.1)
+        assert 0.1 < solution.x[1, 0] < 0.5
         assert report.final_cost < report.cost_trace[0]
 
     @pytest.mark.parametrize("damped", [False, True])
@@ -457,18 +499,17 @@ class TestOptimize:
         scenario = load_scenario("ur10_unconstrained")
         init = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support, scenario.n_interp)
         graph = fg.build_graph(scenario, init)
-        band, gradient, _ = fg.linearize(graph, init)
-        jac, res = dense_linearization(graph, init)
+        band, gradient, jac, res = decision_system(graph, init)
         # The undamped system, and LM's first damped one.
         damping = (fg.LM_INIT_DAMPING if damped else 0.0) * fg._damping_scale(band[0])
         normal = jac.T @ jac + np.diag(damping)
         expected = np.linalg.solve(normal, -(jac.T @ res))
         step = fg._solve_normal(band, damping, gradient)
         # Both solves are backward stable, so each is within about cond * eps
-        # of the exact step, relative to its size.  The start and goal priors
-        # (sigma 1e-8) put eigenvalues near 1e8, the softest direction sits
-        # near 1e-2, so cond is 8e9 damped and 2e10 undamped and the bound
-        # 2e-6 to 5e-6; the two steps agree to about 4e-12.
+        # of the exact step, relative to its size.  The goal factor (sigma
+        # 1e-8) puts eigenvalues near 1e8, the softest direction of the free
+        # states sits near 1e-2, so cond is 8e9 damped and 2e10 undamped and
+        # the bound 2e-6 to 5e-6; the two steps agree to about 5e-12.
         cond = np.linalg.cond(normal)
         assert 1e9 < cond < 1e11
         assert np.abs(step - expected).max() <= cond * np.finfo(float).eps * np.abs(expected).max()
@@ -564,9 +605,9 @@ class TestOptimize:
     @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
     def test_the_gp_prior_residual_from_the_shared_blend_is_its_evaluate(self, name):
         graph, trajectories = self.perturbed_graph(name, True)
-        (at,) = [i for i, factor in enumerate(graph._constants) if isinstance(factor, fg.GpPriorFactor)]
+        (prior,) = graph._priors
         for traj in trajectories:
-            residual, expected = graph.score(traj.x).residuals[at], graph._constants[at].evaluate(traj.x)[0]
+            (residual,), expected = graph.score(traj.x).residuals, prior.evaluate(traj.x)[0]
             assert residual.shape == expected.shape and residual.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
@@ -633,8 +674,8 @@ class TestOptimize:
         # rounding: each configuration's cost evaluated alone, and each row's
         # Gram added in a plain loop.
         graph, trajectories = self.perturbed_graph(name, singularity)
-        # The start prior and the GP prior have constant Jacobians.
-        assert [f.kind for f in graph._constants] == [fg.FactorKind.START_PRIOR, fg.FactorKind.GP_PRIOR]
+        # The GP prior is the one factor with a constant Jacobian.
+        assert [f.kind for f in graph._priors] == [fg.FactorKind.GP_PRIOR]
         for traj in trajectories:
             linearized = fg.linearize(graph, traj)
             with monkeypatch.context() as patched:
@@ -646,25 +687,21 @@ class TestOptimize:
 
     @pytest.mark.parametrize("order", ["priors_first", "configuration_first"])
     def test_constant_factors_after_a_configuration_factor_keep_their_order(self, order):
-        # Criterion 5's linear graph, with a planar arm's singularity factor
-        # before its goal prior at state 3.  Every constant Jacobian's J^T J
-        # is summed at construction in factor order, wherever it sits, so the
-        # place of the configuration factor changes no bit.
+        # A GP prior over all segments and a planar arm's singularity factor
+        # in either order, then a second GP prior over the last segment.
+        # Every GP prior's constant J^T J is summed at construction in factor
+        # order, wherever it sits, so the place of the configuration factor
+        # changes no bit.
         init = gp.init_trajectory([0.3, -0.4], 3.0, 4)
-        goal_state = np.concatenate([[1.0, -0.5], np.zeros(2)])
         cost = fg.ChainSingularityCost(planar_arm([1.0, 1.0]), SingularityCostParams(2.0, 1e-2), 2)
         configuration = fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, np.arange(4), cost, 1, 1e-2)
-        priors = [
-            fg.StartPriorFactor(state=0, prior=init.x[0], sigma=1e-6),
-            fg.GpPriorFactor(times=init.times, n=2, qc=2.0),
-        ]
-        goal = fg.StartPriorFactor(state=3, prior=goal_state, sigma=1e-6)
+        prior, last = fg.GpPriorFactor(times=init.times, n=2, qc=2.0), last_segment_prior(init.times, 2, 1e-2)
         graphs = [
-            fg.FactorGraph(factors=(*leading, goal), num_states=4, state_dim=4)
-            for leading in ([*priors, configuration], [configuration, *priors])
+            fg.FactorGraph(factors=(*leading, last), num_states=4, state_dim=4)
+            for leading in ([prior, configuration], [configuration, prior])
         ]
         graph = graphs[order == "configuration_first"]
-        assert graph._constants == (*priors, goal)
+        assert graph._priors == (prior, last)
         rng = np.random.default_rng(5)
         for _ in range(5):
             traj = init.with_vector(init.x.ravel() + rng.normal(0.0, 0.3, init.x.size))
@@ -677,7 +714,7 @@ class TestOptimize:
     def test_the_banded_solve_equals_solveh_banded_bit_for_bit(self, name, damped):
         graph, trajectories = self.perturbed_graph(name, True)
         for traj in trajectories:
-            band, gradient, _ = fg.linearize(graph, traj)
+            band, gradient, _, _ = decision_system(graph, traj)
             damping = (1e-3 if damped else 0.0) * fg._damping_scale(band[0])
             kept = band.copy()
             step = fg._solve_normal(band, damping, gradient)
@@ -708,7 +745,6 @@ class TestOptimize:
         for order in ("C", "F"):
             cost = residuals(order)
             factors = [
-                fg.StartPriorFactor(state=0, prior=traj.x[0], sigma=1e-4),
                 fg.GpPriorFactor(times=traj.times, n=6, qc=1.0),
                 fg.ConfigurationFactor(fg.FactorKind.SINGULARITY, np.arange(8), cost, 22, 0.1),
             ]
@@ -775,7 +811,6 @@ class TestOptimize:
         kind = fg.FactorKind
         graph = fg.FactorGraph(
             factors=(
-                fg.StartPriorFactor(state=0, prior=traj.x[0], sigma=1e-4),
                 fg.GpPriorFactor(times=traj.times, n=1, qc=1.0),
                 fg.ConfigurationFactor(kind.SINGULARITY, [0, 1, 2], sine_cost, 1, 1e-2),
                 fg.ConfigurationFactor(kind.INTERP_SINGULARITY, [0, 1], sine_cost, 2, 1e-2, (lam, psi)),
@@ -795,8 +830,8 @@ class TestOptimize:
         assert calls == [(7, 1)]
         assert_linearizes_like_per_row(graph, traj.x, fg.linearize(graph, traj, scored))
         residuals = [factor.evaluate(traj.x)[0] for factor in graph.factors]
-        np.testing.assert_allclose(residuals[2].ravel(), -10.0 * np.log(np.sin(traj.x[:, 0])), rtol=1e-14)
-        np.testing.assert_allclose(residuals[4][0], 100.0 * np.array([math.cos(1.2), math.sin(1.2) - 1.0, 0.0]))
+        np.testing.assert_allclose(residuals[1].ravel(), -10.0 * np.log(np.sin(traj.x[:, 0])), rtol=1e-14)
+        np.testing.assert_allclose(residuals[3][0], 100.0 * np.array([math.cos(1.2), math.sin(1.2) - 1.0, 0.0]))
         assert fg.total_cost(graph, traj) == fg.linearize(graph, traj)[2]
         _, report = fg.optimize(graph, traj)
         assert report.final_cost < report.cost_trace[0]
@@ -853,18 +888,17 @@ class TestBuildGraph:
             gc.enable()
 
     def test_unobstructed_counting_rule(self):
-        # 11 support states: 1 start prior + 10 GP priors + 11 singularity
-        # blocks + 1 goal = 23, in one factor per kind.
+        # 11 support states: 10 GP priors + 11 singularity blocks + 1 goal =
+        # 22, in one factor per kind; the start is held, with no prior.
         scenario = self.scenario()
         traj = gp.init_trajectory(scenario.start_config, scenario.horizon, scenario.num_support)
         graph = fg.build_graph(scenario, traj)
-        assert sum(self.counts(graph).values()) == 23
-        assert len(graph.factors) == 4
-        counts = self.counts(graph)
-        assert counts[fg.FactorKind.START_PRIOR] == 1
-        assert counts[fg.FactorKind.GP_PRIOR] == 10
-        assert counts[fg.FactorKind.SINGULARITY] == 11
-        assert counts[fg.FactorKind.GOAL_POSITION] == 1
+        assert len(graph.factors) == 3
+        assert self.counts(graph) == {
+            fg.FactorKind.GP_PRIOR: 10,
+            fg.FactorKind.SINGULARITY: 11,
+            fg.FactorKind.GOAL_POSITION: 1,
+        }
 
     def test_interpolation_adds_per_segment_factors(self):
         scenario = self.scenario(n_interp=2)
@@ -874,8 +908,8 @@ class TestBuildGraph:
         # One block per segment, stacking its 2 interpolated configurations.
         assert counts[fg.FactorKind.INTERP_SINGULARITY] == 10
         assert self.rows(graph)[fg.FactorKind.INTERP_SINGULARITY] == 20
-        assert sum(counts.values()) == 33
-        assert len(graph.factors) == 5
+        assert sum(counts.values()) == 32
+        assert len(graph.factors) == 4
 
     def test_obstacle_doubles_per_state_cost_factors(self):
         # planar2r has no body spheres, so use the UR-10 for the collision
@@ -921,8 +955,8 @@ class TestBuildGraph:
             fg.FactorGraph(factors=tuple(factors), num_states=2, state_dim=4)
 
     def test_state_indices_validated(self):
-        factor = fg.StartPriorFactor(state=5, prior=np.zeros(2), sigma=1.0)
-        with pytest.raises(ValueError):
+        factor = position_factor(5, 0.0, sigma=1.0)
+        with pytest.raises(ValueError, match="outside"):
             fg.FactorGraph(factors=(factor,), num_states=2, state_dim=2)
 
     def test_solver_settings_validation(self):

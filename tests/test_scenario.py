@@ -281,6 +281,19 @@ class TestRunScenario:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+class TestHeldStart:
+    @pytest.mark.parametrize("name", ["planar2r_analytic", "ur10_unconstrained", "ur10_table"])
+    def test_every_plan_starts_at_the_start_bit_for_bit(self, name):
+        # The plan, the comparison's baseline and aware runs and each sweep
+        # run: state 0 is the scenario's start with zero velocity, as given.
+        scenario = load_scenario(name)
+        start = np.concatenate([scenario.start_config, np.zeros(len(scenario.start_config))])
+        comparison = run_comparison(scenario)
+        runs = [run_scenario(scenario), comparison.baseline, comparison.aware]
+        runs += run_interp_sweep(scenario, [0, 2, 4]).runs
+        assert [run.trajectory.x[0].tobytes() for run in runs] == [start.tobytes()] * len(runs)
+
+
 class TestCsvExport:
     @pytest.mark.parametrize("rows", [14, 0])
     def test_bytes_equal_the_csv_module(self, tmp_path, rows):
